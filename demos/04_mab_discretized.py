@@ -1,7 +1,7 @@
 """Let the cross-entropy bandit find a good allocation from reward alone.
 
 The bandit never sees the throughput formula: each pull samples an action
-from its distribution, simulates a run of slots, and banks the empirical
+from its distribution, runs a batch of slots, and banks the empirical
 high-class rate -- discounted to rho * rate if the measured low-class rate
 misses the floor.  Batch by batch the sampling distribution is re-fit
 toward the elite pulls.

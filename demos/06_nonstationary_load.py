@@ -103,7 +103,8 @@ def grid_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> Non
     print("means sink slowly.  The uniform share keeps some pulls in every batch")
     print("off them; the first whose value beats theirs enters the elite, and")
     print("play moves to an allocation with a safe margin on mu_l.  With the")
-    print("share at zero this run never leaves the favourites.")
+    print("share at zero, 11 of seeds 0-19 of this run still play the stale")
+    print("favourites (exact mu_l < 0.1) in the last 1000 pulls; with it, none do.")
 
 
 def main() -> None:

@@ -18,6 +18,7 @@ from .exact import (
     pattern_probability,
     scaling_allocation,
     scaling_reference,
+    slot_success_pmf,
     throughput_by_pattern_sum,
     throughput_closed_form,
 )

@@ -66,6 +66,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         if self.m < 1:
             raise ValueError(f"m must be >= 1, got {self.m}")
+        if not self.d > 0:
+            raise ValueError(f"grid step must be > 0, got {self.d}")
         q = round(1.0 / self.d)
         if q < 1 or abs(1.0 / self.d - q) > 1e-9:
             raise ValueError(f"grid step {self.d} is not the inverse of an integer")

@@ -413,6 +413,9 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(path)
+    for section in ("experiment", "network"):
+        if not parser.has_section(section):
+            raise ValueError(f"{path}: missing required [{section}] section")
     exp = parser["experiment"]
     net = parser["network"]
     cfg = NetworkConfig(

@@ -29,10 +29,15 @@ from .model import AccessProbabilityPair, NetworkConfig
 from .optimize import SolverOptions, solve
 from .simulate import sim_throughput
 
+# Seeds feed numpy's SeedSequence, which takes non-negative integers only.
+SEED = click.IntRange(min=0)
+COUNT = click.IntRange(min=0)
+RBS = click.IntRange(min=1)
+
 _cfg_options = [
-    click.option("--m", type=int, required=True, help="Number of resource blocks."),
-    click.option("--n-h", type=int, required=True, help="Number of high-priority devices."),
-    click.option("--n-l", type=int, required=True, help="Number of low-priority devices."),
+    click.option("--m", type=RBS, required=True, help="Number of resource blocks."),
+    click.option("--n-h", type=COUNT, required=True, help="Number of high-priority devices."),
+    click.option("--n-l", type=COUNT, required=True, help="Number of low-priority devices."),
 ]
 
 
@@ -42,9 +47,24 @@ def cfg_options(fn):
     return fn
 
 
+def grid_step(ctx, param, value: float | None) -> float | None:
+    """Click callback: a grid step must be the inverse of an integer."""
+    if value is not None:
+        try:
+            GridSpec(1, value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+    return value
+
+
 def parse_probabilities(text: str, m: int, name: str) -> tuple[float, ...]:
     tokens = text.replace(",", " ").split()
-    values = tuple(float(tok) for tok in tokens)
+    try:
+        values = tuple(float(tok) for tok in tokens)
+    except ValueError:
+        raise click.BadParameter(
+            f"entries must be numbers, got {text!r}", param_hint=name
+        ) from None
     if len(values) != m:
         raise click.BadParameter(f"{name} needs {m} entries, got {len(values)}")
     return values
@@ -55,9 +75,11 @@ def resolve_pair(p_h: str | None, p_l: str | None, m: int) -> AccessProbabilityP
         raise click.BadParameter("--p-h and --p-l must be given together")
     if p_h is None:
         return AccessProbabilityPair.uniform(m)
-    return AccessProbabilityPair(
-        parse_probabilities(p_h, m, "--p-h"), parse_probabilities(p_l, m, "--p-l")
-    )
+    values = parse_probabilities(p_h, m, "--p-h"), parse_probabilities(p_l, m, "--p-l")
+    try:
+        return AccessProbabilityPair(*values)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="--p-h/--p-l") from None
 
 
 def write_json(out: str | None, record: dict) -> None:
@@ -117,7 +139,7 @@ def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
 @cfg_options
 @click.option("--gamma", type=float, default=0.0, show_default=True,
               help="Low-class throughput floor.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--starts", type=int, default=20, show_default=True,
               help="Number of multistart initializations.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
@@ -141,8 +163,9 @@ def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
 
 
 @main.command("as-stats")
-@click.option("--m", type=int, required=True, help="Number of resource blocks.")
-@click.option("--d", type=float, default=0.2, show_default=True, help="Grid step.")
+@click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
+@click.option("--d", type=float, default=0.2, show_default=True, callback=grid_step,
+              help="Grid step.")
 def as_stats_cmd(m, d):
     """Discretized action-space sizes before and after rotation dedup."""
     spec = GridSpec(m, d)
@@ -156,7 +179,7 @@ def as_stats_cmd(m, d):
 @click.option("--n-h-max", type=int, default=10, show_default=True)
 @click.option("--n-l-max", type=int, default=10, show_default=True)
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True,
+@click.option("--seed", type=SEED, default=0, show_default=True,
               help="Optimizer multistart seed used for every cell.")
 @click.option("--out", type=click.Path(), required=True, help="Destination CSV.")
 def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
@@ -235,14 +258,15 @@ def mab_param_options(fn):
               default="discretized", show_default=True)
 @cfg_options
 @click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--d", type=float, default=None, help="Grid step (discretized space).")
+@click.option("--d", type=float, default=None, callback=grid_step,
+              help="Grid step (discretized space).")
 @click.option("--table", type=click.Path(exists=True), default=None,
               help="Precomputed compact table CSV.")
 @click.option("--n-h-max", type=int, default=10, show_default=True,
               help="Compact table bound when building in place.")
 @click.option("--n-l-max", type=int, default=10, show_default=True)
 @mab_param_options
-@click.option("--seed", "seeds", type=int, multiple=True, default=(0,), show_default=True,
+@click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
               help="Seed; repeat for several runs.")
 @click.option("--workers", type=int, default=None, help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
@@ -260,22 +284,23 @@ def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
 @main.command("scenario")
 @click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
               default="discretized", show_default=True)
-@click.option("--m", type=int, default=5, show_default=True)
-@click.option("--n-h", type=int, default=2, show_default=True, help="Initial high-class load.")
-@click.option("--n-l", type=int, default=1, show_default=True, help="Initial low-class load.")
-@click.option("--switch-n-h", type=int, default=4, show_default=True)
-@click.option("--switch-n-l", type=int, default=5, show_default=True)
+@click.option("--m", type=RBS, default=5, show_default=True)
+@click.option("--n-h", type=COUNT, default=2, show_default=True, help="Initial high-class load.")
+@click.option("--n-l", type=COUNT, default=1, show_default=True, help="Initial low-class load.")
+@click.option("--switch-n-h", type=COUNT, default=4, show_default=True)
+@click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
 @click.option("--switch", "switch_pull", type=int, default=None,
               help="Pull index of the load switch "
                    "[default: 15000 discretized, 2000 compact].")
 @click.option("--gamma", type=float, default=0.4, show_default=True)
-@click.option("--d", type=float, default=None, help="Grid step (discretized space).")
+@click.option("--d", type=float, default=None, callback=grid_step,
+              help="Grid step (discretized space).")
 @click.option("--table", type=click.Path(exists=True), default=None,
               help="Precomputed compact table CSV.")
 @click.option("--n-h-max", type=int, default=10, show_default=True)
 @click.option("--n-l-max", type=int, default=10, show_default=True)
 @mab_param_options
-@click.option("--seed", "seeds", type=int, multiple=True, default=(0,), show_default=True)
+@click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True)
 @click.option("--workers", type=int, default=None, help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
@@ -302,7 +327,7 @@ def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
 @main.command("reproduce")
 @click.option("--table", "table_id", type=str, default="all", show_default=True,
               help="Reference table id (I..VII) or 'all'.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--mab-runs", type=int, default=None,
               help="Override bandit pulls (smoke runs only).")
 @click.option("--mab-t", type=int, default=None,
@@ -327,7 +352,10 @@ def reproduce_cmd(ctx, table_id, seed, mab_runs, mab_t, strict):
 @click.argument("config", type=click.Path(exists=True))
 def experiment_cmd(config):
     """Run an experiment described by a config file."""
-    spec = load_experiment(config)
+    try:
+        spec = load_experiment(config)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), param_hint="CONFIG") from None
     for path in run_experiment(spec):
         click.echo(f"wrote {path}")
 

@@ -8,6 +8,10 @@ Two independent routes to the same quantity:
   pattern, weight its success counts by the pattern probability obtained from
   multinomial occupancy sums.  Exponential in m; kept as a cross-check.
 
+:func:`slot_success_pmf` goes one step further than the means: the exact
+per-slot joint law of the high and low success counts, which the bandit
+samples pull totals from.
+
 Both treat ``0 ** 0`` as 1 (an RB with zero access probability is simply
 never chosen).
 """
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .model import (
     AccessPattern,
@@ -36,6 +42,7 @@ __all__ = [
     "enumerate_patterns",
     "pattern_probability",
     "throughput_by_pattern_sum",
+    "slot_success_pmf",
     "scaling_allocation",
     "scaling_reference",
 ]
@@ -284,6 +291,87 @@ def throughput_by_pattern_sum(
         if n_low:
             mu_l_terms.append(n_low * prob)
     return ThroughputPair(math.fsum(mu_h_terms), math.fsum(mu_l_terms))
+
+
+# Actions per DP pass in :func:`slot_success_pmf`; bounds its working memory.
+_PMF_CHUNK = 32
+
+
+def _rb_split(p: np.ndarray, i: int, n: int) -> tuple[np.ndarray, ...]:
+    """Transition matrices of the unplaced devices of one class at RB ``i``.
+
+    Each of the ``r`` devices still unplaced picks RB ``i`` with probability
+    p[i] / (mass of RBs i..m-1), all of them at the last RB.  Returns
+    ``T[c][a, r, r']``, the probability that ``c`` of them do, leaving
+    ``r'`` = r - c, for c = 0, c = 1 and c >= 2.
+    """
+    n_act, m = p.shape
+    if i == m - 1:
+        share = np.ones(n_act)
+    else:
+        mass = p[:, i:].sum(axis=1)
+        share = np.divide(p[:, i], mass, out=np.zeros(n_act), where=mass > 0)
+        share = np.minimum(share, 1.0)
+    rem = np.arange(n + 1)[:, None]
+    picked = np.maximum(rem - rem.T, 0)  # c = r - r', 0 where r' > r
+    coef = np.array(
+        [[math.comb(r, r - k) if k <= r else 0 for k in range(n + 1)] for r in range(n + 1)],
+        dtype=float,
+    )
+    s = share[:, None, None]
+    full = coef * s**picked * (1.0 - s) ** (rem - picked)
+    return tuple(np.where(sel, full, 0.0) for sel in (picked == 0, picked == 1, picked >= 2))
+
+
+def _pmf_chunk(n_h: int, n_l: int, p_h: np.ndarray, p_l: np.ndarray) -> np.ndarray:
+    n_act, m = p_h.shape
+    # state[a, unplaced high, unplaced low, high successes, low successes]
+    state = np.zeros((n_act, n_h + 1, n_l + 1, m + 1, m + 1))
+    state[:, n_h, n_l, 0, 0] = 1.0
+
+    def move(t: np.ndarray, src: np.ndarray, axis: str) -> np.ndarray:
+        """Apply t[a, r, r'] to the unplaced-device axis of class ``axis``."""
+        t = t.transpose(0, 2, 1)
+        if axis == "h":
+            return (t @ src.reshape(n_act, n_h + 1, -1)).reshape(src.shape)
+        flat = src.reshape(n_act, n_h + 1, n_l + 1, -1)
+        return (t[:, None] @ flat).reshape(src.shape)
+
+    for i in range(m):
+        h0, h1, h2 = _rb_split(p_h, i, n_h)
+        l0, l1, l2 = _rb_split(p_l, i, n_l)
+        # RB i carries a high success iff it holds one high device and no
+        # low one, a low success iff the converse; every other split of
+        # devices (empty or a collision) leaves both counts unchanged
+        no_high, one_high = move(h0, state, "h"), move(h1, state, "h")
+        nxt = move(l0 + l2, no_high, "l") + move(l1 + l2, one_high, "l")
+        nxt += move(l0 + l1 + l2, move(h2, state, "h"), "l")
+        nxt[..., 1:, :] += move(l0, one_high, "l")[..., :-1, :]
+        nxt[..., :, 1:] += move(l1, no_high, "l")[..., :, :-1]
+        state = nxt
+    return state[:, 0, 0]
+
+
+def slot_success_pmf(n_h: int, n_l: int, p_h, p_l) -> np.ndarray:
+    """Exact per-slot joint pmf of (high successes, low successes).
+
+    ``p_h`` and ``p_l`` hold one access vector per action, shape
+    (actions, m).  A DP walks the RBs in order: at RB ``i`` the devices not
+    yet placed split binomially between it and the RBs after it,
+    independently per class, and the RB scores a success when it holds
+    exactly one device.  Returns shape (actions, m + 1, m + 1), indexed
+    [action, h, l].  Actions are processed ``_PMF_CHUNK`` at a time.
+    """
+    p_h = np.atleast_2d(np.asarray(p_h, dtype=float))
+    p_l = np.atleast_2d(np.asarray(p_l, dtype=float))
+    if p_h.shape != p_l.shape:
+        raise ValueError(f"p_h has shape {p_h.shape}, p_l {p_l.shape}")
+    m = p_h.shape[1]
+    out = np.empty((p_h.shape[0], m + 1, m + 1))
+    for lo in range(0, p_h.shape[0], _PMF_CHUNK):
+        hi = lo + _PMF_CHUNK
+        out[lo:hi] = _pmf_chunk(n_h, n_l, p_h[lo:hi], p_l[lo:hi])
+    return out
 
 
 def scaling_allocation(m: int) -> AccessProbabilityPair:

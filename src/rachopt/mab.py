@@ -1,12 +1,12 @@
 """Cross-entropy multi-armed bandit over access-probability action spaces.
 
-Each pull samples an action from a distribution ``p_as``, simulates ``t``
-slots, turns the empirical throughputs into a scalar reward (scaled, and
-penalized by ``rho`` when the low class misses its floor), and folds the
-reward into a running per-action mean Q.  After every batch the
-cross-entropy step re-fits ``p_as`` toward the actions holding the highest
-Q snapshots seen during the batch, smoothed by ``alpha``, and then blends a
-small share :data:`UNIFORM_SHARE` of uniform mass back in.
+Each pull samples an action from a distribution ``p_as``, runs ``t`` slots,
+turns the empirical throughputs into a scalar reward (scaled, and penalized
+by ``rho`` when the low class misses its floor), and folds the reward into a
+running per-action mean Q.  After every batch the cross-entropy step re-fits
+``p_as`` toward the actions holding the highest Q snapshots seen during the
+batch, smoothed by ``alpha``, and then blends a small share
+:data:`UNIFORM_SHARE` of uniform mass back in.
 
 Nothing resets on a load change: Q, the pull counts and ``p_as`` carry over
 and only the reward scale is re-derived per phase.  The uniform share is
@@ -14,10 +14,19 @@ what lets a running bandit track a non-stationary network.  The elite is
 ranked among the batch's own pulls, so without it a batch that draws only
 the old favourites refits to them however far their Q falls, and the
 actions that became good after a switch are never drawn again.
+
+Slots are i.i.d. and a reward depends only on a pull's total high and low
+successes, so by default those totals are drawn exactly: a pull's counts of
+each per-slot (h, l) outcome are Multinomial(t, pmf[action]), with the
+tables from :func:`~rachopt.exact.slot_success_pmf` and one multinomial
+call per batch and load phase.  ``throughput_fn=sim_throughput`` instead
+runs the Philox slot simulator of :mod:`rachopt.simulate` for every pull;
+the two backends agree in distribution but draw different random streams.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import logging
 from dataclasses import dataclass
@@ -27,9 +36,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .actionspace import ActionSpace, CompactKind
-from .exact import scaling_reference
+from .exact import scaling_reference, slot_success_pmf
 from .model import NetworkConfig, ThroughputPair
-from .simulate import sim_throughput
 
 __all__ = [
     "UNIFORM_SHARE",
@@ -106,6 +114,8 @@ class MabConfig:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if self.rho < 0 or self.gamma < 0:
             raise ValueError("rho and gamma must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def n_batches(self) -> int:
@@ -212,6 +222,46 @@ def _sim_seed(master_seed: int, pull: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
+def _exact_sampler(space: ActionSpace, mcfg: MabConfig):
+    """Pull totals drawn exactly.  Per-slot (h, l) success counts are i.i.d.
+    across slots, so a pull's counts of each (h, l) outcome are
+    Multinomial(t, pmf[action]); the pmf tables are built on first use of
+    each load and the draws come from their own child of ``mcfg.seed``."""
+    p_h = np.array([a.pair.p_h for a in space.actions])
+    p_l = np.array([a.pair.p_l for a in space.actions])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=mcfg.seed, spawn_key=(2,)))
+    k = np.arange(p_h.shape[1] + 1)
+    h_of, l_of = np.repeat(k, len(k)), np.tile(k, len(k))  # per flattened (h, l)
+    tables: dict[NetworkConfig, np.ndarray] = {}
+    t = mcfg.t
+
+    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int) -> list:
+        if cfg not in tables:
+            pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l).reshape(len(p_h), -1)
+            # rows sum to 1 up to rounding; multinomial wants them at most 1
+            tables[cfg] = pmf / pmf.sum(axis=1, keepdims=True)
+        counts = rng.multinomial(t, tables[cfg][idx])
+        totals = zip((counts @ h_of).tolist(), (counts @ l_of).tolist())
+        return [(h / t, l / t) for h, l in totals]
+
+    return sample
+
+
+def _hook_sampler(space: ActionSpace, mcfg: MabConfig, throughput_fn: ThroughputFn):
+    """Pull totals from ``throughput_fn``, one call per pull with its own
+    seed."""
+
+    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int) -> list:
+        out = []
+        for pull, i in enumerate(idx.tolist(), start=first_pull):
+            seed = _sim_seed(mcfg.seed, pull)
+            mu = throughput_fn(cfg, space.actions[i].pair, mcfg.t, seed)
+            out.append((mu.mu_h, mu.mu_l))
+        return out
+
+    return sample
+
+
 def run_nonstationary(
     space: ActionSpace,
     schedule: Sequence[tuple[int, NetworkConfig]],
@@ -224,6 +274,11 @@ def run_nonstationary(
     strictly increasing switch points.  State is carried across switches
     untouched; the reward scale is re-derived for each phase, and every
     refit blends :data:`UNIFORM_SHARE` of uniform mass into ``p_as``.
+
+    Without ``throughput_fn`` each pull's totals are drawn exactly from the
+    action's per-slot (H, L) pmf; with it, every pull calls
+    ``throughput_fn(cfg, pair, t, seed)``, for example
+    :func:`~rachopt.simulate.sim_throughput`.
     """
     if not schedule or schedule[0][0] != 0:
         raise ValueError("schedule must start at pull 0")
@@ -233,7 +288,6 @@ def run_nonstationary(
     for _, cfg in schedule:
         if cfg.m != _space_m(space):
             raise ValueError(f"schedule cfg {cfg} does not match space m")
-    sim = throughput_fn if throughput_fn is not None else sim_throughput
 
     size = len(space)
     state = MabState.fresh(size)
@@ -241,31 +295,31 @@ def run_nonstationary(
     action_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=mcfg.seed, spawn_key=(0,))
     )
+    if throughput_fn is None:
+        sample = _exact_sampler(space, mcfg)
+    else:
+        sample = _hook_sampler(space, mcfg, throughput_fn)
+    scales: dict[int, float] = {}
     trace: list[PullRecord] = []
 
-    phase = -1
-    cfg = schedule[0][1]
-    scale = 1.0
-    pull = 0
-    for _batch in range(mcfg.n_batches):
+    for batch in range(mcfg.n_batches):
         cum = np.cumsum(state.p_as)
         cum[-1] = 1.0
         uniforms = action_rng.random(mcfg.batch_size)
+        batch_idx = np.minimum(np.searchsorted(cum, uniforms, side="right"), size - 1)
+        first = batch * mcfg.batch_size
         records: list[tuple[int, float]] = []
-        for u in uniforms:
-            while phase + 1 < len(schedule) and pull >= schedule[phase + 1][0]:
-                phase += 1
-                cfg = schedule[phase][1]
-                scale = _phase_scale(cfg)
-            idx = int(np.searchsorted(cum, u, side="right"))
-            if idx >= size:
-                idx = size - 1
-            mu = sim(cfg, space.actions[idx].pair, mcfg.t, _sim_seed(mcfg.seed, pull))
-            r = reward(mu.mu_h, mu.mu_l, mcfg.gamma, mcfg.rho, scale)
-            snapshot = q_update(state, idx, r)
-            records.append((idx, snapshot))
-            trace.append(PullRecord(pull, idx, mu.mu_h, mu.mu_l, r))
-            pull += 1
+        for phase, lo, hi in _phase_runs(switches, first, first + mcfg.batch_size):
+            cfg = schedule[phase][1]
+            if phase not in scales:
+                scales[phase] = _phase_scale(cfg)
+            scale = scales[phase]
+            idx = batch_idx[lo - first : hi - first]
+            mus = sample(cfg, idx, lo)
+            for pull, i, (mu_h, mu_l) in zip(range(lo, hi), idx.tolist(), mus):
+                r = reward(mu_h, mu_l, mcfg.gamma, mcfg.rho, scale)
+                records.append((i, q_update(state, i, r)))
+                trace.append(PullRecord(pull, i, mu_h, mu_l, r))
         p_new = ce_update(size, mcfg.elite_size, records)
         state.p_as = smooth(
             smooth(state.p_as, p_new, mcfg.alpha), uniform, UNIFORM_SHARE
@@ -274,6 +328,15 @@ def run_nonstationary(
     return MabResult(
         trace=tuple(trace), state=state, best_index=best, batch_size=mcfg.batch_size
     )
+
+
+def _phase_runs(switches: Sequence[int], lo: int, hi: int):
+    """(phase, start, stop) for each run of pulls lo..hi-1 under one load."""
+    phase = bisect.bisect_right(switches, lo) - 1
+    while lo < hi:
+        stop = hi if phase + 1 == len(switches) else min(hi, switches[phase + 1])
+        yield phase, lo, stop
+        phase, lo = phase + 1, stop
 
 
 def run(
@@ -309,13 +372,11 @@ def mae_trace(
     """
     if not isinstance(space.kind, CompactKind) or space.entries is None:
         raise TypeError("load estimation needs a compact space")
-    q = np.zeros(len(space))
-    v = np.zeros(len(space), dtype=np.int64)
+    state = MabState.fresh(len(space))
     out = np.empty(len(result.trace))
     for i, rec in enumerate(result.trace):
-        v[rec.action_index] += 1
-        q[rec.action_index] += (rec.reward - q[rec.action_index]) / v[rec.action_index]
-        entry = space.entries[int(np.argmax(q))]
+        q_update(state, rec.action_index, rec.reward)
+        entry = space.entries[int(np.argmax(state.q))]
         out[i] = 0.5 * (
             abs(entry.n_h - true_cfg.n_h) + abs(entry.n_l - true_cfg.n_l)
         )

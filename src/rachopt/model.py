@@ -18,6 +18,7 @@ Patterns serialize to compact strings, one character per RB:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -62,6 +63,10 @@ class NetworkConfig:
     m: int
 
     def __post_init__(self) -> None:
+        for name in ("n_h", "n_l", "m"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_h < 0 or self.n_l < 0:
             raise ValueError(f"device counts must be >= 0, got ({self.n_h}, {self.n_l})")
         if self.m < 1:

@@ -2,7 +2,9 @@
 
 Everything here recomputes quantities from first principles (stars-and-bars
 enumeration, factorial-based pmfs, brute-force rotation scans) so the tests
-exercise genuinely separate routes to the same numbers.
+exercise genuinely separate routes to the same numbers.  The one exception
+is :func:`shaped_reward_oracle`, which builds on the library's per-slot pmf
+tables; ``test_exact`` checks those against the pattern probabilities.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ import itertools
 import math
 
 import numpy as np
+
+from rachopt.exact import slot_success_pmf
 
 
 def stars_and_bars(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -93,53 +97,6 @@ def burnside_orbit_count(q: int, m: int) -> int:
     """Joint-rotation orbit count of composition pairs, by Burnside's lemma."""
     total = sum(fixed_compositions_under_rotation(q, m, r) ** 2 for r in range(m))
     return total // m
-
-
-def slot_success_pmf(n_h: int, n_l: int, p_h, p_l) -> np.ndarray:
-    """Per-slot joint pmf of (high successes, low successes), one table per
-    action.
-
-    ``p_h`` and ``p_l`` hold one access vector per row, shape (actions, m).
-    A DP walks the RBs in order: RB ``i`` takes Binomial(remaining,
-    p[i] / remaining mass) of the devices not yet placed, independently per
-    class, and scores a success when it holds exactly one device.  Returns
-    shape (actions, m + 1, m + 1), indexed [action, h, l].
-    """
-    p_h = np.atleast_2d(np.asarray(p_h, dtype=float))
-    p_l = np.atleast_2d(np.asarray(p_l, dtype=float))
-    n_act, m = p_h.shape
-    # state[a, rem_h, rem_l, h, l]
-    state = np.zeros((n_act, n_h + 1, n_l + 1, m + 1, m + 1))
-    state[:, n_h, n_l, 0, 0] = 1.0
-
-    def split(p: np.ndarray, i: int, n: int) -> np.ndarray:
-        """binom[a, rem, c]: P(c of rem unplaced devices pick RB i)."""
-        mass = p[:, i:].sum(axis=1)
-        share = np.ones(n_act) if i == m - 1 else np.divide(
-            p[:, i], mass, out=np.zeros(n_act), where=mass > 0
-        )
-        share = np.minimum(share, 1.0)
-        out = np.zeros((n_act, n + 1, n + 1))
-        for rem in range(n + 1):
-            for c in range(rem + 1):
-                out[:, rem, c] = math.comb(rem, c) * share**c * (1.0 - share) ** (rem - c)
-        return out
-
-    for i in range(m):
-        b_h = split(p_h, i, n_h)
-        b_l = split(p_l, i, n_l)
-        nxt = np.zeros_like(state)
-        for rh in range(n_h + 1):
-            for ch in range(rh + 1):
-                for rl in range(n_l + 1):
-                    for cl in range(rl + 1):
-                        w = b_h[:, rh, ch] * b_l[:, rl, cl]
-                        src = state[:, rh, rl] * w[:, None, None]
-                        dh = int(ch == 1 and cl == 0)
-                        dl = int(cl == 1 and ch == 0)
-                        nxt[:, rh - ch, rl - cl, dh:, dl:] += src[:, : m + 1 - dh, : m + 1 - dl]
-        state = nxt
-    return state[:, 0, 0]
 
 
 def shaped_reward_oracle(

@@ -151,6 +151,12 @@ def test_load_experiment_missing_file(tmp_path):
         load_experiment(tmp_path / "nope.ini")
 
 
+def test_load_experiment_names_missing_section(tmp_path):
+    ini = _write_ini(tmp_path / "exp.ini", "[experiment]\nname = x\nmethod = exact\n")
+    with pytest.raises(ValueError, match=r"missing required \[network\] section"):
+        load_experiment(ini)
+
+
 def test_spec_validation_rejects_bad_method(tmp_path):
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentSpec(
@@ -320,6 +326,53 @@ def test_cli_exact_rejects_wrong_length(runner):
     )
     assert result.exit_code != 0
     assert "needs 3 entries" in result.output
+
+
+def _usage_error(result, *fragments):
+    """Click reports bad input as a usage error (exit 2), not a traceback."""
+    assert result.exit_code == 2, result.output
+    assert not isinstance(result.exception, ValueError)
+    for text in fragments:
+        assert text in result.output
+
+
+def test_cli_rejects_non_numeric_probabilities(runner):
+    result = runner.invoke(
+        main,
+        ["exact", "--m", "2", "--n-h", "1", "--n-l", "1",
+         "--p-h", "0.5,abc", "--p-l", "0.5,0.5"],
+    )
+    _usage_error(result, "--p-h", "entries must be numbers")
+    result = runner.invoke(
+        main,
+        ["exact", "--m", "2", "--n-h", "1", "--n-l", "1",
+         "--p-h", "0.5,0.6", "--p-l", "0.5,0.5"],
+    )
+    _usage_error(result, "p_h sums to")
+
+
+def test_cli_rejects_bad_grid_step(runner):
+    _usage_error(
+        runner.invoke(main, ["as-stats", "--m", "3", "--d", "0.3"]),
+        "--d", "not the inverse of an integer",
+    )
+    _usage_error(runner.invoke(main, ["as-stats", "--m", "3", "--d", "0"]), "must be > 0")
+
+
+def test_cli_rejects_negative_seed_and_counts(runner):
+    _usage_error(
+        runner.invoke(main, ["mab", "--m", "3", "--n-h", "1", "--n-l", "1", "--seed", "-1"]),
+        "--seed", "-1 is not in the range x>=0",
+    )
+    _usage_error(
+        runner.invoke(main, ["exact", "--m", "3", "--n-h", "-1", "--n-l", "1"]), "--n-h"
+    )
+
+
+def test_cli_experiment_names_missing_section(runner, tmp_path):
+    ini = tmp_path / "exp.ini"
+    ini.write_text("[experiment]\nname = x\nmethod = uniform\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "missing required [network]")
 
 
 def test_cli_exact_requires_both_vectors(runner):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
 from rachopt.exact import (
     EnumerationCapExceeded,
     compositions,
@@ -11,6 +14,7 @@ from rachopt.exact import (
     pattern_probability,
     scaling_allocation,
     scaling_reference,
+    slot_success_pmf,
     throughput_by_pattern_sum,
     throughput_closed_form,
 )
@@ -26,7 +30,6 @@ from support import (
     factorial_pmf,
     random_simplex,
     shaped_reward_oracle,
-    slot_success_pmf,
     stars_and_bars,
 )
 
@@ -313,7 +316,16 @@ def test_scaling_reference_is_grid_max_when_class_fits():
             assert best == pytest.approx(ref, abs=1e-12)
 
 
-# ------------------------------------------------------ shaped-reward oracle
+# ------------------------------------------------------------ slot pmf tables
+
+
+def _pattern_success_pmf(cfg: NetworkConfig, pair: AccessProbabilityPair) -> np.ndarray:
+    """Pattern probabilities summed by (high, low) success counts."""
+    out = np.zeros((cfg.m + 1, cfg.m + 1))
+    for pattern in enumerate_patterns(cfg):
+        h, l = len(pattern.high_rbs), len(pattern.low_rbs)
+        out[h, l] += pattern_probability(cfg, pair, pattern)
+    return out
 
 
 def test_slot_pmf_means_match_closed_form():
@@ -338,12 +350,57 @@ def test_slot_pmf_matches_pattern_probabilities():
         cfg = NetworkConfig(n_h, n_l, m)
         for _ in range(3):
             pair = pair_of(random_simplex(rng, m, sparse=True), random_simplex(rng, m))
-            expected = np.zeros((m + 1, m + 1))
-            for pattern in enumerate_patterns(cfg):
-                h, l = len(pattern.high_rbs), len(pattern.low_rbs)
-                expected[h, l] += pattern_probability(cfg, pair, pattern)
+            expected = _pattern_success_pmf(cfg, pair)
             pmf = slot_success_pmf(n_h, n_l, [pair.p_h], [pair.p_l])[0]
             assert np.abs(pmf - expected).max() <= 1e-12
+
+
+def test_slot_pmf_means_match_exact_throughputs_on_whole_grid():
+    # every action of the (M=4, d=0.2) grid the bandit benchmark runs on
+    space = generate_discretized(GridSpec(4, 0.2), reduced=True)
+    assert len(space) == 784
+    cfg = NetworkConfig(4, 5, 4)
+    p_h = np.array([a.pair.p_h for a in space.actions])
+    p_l = np.array([a.pair.p_l for a in space.actions])
+    pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l)
+    assert pmf.shape == (784, 5, 5) and pmf.min() >= 0.0
+    counts = np.arange(5)
+    means = np.stack([pmf.sum(axis=2) @ counts, pmf.sum(axis=1) @ counts], axis=1)
+    assert np.abs(means - exact_throughputs(space, cfg)).max() <= 1e-12
+
+
+def _simplex(m: int):
+    """Probability vectors with some exact zeros, drawn as integer weights."""
+    return st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any).map(
+        lambda w: tuple(x / sum(w) for x in w)
+    )
+
+
+@st.composite
+def _pmf_cases(draw):
+    m = draw(st.integers(1, 4))
+    n_h, n_l = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return NetworkConfig(n_h, n_l, m), pair_of(draw(_simplex(m)), draw(_simplex(m)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pmf_cases())
+def test_slot_pmf_property_matches_patterns_and_closed_form(case):
+    cfg, pair = case
+    pmf = slot_success_pmf(cfg.n_h, cfg.n_l, [pair.p_h], [pair.p_l])[0]
+    assert np.abs(pmf - _pattern_success_pmf(cfg, pair)).max() <= 1e-12
+    counts = np.arange(cfg.m + 1)
+    mu = throughput_closed_form(cfg, pair)
+    assert abs(pmf.sum(axis=1) @ counts - mu.mu_h) <= 1e-12
+    assert abs(pmf.sum(axis=0) @ counts - mu.mu_l) <= 1e-12
+
+
+def test_slot_pmf_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        slot_success_pmf(1, 1, [[0.5, 0.5]], [[1.0, 0.0, 0.0]])
+
+
+# ------------------------------------------------------ shaped-reward oracle
 
 
 def test_shaped_reward_oracle_matches_slot_enumeration():

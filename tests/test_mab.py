@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rachopt.actionspace import (
+    Action,
     ActionSpace,
     DiscretizedKind,
     GridSpec,
@@ -14,7 +15,7 @@ from rachopt.actionspace import (
     generate_discretized,
     reduce_circular,
 )
-from rachopt.exact import scaling_reference, throughput_closed_form
+from rachopt.exact import scaling_reference, slot_success_pmf, throughput_closed_form
 from rachopt.mab import (
     UNIFORM_SHARE,
     MabConfig,
@@ -31,7 +32,8 @@ from rachopt.mab import (
     save_mab_trace,
     smooth,
 )
-from rachopt.model import NetworkConfig, ThroughputPair
+from rachopt.model import AccessProbabilityPair, NetworkConfig, ThroughputPair
+from rachopt.simulate import sim_throughput
 
 
 def exact_fn(cfg, pair, t, seed):
@@ -115,6 +117,8 @@ def test_smooth_blends_and_preserves_mass():
 def test_config_validation():
     with pytest.raises(ValueError):
         MabConfig(runs=10, batch_size=20)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        MabConfig(seed=-1)
     with pytest.raises(ValueError):
         MabConfig(elite_fraction=0.0)
     with pytest.raises(ValueError):
@@ -429,3 +433,130 @@ def test_uniform_share_steady_state_off_the_favourite():
         off = 1.0 - res.state.p_as[0]
         expected = s * (1 - 1 / 3) / (1 - (1 - s) * (1 - alpha))
         assert off == pytest.approx(expected, abs=1e-9)
+
+
+# ------------------------------------------------------- pull-sampler backends
+
+
+def _space_of(*pairs):
+    """An action space holding exactly the given pairs, in order."""
+    actions = tuple(Action(pair) for pair in pairs)
+    return ActionSpace(
+        kind=DiscretizedKind(pairs[0].m, 0.5, False),
+        actions=actions,
+        index={a.key(): i for i, a in enumerate(actions)},
+    )
+
+
+def _law_of_total(marginal: np.ndarray, t: int) -> np.ndarray:
+    """Law of the sum of ``t`` i.i.d. draws from a pmf on 0..len-1."""
+    out = np.array([1.0])
+    for _ in range(t):
+        out = np.convolve(out, marginal)
+    return out
+
+
+def _chi2_critical(dof: int, z: float) -> float:
+    """Upper chi-square quantile at normal quantile ``z`` (Wilson-Hilferty)."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * math.sqrt(c)) ** 3
+
+
+def _chi2_statistic(observed: np.ndarray, expected: np.ndarray) -> tuple[float, int]:
+    """Pearson statistic and degrees of freedom, with neighbouring cells
+    pooled until every bin expects at least 5."""
+    bins_o, bins_e = [], []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5.0:
+            bins_o.append(acc_o)
+            bins_e.append(acc_e)
+            acc_o = acc_e = 0.0
+    bins_o[-1] += acc_o
+    bins_e[-1] += acc_e
+    o, e = np.array(bins_o), np.array(bins_e)
+    return float(((o - e) ** 2 / e).sum()), len(o) - 1
+
+
+def test_default_sampler_and_slot_simulator_agree_in_distribution():
+    # criterion 9 in miniature: on one-action spaces every pull hits the same
+    # action, so the trace is an i.i.d. sample of that action's pull totals
+    # under each backend; both must match the exact law
+    grid = generate_discretized(GridSpec(4, 0.2), reduced=True)
+    cfg = NetworkConfig(4, 5, 4)
+    t, pulls = 20, 2000
+    counts = np.arange(5)
+    # actions where both classes sometimes succeed; 357 is the feasible
+    # optimum criterion 7 aims at
+    for k in (150, 357, 600, 700):
+        pair = grid.actions[k].pair
+        pmf = slot_success_pmf(cfg.n_h, cfg.n_l, [pair.p_h], [pair.p_l])[0]
+        marg_h, marg_l = pmf.sum(axis=1), pmf.sum(axis=0)
+        law_l = _law_of_total(marg_l, t)
+        for fn in (None, sim_throughput):
+            mcfg = MabConfig(gamma=0.0, rho=0.0, t=t, runs=pulls, batch_size=400,
+                             elite_fraction=0.1, alpha=0.2, seed=k)
+            res = run(_space_of(pair), cfg, mcfg, throughput_fn=fn)
+            h_tot = np.array([round(r.mu_h_t * t) for r in res.trace])
+            l_tot = np.array([round(r.mu_l_t * t) for r in res.trace])
+            for tot, marg in ((h_tot, marg_h), (l_tot, marg_l)):
+                mean = marg @ counts
+                var = marg @ counts**2 - mean**2
+                se = math.sqrt(t * var / pulls)
+                assert abs(tot.mean() - t * mean) <= 3 * se + 1e-12, (k, fn)
+            observed = np.bincount(l_tot, minlength=len(law_l))
+            stat, dof = _chi2_statistic(observed, pulls * law_l)
+            # alpha = 0.001
+            assert stat <= _chi2_critical(dof, 3.0902), (k, fn, stat, dof)
+
+
+def test_default_sampler_is_unbiased_per_pull(small_space):
+    # every pull's totals are centred on its own action's exact means: the
+    # summed deviations over a whole run stay within a few standard errors
+    cfg = NetworkConfig(2, 2, 3)
+    mcfg = MabConfig(gamma=0.3, rho=0.0, t=50, runs=3000, batch_size=100,
+                     elite_fraction=0.1, alpha=0.2, seed=4)
+    res = run(small_space, cfg, mcfg)
+    p_h = np.array([a.pair.p_h for a in small_space.actions])
+    p_l = np.array([a.pair.p_l for a in small_space.actions])
+    pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l)
+    counts = np.arange(4)
+    pulled = np.array([rec.action_index for rec in res.trace])
+    assert len(set(pulled.tolist())) > 10
+    for axis, attr in ((2, "mu_h_t"), (1, "mu_l_t")):
+        marg = pmf.sum(axis=axis)[pulled]
+        mean = marg @ counts
+        var = marg @ counts**2 - mean**2
+        dev = sum(getattr(rec, attr) for rec in res.trace) - mean.sum()
+        assert abs(dev) <= 4 * math.sqrt(var.sum() / mcfg.t), attr
+
+
+def test_load_switch_inside_a_batch_uses_each_phases_table():
+    # the high class owns RB 0 alone: one high device always succeeds there,
+    # two always collide, so H_T is t before the switch and 0 after it; the
+    # low pair shares RBs 1-2 and succeeds twice in half the slots either way
+    space = _space_of(AccessProbabilityPair((1.0, 0.0, 0.0), (0.0, 0.5, 0.5)))
+    cfg_a, cfg_b = NetworkConfig(1, 2, 3), NetworkConfig(2, 2, 3)
+    switch = 130  # inside the third batch of 50
+    for fn in (None, sim_throughput):
+        mcfg = MabConfig(gamma=0.0, rho=0.0, t=10, runs=300, batch_size=50,
+                         elite_fraction=0.1, alpha=0.2, seed=2)
+        res = run_nonstationary(space, [(0, cfg_a), (switch, cfg_b)], mcfg,
+                                throughput_fn=fn)
+        assert [rec.mu_h_t for rec in res.trace] == [1.0] * switch + [0.0] * 170
+        assert all(rec.mu_l_t * 10 % 2 == 0 for rec in res.trace)
+        for rec in res.trace:
+            cfg = cfg_a if rec.pull < switch else cfg_b
+            assert rec.reward == rec.mu_h_t / scaling_reference(cfg)
+
+
+def test_default_trace_holds_python_scalars(small_space):
+    cfg = NetworkConfig(2, 1, 3)
+    mcfg = MabConfig(gamma=0.4, rho=0.1, t=30, runs=80, batch_size=40,
+                     elite_fraction=0.1, alpha=0.2, seed=1)
+    for rec in run(small_space, cfg, mcfg).trace:
+        assert type(rec.pull) is int and type(rec.action_index) is int
+        assert type(rec.mu_h_t) is float and type(rec.mu_l_t) is float
+        assert type(rec.reward) is float

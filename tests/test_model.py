@@ -25,6 +25,11 @@ def test_network_config_validation():
         NetworkConfig(-1, 0, 3)
     with pytest.raises(ValueError):
         NetworkConfig(0, 0, 0)
+    with pytest.raises(TypeError, match="n_h must be an integer, got 2.5"):
+        NetworkConfig(2.5, 1, 3)
+    with pytest.raises(TypeError, match="m must be an integer"):
+        NetworkConfig(1, 1, 3.0)
+    assert NetworkConfig(np.int64(2), 1, 3) == NetworkConfig(2, 1, 3)
 
 
 def test_pair_validation_rejects_bad_sums():
