@@ -2,7 +2,7 @@
 
 Each compact-space action is the pre-optimized allocation for one assumed
 load (n_h, n_l).  The bandit then doubles as a load estimator: whichever
-cell it values most is its guess of the true load, and the mean absolute
+cell it plays most is its guess of the true load, and the mean absolute
 error of that guess can be traced pull by pull.
 """
 
@@ -29,7 +29,7 @@ def main() -> None:
 
     est = estimate_load(space, result)
     mu = exact_throughputs(space, true_cfg)
-    got = mu[result.best_index]
+    got = mu[space.index[est]]
     match = space.index[(true_cfg.n_h, true_cfg.n_l)]
     exact_best = mu[match]
     print(f"bandit's load estimate after {mab_cfg.runs} pulls: {est}")

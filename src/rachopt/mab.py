@@ -353,12 +353,35 @@ def _space_m(space: ActionSpace) -> int:
     return space.actions[0].pair.m
 
 
-def estimate_load(space: ActionSpace, result: MabResult) -> tuple[int, int]:
-    """Read the load estimate off a compact-space run: the cell label of the
-    best action."""
+def _load_arms(space: ActionSpace) -> np.ndarray:
+    """Per action, the lowest index holding the same allocation.
+
+    Cells whose optimized allocations coincide (the light-load corner, or
+    loads the floor does not bind) are one arm to the network, so their
+    pulls are pooled and the arm is labelled by its first cell.
+    """
     if not isinstance(space.kind, CompactKind) or space.entries is None:
         raise TypeError("load estimation needs a compact space")
-    entry = space.entries[result.best_index]
+    first: dict = {}
+    return np.array([first.setdefault(a.pair, i) for i, a in enumerate(space.actions)])
+
+
+def estimate_load(space: ActionSpace, result: MabResult) -> tuple[int, int]:
+    """Read the load estimate off a compact-space run: the cell of the most
+    played allocation (ties toward the lowest index).
+
+    Not the argmax of q.  Near the optimum several cells differ by a few
+    percent in expected reward, far less than the running means resolve in
+    a short run, and the argmax of q drifts to whichever of them looks best
+    at the moment, often a low-variance cell whose floor never binds.  The
+    pull counts integrate every refit of ``p_as``, so they name the cell the
+    bandit has settled on: the "most played arm" recommendation of Bubeck,
+    Munos & Stoltz, "Pure exploration in multi-armed bandits problems"
+    (ALT 2009).
+    """
+    arms = _load_arms(space)
+    pulls = np.bincount(arms, weights=result.state.v, minlength=len(arms))
+    entry = space.entries[int(np.argmax(pulls))]
     return entry.n_h, entry.n_l
 
 
@@ -367,16 +390,15 @@ def mae_trace(
 ) -> np.ndarray:
     """Mean absolute load-estimation error after every pull.
 
-    Replays the q evolution from the trace; the estimate at pull p is the
-    cell of the best action so far (ties toward the lowest index).
+    Replays the pull counts from the trace; the estimate at pull p is
+    :func:`estimate_load`'s cell for the pulls so far.
     """
-    if not isinstance(space.kind, CompactKind) or space.entries is None:
-        raise TypeError("load estimation needs a compact space")
-    state = MabState.fresh(len(space))
+    arms = _load_arms(space)
+    pulls = np.zeros(len(arms))
     out = np.empty(len(result.trace))
     for i, rec in enumerate(result.trace):
-        q_update(state, rec.action_index, rec.reward)
-        entry = space.entries[int(np.argmax(state.q))]
+        pulls[arms[rec.action_index]] += 1
+        entry = space.entries[int(np.argmax(pulls))]
         out[i] = 0.5 * (
             abs(entry.n_h - true_cfg.n_h) + abs(entry.n_l - true_cfg.n_l)
         )

@@ -19,6 +19,7 @@ from rachopt.exact import scaling_reference, slot_success_pmf, throughput_closed
 from rachopt.mab import (
     UNIFORM_SHARE,
     MabConfig,
+    MabResult,
     MabState,
     PullRecord,
     ce_update,
@@ -312,6 +313,19 @@ def test_estimate_load_with_exact_rewards(compact_3x3):
     assert estimate_load(compact_3x3, res) == (2, 1)
 
 
+def test_estimate_load_is_most_played_pooled_allocation(compact_3x3):
+    # (2, 1) and (2, 2) hold the same allocation at gamma = 0, so their
+    # pulls pool and the arm is labelled by its first cell
+    assert compact_3x3.actions[7].pair == compact_3x3.actions[8].pair
+    state = MabState.fresh(len(compact_3x3))
+    state.v[[3, 7, 8]] = [5, 3, 3]
+    state.q[3] = 1.0
+    res = MabResult(trace=(), state=state, best_index=3, batch_size=1)
+    assert estimate_load(compact_3x3, res) == (2, 1)
+    state.v[3] = 7
+    assert estimate_load(compact_3x3, res) == (1, 0)
+
+
 def test_estimate_load_rejects_discretized(small_space):
     cfg = NetworkConfig(2, 1, 3)
     mcfg = MabConfig(runs=40, batch_size=40, t=5)
@@ -332,8 +346,8 @@ def test_mae_trace_replays_trace(compact_3x3):
     # with exact rewards the estimate settles on the true cell
     assert mae[-1] == 0.0
     # final entry agrees with estimate_load on the full trace
-    entry = compact_3x3.entries[res.best_index]
-    assert 0.5 * (abs(entry.n_h - 2) + abs(entry.n_l - 1)) == mae[-1]
+    n_h, n_l = estimate_load(compact_3x3, res)
+    assert 0.5 * (abs(n_h - 2) + abs(n_l - 1)) == mae[-1]
 
 
 def test_mae_trace_rejects_discretized(small_space):
