@@ -4,13 +4,9 @@ from .model import (
     AccessPattern,
     AccessProbabilityPair,
     NetworkConfig,
-    OccupancyPair,
     SlotEvent,
     ThroughputPair,
-    canonical_rotation,
-    count_successes,
     pattern_from_string,
-    pattern_of_occupancy,
     pattern_to_string,
 )
 from .exact import (
@@ -31,7 +27,6 @@ from .actionspace import (
     full_space_size,
     generate_discretized,
     load_compact,
-    reduce_circular,
     save_compact,
 )
 from .baselines import acb_admission, acb_throughput

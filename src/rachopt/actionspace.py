@@ -19,11 +19,11 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exact import compositions, throughput_closed_form
+from .exact import compositions, throughput_closed_form, throughput_terms
 from .model import (
     AccessProbabilityPair,
     NetworkConfig,
@@ -41,8 +41,6 @@ __all__ = [
     "ActionSpace",
     "full_space_size",
     "generate_discretized",
-    "reduce_circular",
-    "is_circular_shift",
     "build_compact",
     "save_compact",
     "load_compact",
@@ -145,16 +143,6 @@ class ActionSpace:
     def __getitem__(self, i: int) -> Action:
         return self.actions[i]
 
-    def position_of(self, action: Action) -> int:
-        """Position of an action, canonicalizing grid numerators when the
-        space stores orbit representatives."""
-        if isinstance(self.kind, DiscretizedKind) and action.num_h is not None:
-            key = (action.num_h, action.num_l)
-            if self.kind.reduced:
-                key = _canonical_numerators(action.num_h, action.num_l)
-            return self.index[key]
-        return self.index[action.key()]
-
     def infeasible_cells(self) -> frozenset[tuple[int, int]]:
         """Compact cells whose stored allocation misses the low-class floor."""
         if not isinstance(self.kind, CompactKind) or self.entries is None:
@@ -163,17 +151,6 @@ class ActionSpace:
         return frozenset(
             (e.n_h, e.n_l) for e in self.entries if e.mu_l < gamma - 1e-6
         )
-
-
-def _canonical_numerators(
-    num_h: Sequence[int], num_l: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    s = min_rotation_shift(num_h, num_l)
-    m = len(num_h)
-    return (
-        tuple(num_h[(i + s) % m] for i in range(m)),
-        tuple(num_l[(i + s) % m] for i in range(m)),
-    )
 
 
 def _grid_action(num_h: tuple[int, ...], num_l: tuple[int, ...], q: int) -> Action:
@@ -216,50 +193,6 @@ def generate_discretized(
         actions=tuple(actions),
         index=index,
     )
-
-
-def reduce_circular(space: ActionSpace) -> ActionSpace:
-    """Collapse a discretized space to joint-rotation orbit representatives."""
-    if not isinstance(space.kind, DiscretizedKind):
-        raise TypeError("reduce_circular expects a discretized space")
-    if space.kind.reduced:
-        return space
-    seen: dict = {}
-    for action in space.actions:
-        key = _canonical_numerators(action.num_h, action.num_l)
-        if key not in seen:
-            seen[key] = key
-    actions = []
-    index: dict = {}
-    for key in sorted(seen):
-        num_h, num_l = key
-        index[key] = len(actions)
-        actions.append(_grid_action(num_h, num_l, space.actions[0].q))
-    return ActionSpace(
-        kind=DiscretizedKind(space.kind.m, space.kind.d, True),
-        actions=tuple(actions),
-        index=index,
-    )
-
-
-def is_circular_shift(candidate: Action, existing: Iterable[Action]) -> bool:
-    """True iff some joint rotation of ``candidate`` equals a member of
-    ``existing`` (exact comparison, numerators when available)."""
-    keys = {a.key() for a in existing}
-    if candidate.num_h is not None:
-        row_h: Sequence = candidate.num_h
-        row_l: Sequence = candidate.num_l
-    else:
-        row_h, row_l = candidate.pair.p_h, candidate.pair.p_l
-    m = len(row_h)
-    for s in range(m):
-        rot = (
-            tuple(row_h[(i + s) % m] for i in range(m)),
-            tuple(row_l[(i + s) % m] for i in range(m)),
-        )
-        if rot in keys:
-            return True
-    return False
 
 
 # ------------------------------------------------------------- compact table
@@ -398,13 +331,5 @@ def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
     """
     a = np.array([act.pair.p_h for act in space.actions], dtype=float)
     b = np.array([act.pair.p_l for act in space.actions], dtype=float)
-    n_h, n_l = cfg.n_h, cfg.n_l
-    if n_h:
-        mu_h = (n_h * a * (1.0 - a) ** (n_h - 1) * (1.0 - b) ** n_l).sum(axis=1)
-    else:
-        mu_h = np.zeros(len(space.actions))
-    if n_l:
-        mu_l = (n_l * b * (1.0 - b) ** (n_l - 1) * (1.0 - a) ** n_h).sum(axis=1)
-    else:
-        mu_l = np.zeros(len(space.actions))
-    return np.stack([mu_h, mu_l], axis=1)
+    terms = throughput_terms(cfg.n_h, cfg.n_l, a, b)
+    return np.stack([t.sum(axis=1) for t in terms], axis=1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 
-__all__ = ["AcbAdmission", "uniform_pair", "acb_admission", "acb_throughput"]
+__all__ = ["AcbAdmission", "acb_admission", "acb_throughput"]
 
 
 @dataclass(frozen=True)
@@ -22,11 +22,6 @@ class AcbAdmission:
 
     admitted_h: int
     admitted_l: int
-
-
-def uniform_pair(m: int) -> AccessProbabilityPair:
-    """Both classes uniform over the m RBs."""
-    return AccessProbabilityPair.uniform(m)
 
 
 def acb_admission(cfg: NetworkConfig) -> AcbAdmission:
@@ -46,4 +41,4 @@ def acb_throughput(cfg: NetworkConfig) -> ThroughputPair:
     classes contend uniformly over all m RBs."""
     adm = acb_admission(cfg)
     reduced = NetworkConfig(adm.admitted_h, adm.admitted_l, cfg.m)
-    return throughput_closed_form(reduced, uniform_pair(cfg.m))
+    return throughput_closed_form(reduced, AccessProbabilityPair.uniform(cfg.m))

@@ -29,7 +29,7 @@ from .actionspace import (
     generate_discretized,
     load_compact,
 )
-from .baselines import acb_admission, acb_throughput, uniform_pair
+from .baselines import acb_admission, acb_throughput
 from .exact import throughput_closed_form
 from .mab import (
     MabConfig,
@@ -399,8 +399,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.method == "mab-compact" and not (
             "table" in self.params or "n_h_max" in self.params
         ):
@@ -541,7 +541,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
 
     if spec.method in ("uniform", "acb"):
         if spec.method == "uniform":
-            mu = throughput_closed_form(spec.cfg, uniform_pair(spec.cfg.m))
+            mu = throughput_closed_form(spec.cfg, AccessProbabilityPair.uniform(spec.cfg.m))
         else:
             mu = acb_throughput(spec.cfg)
             adm = acb_admission(spec.cfg)

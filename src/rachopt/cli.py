@@ -34,6 +34,21 @@ SEED = click.IntRange(min=0)
 COUNT = click.IntRange(min=0)
 RBS = click.IntRange(min=1)
 
+
+class NonNegativeFloat(click.ParamType):
+    """A float >= 0; unlike ``click.FloatRange`` it also rejects NaN."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not x >= 0:
+            self.fail(f"{x} is not in the range x>=0.", param, ctx)
+        return x
+
+
+GAMMA = NonNegativeFloat()
+
 _cfg_options = [
     click.option("--m", type=RBS, required=True, help="Number of resource blocks."),
     click.option("--n-h", type=COUNT, required=True, help="Number of high-priority devices."),
@@ -137,7 +152,7 @@ def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
 
 @main.command("optimize")
 @cfg_options
-@click.option("--gamma", type=float, default=0.0, show_default=True,
+@click.option("--gamma", type=GAMMA, default=0.0, show_default=True,
               help="Low-class throughput floor.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--starts", type=int, default=20, show_default=True,
@@ -175,10 +190,10 @@ def as_stats_cmd(m, d):
 
 
 @main.command("compact-build")
-@click.option("--m", type=int, required=True, help="Number of resource blocks.")
-@click.option("--n-h-max", type=int, default=10, show_default=True)
-@click.option("--n-l-max", type=int, default=10, show_default=True)
-@click.option("--gamma", type=float, default=0.0, show_default=True)
+@click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
+@click.option("--n-h-max", type=COUNT, default=10, show_default=True)
+@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
+@click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True,
               help="Optimizer multistart seed used for every cell.")
 @click.option("--out", type=click.Path(), required=True, help="Destination CSV.")
@@ -257,14 +272,14 @@ def mab_param_options(fn):
 @click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
               default="discretized", show_default=True)
 @cfg_options
-@click.option("--gamma", type=float, default=0.0, show_default=True)
+@click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
 @click.option("--d", type=float, default=None, callback=grid_step,
               help="Grid step (discretized space).")
 @click.option("--table", type=click.Path(exists=True), default=None,
               help="Precomputed compact table CSV.")
-@click.option("--n-h-max", type=int, default=10, show_default=True,
+@click.option("--n-h-max", type=COUNT, default=10, show_default=True,
               help="Compact table bound when building in place.")
-@click.option("--n-l-max", type=int, default=10, show_default=True)
+@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
               help="Seed; repeat for several runs.")
@@ -292,13 +307,13 @@ def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
 @click.option("--switch", "switch_pull", type=int, default=None,
               help="Pull index of the load switch "
                    "[default: 15000 discretized, 2000 compact].")
-@click.option("--gamma", type=float, default=0.4, show_default=True)
+@click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
 @click.option("--d", type=float, default=None, callback=grid_step,
               help="Grid step (discretized space).")
 @click.option("--table", type=click.Path(exists=True), default=None,
               help="Precomputed compact table CSV.")
-@click.option("--n-h-max", type=int, default=10, show_default=True)
-@click.option("--n-l-max", type=int, default=10, show_default=True)
+@click.option("--n-h-max", type=COUNT, default=10, show_default=True)
+@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True)
 @click.option("--workers", type=int, default=None, help="Parallel seed workers.")

@@ -2,8 +2,12 @@
 
 Two independent routes to the same quantity:
 
-* :func:`throughput_closed_form` -- per-RB success probabilities summed over
-  RBs; O(m) and used everywhere by default.
+* :func:`throughput_terms` -- the closed form: per-RB success probabilities
+  of both classes, with their gradients on request, for any batch of
+  allocations.  It is the only place the formula is written;
+  :func:`throughput_closed_form`, the grid tables of
+  :mod:`rachopt.actionspace` and the solver in :mod:`rachopt.optimize` all
+  call it.
 * :func:`throughput_by_pattern_sum` -- enumerate every feasible access
   pattern, weight its success counts by the pattern probability obtained from
   multinomial occupancy sums.  Exponential in m; kept as a cross-check.
@@ -38,6 +42,7 @@ __all__ = [
     "PatternSet",
     "compositions",
     "multinomial_pmf",
+    "throughput_terms",
     "throughput_closed_form",
     "enumerate_patterns",
     "pattern_probability",
@@ -113,35 +118,50 @@ def multinomial_pmf(n: int, counts: Sequence[int], probs: Sequence[float]) -> fl
     return math.exp(log_prob)
 
 
+def throughput_terms(n_h: int, n_l: int, p_h, p_l, grad: bool = False):
+    """Per-RB terms of (mu_h, mu_l), optionally with their gradients.
+
+    RB ``i`` carries a high success iff exactly one of the n_h devices picks
+    it and no low-priority device does:
+    ``n_h a_i (1-a_i)**(n_h-1) (1-b_i)**n_l``, and symmetrically for the low
+    class, with ``a = p_h`` and ``b = p_l`` of shape (..., m).  Summing the
+    terms over the last axis gives the slot expectations.
+
+    With ``grad`` also returns ``d mu_h / d p_h``, ``d mu_h / d p_l``,
+    ``d mu_l / d p_h`` and ``d mu_l / d p_l``, each of shape (..., m): term
+    ``i`` depends on RB ``i`` alone.  Exponents are floored at 0 so that
+    n = 0 and n = 1 need no branches: wherever a floor takes effect, the
+    power it touches has a zero coefficient, and no power is infinite at
+    p = 1.
+    """
+    a = np.asarray(p_h, dtype=float)
+    b = np.asarray(p_l, dtype=float)
+    one_a, one_b = 1.0 - a, 1.0 - b
+    a0, a1 = one_a**n_h, one_a ** max(n_h - 1, 0)
+    b0, b1 = one_b**n_l, one_b ** max(n_l - 1, 0)
+    mu_h = n_h * a * a1 * b0
+    mu_l = n_l * b * b1 * a0
+    if not grad:
+        return mu_h, mu_l
+    a2 = one_a ** max(n_h - 2, 0)
+    b2 = one_b ** max(n_l - 2, 0)
+    dh_a = n_h * (a1 - (n_h - 1) * a * a2) * b0
+    dh_b = -n_h * n_l * a * a1 * b1
+    dl_a = -n_l * n_h * b * b1 * a1
+    dl_b = n_l * (b1 - (n_l - 1) * b * b2) * a0
+    return mu_h, mu_l, dh_a, dh_b, dl_a, dl_b
+
+
 def throughput_closed_form(
     cfg: NetworkConfig, pair: AccessProbabilityPair
 ) -> ThroughputPair:
-    """Expected successes per slot for each class.
-
-    RB ``i`` carries a high success iff exactly one of the n_h devices picks
-    it and no low-priority device does; summing the per-RB probabilities over
-    i gives the slot expectation.  fsum keeps the result invariant under any
-    joint permutation of the RBs.
-    """
+    """Expected successes per slot for each class: the fsum of
+    :func:`throughput_terms` over RBs, which keeps the result invariant
+    under any joint permutation of the RBs."""
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
-    n_h, n_l = cfg.n_h, cfg.n_l
-    a, b = pair.p_h, pair.p_l
-    if n_h == 0:
-        mu_h = 0.0
-    else:
-        mu_h = math.fsum(
-            n_h * a[i] * (1.0 - a[i]) ** (n_h - 1) * (1.0 - b[i]) ** n_l
-            for i in range(cfg.m)
-        )
-    if n_l == 0:
-        mu_l = 0.0
-    else:
-        mu_l = math.fsum(
-            n_l * b[i] * (1.0 - b[i]) ** (n_l - 1) * (1.0 - a[i]) ** n_h
-            for i in range(cfg.m)
-        )
-    return ThroughputPair(mu_h, mu_l)
+    mu_h, mu_l = throughput_terms(cfg.n_h, cfg.n_l, pair.p_h, pair.p_l)
+    return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
 @dataclass(frozen=True)

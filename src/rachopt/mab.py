@@ -112,8 +112,10 @@ class MabConfig:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if self.rho < 0 or self.gamma < 0:
-            raise ValueError("rho and gamma must be >= 0")
+        if not self.rho >= 0:
+            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 

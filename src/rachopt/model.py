@@ -8,7 +8,6 @@ the package is built on the vocabulary defined here:
 
 * :class:`NetworkConfig` -- population sizes and RB count,
 * :class:`AccessProbabilityPair` -- the two access-probability vectors,
-* :class:`OccupancyPair` -- per-RB transmitter counts for one slot,
 * :class:`AccessPattern` -- the per-RB event outcome of one slot,
 * :class:`ThroughputPair` -- expected successes per slot and class.
 
@@ -30,12 +29,8 @@ __all__ = [
     "SlotEvent",
     "NetworkConfig",
     "AccessProbabilityPair",
-    "OccupancyPair",
     "AccessPattern",
     "ThroughputPair",
-    "pattern_of_occupancy",
-    "count_successes",
-    "canonical_rotation",
     "min_rotation_shift",
     "pattern_to_string",
     "pattern_from_string",
@@ -124,26 +119,6 @@ class AccessProbabilityPair:
 
 
 @dataclass(frozen=True)
-class OccupancyPair:
-    """Per-RB transmitter counts for one slot, split by class."""
-
-    c_h: tuple[int, ...]
-    c_l: tuple[int, ...]
-
-    def __init__(self, c_h: Sequence[int], c_l: Sequence[int]) -> None:
-        object.__setattr__(self, "c_h", tuple(int(x) for x in c_h))
-        object.__setattr__(self, "c_l", tuple(int(x) for x in c_l))
-        if len(self.c_h) != len(self.c_l):
-            raise ValueError("count vectors must have equal length")
-        if any(x < 0 for x in self.c_h + self.c_l):
-            raise ValueError("occupancy counts must be >= 0")
-
-    @property
-    def m(self) -> int:
-        return len(self.c_h)
-
-
-@dataclass(frozen=True)
 class AccessPattern:
     """Per-RB slot outcome; the four index sets partition the RBs."""
 
@@ -186,31 +161,6 @@ class ThroughputPair:
     mu_l: float
 
 
-def pattern_of_occupancy(occ: OccupancyPair) -> AccessPattern:
-    """Map per-RB counts to per-RB events.
-
-    Exactly one transmitter on an RB succeeds; zero leaves it empty; two or
-    more of any class mix collide.
-    """
-    events = []
-    for ch, cl in zip(occ.c_h, occ.c_l):
-        total = ch + cl
-        if total == 0:
-            events.append(SlotEvent.EMPTY)
-        elif total == 1:
-            events.append(SlotEvent.HIGH_SUCCESS if ch == 1 else SlotEvent.LOW_SUCCESS)
-        else:
-            events.append(SlotEvent.COLLISION)
-    return AccessPattern(events)
-
-
-def count_successes(pattern: AccessPattern) -> tuple[int, int]:
-    """Number of (high, low) successful RBs in the pattern."""
-    h = sum(1 for e in pattern.events if e is SlotEvent.HIGH_SUCCESS)
-    l = sum(1 for e in pattern.events if e is SlotEvent.LOW_SUCCESS)
-    return h, l
-
-
 def min_rotation_shift(row_h: Sequence, row_l: Sequence) -> int:
     """Left-shift amount making the concatenated pair lexicographically smallest.
 
@@ -229,20 +179,6 @@ def min_rotation_shift(row_h: Sequence, row_l: Sequence) -> int:
             best = cand
             best_shift = s
     return best_shift
-
-
-def canonical_rotation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
-    """Joint circular shift of the pair that is lexicographically smallest.
-
-    RB relabelings by a common rotation leave all throughput quantities
-    unchanged, so this picks one representative per rotation orbit.
-    """
-    s = min_rotation_shift(pair.p_h, pair.p_l)
-    m = pair.m
-    return AccessProbabilityPair(
-        tuple(pair.p_h[(i + s) % m] for i in range(m)),
-        tuple(pair.p_l[(i + s) % m] for i in range(m)),
-    )
 
 
 def pattern_to_string(pattern: AccessPattern) -> str:

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exact import throughput_closed_form
+from .exact import throughput_closed_form, throughput_terms
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "OptResult",
     "structural_unconstrained",
     "canonical_permutation",
-    "throughput_gradients",
     "solve",
 ]
 
@@ -104,61 +103,13 @@ def canonical_permutation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
     )
 
 
-def _class_value_and_grads(n_own: int, n_other: int, own: np.ndarray, other: np.ndarray):
-    """Rowwise mu for one class plus gradients wrt both vectors.
-
-    ``own`` holds the transmitting class's probabilities (K, m), ``other``
-    the interfering class's.  Returns (mu (K,), d_own (K, m), d_other (K, m)).
-    """
-    k, m = own.shape
-    if n_own == 0:
-        z = np.zeros((k, m))
-        return np.zeros(k), z, z.copy()
-    one_own = 1.0 - own
-    pow1 = one_own ** (n_own - 1)
-    if n_other:
-        f_other = (1.0 - other) ** n_other
-    else:
-        f_other = np.ones_like(other)
-    mu = (n_own * own * pow1 * f_other).sum(axis=1)
-    if n_own >= 2:
-        pow2 = one_own ** (n_own - 2)
-        d_own = n_own * (pow1 - (n_own - 1) * own * pow2) * f_other
-    else:
-        d_own = f_other.copy()
-    if n_other:
-        f_other1 = (1.0 - other) ** (n_other - 1)
-        d_other = -n_own * n_other * own * pow1 * f_other1
-    else:
-        d_other = np.zeros_like(other)
-    return mu, d_own, d_other
-
-
-def _batch_throughputs(cfg: NetworkConfig, x: np.ndarray):
-    m = cfg.m
-    a, b = x[:, :m], x[:, m:]
-    mu_h, dh_a, dh_b = _class_value_and_grads(cfg.n_h, cfg.n_l, a, b)
-    mu_l, dl_b, dl_a = _class_value_and_grads(cfg.n_l, cfg.n_h, b, a)
-    grad_h = np.concatenate([dh_a, dh_b], axis=1)
-    grad_l = np.concatenate([dl_a, dl_b], axis=1)
-    return mu_h, mu_l, grad_h, grad_l
-
-
-def throughput_gradients(
-    cfg: NetworkConfig, pair: AccessProbabilityPair
-) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of (mu_h, mu_l) wrt the stacked vector
-    (p_h, p_l), each of shape (2m,)."""
-    a, b = pair.as_arrays()
-    x = np.concatenate([a, b])[None, :]
-    _, _, grad_h, grad_l = _batch_throughputs(cfg, x)
-    return grad_h[0], grad_l[0]
-
-
 def _phi(cfg, gamma, x, lam, nu1, nu2, rho):
     """Augmented Lagrangian value and gradient, vectorized over rows."""
     m = cfg.m
-    mu_h, mu_l, grad_h, grad_l = _batch_throughputs(cfg, x)
+    t_h, t_l, dh_a, dh_b, dl_a, dl_b = throughput_terms(
+        cfg.n_h, cfg.n_l, x[:, :m], x[:, m:], grad=True
+    )
+    mu_h, mu_l = t_h.sum(axis=1), t_l.sum(axis=1)
     c = mu_l - gamma
     active = np.maximum(0.0, lam - rho * c)
     h1 = x[:, :m].sum(axis=1) - 1.0
@@ -171,7 +122,9 @@ def _phi(cfg, gamma, x, lam, nu1, nu2, rho):
         - nu2 * h2
         - 0.5 * rho * h2**2
     )
-    grad = grad_h + active[:, None] * grad_l
+    grad = np.concatenate(
+        [dh_a + active[:, None] * dl_a, dh_b + active[:, None] * dl_b], axis=1
+    )
     grad[:, :m] -= (nu1 + rho * h1)[:, None]
     grad[:, m:] -= (nu2 + rho * h2)[:, None]
     return phi, grad, mu_h, mu_l, h1, h2
@@ -220,21 +173,14 @@ def solve(
     the canonical permutation's lexicographic order), and falls back to the
     best-attained mu_l when nothing is feasible.
     """
-    if gamma < 0:
+    if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     opts = options or SolverOptions()
     m = cfg.m
     rng = np.random.default_rng(opts.seed)
 
-    starts = [
-        np.concatenate(
-            [
-                np.asarray(structural_unconstrained(cfg).p_h),
-                np.asarray(structural_unconstrained(cfg).p_l),
-            ]
-        ),
-        np.full(2 * m, 1.0 / m),
-    ]
+    structural = structural_unconstrained(cfg)
+    starts = [np.asarray(structural.p_h + structural.p_l), np.full(2 * m, 1.0 / m)]
     for _ in range(opts.random_starts):
         starts.append(
             np.concatenate([rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))])

@@ -6,23 +6,19 @@ import numpy as np
 import pytest
 
 from rachopt.actionspace import (
-    Action,
     CompactKind,
-    DiscretizedKind,
     GridSpec,
     build_compact,
     exact_throughputs,
     full_space_size,
     generate_discretized,
-    is_circular_shift,
     load_compact,
-    reduce_circular,
     save_compact,
 )
 from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig, min_rotation_shift
 
-from support import burnside_orbit_count
+from support import burnside_orbit_count, min_joint_rotation
 
 # Grid sizes for the benchmark (m, d) combinations.  The (3, 0.1) full count
 # is the exact value 66^2 = 4356; the corresponding reduced count 1452 times
@@ -39,15 +35,6 @@ REFERENCE_SIZES = {
     (5, 0.5): (225, 45),
     (5, 0.2): (15876, 3176),
 }
-
-
-def grid_action(num_h, num_l, q):
-    return Action(
-        AccessProbabilityPair([n / q for n in num_h], [n / q for n in num_l]),
-        tuple(num_h),
-        tuple(num_l),
-        q,
-    )
 
 
 def test_grid_spec_validation():
@@ -108,17 +95,6 @@ def test_reduced_space_members_are_canonical():
         assert min_rotation_shift(a.num_h, a.num_l) == 0
 
 
-def test_reduce_circular_equals_filtered_generation():
-    spec = GridSpec(4, 0.5)
-    full = generate_discretized(spec)
-    reduced = reduce_circular(full)
-    direct = generate_discretized(spec, reduced=True)
-    assert [a.key() for a in reduced.actions] == [a.key() for a in direct.actions]
-    assert reduced.kind == DiscretizedKind(4, 0.5, True)
-    # reducing twice is a no-op
-    assert reduce_circular(reduced) is reduced
-
-
 def test_reduction_is_order_independent():
     spec = GridSpec(3, 0.5)
     full = generate_discretized(spec)
@@ -140,34 +116,17 @@ def test_reduction_is_order_independent():
 
 def test_no_residual_rotation_duplicates():
     space = generate_discretized(GridSpec(3, 0.5), reduced=True)
-    for i, a in enumerate(space.actions):
-        others = [b for j, b in enumerate(space.actions) if j != i]
-        assert not is_circular_shift(a, others)
+    orbits = [min_joint_rotation(a.num_h, a.num_l) for a in space.actions]
+    assert len(set(orbits)) == len(orbits)
 
 
 def test_every_orbit_is_represented():
     spec = GridSpec(3, 0.5)
     full = generate_discretized(spec)
     reduced = generate_discretized(spec, reduced=True)
+    # each representative is its orbit's minimum, which the index holds
     for a in full.actions:
-        assert is_circular_shift(a, reduced.actions)
-
-
-def test_is_circular_shift_examples():
-    a = grid_action((1, 4), (5, 0), 5)
-    assert is_circular_shift(a, [grid_action((4, 1), (0, 5), 5)])
-    assert not is_circular_shift(a, [grid_action((1, 4), (0, 5), 5)])
-    sym = grid_action((1, 1), (2, 0), 2)
-    assert is_circular_shift(sym, [grid_action((1, 1), (0, 2), 2)])
-
-
-def test_position_of_canonicalizes_in_reduced_space():
-    spec = GridSpec(3, 0.2)
-    reduced = generate_discretized(spec, reduced=True)
-    rotated = grid_action((0, 1, 4), (4, 1, 0), 5)
-    pos = reduced.position_of(rotated)
-    found = reduced.actions[pos]
-    assert is_circular_shift(rotated, [found])
+        assert min_joint_rotation(a.num_h, a.num_l) in reduced.index
 
 
 def test_size_cap():

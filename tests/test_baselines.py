@@ -1,8 +1,8 @@
 import pytest
 
-from rachopt.baselines import AcbAdmission, acb_admission, acb_throughput, uniform_pair
+from rachopt.baselines import AcbAdmission, acb_admission, acb_throughput
 from rachopt.exact import throughput_closed_form
-from rachopt.model import NetworkConfig
+from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 from support import brute_force_throughput
 
@@ -13,12 +13,6 @@ REFERENCE_ACB = {
     5: (0.82, 1.23),
     6: (0.80, 1.60),
 }
-
-
-def test_uniform_pair():
-    pair = uniform_pair(5)
-    assert pair.p_h == (0.2,) * 5
-    assert pair.p_l == (0.2,) * 5
 
 
 def test_admission_examples():
@@ -58,13 +52,13 @@ def test_acb_exact_values_small():
 
 def test_acb_light_load_equals_plain_uniform():
     cfg = NetworkConfig(2, 1, 5)
-    assert acb_throughput(cfg) == throughput_closed_form(cfg, uniform_pair(5))
+    assert acb_throughput(cfg) == throughput_closed_form(cfg, AccessProbabilityPair.uniform(5))
 
 
 def test_acb_against_brute_force():
     cfg = NetworkConfig(4, 5, 4)
     adm = acb_admission(cfg)
-    pair = uniform_pair(4)
+    pair = AccessProbabilityPair.uniform(4)
     exp = brute_force_throughput(adm.admitted_h, adm.admitted_l, pair.p_h, pair.p_l)
     got = acb_throughput(cfg)
     assert got.mu_h == pytest.approx(exp[0], rel=1e-10)

@@ -163,6 +163,12 @@ def test_spec_validation_rejects_bad_method(tmp_path):
             name="x", cfg=NetworkConfig(1, 1, 2), gamma=0.0, method="magic",
             params={}, seeds=(0,), out_dir=tmp_path,
         )
+    for gamma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            ExperimentSpec(
+                name="x", cfg=NetworkConfig(1, 1, 2), gamma=gamma, method="uniform",
+                params={}, seeds=(0,), out_dir=tmp_path,
+            )
 
 
 def test_spec_validation_requires_seeds_and_compact_source(tmp_path):
@@ -367,6 +373,41 @@ def test_cli_rejects_negative_seed_and_counts(runner):
     _usage_error(
         runner.invoke(main, ["exact", "--m", "3", "--n-h", "-1", "--n-l", "1"]), "--n-h"
     )
+
+
+def test_cli_rejects_bad_compact_bounds(runner, tmp_path):
+    out = tmp_path / "table.csv"
+    _usage_error(
+        runner.invoke(main, ["compact-build", "--m", "0", "--out", str(out)]),
+        "--m", "0 is not in the range x>=1",
+    )
+    _usage_error(
+        runner.invoke(main, ["compact-build", "--m", "3", "--n-h-max", "-1", "--out", str(out)]),
+        "--n-h-max", "-1 is not in the range x>=0",
+    )
+    assert not out.exists()
+    for cmd in ("mab", "scenario"):
+        _usage_error(
+            runner.invoke(main, [cmd, "--space", "compact", "--n-l-max", "-1"]),
+            "--n-l-max", "-1 is not in the range x>=0",
+        )
+
+
+def test_cli_rejects_negative_and_nan_gamma(runner, tmp_path):
+    cfg = ["--m", "3", "--n-h", "1", "--n-l", "1"]
+    commands = {
+        "optimize": cfg,
+        "compact-build": ["--m", "3", "--out", str(tmp_path / "table.csv")],
+        "mab": cfg,
+        "scenario": [],
+    }
+    for cmd, args in commands.items():
+        # the check is `not gamma >= 0`, so NaN fails it as well
+        for bad, shown in (("-1", "-1.0"), ("nan", "nan")):
+            _usage_error(
+                runner.invoke(main, [cmd, *args, "--gamma", bad]),
+                "--gamma", f"{shown} is not in the range x>=0",
+            )
 
 
 def test_cli_experiment_names_missing_section(runner, tmp_path):

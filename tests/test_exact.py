@@ -17,6 +17,7 @@ from rachopt.exact import (
     slot_success_pmf,
     throughput_by_pattern_sum,
     throughput_closed_form,
+    throughput_terms,
 )
 from rachopt.model import (
     AccessProbabilityPair,
@@ -134,6 +135,35 @@ def test_closed_form_rejects_length_mismatch():
 
 
 # ---------------------------------------------------------- pattern machinery
+
+
+# Rows with exact 0.0 and 1.0 entries, where the powers of (1 - p) hit 0 ** 0.
+CORNER_OWN = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.25, 0.25, 0.5]])
+CORNER_OTHER = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+@pytest.mark.parametrize("high", [True, False])
+@pytest.mark.parametrize("n_other", [0, 1])
+@pytest.mark.parametrize("n_own", [0, 1, 2])
+def test_throughput_terms_corners(n_own, n_other, high):
+    own, other = CORNER_OWN, CORNER_OTHER
+    if high:
+        t_own, _, d_own, d_other, _, _ = throughput_terms(n_own, n_other, own, other, grad=True)
+    else:
+        _, t_own, _, _, d_other, d_own = throughput_terms(n_other, n_own, other, own, grad=True)
+    for arr in (t_own, d_own, d_other):
+        assert arr.shape == own.shape and np.isfinite(arr).all()
+    clear = (1.0 - other) ** n_other
+    if n_own == 0:
+        assert not t_own.any() and not d_own.any() and not d_other.any()
+    elif n_own == 1:
+        assert np.array_equal(t_own, own * clear)
+        assert np.array_equal(d_own, clear)
+        assert np.array_equal(d_other, -n_other * own)
+    else:
+        np.testing.assert_allclose(t_own, 2 * own * (1 - own) * clear, atol=1e-15)
+        np.testing.assert_allclose(d_own, 2 * (1 - 2 * own) * clear, atol=1e-15)
+        np.testing.assert_allclose(d_other, -2 * n_other * own * (1 - own), atol=1e-15)
 
 
 def test_compositions_order_and_count():

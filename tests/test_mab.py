@@ -13,7 +13,6 @@ from rachopt.actionspace import (
     GridSpec,
     build_compact,
     generate_discretized,
-    reduce_circular,
 )
 from rachopt.exact import scaling_reference, slot_success_pmf, throughput_closed_form
 from rachopt.mab import (
@@ -43,7 +42,7 @@ def exact_fn(cfg, pair, t, seed):
 
 @pytest.fixture(scope="module")
 def small_space():
-    return reduce_circular(generate_discretized(GridSpec(3, 0.5)))
+    return generate_discretized(GridSpec(3, 0.5), reduced=True)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +129,11 @@ def test_config_validation():
         MabConfig(t=0)
     with pytest.raises(ValueError):
         MabConfig(rho=-0.1)
+    # written as `not x >= 0`, so NaN fails too
+    with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
+        MabConfig(rho=float("nan"))
+    with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
+        MabConfig(gamma=float("nan"))
     cfg = MabConfig(runs=1030, batch_size=100, elite_fraction=0.1)
     assert cfg.n_batches == 10 and cfg.elite_size == 10
 

@@ -5,17 +5,11 @@ from rachopt.model import (
     AccessPattern,
     AccessProbabilityPair,
     NetworkConfig,
-    OccupancyPair,
     SlotEvent,
-    canonical_rotation,
-    count_successes,
     min_rotation_shift,
     pattern_from_string,
-    pattern_of_occupancy,
     pattern_to_string,
 )
-
-from support import min_joint_rotation, random_simplex
 
 
 def test_network_config_validation():
@@ -49,33 +43,13 @@ def test_uniform_pair():
     assert pair.p_h == pair.p_l == (0.25,) * 4
 
 
-def test_pattern_of_occupancy_examples():
-    occ = OccupancyPair((1, 0, 2), (0, 1, 1))
-    assert pattern_to_string(pattern_of_occupancy(occ)) == "hlx"
-
-    occ = OccupancyPair((0, 0), (0, 2))
-    assert pattern_to_string(pattern_of_occupancy(occ)) == "ox"
-
-    # one device of each class on the same RB collides
-    occ = OccupancyPair((1,), (1,))
-    assert pattern_to_string(pattern_of_occupancy(occ)) == "x"
-
-
 def test_pattern_index_sets_partition_rbs():
     rng = np.random.default_rng(7)
     for _ in range(50):
         m = int(rng.integers(1, 7))
-        c_h = rng.integers(0, 3, size=m)
-        c_l = rng.integers(0, 3, size=m)
-        pat = pattern_of_occupancy(OccupancyPair(c_h.tolist(), c_l.tolist()))
+        pat = AccessPattern(list(SlotEvent)[k] for k in rng.integers(0, 4, size=m))
         merged = sorted(pat.high_rbs + pat.low_rbs + pat.empty_rbs + pat.collision_rbs)
         assert merged == list(range(m))
-
-
-def test_count_successes():
-    pat = pattern_from_string("hlxh")
-    assert count_successes(pat) == (2, 1)
-    assert count_successes(pattern_from_string("oooo")) == (0, 0)
 
 
 def test_serialization_roundtrip():
@@ -85,45 +59,6 @@ def test_serialization_roundtrip():
         pattern_from_string("hqz")
     pat = AccessPattern([SlotEvent.COLLISION, SlotEvent.EMPTY])
     assert pattern_to_string(pat) == "xo"
-
-
-def test_canonical_rotation_example():
-    pair = AccessProbabilityPair([0.4, 0.3, 0.3], [0.5, 0.3, 0.2])
-    canon = canonical_rotation(pair)
-    assert canon.p_h == (0.3, 0.3, 0.4)
-    assert canon.p_l == (0.3, 0.2, 0.5)
-
-
-def test_canonical_rotation_matches_brute_force():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        m = int(rng.integers(1, 7))
-        pair = AccessProbabilityPair(
-            random_simplex(rng, m, sparse=bool(rng.integers(0, 2))),
-            random_simplex(rng, m, sparse=bool(rng.integers(0, 2))),
-        )
-        canon = canonical_rotation(pair)
-        exp_h, exp_l = min_joint_rotation(pair.p_h, pair.p_l)
-        assert canon.p_h == exp_h
-        assert canon.p_l == exp_l
-
-
-def test_canonical_rotation_idempotent_and_orbit_constant():
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        m = int(rng.integers(2, 7))
-        pair = AccessProbabilityPair(
-            random_simplex(rng, m), random_simplex(rng, m)
-        )
-        canon = canonical_rotation(pair)
-        assert canonical_rotation(canon) == canon
-        # every joint rotation of the pair canonicalizes identically
-        for s in range(m):
-            rot = AccessProbabilityPair(
-                tuple(pair.p_h[(i + s) % m] for i in range(m)),
-                tuple(pair.p_l[(i + s) % m] for i in range(m)),
-            )
-            assert canonical_rotation(rot) == canon
 
 
 def test_min_rotation_shift_tie_breaks_low():

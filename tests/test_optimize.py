@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
-from rachopt.exact import scaling_reference, throughput_closed_form
+from rachopt.exact import scaling_reference, throughput_closed_form, throughput_terms
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import (
     FEASIBILITY_TOL,
@@ -11,7 +11,6 @@ from rachopt.optimize import (
     canonical_permutation,
     solve,
     structural_unconstrained,
-    throughput_gradients,
 )
 
 from support import random_simplex
@@ -76,8 +75,9 @@ def test_gradients_match_central_differences():
         a, b = a / a.sum(), b / b.sum()
         if min(a.min(), b.min()) < 2 * step:
             continue
-        pair = AccessProbabilityPair(tuple(a), tuple(b))
-        grad_h, grad_l = throughput_gradients(cfg, pair)
+        _, _, dh_a, dh_b, dl_a, dl_b = throughput_terms(cfg.n_h, cfg.n_l, a, b, grad=True)
+        grad_h = np.concatenate([dh_a, dh_b])
+        grad_l = np.concatenate([dl_a, dl_b])
 
         x0 = np.concatenate([a, b])
 
@@ -170,6 +170,9 @@ def test_solve_zero_high_class():
 def test_solve_rejects_negative_gamma():
     with pytest.raises(ValueError):
         solve(NetworkConfig(1, 1, 2), -0.1)
+    # written as `not gamma >= 0`, so NaN fails too
+    with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
+        solve(NetworkConfig(1, 1, 2), float("nan"))
 
 
 def test_solver_beats_fine_grid():
