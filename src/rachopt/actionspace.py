@@ -30,6 +30,7 @@ from .model import (
     ThroughputPair,
     min_rotation_shift,
 )
+from .optimize import SolverOptions, solve_batch
 
 __all__ = [
     "DEFAULT_ACTION_CAP",
@@ -87,11 +88,6 @@ class Action:
     num_h: Optional[tuple[int, ...]] = None
     num_l: Optional[tuple[int, ...]] = None
     q: Optional[int] = None
-
-    def key(self) -> tuple:
-        if self.num_h is not None:
-            return (self.num_h, self.num_l)
-        return (self.pair.p_h, self.pair.p_l)
 
 
 @dataclass(frozen=True)
@@ -204,41 +200,52 @@ def build_compact(
     n_l_max: int,
     gamma: float,
     opt: Optional[Callable[[NetworkConfig, float], "object"]] = None,
+    options: Optional[SolverOptions] = None,
 ) -> ActionSpace:
     """Solve the constrained allocation problem for every candidate load in
     [0, n_h_max] x [0, n_l_max] and store the solutions as a lookup table.
 
-    ``opt`` maps (cfg, gamma) to an optimizer result carrying ``pair`` and
-    ``mu`` attributes; the default is :func:`rachopt.optimize.solve`.  Cells
-    with n_h = 0 have identically zero objective, so any feasible vector
-    works and p_h is stored uniform by convention.  Cells where the
+    By default every cell that needs a solve goes through one
+    :func:`rachopt.optimize.solve_batch` call under ``options``: all cells
+    advance in lock-step, each with its own stopping rules, and each stores
+    bit for bit what a per-cell :func:`rachopt.optimize.solve` would.  The
+    ``opt`` hook replaces the batch with a per-cell call: it maps (cfg,
+    gamma) to an optimizer result carrying a ``pair`` attribute, for custom
+    solvers and for timing each solve on its own.
+
+    Cells with n_h = 0 have identically zero objective, so any feasible
+    vector works and p_h is stored uniform by convention.  Cells where the
     constraint cannot be met (n_l = 0 with gamma > 0) keep the best-attained
     allocation and are reported by :meth:`ActionSpace.infeasible_cells`.
     """
+    if opt is not None and options is not None:
+        raise ValueError("options apply to the batched solver; pass opt or options")
+    cfgs = [
+        NetworkConfig(n_h, n_l, m)
+        for n_h in range(n_h_max + 1)
+        for n_l in range(n_l_max + 1)
+    ]
+    pending = [c for c in cfgs if c.n_h > 0 or (c.n_l > 0 and gamma != 0.0)]
     if opt is None:
-        from .optimize import solve as opt  # deferred: optimize imports exact too
+        results = solve_batch(pending, gamma, options)
+    else:
+        results = [opt(cfg, gamma) for cfg in pending]
+    solved = {cfg: res.pair for cfg, res in zip(pending, results)}
 
     entries: list[CompactEntry] = []
     actions: list[Action] = []
     index: dict = {}
     uniform = AccessProbabilityPair.uniform(m)
-    for n_h in range(n_h_max + 1):
-        for n_l in range(n_l_max + 1):
-            cfg = NetworkConfig(n_h, n_l, m)
-            if n_h == 0 and (n_l == 0 or gamma == 0.0):
-                pair = uniform
-            else:
-                result = opt(cfg, gamma)
-                pair = result.pair
-                if n_h == 0:
-                    # objective is identically zero and p_h does not touch
-                    # mu_l, so normalize the stored vector
-                    pair = AccessProbabilityPair(uniform.p_h, pair.p_l)
-            mu = throughput_closed_form(cfg, pair)
-            pos = len(actions)
-            index[(n_h, n_l)] = pos
-            actions.append(Action(pair))
-            entries.append(CompactEntry(n_h, n_l, pair, mu.mu_h, mu.mu_l))
+    for cfg in cfgs:
+        pair = solved.get(cfg, uniform)
+        if cfg.n_h == 0:
+            # objective is identically zero and p_h does not touch mu_l, so
+            # normalize the stored vector
+            pair = AccessProbabilityPair(uniform.p_h, pair.p_l)
+        mu = throughput_closed_form(cfg, pair)
+        index[(cfg.n_h, cfg.n_l)] = len(actions)
+        actions.append(Action(pair))
+        entries.append(CompactEntry(cfg.n_h, cfg.n_l, pair, mu.mu_h, mu.mu_l))
     return ActionSpace(
         kind=CompactKind(m, n_h_max, n_l_max, gamma),
         actions=tuple(actions),

@@ -203,7 +203,7 @@ def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
 
     space = build_compact(
         m=m, n_h_max=n_h_max, n_l_max=n_l_max, gamma=gamma,
-        opt=lambda cfg, g: solve(cfg, gamma=g, options=SolverOptions(seed=seed)),
+        options=SolverOptions(seed=seed),
     )
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_compact(space, out)

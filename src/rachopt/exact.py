@@ -118,7 +118,29 @@ def multinomial_pmf(n: int, counts: Sequence[int], probs: Sequence[float]) -> fl
     return math.exp(log_prob)
 
 
-def throughput_terms(n_h: int, n_l: int, p_h, p_l, grad: bool = False):
+def _power(base: np.ndarray, n):
+    """``base ** max(n, 0)`` as numpy computes it for a scalar exponent.
+
+    numpy squares for a scalar exponent of 2 but calls ``pow`` for an array
+    exponent, and the two can differ in the last bit, so an array exponent
+    is squared where it equals 2.  Every other exponent agrees bit for bit
+    between the two routes.  A scalar exponent skips the ``np.where``."""
+    if not isinstance(n, np.ndarray):
+        return base ** max(n, 0)
+    n = np.maximum(n, 0)
+    return np.where(n == 2, base * base, base**n)
+
+
+def _per_row(n, ndim: int):
+    """An int as it is, or a load array aligned with the leading axes of a
+    (..., m) array."""
+    if isinstance(n, (int, np.integer)):
+        return n
+    n = np.asarray(n)
+    return n.reshape(n.shape + (1,) * (ndim - n.ndim))
+
+
+def throughput_terms(n_h, n_l, p_h, p_l, grad: bool = False):
     """Per-RB terms of (mu_h, mu_l), optionally with their gradients.
 
     RB ``i`` carries a high success iff exactly one of the n_h devices picks
@@ -127,6 +149,11 @@ def throughput_terms(n_h: int, n_l: int, p_h, p_l, grad: bool = False):
     class, with ``a = p_h`` and ``b = p_l`` of shape (..., m).  Summing the
     terms over the last axis gives the slot expectations.
 
+    ``n_h`` and ``n_l`` are ints, or int arrays that broadcast against the
+    leading axes of ``p`` (shape (L,) against p of shape (L, ..., m)), so one
+    call scores allocations under a different load per row.  Per-row loads
+    give bit for bit the terms of one scalar call per load.
+
     With ``grad`` also returns ``d mu_h / d p_h``, ``d mu_h / d p_l``,
     ``d mu_l / d p_h`` and ``d mu_l / d p_l``, each of shape (..., m): term
     ``i`` depends on RB ``i`` alone.  Exponents are floored at 0 so that
@@ -134,17 +161,18 @@ def throughput_terms(n_h: int, n_l: int, p_h, p_l, grad: bool = False):
     power it touches has a zero coefficient, and no power is infinite at
     p = 1.
     """
-    a = np.asarray(p_h, dtype=float)
-    b = np.asarray(p_l, dtype=float)
+    # contiguous operands: numpy runs strided views in short inner loops
+    a = np.ascontiguousarray(p_h, dtype=float)
+    b = np.ascontiguousarray(p_l, dtype=float)
+    n_h, n_l = _per_row(n_h, a.ndim), _per_row(n_l, b.ndim)
     one_a, one_b = 1.0 - a, 1.0 - b
-    a0, a1 = one_a**n_h, one_a ** max(n_h - 1, 0)
-    b0, b1 = one_b**n_l, one_b ** max(n_l - 1, 0)
+    a0, a1 = _power(one_a, n_h), _power(one_a, n_h - 1)
+    b0, b1 = _power(one_b, n_l), _power(one_b, n_l - 1)
     mu_h = n_h * a * a1 * b0
     mu_l = n_l * b * b1 * a0
     if not grad:
         return mu_h, mu_l
-    a2 = one_a ** max(n_h - 2, 0)
-    b2 = one_b ** max(n_l - 2, 0)
+    a2, b2 = _power(one_a, n_h - 2), _power(one_b, n_l - 2)
     dh_a = n_h * (a1 - (n_h - 1) * a * a2) * b0
     dh_b = -n_h * n_l * a * a1 * b1
     dl_a = -n_l * n_h * b * b1 * a1

@@ -10,15 +10,24 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 * each start follows projected gradient ascent with a per-start adaptive
   step, all starts advancing in lock-step as rows of one array.
 
+:func:`solve_batch` runs many loads (n_h, n_l) with the same m at once, as
+one (loads, starts, 2m) array scored by the per-row loads of
+:func:`rachopt.exact.throughput_terms`.  Every load keeps its own stopping
+rules -- the inner ascent stops a load on its own gain and steps, and the
+outer convergence test and multiplier updates are per load -- and a load
+that has finished leaves the working arrays, so each result is bit for bit
+what solving that load alone gives.  :func:`solve` is the batch of one;
+:func:`rachopt.actionspace.build_compact` sends a whole compact table
+through one batch.
+
 Analytic gradients throughout; the reported objective is always a fresh
 closed-form evaluation of the polished, exactly renormalized pair.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +40,7 @@ __all__ = [
     "structural_unconstrained",
     "canonical_permutation",
     "solve",
+    "solve_batch",
 ]
 
 # Feasibility slack on the mu_l floor for reported solutions.
@@ -103,17 +113,21 @@ def canonical_permutation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
     )
 
 
-def _phi(cfg, gamma, x, lam, nu1, nu2, rho):
-    """Augmented Lagrangian value and gradient, vectorized over rows."""
-    m = cfg.m
+def _phi(n_h, n_l, gamma, x, lam, nu1, nu2, rho):
+    """Augmented Lagrangian value and gradient over a (loads, starts, 2m)
+    array.  A single load goes to the kernel as scalars, which skips the
+    per-row power fix-up."""
+    m = x.shape[-1] // 2
+    if len(n_h) == 1:
+        n_h, n_l = int(n_h[0]), int(n_l[0])
     t_h, t_l, dh_a, dh_b, dl_a, dl_b = throughput_terms(
-        cfg.n_h, cfg.n_l, x[:, :m], x[:, m:], grad=True
+        n_h, n_l, x[..., :m], x[..., m:], grad=True
     )
-    mu_h, mu_l = t_h.sum(axis=1), t_l.sum(axis=1)
+    mu_h, mu_l = t_h.sum(axis=-1), t_l.sum(axis=-1)
     c = mu_l - gamma
     active = np.maximum(0.0, lam - rho * c)
-    h1 = x[:, :m].sum(axis=1) - 1.0
-    h2 = x[:, m:].sum(axis=1) - 1.0
+    h1 = x[..., :m].sum(axis=-1) - 1.0
+    h2 = x[..., m:].sum(axis=-1) - 1.0
     phi = (
         mu_h
         - (active**2 - lam**2) / (2.0 * rho)
@@ -123,30 +137,44 @@ def _phi(cfg, gamma, x, lam, nu1, nu2, rho):
         - 0.5 * rho * h2**2
     )
     grad = np.concatenate(
-        [dh_a + active[:, None] * dl_a, dh_b + active[:, None] * dl_b], axis=1
+        [dh_a + active[..., None] * dl_a, dh_b + active[..., None] * dl_b], axis=-1
     )
-    grad[:, :m] -= (nu1 + rho * h1)[:, None]
-    grad[:, m:] -= (nu2 + rho * h2)[:, None]
+    grad[..., :m] -= (nu1 + rho * h1)[..., None]
+    grad[..., m:] -= (nu2 + rho * h2)[..., None]
     return phi, grad, mu_h, mu_l, h1, h2
 
 
-def _inner_ascent(cfg, gamma, x, lam, nu1, nu2, rho, step, opts):
-    phi, grad, *_ = _phi(cfg, gamma, x, lam, nu1, nu2, rho)
+def _inner_ascent(n_h, n_l, gamma, x, mult, step, opts):
+    """Projected gradient ascent for one outer round, every load at once.
+
+    A load stops when none of its starts gains 1e-12 and all its steps are
+    below 1e-13.  Stopped loads leave the working arrays, which are
+    compacted only on the iterations where some load stops.  Returns the new
+    ``x`` and ``step`` of every load."""
+    x_out, step_out = np.empty_like(x), np.empty_like(step)
+    rows = np.arange(len(x))
+    phi, grad, *_ = _phi(n_h, n_l, gamma, x, *mult)
     for _ in range(opts.max_inner):
-        cand = np.clip(x + step[:, None] * grad, 0.0, 1.0)
-        phi_c, grad_c, *_ = _phi(cfg, gamma, cand, lam, nu1, nu2, rho)
+        cand = np.clip(x + step[..., None] * grad, 0.0, 1.0)
+        phi_c, grad_c, *_ = _phi(n_h, n_l, gamma, cand, *mult)
         better = phi_c > phi
-        if np.any(better):
-            x[better] = cand[better]
-            grad[better] = grad_c[better]
-            gain = np.max(phi_c[better] - phi[better])
-            phi[better] = phi_c[better]
-        else:
-            gain = 0.0
+        gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
+        np.copyto(x, cand, where=better[..., None])
+        np.copyto(grad, grad_c, where=better[..., None])
+        np.copyto(phi, phi_c, where=better)
         step = np.where(better, np.minimum(step * 1.3, 1e3), step * 0.4)
-        if gain < 1e-12 and np.all(step < 1e-13):
-            break
-    return x, step
+        if gained.all():
+            continue
+        stop = ~gained & (step < 1e-13).all(axis=1)
+        if stop.any():
+            x_out[rows[stop]], step_out[rows[stop]] = x[stop], step[stop]
+            go = ~stop
+            if not go.any():
+                return x_out, step_out
+            rows, x, grad, phi, step = rows[go], x[go], grad[go], phi[go], step[go]
+            n_h, n_l, mult = n_h[go], n_l[go], tuple(v[go] for v in mult)
+    x_out[rows], step_out[rows] = x, step
+    return x_out, step_out
 
 
 def _violation(gamma, mu_l, h1, h2):
@@ -163,49 +191,83 @@ def _polish(row: np.ndarray, m: int) -> AccessProbabilityPair:
     return AccessProbabilityPair(tuple(a), tuple(b))
 
 
-def solve(
-    cfg: NetworkConfig, gamma: float = 0.0, options: Optional[SolverOptions] = None
-) -> OptResult:
-    """Maximize mu_h over both probability vectors subject to mu_l >= gamma.
+def solve_batch(
+    cfgs: Sequence[NetworkConfig],
+    gamma: float = 0.0,
+    options: Optional[SolverOptions] = None,
+) -> list[OptResult]:
+    """Maximize mu_h subject to mu_l >= gamma for every load in ``cfgs``.
 
-    Runs random simplex starts alongside the structural allocation and the
-    uniform pair, picks the best feasible polished result (ties broken by
-    the canonical permutation's lexicographic order), and falls back to the
-    best-attained mu_l when nothing is feasible.
+    All loads share m and run in lock-step as one (loads, starts, 2m) array.
+    Each load keeps its own stopping rules: its inner ascent ends on its own
+    gain and steps, and its outer rounds end on its own convergence test, at
+    which point it leaves the working arrays.  The result for each load is
+    bit for bit the result of solving it alone.
+
+    Each load runs its structural allocation and the uniform pair alongside
+    the random simplex starts, which every load shares (they come from one
+    ``default_rng(options.seed)``).  It picks the best feasible polished
+    result (ties broken by the canonical permutation's lexicographic order),
+    and falls back to the best-attained mu_l when nothing is feasible.
+    ``diagnostics`` reports the starts, the feasible starts, the outer
+    rounds, whether they hit ``max_outer`` (``cap_hit``) and the largest
+    constraint residual of the chosen start's final iterate
+    (``max_violation``).
     """
     if not gamma >= 0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not cfgs:
+        return []
+    m = cfgs[0].m
+    if any(cfg.m != m for cfg in cfgs):
+        raise ValueError("every load in one batch must have the same m")
     opts = options or SolverOptions()
-    m = cfg.m
     rng = np.random.default_rng(opts.seed)
 
-    structural = structural_unconstrained(cfg)
-    starts = [np.asarray(structural.p_h + structural.p_l), np.full(2 * m, 1.0 / m)]
+    shared = [np.full(2 * m, 1.0 / m)]
     for _ in range(opts.random_starts):
-        starts.append(
+        shared.append(
             np.concatenate([rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))])
         )
-    x = np.clip(np.stack(starts), 0.0, 1.0)
-    k = x.shape[0]
+    x = np.stack(
+        [
+            np.stack([np.asarray(s.p_h + s.p_l), *shared])
+            for s in map(structural_unconstrained, cfgs)
+        ]
+    )
+    x = np.clip(x, 0.0, 1.0)
+    n_h = np.array([cfg.n_h for cfg in cfgs])
+    n_l = np.array([cfg.n_l for cfg in cfgs])
+    shape = x.shape[:2]
 
-    lam = np.zeros(k)
-    nu1 = np.zeros(k)
-    nu2 = np.zeros(k)
-    rho = np.full(k, opts.rho0)
-    step = np.full(k, opts.step0)
-    prev_obj = np.full(k, -np.inf)
-    prev_viol = np.full(k, np.inf)
-    rounds = 0
+    # working arrays of the loads still iterating, in ``live`` order
+    live = np.arange(len(cfgs))
+    x_final = x.copy()
+    viol_final = np.full(shape, np.nan)
+    rounds = np.zeros(len(cfgs), dtype=int)
+    lam, nu1, nu2 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    rho = np.full(shape, opts.rho0)
+    step = np.full(shape, opts.step0)
+    prev_obj = np.full(shape, -np.inf)
+    prev_viol = np.full(shape, np.inf)
 
     for outer in range(opts.max_outer):
-        rounds = outer + 1
-        x, step = _inner_ascent(cfg, gamma, x, lam, nu1, nu2, rho, step, opts)
-        _, _, mu_h, mu_l, h1, h2 = _phi(cfg, gamma, x, lam, nu1, nu2, rho)
+        mult = (lam, nu1, nu2, rho)
+        x, step = _inner_ascent(n_h, n_l, gamma, x, mult, step, opts)
+        _, _, mu_h, mu_l, h1, h2 = _phi(n_h, n_l, gamma, x, *mult)
         viol = _violation(gamma, mu_l, h1, h2)
-        if np.all(viol <= opts.viol_tol) and np.all(
-            np.abs(mu_h - prev_obj) < opts.obj_tol
-        ):
+        rounds[live], x_final[live], viol_final[live] = outer + 1, x, viol
+        done = np.all(viol <= opts.viol_tol, axis=1) & np.all(
+            np.abs(mu_h - prev_obj) < opts.obj_tol, axis=1
+        )
+        if done.all():
             break
+        if done.any():
+            go = ~done
+            live, x, step, n_h, n_l = live[go], x[go], step[go], n_h[go], n_l[go]
+            lam, nu1, nu2, rho = lam[go], nu1[go], nu2[go], rho[go]
+            mu_h, mu_l, h1, h2, viol = mu_h[go], mu_l[go], h1[go], h2[go], viol[go]
+            prev_viol = prev_viol[go]
         lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
         nu1 = nu1 + rho * h1
         nu2 = nu2 + rho * h2
@@ -215,42 +277,49 @@ def solve(
         prev_viol = np.maximum(viol, 1e-300)
         step = np.maximum(step, 1e-6)  # re-arm after multiplier change
 
+    return [
+        _pick(cfg, gamma, x_final[i], viol_final[i], int(rounds[i]), opts)
+        for i, cfg in enumerate(cfgs)
+    ]
+
+
+def _pick(cfg, gamma, x, viol, rounds, opts) -> OptResult:
+    """Polish every start of one load and choose its result."""
     candidates = []
-    for row in range(k):
-        pair = _polish(x[row], m)
+    for row in range(len(x)):
+        pair = _polish(x[row], cfg.m)
         mu = throughput_closed_form(cfg, pair)
         feasible = mu.mu_l >= gamma - FEASIBILITY_TOL
         canon = canonical_permutation(pair)
         candidates.append(
-            (feasible, mu.mu_h, mu.mu_l, canon.p_h + canon.p_l, pair, mu)
+            (feasible, mu.mu_h, mu.mu_l, canon.p_h + canon.p_l, pair, mu, row)
         )
-
+    diagnostics = {
+        "starts": len(x),
+        "feasible_starts": sum(c[0] for c in candidates),
+        "outer_rounds": rounds,
+        "cap_hit": rounds == opts.max_outer,
+    }
     feasible_rows = [c for c in candidates if c[0]]
     if feasible_rows:
         # highest objective, ties toward the lexicographically smaller pair
         best = max(feasible_rows, key=lambda c: (c[1], tuple(-v for v in c[3])))
-        pair, mu = best[4], best[5]
-        return OptResult(
-            pair=pair,
-            mu=mu,
-            feasible=True,
-            gamma=gamma,
-            diagnostics={
-                "starts": k,
-                "feasible_starts": len(feasible_rows),
-                "outer_rounds": rounds,
-            },
-        )
-    best = max(candidates, key=lambda c: c[2])  # best-attained mu_l
+    else:
+        best = max(candidates, key=lambda c: c[2])  # best-attained mu_l
+        diagnostics["best_attained_mu_l"] = best[2]
+    diagnostics["max_violation"] = float(viol[best[6]])
     return OptResult(
         pair=best[4],
         mu=best[5],
-        feasible=False,
+        feasible=bool(feasible_rows),
         gamma=gamma,
-        diagnostics={
-            "starts": k,
-            "feasible_starts": 0,
-            "outer_rounds": rounds,
-            "best_attained_mu_l": best[2],
-        },
+        diagnostics=diagnostics,
     )
+
+
+def solve(
+    cfg: NetworkConfig, gamma: float = 0.0, options: Optional[SolverOptions] = None
+) -> OptResult:
+    """Maximize mu_h over both probability vectors subject to mu_l >= gamma:
+    :func:`solve_batch` on a batch of one load."""
+    return solve_batch([cfg], gamma, options)[0]

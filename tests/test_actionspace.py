@@ -17,6 +17,7 @@ from rachopt.actionspace import (
 )
 from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig, min_rotation_shift
+from rachopt.optimize import SolverOptions, solve
 
 from support import burnside_orbit_count, min_joint_rotation
 
@@ -180,6 +181,16 @@ def test_build_compact_flags_unreachable_floor():
     flagged = space.infeasible_cells()
     assert (0, 0) in flagged and (1, 0) in flagged
     assert (1, 1) not in flagged  # one low device alone on its RB: mu_l = 1
+
+
+def test_build_compact_batch_matches_per_cell_solves():
+    options = SolverOptions(random_starts=4, max_outer=10, seed=3)
+    batch = build_compact(3, 3, 2, 0.4, options=options)
+    per_cell = build_compact(3, 3, 2, 0.4, opt=lambda cfg, g: solve(cfg, g, options))
+    assert batch.entries == per_cell.entries
+    assert batch.infeasible_cells() == {(n_h, 0) for n_h in range(4)}
+    with pytest.raises(ValueError, match="opt or options"):
+        build_compact(3, 1, 1, 0.4, opt=solve, options=options)
 
 
 def test_compact_save_load_roundtrip(tmp_path):

@@ -134,6 +134,28 @@ def test_closed_form_rejects_length_mismatch():
         throughput_closed_form(NetworkConfig(1, 1, 3), AccessProbabilityPair.uniform(2))
 
 
+def test_throughput_terms_per_row_loads_match_scalar_calls():
+    # every (n_h, n_l) in {0..3}^2 as one row of a (loads, starts, m) batch,
+    # with random rows and the 0/1 corners where the powers hit 0 ** 0
+    loads = [(n_h, n_l) for n_h in range(4) for n_l in range(4)]
+    rng = np.random.default_rng(7)
+    a = rng.dirichlet(np.ones(3), size=(len(loads), 40))
+    b = rng.dirichlet(np.ones(3), size=(len(loads), 40))
+    a[:, :3], b[:, :3] = CORNER_OWN, CORNER_OTHER
+    n_h = np.array([n for n, _ in loads])
+    n_l = np.array([n for _, n in loads])
+    batch = throughput_terms(n_h, n_l, a, b, grad=True)
+    for i, (h, l) in enumerate(loads):
+        single = throughput_terms(h, l, a[i], b[i], grad=True)
+        for got, want in zip(batch, single):
+            assert np.array_equal(got[i], want), (h, l)
+    # loads against the leading axis of a 2-D batch, values only
+    flat = throughput_terms(n_h, n_l, a[:, 0], b[:, 0])
+    for i, (h, l) in enumerate(loads):
+        single = throughput_terms(h, l, a[i, 0], b[i, 0])
+        assert all(np.array_equal(got[i], want) for got, want in zip(flat, single))
+
+
 # ---------------------------------------------------------- pattern machinery
 
 

@@ -204,7 +204,7 @@ def _three_action_space():
     space = ActionSpace(
         kind=DiscretizedKind(2, 0.5, False),
         actions=chosen,
-        index={a.key(): i for i, a in enumerate(chosen)},
+        index={(a.num_h, a.num_l): i for i, a in enumerate(chosen)},
     )
     values = {chosen[0].pair: 0.9, chosen[1].pair: 0.5, chosen[2].pair: 0.1}
 
@@ -462,7 +462,7 @@ def _space_of(*pairs):
     return ActionSpace(
         kind=DiscretizedKind(pairs[0].m, 0.5, False),
         actions=actions,
-        index={a.key(): i for i, a in enumerate(actions)},
+        index={(p.p_h, p.p_l): i for i, p in enumerate(pairs)},
     )
 
 

@@ -10,6 +10,7 @@ from rachopt.optimize import (
     SolverOptions,
     canonical_permutation,
     solve,
+    solve_batch,
     structural_unconstrained,
 )
 
@@ -173,6 +174,50 @@ def test_solve_rejects_negative_gamma():
     # written as `not gamma >= 0`, so NaN fails too
     with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
         solve(NetworkConfig(1, 1, 2), float("nan"))
+
+
+def _same_result(a: OptResult, b: OptResult) -> bool:
+    return (a.pair, a.mu, a.feasible, a.diagnostics) == (b.pair, b.mu, b.feasible, b.diagnostics)
+
+
+@pytest.mark.parametrize("options", [FAST, SolverOptions(random_starts=4, max_outer=3)])
+def test_solve_batch_matches_per_load_solves(options):
+    # includes an unreachable floor (n_l = 0), a zero high class and loads
+    # that stop on different outer rounds
+    cfgs = [NetworkConfig(n_h, n_l, 3) for n_h, n_l in
+            [(2, 0), (0, 2), (1, 1), (4, 5), (2, 2), (3, 1), (1, 4)]]
+    batch = solve_batch(cfgs, 0.4, options)
+    singles = [solve(cfg, 0.4, options) for cfg in cfgs]
+    assert all(_same_result(a, b) for a, b in zip(batch, singles))
+    assert not batch[0].feasible and "best_attained_mu_l" in batch[0].diagnostics
+    rounds = {r.diagnostics["outer_rounds"] for r in batch}
+    caps = [r.diagnostics["cap_hit"] for r in batch]
+    assert caps == [r.diagnostics["outer_rounds"] == options.max_outer for r in batch]
+    if options.max_outer == 3:
+        assert any(caps)
+    else:
+        assert len(rounds) > 1  # loads leave the batch at different rounds
+
+
+def test_solve_batch_stops_each_inner_ascent_on_its_own():
+    # (5, 1) runs long inner ascents; (6, 10) must stop its own meanwhile,
+    # or its last bits drift from a lone solve
+    slow, cell = NetworkConfig(5, 1, 5), NetworkConfig(6, 10, 5)
+    assert _same_result(solve_batch([slow, cell], 0.4, FAST)[1], solve(cell, 0.4, FAST))
+
+
+def test_solve_reports_cap_hit_and_violation():
+    res = solve(NetworkConfig(4, 5, 3), 0.4, SolverOptions(random_starts=4, max_outer=2))
+    assert res.diagnostics["cap_hit"] and res.diagnostics["outer_rounds"] == 2
+    res = solve(NetworkConfig(2, 1, 3), 0.4, FAST)
+    assert not res.diagnostics["cap_hit"] and res.diagnostics["outer_rounds"] < 25
+    assert 0.0 <= res.diagnostics["max_violation"] <= FAST.viol_tol
+
+
+def test_solve_batch_rejects_mixed_m():
+    assert solve_batch([], 0.4) == []
+    with pytest.raises(ValueError, match="same m"):
+        solve_batch([NetworkConfig(1, 1, 2), NetworkConfig(1, 1, 3)], 0.4)
 
 
 def test_solver_beats_fine_grid():
