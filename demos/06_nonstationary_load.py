@@ -41,7 +41,7 @@ def compact_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> 
                         batch_size=200, elite_fraction=0.1, alpha=0.1, seed=5)
     result = run_nonstationary(space, [(0, cfg_a), (switch, cfg_b)], mab_cfg)
 
-    chosen = np.array([rec.action_index for rec in result.trace])
+    chosen = result.trace.action_index
     mu_b = exact_throughputs(space, cfg_b)
     print()
     print("exact (mu_h, mu_l) of the chosen action, scored against the "
@@ -88,7 +88,7 @@ def grid_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> Non
     print(f"  at the switch the favourite holds p_as {before.state.p_as[fav]:.3f}; "
           f"on the new load it is exact ({mu_b[fav, 0]:.4f}, {mu_b[fav, 1]:.4f})")
 
-    chosen = np.array([rec.action_index for rec in result.trace])
+    chosen = result.trace.action_index
     print("  exact (mu_h, mu_l) of the chosen action on the new load:")
     for lo, hi in [(switch, 20000), (20000, 25000), (25000, total)]:
         h = window_mean(mu_b[chosen, 0], lo, hi)

@@ -405,6 +405,9 @@ class ExperimentSpec:
             "table" in self.params or "n_h_max" in self.params
         ):
             raise ValueError("mab-compact needs a 'table' path or 'n_h_max'/'n_l_max' bounds")
+        if self.method.startswith("mab-"):
+            for seed in self.seeds:
+                _mab_config(self, seed)  # raises on bad bandit parameters
 
 
 def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
@@ -478,8 +481,8 @@ def _running_mean(values: np.ndarray) -> np.ndarray:
 
 
 def _write_plot_csv(path: Path, result: MabResult, mae: Optional[np.ndarray]) -> None:
-    mu_h = _running_mean(np.array([r.mu_h_t for r in result.trace]))
-    mu_l = _running_mean(np.array([r.mu_l_t for r in result.trace]))
+    mu_h = _running_mean(result.trace.mu_h_t)
+    mu_l = _running_mean(result.trace.mu_l_t)
     header = "pull,mu_h_running,mu_l_running" + (",mae" if mae is not None else "")
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -500,7 +503,10 @@ def load_plot_data(path: Union[str, Path]) -> dict[str, np.ndarray]:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def _mab_config(spec: ExperimentSpec, defaults: dict, seed: int) -> MabConfig:
+def _mab_config(spec: ExperimentSpec, seed: int) -> MabConfig:
+    defaults = (
+        DISCRETIZED_MAB_DEFAULTS if spec.method == "mab-discretized" else COMPACT_MAB_DEFAULTS
+    )
     kwargs = {
         key: spec.params.get(key, default)
         for key, default in defaults.items()
@@ -558,11 +564,6 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             p_l=list(res.pair.p_l),
         )
     else:
-        defaults = (
-            DISCRETIZED_MAB_DEFAULTS
-            if spec.method == "mab-discretized"
-            else COMPACT_MAB_DEFAULTS
-        )
         space = _experiment_space(spec)
         compact = isinstance(space.kind, CompactKind)
         schedule = spec.params.get("schedule")
@@ -570,7 +571,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         if schedule is not None:
             final_cfg = NetworkConfig(schedule[1], schedule[2], spec.cfg.m)
         jobs = [
-            (space, spec.cfg, final_cfg, schedule, _mab_config(spec, defaults, seed))
+            (space, spec.cfg, final_cfg, schedule, _mab_config(spec, seed))
             for seed in spec.seeds
         ]
         workers = int(spec.params.get("workers", 1))

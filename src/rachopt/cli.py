@@ -129,7 +129,8 @@ def exact_cmd(m: int, n_h: int, n_l: int, p_h: str | None, p_l: str | None, out:
 @cfg_options
 @click.option("--p-h", type=str, default=None, help="High-class probabilities (comma separated).")
 @click.option("--p-l", type=str, default=None, help="Low-class probabilities (comma separated).")
-@click.option("--t", type=int, default=1000, show_default=True, help="Number of slots.")
+@click.option("--t", type=click.IntRange(min=1), default=1000, show_default=True,
+              help="Number of slots.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
 def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
@@ -155,7 +156,7 @@ def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True,
               help="Low-class throughput floor.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--starts", type=int, default=20, show_default=True,
+@click.option("--starts", type=COUNT, default=20, show_default=True,
               help="Number of multistart initializations.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
 def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
@@ -167,12 +168,16 @@ def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
     click.echo(f"mu_h = {res.mu.mu_h:.6f}")
     click.echo(f"mu_l = {res.mu.mu_l:.6f}")
     click.echo(f"feasible = {res.feasible}")
+    telemetry = {key: res.diagnostics[key] for key in ("outer_rounds", "cap_hit", "max_violation")}
+    for key, value in telemetry.items():
+        click.echo(f"{key} = {value}")
     write_json(
         out,
         {
             "m": m, "n_h": n_h, "n_l": n_l, "gamma": gamma,
             "p_h": list(res.pair.p_h), "p_l": list(res.pair.p_l),
             "mu_h": res.mu.mu_h, "mu_l": res.mu.mu_l, "feasible": res.feasible,
+            **telemetry,
         },
     )
 
@@ -230,15 +235,18 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
             params["n_l_max"] = n_l_max
     if schedule is not None:
         params["schedule"] = schedule
-    spec = ExperimentSpec(
-        name=name,
-        cfg=NetworkConfig(n_h=n_h, n_l=n_l, m=m),
-        gamma=gamma,
-        method=method,
-        params=params,
-        seeds=tuple(seeds),
-        out_dir=Path(out),
-    )
+    try:
+        spec = ExperimentSpec(
+            name=name,
+            cfg=NetworkConfig(n_h=n_h, n_l=n_l, m=m),
+            gamma=gamma,
+            method=method,
+            params=params,
+            seeds=tuple(seeds),
+            out_dir=Path(out),
+        )
+    except ValueError as exc:  # a bandit parameter MabConfig rejects
+        raise click.BadParameter(str(exc)) from None
     written = run_experiment(spec)
     for path in written:
         click.echo(f"wrote {path}")
@@ -288,10 +296,8 @@ def mab_param_options(fn):
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
 def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
-            seeds, workers, out, name, **mab_flags):
+            seeds, out, name, **mab_flags):
     """Run the cross-entropy bandit and write trace/plot/result files."""
-    if workers is not None:
-        mab_flags["workers"] = workers
     _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
               seeds, out, name, None, **mab_flags)
 
@@ -320,8 +326,7 @@ def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
 def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
-                 gamma, d, table, n_h_max, n_l_max, seeds, workers, out, name,
-                 **mab_flags):
+                 gamma, d, table, n_h_max, n_l_max, seeds, out, name, **mab_flags):
     """Non-stationary load switch: the device counts change mid-run.
 
     The bandit's state carries through the switch, so the run lengths default
@@ -333,8 +338,6 @@ def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
         switch_pull = 15000 if space_kind == "discretized" else 2000
     if mab_flags.get("runs") is None:
         mab_flags["runs"] = 45000 if space_kind == "discretized" else 12000
-    if workers is not None:
-        mab_flags["workers"] = workers
     _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
               seeds, out, name, (switch_pull, switch_n_h, switch_n_l), **mab_flags)
 

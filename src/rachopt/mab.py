@@ -22,6 +22,11 @@ tables from :func:`~rachopt.exact.slot_success_pmf` and one multinomial
 call per batch and load phase.  ``throughput_fn=sim_throughput`` instead
 runs the Philox slot simulator of :mod:`rachopt.simulate` for every pull;
 the two backends agree in distribution but draw different random streams.
+
+A run's trace is one numpy record array, a record per pull with fields
+``pull``, ``action_index``, ``mu_h_t``, ``mu_l_t`` and ``reward``: the run
+fills its columns a batch and load phase at a time, and the readers below
+take them whole.
 """
 
 from __future__ import annotations
@@ -43,10 +48,8 @@ __all__ = [
     "UNIFORM_SHARE",
     "MabConfig",
     "MabState",
-    "PullRecord",
     "MabResult",
     "reward",
-    "q_update",
     "ce_update",
     "smooth",
     "run",
@@ -137,29 +140,20 @@ class MabState:
     v: np.ndarray
     p_as: np.ndarray
 
-    @staticmethod
-    def fresh(size: int) -> "MabState":
-        return MabState(
-            q=np.zeros(size),
-            v=np.zeros(size, dtype=np.int64),
-            p_as=np.full(size, 1.0 / size),
-        )
 
-
-@dataclass(frozen=True)
-class PullRecord:
-    pull: int
-    action_index: int
-    mu_h_t: float
-    mu_l_t: float
-    reward: float
+def _empty_trace(pulls: int) -> np.recarray:
+    """A zeroed pull trace with room for ``pulls`` records."""
+    dtype = [("pull", np.int64), ("action_index", np.int64),
+             ("mu_h_t", float), ("mu_l_t", float), ("reward", float)]
+    return np.zeros(pulls, dtype=dtype).view(np.recarray)
 
 
 @dataclass
 class MabResult:
-    """Trace and final statistics of one bandit run."""
+    """Trace (a record array, one record per pull) and final statistics of
+    one bandit run."""
 
-    trace: tuple[PullRecord, ...]
+    trace: np.recarray
     state: MabState
     best_index: int
     batch_size: int
@@ -173,35 +167,39 @@ class MabResult:
         return self.state.v
 
 
-def reward(mu_h_t: float, mu_l_t: float, gamma: float, rho: float, scale: float) -> float:
+def reward(mu_h_t, mu_l_t, gamma: float, rho: float, scale: float):
     """Scaled high-class throughput, cut to a fraction ``rho`` when the
-    empirical low-class throughput misses the floor."""
-    r = mu_h_t if mu_l_t >= gamma else rho * mu_h_t
-    return r / scale
+    empirical low-class throughput misses the floor.  Takes scalars or
+    arrays of pulls."""
+    return np.where(mu_l_t >= gamma, mu_h_t, rho * mu_h_t) / scale
 
 
-def q_update(state: MabState, idx: int, r: float) -> float:
-    """Fold one reward into the running mean of action ``idx``; returns the
-    updated q value."""
-    state.v[idx] += 1
-    state.q[idx] += (r - state.q[idx]) / state.v[idx]
-    return float(state.q[idx])
+def _fold(q: list, v: list, actions: list, rewards: list) -> list:
+    """Fold rewards into the running means ``q`` (pull counts ``v``) in pull
+    order; returns each pull's updated mean, the snapshot the refit ranks.
+    Sequential on purpose: a closed-form (cumsum) mean moves the last bits,
+    which can flip exact ties in the stable elite sort."""
+    snapshots = []
+    for i, r in zip(actions, rewards):
+        v[i] += 1
+        q[i] += (r - q[i]) / v[i]
+        snapshots.append(q[i])
+    return snapshots
 
 
-def ce_update(size: int, elite: int, records: Sequence[tuple[int, float]]) -> np.ndarray:
-    """Refit distribution from a batch of (action_index, q_snapshot) records.
+def ce_update(size: int, elite: int, actions, snapshots) -> np.ndarray:
+    """Refit distribution from a batch of pulled actions and their Q
+    snapshots.
 
-    Records are ranked by snapshot descending -- earlier records win ties,
-    which the stable sort provides -- and the top ``elite`` of them vote with
-    equal weight.
+    Pulls are ranked by snapshot descending -- earlier pulls win ties, which
+    the stable sort provides -- and the top ``elite`` of them vote with equal
+    weight.
     """
-    if elite < 1 or elite > len(records):
-        raise ValueError(f"elite {elite} outside 1..{len(records)}")
-    ranked = sorted(records, key=lambda rec: -rec[1])
-    p = np.zeros(size)
-    for idx, _ in ranked[:elite]:
-        p[idx] += 1.0
-    return p / elite
+    if elite < 1 or elite > len(actions):
+        raise ValueError(f"elite {elite} outside 1..{len(actions)}")
+    ranked = np.argsort(-np.asarray(snapshots, dtype=float), kind="stable")
+    votes = np.bincount(np.asarray(actions)[ranked[:elite]], minlength=size)
+    return votes / elite
 
 
 def smooth(p: np.ndarray, p_new: np.ndarray, alpha: float) -> np.ndarray:
@@ -237,14 +235,13 @@ def _exact_sampler(space: ActionSpace, mcfg: MabConfig):
     tables: dict[NetworkConfig, np.ndarray] = {}
     t = mcfg.t
 
-    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int) -> list:
+    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int):
         if cfg not in tables:
             pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l).reshape(len(p_h), -1)
             # rows sum to 1 up to rounding; multinomial wants them at most 1
             tables[cfg] = pmf / pmf.sum(axis=1, keepdims=True)
         counts = rng.multinomial(t, tables[cfg][idx])
-        totals = zip((counts @ h_of).tolist(), (counts @ l_of).tolist())
-        return [(h / t, l / t) for h, l in totals]
+        return (counts @ h_of) / t, (counts @ l_of) / t
 
     return sample
 
@@ -253,13 +250,12 @@ def _hook_sampler(space: ActionSpace, mcfg: MabConfig, throughput_fn: Throughput
     """Pull totals from ``throughput_fn``, one call per pull with its own
     seed."""
 
-    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int) -> list:
-        out = []
-        for pull, i in enumerate(idx.tolist(), start=first_pull):
-            seed = _sim_seed(mcfg.seed, pull)
-            mu = throughput_fn(cfg, space.actions[i].pair, mcfg.t, seed)
-            out.append((mu.mu_h, mu.mu_l))
-        return out
+    def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int):
+        mus = [
+            throughput_fn(cfg, space.actions[i].pair, mcfg.t, _sim_seed(mcfg.seed, pull))
+            for pull, i in enumerate(idx.tolist(), start=first_pull)
+        ]
+        return [mu.mu_h for mu in mus], [mu.mu_l for mu in mus]
 
     return sample
 
@@ -288,12 +284,11 @@ def run_nonstationary(
     if any(b <= a for a, b in zip(switches, switches[1:])):
         raise ValueError("schedule switch points must be strictly increasing")
     for _, cfg in schedule:
-        if cfg.m != _space_m(space):
+        if cfg.m != space.actions[0].pair.m:
             raise ValueError(f"schedule cfg {cfg} does not match space m")
 
     size = len(space)
-    state = MabState.fresh(size)
-    uniform = state.p_as.copy()
+    p_as = uniform = np.full(size, 1.0 / size)
     action_rng = np.random.default_rng(
         np.random.SeedSequence(entropy=mcfg.seed, spawn_key=(0,))
     )
@@ -302,34 +297,31 @@ def run_nonstationary(
     else:
         sample = _hook_sampler(space, mcfg, throughput_fn)
     scales: dict[int, float] = {}
-    trace: list[PullRecord] = []
+    trace = _empty_trace(mcfg.n_batches * mcfg.batch_size)
+    trace.pull = np.arange(len(trace))
+    # Python lists: the fold is sequential, and scalar numpy indexing is slow
+    q, v = [0.0] * size, [0] * size
 
     for batch in range(mcfg.n_batches):
-        cum = np.cumsum(state.p_as)
+        cum = np.cumsum(p_as)
         cum[-1] = 1.0
         uniforms = action_rng.random(mcfg.batch_size)
         batch_idx = np.minimum(np.searchsorted(cum, uniforms, side="right"), size - 1)
-        first = batch * mcfg.batch_size
-        records: list[tuple[int, float]] = []
-        for phase, lo, hi in _phase_runs(switches, first, first + mcfg.batch_size):
+        first, end = batch * mcfg.batch_size, (batch + 1) * mcfg.batch_size
+        trace.action_index[first:end] = batch_idx
+        for phase, lo, hi in _phase_runs(switches, first, end):
             cfg = schedule[phase][1]
             if phase not in scales:
                 scales[phase] = _phase_scale(cfg)
-            scale = scales[phase]
-            idx = batch_idx[lo - first : hi - first]
-            mus = sample(cfg, idx, lo)
-            for pull, i, (mu_h, mu_l) in zip(range(lo, hi), idx.tolist(), mus):
-                r = reward(mu_h, mu_l, mcfg.gamma, mcfg.rho, scale)
-                records.append((i, q_update(state, i, r)))
-                trace.append(PullRecord(pull, i, mu_h, mu_l, r))
-        p_new = ce_update(size, mcfg.elite_size, records)
-        state.p_as = smooth(
-            smooth(state.p_as, p_new, mcfg.alpha), uniform, UNIFORM_SHARE
-        )
+            rows = trace[lo:hi]
+            rows.mu_h_t, rows.mu_l_t = sample(cfg, batch_idx[lo - first : hi - first], lo)
+            rows.reward = reward(rows.mu_h_t, rows.mu_l_t, mcfg.gamma, mcfg.rho, scales[phase])
+        snapshots = _fold(q, v, batch_idx.tolist(), trace.reward[first:end].tolist())
+        p_new = ce_update(size, mcfg.elite_size, batch_idx, snapshots)
+        p_as = smooth(smooth(p_as, p_new, mcfg.alpha), uniform, UNIFORM_SHARE)
+    state = MabState(q=np.array(q), v=np.array(v, dtype=np.int64), p_as=p_as)
     best = int(np.argmax(state.q))
-    return MabResult(
-        trace=tuple(trace), state=state, best_index=best, batch_size=mcfg.batch_size
-    )
+    return MabResult(trace=trace, state=state, best_index=best, batch_size=mcfg.batch_size)
 
 
 def _phase_runs(switches: Sequence[int], lo: int, hi: int):
@@ -349,10 +341,6 @@ def run(
 ) -> MabResult:
     """Stationary-load bandit run."""
     return run_nonstationary(space, [(0, cfg)], mcfg, throughput_fn)
-
-
-def _space_m(space: ActionSpace) -> int:
-    return space.actions[0].pair.m
 
 
 def _load_arms(space: ActionSpace) -> np.ndarray:
@@ -393,46 +381,47 @@ def mae_trace(
     """Mean absolute load-estimation error after every pull.
 
     Replays the pull counts from the trace; the estimate at pull p is
-    :func:`estimate_load`'s cell for the pulls so far.
+    :func:`estimate_load`'s cell for the pulls so far.  Counts grow by one,
+    so the new leader is the pulled arm if it now beats the old one.
     """
     arms = _load_arms(space)
-    pulls = np.zeros(len(arms))
-    out = np.empty(len(result.trace))
-    for i, rec in enumerate(result.trace):
-        pulls[arms[rec.action_index]] += 1
-        entry = space.entries[int(np.argmax(pulls))]
-        out[i] = 0.5 * (
-            abs(entry.n_h - true_cfg.n_h) + abs(entry.n_l - true_cfg.n_l)
-        )
-    return out
+    pulls = [0] * len(arms)
+    leader = 0  # argmax of all-zero counts
+    leaders = []
+    for a in arms[result.trace.action_index].tolist():
+        pulls[a] += 1
+        if pulls[a] > pulls[leader] or (pulls[a] == pulls[leader] and a < leader):
+            leader = a
+        leaders.append(leader)
+    n_h = np.array([e.n_h for e in space.entries])[leaders]
+    n_l = np.array([e.n_l for e in space.entries])[leaders]
+    return 0.5 * (np.abs(n_h - true_cfg.n_h) + np.abs(n_l - true_cfg.n_l))
 
 
 def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
     """CSV trace, one row per pull, with batch boundaries as comments."""
+    # tolist() hands csv Python scalars, whose str is the shortest repr
+    rows = result.trace.tolist()
+    size = result.batch_size
     with open(path, "w", newline="") as fh:
         fh.write("pull,action_index,mu_h_T,mu_l_T,reward\n")
         writer = csv.writer(fh)
-        for i, rec in enumerate(result.trace):
-            if i % result.batch_size == 0:
-                fh.write(f"# batch {i // result.batch_size}\n")
-            writer.writerow(
-                [rec.pull, rec.action_index, repr(rec.mu_h_t), repr(rec.mu_l_t), repr(rec.reward)]
-            )
+        for first in range(0, len(rows), size):
+            fh.write(f"# batch {first // size}\n")
+            writer.writerows(rows[first : first + size])
 
 
-def load_mab_trace(path: Union[str, Path]) -> list[PullRecord]:
-    """Read back a pull trace, skipping comment lines."""
-    records: list[PullRecord] = []
+def load_mab_trace(path: Union[str, Path]) -> np.recarray:
+    """Read back a pull trace as a record array, skipping comment lines."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != "pull,action_index,mu_h_T,mu_l_T,reward":
             raise ValueError(f"unrecognized trace header {header!r}")
-        for row in csv.reader(line for line in fh if not line.startswith("#")):
-            if not row:
-                continue
-            records.append(
-                PullRecord(
-                    int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4])
-                )
-            )
-    return records
+        rows = [
+            (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
+            for row in csv.reader(line for line in fh if not line.startswith("#"))
+            if row
+        ]
+    trace = _empty_trace(len(rows))
+    trace[:] = rows
+    return trace

@@ -62,6 +62,16 @@ class SolverOptions:
     rho_max: float = 1e8
     step0: float = 0.1
 
+    def __post_init__(self) -> None:
+        # written as `not x >= low`, so NaN fails too
+        lows = {"random_starts": 0, "max_inner": 1, "max_outer": 1, "rho_growth": 1}
+        for name, low in lows.items():
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("obj_tol", "viol_tol", "rho0", "step0"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class OptResult:

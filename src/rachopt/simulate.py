@@ -10,6 +10,10 @@ of how slot ranges might be split across workers.
 
 Within a slot, device draws map to RBs by inverse CDF over the cumulative
 access probabilities in index order, high-priority devices first.
+
+A :class:`SimTrace` stores a ``(t, m)`` uint8 array of event codes, the
+bytes of the per-slot pattern strings (``h``, ``l``, ``o``, ``x``); its
+:class:`~rachopt.model.AccessPattern` objects are built only on request.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .model import (
     SlotEvent,
     ThroughputPair,
     pattern_from_string,
-    pattern_to_string,
 )
 
 __all__ = [
@@ -47,26 +50,30 @@ _EVENT_CODES = np.array(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Per-slot access patterns plus the inputs that produced them.
-
-    Traces loaded from disk carry only what the file stores (m, t, seed and
-    the patterns), so ``cfg`` and ``pair`` may be None.
+    """Per-slot event codes, shape (t, m), plus the inputs that produced
+    them.  Traces loaded from disk carry only what the file stores (m, t,
+    seed and the codes), so ``cfg`` and ``pair`` may be None.
     """
 
     seed: int
-    patterns: tuple[AccessPattern, ...]
+    codes: np.ndarray
     cfg: Optional[NetworkConfig] = None
     pair: Optional[AccessProbabilityPair] = None
 
     @property
     def t(self) -> int:
-        return len(self.patterns)
+        return self.codes.shape[0]
 
     @property
     def m(self) -> int:
-        return self.patterns[0].m if self.patterns else 0
+        return self.codes.shape[1]
+
+    @property
+    def patterns(self) -> tuple[AccessPattern, ...]:
+        """The slots as :class:`~rachopt.model.AccessPattern` objects."""
+        return tuple(pattern_from_string(row.tobytes().decode("ascii")) for row in self.codes)
 
 
 def _cumulative(probs) -> np.ndarray:
@@ -79,6 +86,10 @@ def _occupancy_counts(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot per-RB transmitter counts, shape (t, m) for each class."""
+    if t < 1:
+        raise ValueError(f"need at least one slot, got t={t}")
+    if pair.m != cfg.m:
+        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
     n = cfg.n
     m = cfg.m
     if n == 0:
@@ -103,65 +114,48 @@ def _occupancy_counts(
     return c_h, c_l
 
 
-def _success_counts(c_h: np.ndarray, c_l: np.ndarray) -> tuple[int, int]:
-    h = int(((c_h == 1) & (c_l == 0)).sum())
-    l = int(((c_l == 1) & (c_h == 0)).sum())
-    return h, l
-
-
 def sim_throughput(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> ThroughputPair:
     """Empirical per-slot success rates over ``t`` slots.
 
-    Identical sampling to :func:`simulate`, skipping pattern construction;
-    both return multiples of 1/t.
+    Identical sampling to :func:`simulate`, skipping the event codes; both
+    return multiples of 1/t.
     """
-    if t < 1:
-        raise ValueError(f"need at least one slot, got t={t}")
-    if pair.m != cfg.m:
-        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
     c_h, c_l = _occupancy_counts(cfg, pair, t, seed)
-    h, l = _success_counts(c_h, c_l)
+    h = int(((c_h == 1) & (c_l == 0)).sum())
+    l = int(((c_l == 1) & (c_h == 0)).sum())
     return ThroughputPair(h / t, l / t)
 
 
 def simulate(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> SimTrace:
-    """Run ``t`` slots and keep the full per-slot pattern trace."""
-    if t < 1:
-        raise ValueError(f"need at least one slot, got t={t}")
-    if pair.m != cfg.m:
-        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
+    """Run ``t`` slots and keep the full per-slot event trace."""
     c_h, c_l = _occupancy_counts(cfg, pair, t, seed)
     total = c_h + c_l
     # event code per RB: empty 0, high success 1, low success 2, collision 3
     codes = np.where(
         total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2))
     )
-    chars = _EVENT_CODES[codes]
-    patterns = tuple(
-        pattern_from_string(row.tobytes().decode("ascii")) for row in chars
-    )
-    return SimTrace(seed=seed, patterns=patterns, cfg=cfg, pair=pair)
+    return SimTrace(seed=seed, codes=_EVENT_CODES[codes], cfg=cfg, pair=pair)
 
 
 def empirical_throughput(trace: SimTrace) -> ThroughputPair:
     """Success rates of an existing trace, multiples of 1/t."""
     if trace.t == 0:
         raise ValueError("empty trace")
-    h = sum(len(p.high_rbs) for p in trace.patterns)
-    l = sum(len(p.low_rbs) for p in trace.patterns)
-    return ThroughputPair(h / trace.t, l / trace.t)
+    h = np.count_nonzero(trace.codes == ord(SlotEvent.HIGH_SUCCESS.value))
+    l = np.count_nonzero(trace.codes == ord(SlotEvent.LOW_SUCCESS.value))
+    return ThroughputPair(int(h) / trace.t, int(l) / trace.t)
 
 
 def save_trace(trace: SimTrace, path: Union[str, Path]) -> None:
     """Write ``m,t,seed`` then one pattern string per slot."""
-    with open(path, "w") as fh:
-        fh.write(f"{trace.m},{trace.t},{trace.seed}\n")
-        for p in trace.patterns:
-            fh.write(pattern_to_string(p) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"{trace.m},{trace.t},{trace.seed}\n".encode("ascii"))
+        newline = np.full((trace.t, 1), ord("\n"), dtype=np.uint8)
+        fh.write(np.hstack([trace.codes, newline]).tobytes())
 
 
 def load_trace(path: Union[str, Path]) -> SimTrace:
@@ -172,14 +166,15 @@ def load_trace(path: Union[str, Path]) -> SimTrace:
             m, t, seed = (int(x) for x in header.split(","))
         except ValueError as exc:
             raise ValueError(f"bad trace header {header!r}") from exc
-        patterns = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if len(line) != m:
-                raise ValueError(f"pattern {line!r} does not have m={m} RBs")
-            patterns.append(pattern_from_string(line))
-    if len(patterns) != t:
-        raise ValueError(f"expected {t} slots, found {len(patterns)}")
-    return SimTrace(seed=seed, patterns=tuple(patterns))
+        lines = [line for line in (raw.strip() for raw in fh) if line]
+    for line in lines:
+        if len(line) != m:
+            raise ValueError(f"pattern {line!r} does not have m={m} RBs")
+    if len(lines) != t:
+        raise ValueError(f"expected {t} slots, found {len(lines)}")
+    raw = "".join(lines).encode("ascii", "replace")
+    codes = np.frombuffer(raw, dtype=np.uint8).reshape(t, m)
+    bad = ~np.isin(codes, _EVENT_CODES).all(axis=1)
+    if bad.any():
+        raise ValueError(f"invalid pattern string {lines[int(np.argmax(bad))]!r}")
+    return SimTrace(seed=seed, codes=codes)

@@ -410,6 +410,38 @@ def test_cli_rejects_negative_and_nan_gamma(runner, tmp_path):
             )
 
 
+def test_cli_rejects_negative_starts(runner):
+    _usage_error(
+        runner.invoke(main, ["optimize", "--m", "3", "--n-h", "1", "--n-l", "1",
+                             "--starts", "-3"]),
+        "--starts", "-3 is not in the range x>=0",
+    )
+
+
+def test_cli_simulate_rejects_zero_slots(runner):
+    _usage_error(
+        runner.invoke(main, ["simulate", "--m", "3", "--n-h", "1", "--n-l", "1", "--t", "0"]),
+        "--t", "0 is not in the range x>=1",
+    )
+
+
+def test_cli_mab_rejects_alpha_outside_unit_interval(runner, tmp_path):
+    result = runner.invoke(main, ["mab", "--m", "3", "--n-h", "1", "--n-l", "1",
+                                  "--alpha", "1.5", "--out", str(tmp_path)])
+    _usage_error(result, "alpha 1.5 outside [0, 1]")
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_mab_rejects_batch_that_keeps_no_elite(runner, tmp_path):
+    # int(0.1 * 5) = 0 elite pulls per batch
+    cfg = ["--m", "3", "--n-h", "1", "--n-l", "1"]
+    for cmd, args in (("mab", cfg), ("scenario", [])):
+        result = runner.invoke(main, [cmd, *args, "--runs", "50", "--batch-size", "5",
+                                      "--elite-fraction", "0.1", "--out", str(tmp_path)])
+        _usage_error(result, "elite_fraction keeps no records per batch")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_experiment_names_missing_section(runner, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nname = x\nmethod = uniform\n")
@@ -437,7 +469,7 @@ def test_cli_simulate_writes_json(runner, tmp_path):
     assert 0 <= record["mu_h_T"] <= 3
 
 
-def test_cli_optimize_smoke(runner):
+def test_cli_optimize_smoke(runner, tmp_path):
     result = runner.invoke(
         main,
         ["optimize", "--m", "3", "--n-h", "4", "--n-l", "5",
@@ -446,6 +478,22 @@ def test_cli_optimize_smoke(runner):
     assert result.exit_code == 0
     assert "feasible = True" in result.output
     assert "mu_h = 0.84" in result.output
+    # solver telemetry: rounds, whether the cap was hit, final residual
+    assert "cap_hit = False" in result.output
+    out = tmp_path / "opt.json"
+    result = runner.invoke(
+        main,
+        ["optimize", "--m", "3", "--n-h", "4", "--n-l", "5",
+         "--gamma", "0.4", "--starts", "0", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    record = json.loads(out.read_text())
+    rounds = record["outer_rounds"]
+    assert isinstance(rounds, int) and 1 <= rounds <= 40
+    assert record["cap_hit"] is (rounds == 40)
+    assert 0.0 <= record["max_violation"] < 1e-6
+    for key in ("outer_rounds", "cap_hit", "max_violation"):
+        assert f"{key} = {record[key]}" in result.output
 
 
 def test_cli_as_stats(runner):

@@ -1,10 +1,13 @@
 """Tests for the cross-entropy bandit: reward shaping, running means, elite
-refits, seeding, and load estimation."""
+refits, seeding, load estimation and the pull-trace format."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachopt.actionspace import (
     Action,
@@ -20,12 +23,12 @@ from rachopt.mab import (
     MabConfig,
     MabResult,
     MabState,
-    PullRecord,
+    _empty_trace,
+    _fold,
     ce_update,
     estimate_load,
     load_mab_trace,
     mae_trace,
-    q_update,
     reward,
     run,
     run_nonstationary,
@@ -63,45 +66,72 @@ def test_reward_is_never_clamped():
     assert reward(2.3, 1.0, 0.0, 0.0, 2.0) == pytest.approx(1.15)
 
 
-def test_q_update_is_running_mean():
-    state = MabState.fresh(3)
+def test_reward_takes_arrays_of_pulls():
+    # one call per phase equals the per-pull rule, bit for bit, with pulls
+    # exactly on the floor among them
+    rng = np.random.default_rng(3)
+    mu_h, mu_l = rng.integers(0, 40, (2, 200)) / 20
+    gamma, rho, scale = 0.4, 0.1, 1.6875
+    expected = [
+        (h if l >= gamma else rho * h) / scale for h, l in zip(mu_h.tolist(), mu_l.tolist())
+    ]
+    assert np.count_nonzero(mu_l == gamma) > 0
+    assert np.array_equal(reward(mu_h, mu_l, gamma, rho, scale), expected)
+
+
+def test_ce_update_matches_sorted_vote():
+    # the stable argsort ranks like a stable sort of (action, snapshot)
+    # records, so ties keep pull order
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        actions = rng.integers(0, 6, 50).tolist()
+        snapshots = (rng.integers(0, 4, 50) / 4).tolist()  # many exact ties
+        ranked = sorted(zip(actions, snapshots), key=lambda rec: -rec[1])
+        expected = np.zeros(6)
+        for idx, _ in ranked[:7]:
+            expected[idx] += 1.0
+        assert np.array_equal(ce_update(6, 7, actions, snapshots), expected / 7)
+
+
+def test_fold_is_running_mean():
+    q, v = [0.0] * 3, [0] * 3
     rewards = [1.0, 0.0, 0.5, 0.25]
     for i, r in enumerate(rewards, start=1):
-        snap = q_update(state, 1, r)
-        assert state.v[1] == i
+        (snap,) = _fold(q, v, [1], [r])
+        assert v[1] == i
         assert snap == pytest.approx(np.mean(rewards[:i]))
-    assert state.q[0] == 0.0 and state.v[0] == 0
+    assert q[0] == 0.0 and v[0] == 0
 
 
-def test_q_update_random_sequences_match_mean():
+def test_fold_random_sequences_match_mean():
     rng = np.random.default_rng(7)
-    state = MabState.fresh(2)
-    seen = []
-    for r in rng.random(50):
-        seen.append(r)
-        q_update(state, 0, float(r))
-    assert state.q[0] == pytest.approx(np.mean(seen), abs=1e-12)
+    q, v = [0.0] * 2, [0] * 2
+    rewards = rng.random(50).tolist()
+    snapshots = _fold(q, v, [0] * 50, rewards)
+    assert q[0] == pytest.approx(np.mean(rewards), abs=1e-12)
+    # one snapshot per pull, each the mean of the rewards so far
+    assert snapshots == pytest.approx(np.cumsum(rewards) / np.arange(1, 51), abs=1e-12)
 
 
 def test_ce_update_frozen_examples():
     # both elites are the two pulls of action 0
-    p = ce_update(3, 2, [(0, 0.9), (1, 0.2), (0, 0.8)])
+    p = ce_update(3, 2, [0, 1, 0], [0.9, 0.2, 0.8])
     assert np.allclose(p, [1.0, 0.0, 0.0])
-    p = ce_update(3, 2, [(2, 0.9), (1, 0.8), (0, 0.1)])
+    p = ce_update(3, 2, [2, 1, 0], [0.9, 0.8, 0.1])
     assert np.allclose(p, [0.0, 0.5, 0.5])
 
 
 def test_ce_update_tie_prefers_earlier_record():
     # all snapshots equal: elite = first two records
-    p = ce_update(4, 2, [(3, 0.5), (1, 0.5), (0, 0.5)])
+    p = ce_update(4, 2, [3, 1, 0], [0.5, 0.5, 0.5])
     assert np.allclose(p, [0.0, 0.5, 0.0, 0.5])
 
 
 def test_ce_update_rejects_bad_elite():
     with pytest.raises(ValueError):
-        ce_update(3, 0, [(0, 0.5)])
+        ce_update(3, 0, [0], [0.5])
     with pytest.raises(ValueError):
-        ce_update(3, 2, [(0, 0.5)])
+        ce_update(3, 2, [0], [0.5])
 
 
 def test_smooth_blends_and_preserves_mass():
@@ -148,8 +178,7 @@ def test_single_action_space():
     res = run(space, cfg, mcfg, throughput_fn=exact_fn)
     assert res.best_index == 0
     assert res.state.p_as[0] == pytest.approx(1.0)
-    rewards = [rec.reward for rec in res.trace]
-    assert res.q[0] == pytest.approx(np.mean(rewards))
+    assert res.q[0] == pytest.approx(np.mean(res.trace.reward))
 
 
 def test_determinism_and_seed_sensitivity(small_space):
@@ -158,12 +187,12 @@ def test_determinism_and_seed_sensitivity(small_space):
                      elite_fraction=0.1, alpha=0.2, seed=5)
     a = run(small_space, cfg, mcfg)
     b = run(small_space, cfg, mcfg)
-    assert a.trace == b.trace and a.best_index == b.best_index
+    assert np.array_equal(a.trace, b.trace) and a.best_index == b.best_index
     assert np.array_equal(a.q, b.q)
     c = run(small_space, cfg, MabConfig(gamma=0.4, rho=0.1, t=40, runs=200,
                                         batch_size=40, elite_fraction=0.1,
                                         alpha=0.2, seed=6))
-    assert c.trace != a.trace
+    assert not np.array_equal(c.trace, a.trace)
 
 
 def test_p_as_stays_distribution_and_indices_in_range(small_space):
@@ -173,7 +202,7 @@ def test_p_as_stays_distribution_and_indices_in_range(small_space):
     res = run(small_space, cfg, mcfg)
     assert np.all(res.state.p_as >= 0)
     assert res.state.p_as.sum() == pytest.approx(1.0, abs=1e-9)
-    assert all(0 <= rec.action_index < len(small_space) for rec in res.trace)
+    assert np.all((0 <= res.trace.action_index) & (res.trace.action_index < len(small_space)))
     assert res.state.v.sum() == mcfg.n_batches * mcfg.batch_size
 
 
@@ -257,7 +286,7 @@ def test_single_entry_schedule_equals_run(small_space):
                      elite_fraction=0.1, alpha=0.2, seed=3)
     a = run(small_space, cfg, mcfg)
     b = run_nonstationary(small_space, [(0, cfg)], mcfg)
-    assert a.trace == b.trace
+    assert np.array_equal(a.trace, b.trace)
     assert a.best_index == b.best_index
 
 
@@ -286,7 +315,7 @@ def test_nonstationary_prefix_matches_stationary_and_state_carries(small_space):
     )
     half = run(small_space, cfg_a, mcfg_half, throughput_fn=exact_fn)
     # identical action stream and rewards before the switch
-    assert full.trace[:80] == half.trace
+    assert np.array_equal(full.trace[:80], half.trace)
     # pull counts keep accumulating across the switch
     assert full.state.v.sum() == 160
     # post-switch rewards are computed under the new load and its own scale
@@ -321,10 +350,11 @@ def test_estimate_load_is_most_played_pooled_allocation(compact_3x3):
     # (2, 1) and (2, 2) hold the same allocation at gamma = 0, so their
     # pulls pool and the arm is labelled by its first cell
     assert compact_3x3.actions[7].pair == compact_3x3.actions[8].pair
-    state = MabState.fresh(len(compact_3x3))
+    n = len(compact_3x3)
+    state = MabState(q=np.zeros(n), v=np.zeros(n, dtype=np.int64), p_as=np.full(n, 1 / n))
     state.v[[3, 7, 8]] = [5, 3, 3]
     state.q[3] = 1.0
-    res = MabResult(trace=(), state=state, best_index=3, batch_size=1)
+    res = MabResult(trace=_empty_trace(0), state=state, best_index=3, batch_size=1)
     assert estimate_load(compact_3x3, res) == (2, 1)
     state.v[3] = 7
     assert estimate_load(compact_3x3, res) == (1, 0)
@@ -352,6 +382,17 @@ def test_mae_trace_replays_trace(compact_3x3):
     # final entry agrees with estimate_load on the full trace
     n_h, n_l = estimate_load(compact_3x3, res)
     assert 0.5 * (abs(n_h - 2) + abs(n_l - 1)) == mae[-1]
+    # every entry agrees with a brute-force argmax over the pooled counts,
+    # ties toward the lowest index, replayed pull by pull
+    first: dict = {}
+    arms = [first.setdefault(a.pair, i) for i, a in enumerate(compact_3x3.actions)]
+    counts = np.zeros(len(arms))
+    expected = []
+    for i in res.trace.action_index:
+        counts[arms[i]] += 1
+        entry = compact_3x3.entries[int(np.argmax(counts))]
+        expected.append(0.5 * (abs(entry.n_h - 2) + abs(entry.n_l - 1)))
+    assert np.array_equal(mae, expected)
 
 
 def test_mae_trace_rejects_discretized(small_space):
@@ -372,8 +413,7 @@ def test_trace_csv_round_trip(tmp_path, small_space):
     text = path.read_text().splitlines()
     assert text[0] == "pull,action_index,mu_h_T,mu_l_T,reward"
     assert text.count("# batch 0") == 1 and "# batch 2" in text
-    records = load_mab_trace(path)
-    assert records == list(res.trace)
+    assert np.array_equal(load_mab_trace(path), res.trace)
 
 
 def test_trace_rejects_unknown_header(tmp_path):
@@ -391,7 +431,7 @@ def test_trace_rewards_consistent_with_reward_fn(small_space):
     scale = scaling_reference(cfg)
     for rec in res.trace:
         expected = reward(rec.mu_h_t, rec.mu_l_t, mcfg.gamma, mcfg.rho, scale)
-        assert rec.reward == pytest.approx(expected, abs=1e-15)
+        assert rec.reward == expected
 
 
 def test_q_means_match_trace(small_space):
@@ -570,11 +610,50 @@ def test_load_switch_inside_a_batch_uses_each_phases_table():
             assert rec.reward == rec.mu_h_t / scaling_reference(cfg)
 
 
-def test_default_trace_holds_python_scalars(small_space):
+# The exact bytes save_mab_trace writes for two small runs, including the
+# ``\r\n`` row ends of csv.writer and the shortest-repr Python floats (a
+# numpy scalar would print as ``np.float64(...)``).
+DATA = Path(__file__).parent / "data"
+
+
+def test_trace_csv_matches_golden_default_sampler(tmp_path, small_space):
     cfg = NetworkConfig(2, 1, 3)
     mcfg = MabConfig(gamma=0.4, rho=0.1, t=30, runs=80, batch_size=40,
                      elite_fraction=0.1, alpha=0.2, seed=1)
-    for rec in run(small_space, cfg, mcfg).trace:
-        assert type(rec.pull) is int and type(rec.action_index) is int
-        assert type(rec.mu_h_t) is float and type(rec.mu_l_t) is float
-        assert type(rec.reward) is float
+    path = tmp_path / "trace.csv"
+    save_mab_trace(run(small_space, cfg, mcfg), path)
+    assert path.read_bytes() == (DATA / "mab_trace_default.csv").read_bytes()
+
+
+def test_trace_csv_matches_golden_hook_with_mid_batch_switch(tmp_path, small_space):
+    cfg_a, cfg_b = NetworkConfig(2, 1, 3), NetworkConfig(1, 2, 3)
+    mcfg = MabConfig(gamma=0.4, rho=0.1, t=20, runs=60, batch_size=20,
+                     elite_fraction=0.1, alpha=0.2, seed=2)
+    res = run_nonstationary(small_space, [(0, cfg_a), (30, cfg_b)], mcfg,
+                            throughput_fn=sim_throughput)
+    path = tmp_path / "trace.csv"
+    save_mab_trace(res, path)
+    assert path.read_bytes() == (DATA / "mab_trace_hook_switch.csv").read_bytes()
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10**6), _finite, _finite, _finite), min_size=1, max_size=30
+    ),
+    batch_size=st.integers(1, 7),
+)
+def test_trace_csv_round_trip_property(tmp_path_factory, rows, batch_size):
+    trace = _empty_trace(len(rows))
+    trace[:] = [(p, *row) for p, row in enumerate(rows)]
+    state = MabState(q=np.zeros(1), v=np.ones(1), p_as=np.ones(1))
+    res = MabResult(trace=trace, state=state, best_index=0, batch_size=batch_size)
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    save_mab_trace(res, path)
+    loaded = load_mab_trace(path)
+    assert loaded.dtype.names == trace.dtype.names
+    assert np.array_equal(loaded, trace)
+    assert path.read_text().count("# batch") == -(-len(rows) // batch_size)

@@ -214,6 +214,27 @@ def test_solve_reports_cap_hit_and_violation():
     assert 0.0 <= res.diagnostics["max_violation"] <= FAST.viol_tol
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("random_starts", -3, "random_starts must be >= 0, got -3"),
+        ("max_inner", 0, "max_inner must be >= 1, got 0"),
+        ("max_outer", 0, "max_outer must be >= 1, got 0"),
+        ("obj_tol", 0.0, "obj_tol must be > 0, got 0.0"),
+        ("viol_tol", -1e-8, "viol_tol must be > 0, got -1e-08"),
+        ("rho0", float("nan"), "rho0 must be > 0, got nan"),
+        ("step0", 0.0, "step0 must be > 0, got 0.0"),
+        ("rho_growth", 0.5, "rho_growth must be >= 1, got 0.5"),
+        ("rho_growth", float("nan"), "rho_growth must be >= 1, got nan"),
+    ],
+)
+def test_solver_options_validation(field, bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        SolverOptions(**{field: bad})
+    # the boundary values are accepted
+    SolverOptions(random_starts=0, max_inner=1, max_outer=1, rho_growth=1.0)
+
+
 def test_solve_batch_rejects_mixed_m():
     assert solve_batch([], 0.4) == []
     with pytest.raises(ValueError, match="same m"):

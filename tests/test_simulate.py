@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachopt.exact import (
     enumerate_patterns,
@@ -91,8 +93,9 @@ def test_zero_probability_rbs_never_chosen():
 
 
 def test_empirical_throughput_hand_trace():
-    patterns = tuple(pattern_from_string(s) for s in ("hl", "ox", "hh"))
-    trace = SimTrace(seed=0, patterns=patterns)
+    codes = np.frombuffer(b"hloxhh", dtype=np.uint8).reshape(3, 2)
+    trace = SimTrace(seed=0, codes=codes)
+    assert trace.patterns == tuple(pattern_from_string(s) for s in ("hl", "ox", "hh"))
     mu = empirical_throughput(trace)
     assert mu.mu_h == pytest.approx(1.0)  # 1 + 0 + 2 successes over 3 slots
     assert mu.mu_l == pytest.approx(1.0 / 3.0)
@@ -137,7 +140,7 @@ def test_per_rb_event_frequencies_match_exact():
             * (1 - pair.p_h[i]) ** (n_h - 1)
             * (1 - pair.p_l[i]) ** n_l
         )
-        freq = sum(1 for p in trace.patterns if i in p.high_rbs) / t
+        freq = np.count_nonzero(trace.codes[:, i] == ord("h")) / t
         se = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / t)
         assert abs(freq - p_exact) <= 3 * se + 1e-9
 
@@ -171,6 +174,7 @@ def test_trace_file_roundtrip(tmp_path):
     assert loaded.seed == 31337
     assert loaded.t == 50 and loaded.m == 3
     assert strings(loaded) == strings(trace)
+    assert np.array_equal(loaded.codes, trace.codes) and loaded.codes.dtype == np.uint8
     first_line = path.read_text().splitlines()[0]
     assert first_line == "3,50,31337"
 
@@ -186,3 +190,32 @@ def test_trace_load_rejects_garbage(tmp_path):
     path.write_text("2,1,0\nhq\n")
     with pytest.raises(ValueError):
         load_trace(path)
+
+
+def test_trace_load_rejects_bad_character_on_any_row(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("2,3,0\nhl\nox\nh\u00e9\n")
+    with pytest.raises(ValueError, match="invalid pattern string 'h\u00e9'"):
+        load_trace(path)
+    path.write_text("2,3,0\nhl\nox\n")
+    with pytest.raises(ValueError, match="expected 3 slots, found 2"):
+        load_trace(path)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    rows=st.integers(1, 6).flatmap(
+        lambda m: st.lists(st.text("hlox", min_size=m, max_size=m), min_size=0, max_size=20)
+    ),
+    seed=st.integers(0, 2**128 - 1),
+)
+def test_trace_file_round_trip_property(tmp_path_factory, rows, seed):
+    m = len(rows[0]) if rows else 3
+    codes = np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(len(rows), m)
+    trace = SimTrace(seed=seed, codes=codes)
+    path = tmp_path_factory.mktemp("trace") / "trace.txt"
+    save_trace(trace, path)
+    loaded = load_trace(path)
+    assert (loaded.seed, loaded.t, loaded.m) == (seed, len(rows), m)
+    assert np.array_equal(loaded.codes, codes)
+    assert strings(loaded) == rows
