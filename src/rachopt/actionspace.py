@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -128,6 +129,20 @@ class ActionSpace:
     actions: tuple[Action, ...]
     index: dict
     entries: Optional[tuple[CompactEntry, ...]] = None
+    # Exact per-load pull tables, keyed by (n_h, n_l) and filled by
+    # rachopt.mab on first use.  A cache, not part of the space: equality
+    # and repr ignore it.
+    pull_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @cached_property
+    def allocations(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(p_h, p_l)`` with one row per action, shape (size, m).  Built
+        once per space and read-only."""
+        p_h = np.array([a.pair.p_h for a in self.actions], dtype=float)
+        p_l = np.array([a.pair.p_l for a in self.actions], dtype=float)
+        p_h.setflags(write=False)
+        p_l.setflags(write=False)
+        return p_h, p_l
 
     @property
     def size(self) -> int:
@@ -336,7 +351,5 @@ def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
 
     Returns an array of shape (size, 2) in action order.
     """
-    a = np.array([act.pair.p_h for act in space.actions], dtype=float)
-    b = np.array([act.pair.p_l for act in space.actions], dtype=float)
-    terms = throughput_terms(cfg.n_h, cfg.n_l, a, b)
+    terms = throughput_terms(cfg.n_h, cfg.n_l, *space.allocations)
     return np.stack([t.sum(axis=1) for t in terms], axis=1)

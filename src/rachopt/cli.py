@@ -131,7 +131,7 @@ def exact_cmd(m: int, n_h: int, n_l: int, p_h: str | None, p_l: str | None, out:
 @click.option("--p-l", type=str, default=None, help="Low-class probabilities (comma separated).")
 @click.option("--t", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Number of slots.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
 def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
     """Monte-Carlo throughput estimate next to the exact value."""
@@ -291,7 +291,8 @@ def mab_param_options(fn):
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
               help="Seed; repeat for several runs.")
-@click.option("--workers", type=int, default=None, help="Parallel seed workers.")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
@@ -322,7 +323,8 @@ def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
 @click.option("--n-l-max", type=COUNT, default=10, show_default=True)
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True)
-@click.option("--workers", type=int, default=None, help="Parallel seed workers.")
+@click.option("--workers", type=click.IntRange(min=1), default=None,
+              help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
 def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,

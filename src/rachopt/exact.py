@@ -22,6 +22,7 @@ never chosen).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -345,6 +346,24 @@ def throughput_by_pattern_sum(
 _PMF_CHUNK = 32
 
 
+@functools.lru_cache(maxsize=64)
+def _split_constants(n: int) -> tuple[np.ndarray, ...]:
+    """The share-free factors of :func:`_rb_split` for ``n`` devices, each
+    over (r, r'): the count ``c`` picked, the ``r - c`` left, the binomial
+    coefficient and the masks c = 0, c = 1, c >= 2.  Read-only, as the
+    cache hands the same arrays to every call."""
+    rem = np.arange(n + 1)[:, None]
+    picked = np.maximum(rem - rem.T, 0)  # c = r - r', 0 where r' > r
+    coef = np.array(
+        [[math.comb(r, r - k) if k <= r else 0 for k in range(n + 1)] for r in range(n + 1)],
+        dtype=float,
+    )
+    out = (picked, rem - picked, coef, picked == 0, picked == 1, picked >= 2)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def _rb_split(p: np.ndarray, i: int, n: int) -> tuple[np.ndarray, ...]:
     """Transition matrices of the unplaced devices of one class at RB ``i``.
 
@@ -360,15 +379,10 @@ def _rb_split(p: np.ndarray, i: int, n: int) -> tuple[np.ndarray, ...]:
         mass = p[:, i:].sum(axis=1)
         share = np.divide(p[:, i], mass, out=np.zeros(n_act), where=mass > 0)
         share = np.minimum(share, 1.0)
-    rem = np.arange(n + 1)[:, None]
-    picked = np.maximum(rem - rem.T, 0)  # c = r - r', 0 where r' > r
-    coef = np.array(
-        [[math.comb(r, r - k) if k <= r else 0 for k in range(n + 1)] for r in range(n + 1)],
-        dtype=float,
-    )
+    picked, left, coef, *masks = _split_constants(n)
     s = share[:, None, None]
-    full = coef * s**picked * (1.0 - s) ** (rem - picked)
-    return tuple(np.where(sel, full, 0.0) for sel in (picked == 0, picked == 1, picked >= 2))
+    full = coef * s**picked * (1.0 - s) ** left
+    return tuple(np.where(sel, full, 0.0) for sel in masks)
 
 
 def _pmf_chunk(n_h: int, n_l: int, p_h: np.ndarray, p_l: np.ndarray) -> np.ndarray:

@@ -19,9 +19,13 @@ Slots are i.i.d. and a reward depends only on a pull's total high and low
 successes, so by default those totals are drawn exactly: a pull's counts of
 each per-slot (h, l) outcome are Multinomial(t, pmf[action]), with the
 tables from :func:`~rachopt.exact.slot_success_pmf` and one multinomial
-call per batch and load phase.  ``throughput_fn=sim_throughput`` instead
-runs the Philox slot simulator of :mod:`rachopt.simulate` for every pull;
-the two backends agree in distribution but draw different random streams.
+call per batch and load phase.  The tables depend only on the space and the
+load, so they are built once per (space, load) and kept on the space for
+every later run, seed and load phase: (m + 1)**2 floats per action and
+load, 784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid.
+``throughput_fn=sim_throughput`` instead runs the Philox slot simulator of
+:mod:`rachopt.simulate` for every pull; the two backends agree in
+distribution but draw different random streams.
 
 A run's trace is one numpy record array, a record per pull with fields
 ``pull``, ``action_index``, ``mu_h_t``, ``mu_l_t`` and ``reward``: the run
@@ -222,25 +226,35 @@ def _sim_seed(master_seed: int, pull: int) -> int:
     return int(words[0]) | (int(words[1]) << 64)
 
 
+def _pull_table(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
+    """Per action, the flattened per-slot (h, l) pmf under ``cfg``'s load,
+    each row normalized to sum to 1.  Built on the first call for each
+    (n_h, n_l) and kept in ``space.pull_tables``."""
+    key = (cfg.n_h, cfg.n_l)
+    if key not in space.pull_tables:
+        p_h, p_l = space.allocations
+        pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l).reshape(len(p_h), -1)
+        # rows sum to 1 up to rounding; multinomial wants them at most 1
+        table = pmf / pmf.sum(axis=1, keepdims=True)
+        table.setflags(write=False)
+        space.pull_tables[key] = table
+    return space.pull_tables[key]
+
+
 def _exact_sampler(space: ActionSpace, mcfg: MabConfig):
     """Pull totals drawn exactly.  Per-slot (h, l) success counts are i.i.d.
     across slots, so a pull's counts of each (h, l) outcome are
-    Multinomial(t, pmf[action]); the pmf tables are built on first use of
-    each load and the draws come from their own child of ``mcfg.seed``."""
-    p_h = np.array([a.pair.p_h for a in space.actions])
-    p_l = np.array([a.pair.p_l for a in space.actions])
+    Multinomial(t, pmf[action]), drawn from their own child of
+    ``mcfg.seed``.  The pmf tables come from :func:`_pull_table`, built
+    once per (space, load) and shared by every later run on the space:
+    784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=mcfg.seed, spawn_key=(2,)))
-    k = np.arange(p_h.shape[1] + 1)
+    k = np.arange(space.actions[0].pair.m + 1)
     h_of, l_of = np.repeat(k, len(k)), np.tile(k, len(k))  # per flattened (h, l)
-    tables: dict[NetworkConfig, np.ndarray] = {}
     t = mcfg.t
 
     def sample(cfg: NetworkConfig, idx: np.ndarray, first_pull: int):
-        if cfg not in tables:
-            pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l).reshape(len(p_h), -1)
-            # rows sum to 1 up to rounding; multinomial wants them at most 1
-            tables[cfg] = pmf / pmf.sum(axis=1, keepdims=True)
-        counts = rng.multinomial(t, tables[cfg][idx])
+        counts = rng.multinomial(t, _pull_table(space, cfg)[idx])
         return (counts @ h_of) / t, (counts @ l_of) / t
 
     return sample
@@ -412,16 +426,27 @@ def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
 
 
 def load_mab_trace(path: Union[str, Path]) -> np.recarray:
-    """Read back a pull trace as a record array, skipping comment lines."""
+    """Read back a pull trace as a record array, skipping comment lines.
+
+    Raises ``ValueError`` naming the line for a row that does not hold
+    exactly five fields, or a field that does not parse."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != "pull,action_index,mu_h_T,mu_l_T,reward":
             raise ValueError(f"unrecognized trace header {header!r}")
-        rows = [
-            (int(row[0]), int(row[1]), float(row[2]), float(row[3]), float(row[4]))
-            for row in csv.reader(line for line in fh if not line.startswith("#"))
-            if row
-        ]
+        rows = []
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].startswith("#"):
+                continue
+            try:
+                if len(row) != 5:
+                    raise ValueError(f"{len(row)} fields, expected 5")
+                rows.append((int(row[0]), int(row[1]), *map(float, row[2:])))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}: bad trace row at line {reader.line_num + 1}: {row!r} ({exc})"
+                ) from None
     trace = _empty_trace(len(rows))
     trace[:] = rows
     return trace

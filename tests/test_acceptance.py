@@ -416,8 +416,7 @@ def test_criterion_11_nonstationary_scenario(compact_m5):
     # exact reward maximizer, computed by the oracle.  The compact half
     # keeps the published target: its cells hold the solver's constrained
     # optimum.
-    p_h = np.array([a.pair.p_h for a in space.actions])
-    p_l = np.array([a.pair.p_l for a in space.actions])
+    p_h, p_l = space.allocations
     oracle = shaped_reward_oracle(
         cfg_b.n_h, cfg_b.n_l, p_h, p_l, disc_params["t"], 0.4,
         disc_params["rho"], scaling_reference(cfg_b),

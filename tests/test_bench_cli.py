@@ -371,8 +371,24 @@ def test_cli_rejects_negative_seed_and_counts(runner):
         "--seed", "-1 is not in the range x>=0",
     )
     _usage_error(
+        runner.invoke(main, ["simulate", "--m", "3", "--n-h", "1", "--n-l", "1",
+                             "--seed", "-1"]),
+        "--seed", "-1 is not in the range x>=0",
+    )
+    _usage_error(
         runner.invoke(main, ["exact", "--m", "3", "--n-h", "-1", "--n-l", "1"]), "--n-h"
     )
+
+
+def test_cli_rejects_non_positive_workers(runner, tmp_path):
+    cfg = ["--m", "3", "--n-h", "1", "--n-l", "1"]
+    for cmd, args in (("mab", cfg), ("scenario", [])):
+        for bad in ("-3", "0"):
+            _usage_error(
+                runner.invoke(main, [cmd, *args, "--workers", bad, "--out", str(tmp_path)]),
+                "--workers", f"{bad} is not in the range x>=1",
+            )
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_rejects_bad_compact_bounds(runner, tmp_path):

@@ -412,8 +412,7 @@ def test_slot_pmf_means_match_exact_throughputs_on_whole_grid():
     space = generate_discretized(GridSpec(4, 0.2), reduced=True)
     assert len(space) == 784
     cfg = NetworkConfig(4, 5, 4)
-    p_h = np.array([a.pair.p_h for a in space.actions])
-    p_l = np.array([a.pair.p_l for a in space.actions])
+    p_h, p_l = space.allocations
     pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l)
     assert pmf.shape == (784, 5, 5) and pmf.min() >= 0.0
     counts = np.arange(5)
@@ -445,6 +444,21 @@ def test_slot_pmf_property_matches_patterns_and_closed_form(case):
     mu = throughput_closed_form(cfg, pair)
     assert abs(pmf.sum(axis=1) @ counts - mu.mu_h) <= 1e-12
     assert abs(pmf.sum(axis=0) @ counts - mu.mu_l) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_joint_rb_permutation_property(data):
+    # relabelling the RBs, the same way for both classes, moves no success
+    cfg, pair = data.draw(_pmf_cases())
+    perm = data.draw(st.permutations(range(cfg.m)))
+    shuffled = pair_of(tuple(pair.p_h[i] for i in perm), tuple(pair.p_l[i] for i in perm))
+    mu, mu2 = throughput_closed_form(cfg, pair), throughput_closed_form(cfg, shuffled)
+    assert abs(mu2.mu_h - mu.mu_h) <= 1e-15 and abs(mu2.mu_l - mu.mu_l) <= 1e-15
+    pmf, pmf2 = (
+        slot_success_pmf(cfg.n_h, cfg.n_l, [p.p_h], [p.p_l]) for p in (pair, shuffled)
+    )
+    assert np.abs(pmf2 - pmf).max() <= 1e-12
 
 
 def test_slot_pmf_rejects_mismatched_shapes():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rachopt import mab
 from rachopt.actionspace import (
     Action,
     ActionSpace,
@@ -423,6 +424,26 @@ def test_trace_rejects_unknown_header(tmp_path):
         load_mab_trace(path)
 
 
+_HEADER = "pull,action_index,mu_h_T,mu_l_T,reward\n"
+
+
+@pytest.mark.parametrize(
+    "body, fragment",
+    [
+        ("0,1\n", "line 2: ['0', '1'] (2 fields, expected 5)"),
+        ("# batch 0\n0,1,0.5,0.5,0.1\n\n1,x,0.5,0.5,0.1\n", "line 5: ['1', 'x',"),
+        ("0,1,0.5,0.5,0.1,7\n", "line 2: ['0', '1', '0.5', '0.5', '0.1', '7'] (6 fields"),
+    ],
+    ids=["short", "non-numeric", "extra-field"],
+)
+def test_trace_rejects_bad_row_naming_line(tmp_path, body, fragment):
+    path = tmp_path / "bad.csv"
+    path.write_text(_HEADER + body)
+    with pytest.raises(ValueError, match="bad trace row") as err:
+        load_mab_trace(path)
+    assert fragment in str(err.value)
+
+
 def test_trace_rewards_consistent_with_reward_fn(small_space):
     cfg = NetworkConfig(2, 1, 3)
     mcfg = MabConfig(gamma=0.4, rho=0.1, t=50, runs=80, batch_size=40,
@@ -577,8 +598,7 @@ def test_default_sampler_is_unbiased_per_pull(small_space):
     mcfg = MabConfig(gamma=0.3, rho=0.0, t=50, runs=3000, batch_size=100,
                      elite_fraction=0.1, alpha=0.2, seed=4)
     res = run(small_space, cfg, mcfg)
-    p_h = np.array([a.pair.p_h for a in small_space.actions])
-    p_l = np.array([a.pair.p_l for a in small_space.actions])
+    p_h, p_l = small_space.allocations
     pmf = slot_success_pmf(cfg.n_h, cfg.n_l, p_h, p_l)
     counts = np.arange(4)
     pulled = np.array([rec.action_index for rec in res.trace])
@@ -608,6 +628,74 @@ def test_load_switch_inside_a_batch_uses_each_phases_table():
         for rec in res.trace:
             cfg = cfg_a if rec.pull < switch else cfg_b
             assert rec.reward == rec.mu_h_t / scaling_reference(cfg)
+
+
+# ------------------------------------------------------ per-space pull tables
+
+
+def _count_pmf_builds(monkeypatch) -> list:
+    """Record the load of every ``slot_success_pmf`` call the bandit makes."""
+    calls = []
+
+    def counting(n_h, n_l, p_h, p_l):
+        calls.append((n_h, n_l))
+        return slot_success_pmf(n_h, n_l, p_h, p_l)
+
+    monkeypatch.setattr(mab, "slot_success_pmf", counting)
+    return calls
+
+
+def _fresh_space():
+    return generate_discretized(GridSpec(3, 0.5), reduced=True)
+
+
+def test_pull_tables_built_once_per_space_and_load(monkeypatch):
+    calls = _count_pmf_builds(monkeypatch)
+    space = _fresh_space()
+    cfg = NetworkConfig(2, 1, 3)
+    for seed in (0, 1):
+        run(space, cfg, MabConfig(t=10, runs=80, batch_size=40, seed=seed))
+    assert calls == [(2, 1)]
+    calls.clear()
+    cfg_b = NetworkConfig(1, 2, 3)
+    schedule = [(0, cfg), (40, cfg_b), (80, cfg)]
+    run_nonstationary(_fresh_space(), schedule, MabConfig(t=10, runs=120, batch_size=40))
+    assert calls == [(2, 1), (1, 2)]
+
+
+def test_pull_tables_not_shared_between_spaces(monkeypatch):
+    calls = _count_pmf_builds(monkeypatch)
+    cfg = NetworkConfig(2, 1, 3)
+    a = _space_of(AccessProbabilityPair((1.0, 0.0, 0.0), (0.0, 0.5, 0.5)))
+    b = _space_of(AccessProbabilityPair((0.0, 0.5, 0.5), (1.0, 0.0, 0.0)))
+    for space in (a, b):
+        run(space, cfg, MabConfig(t=10, runs=40, batch_size=40))
+    assert calls == [(2, 1), (2, 1)]
+    for space in (a, b):
+        pmf = slot_success_pmf(2, 1, *space.allocations).reshape(1, -1)
+        assert np.array_equal(space.pull_tables[(2, 1)], pmf / pmf.sum(axis=1, keepdims=True))
+    assert not np.array_equal(a.pull_tables[(2, 1)], b.pull_tables[(2, 1)])
+
+
+def test_warm_run_equals_cold_run():
+    space = _fresh_space()
+    schedule = [(0, NetworkConfig(2, 1, 3)), (100, NetworkConfig(1, 2, 3))]
+    mcfg = MabConfig(gamma=0.4, rho=0.1, t=30, runs=200, batch_size=40, seed=4)
+    cold = run_nonstationary(space, schedule, mcfg)
+    assert set(space.pull_tables) == {(2, 1), (1, 2)}
+    warm = run_nonstationary(space, schedule, mcfg)
+    assert np.array_equal(cold.trace, warm.trace)
+    for attr in ("q", "v", "p_as"):
+        assert np.array_equal(getattr(cold.state, attr), getattr(warm.state, attr)), attr
+
+
+def test_filled_pull_tables_leave_equality_and_repr():
+    filled, empty = _fresh_space(), _fresh_space()
+    before = repr(filled)
+    run(filled, NetworkConfig(2, 1, 3), MabConfig(t=10, runs=40, batch_size=40))
+    assert filled.pull_tables and not empty.pull_tables
+    assert filled == empty
+    assert repr(filled) == before == repr(empty)
 
 
 # The exact bytes save_mab_trace writes for two small runs, including the
