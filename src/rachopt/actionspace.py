@@ -144,10 +144,6 @@ class ActionSpace:
         p_l.setflags(write=False)
         return p_h, p_l
 
-    @property
-    def size(self) -> int:
-        return len(self.actions)
-
     def __len__(self) -> int:
         return len(self.actions)
 
@@ -177,18 +173,17 @@ def full_space_size(spec: GridSpec) -> int:
     return per_vector * per_vector
 
 
-def generate_discretized(
-    spec: GridSpec, reduced: bool = False, cap: int = DEFAULT_ACTION_CAP
-) -> ActionSpace:
+def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
     """Materialize the grid space in lexicographic numerator order.
 
     With ``reduced`` each joint-rotation orbit keeps only its
     lexicographically smallest member, which preserves the overall ordering
-    and makes the result independent of generation order.
+    and makes the result independent of generation order.  Refuses grids of
+    more than ``DEFAULT_ACTION_CAP`` pairs.
     """
     total = full_space_size(spec)
-    if total > cap:
-        raise ValueError(f"{total} grid actions exceeds cap {cap}")
+    if total > DEFAULT_ACTION_CAP:
+        raise ValueError(f"{total} grid actions exceeds cap {DEFAULT_ACTION_CAP}")
     comps = [tuple(c) for c in compositions(spec.q, spec.m)]
     actions: list[Action] = []
     index: dict = {}

@@ -12,7 +12,6 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -305,7 +304,7 @@ def _reproduce_optimizer(gamma: float, seed: int) -> TableReport:
     return report
 
 
-def _reproduce_mab(gamma: float, seed: int, runs: Optional[int], t: Optional[int]) -> TableReport:
+def _reproduce_mab(gamma: float, seed: int) -> TableReport:
     constrained = gamma > 0
     table_id = "VII" if constrained else "VI"
     published = REFERENCE_MAB_CONSTRAINED if constrained else REFERENCE_MAB_UNCONSTRAINED
@@ -315,10 +314,6 @@ def _reproduce_mab(gamma: float, seed: int, runs: Optional[int], t: Optional[int
     )
     mab_kwargs = dict(DISCRETIZED_MAB_DEFAULTS)
     d = mab_kwargs.pop("d")
-    if runs is not None:
-        mab_kwargs["runs"] = runs
-    if t is not None:
-        mab_kwargs["t"] = t
     for m, (mu_h_pub, mu_l_pub) in published.items():
         cfg = _base_cfg(m)
         space = generate_discretized(GridSpec(m, d), reduced=True)
@@ -347,18 +342,8 @@ def _reproduce_mab(gamma: float, seed: int, runs: Optional[int], t: Optional[int
     return report
 
 
-def reproduce(
-    table_id: str,
-    *,
-    seed: int = 0,
-    mab_runs: Optional[int] = None,
-    mab_t: Optional[int] = None,
-) -> TableReport:
-    """Recompute one published reference table and report pass/fail.
-
-    ``mab_runs`` and ``mab_t`` override the bandit defaults for quick smoke
-    runs; the published tolerances assume the defaults.
-    """
+def reproduce(table_id: str, *, seed: int = 0) -> TableReport:
+    """Recompute one published reference table and report pass/fail."""
     tid = str(table_id).strip().upper()
     if tid not in TABLE_IDS:
         raise ValueError(f"unknown table id {table_id!r}, expected one of {TABLE_IDS}")
@@ -375,8 +360,8 @@ def reproduce(
     if tid == "V":
         return _reproduce_optimizer(0.4, seed)
     if tid == "VI":
-        return _reproduce_mab(0.0, seed, mab_runs, mab_t)
-    return _reproduce_mab(0.4, seed, mab_runs, mab_t)
+        return _reproduce_mab(0.0, seed)
+    return _reproduce_mab(0.4, seed)
 
 
 METHODS = ("uniform", "acb", "exact-opt", "mab-discretized", "mab-compact")
@@ -410,15 +395,39 @@ class ExperimentSpec:
                 _mab_config(self, seed)  # raises on bad bandit parameters
 
 
+# Every section and key load_experiment reads; anything else is an error.
+_INI_KEYS = {
+    "experiment": ("name", "method", "out"),
+    "network": ("m", "n_h", "n_l", "gamma"),
+    "seeds": ("list",),
+    "mab": ("alpha", "elite_fraction", "rho", "d", "batch_size", "t", "runs"),
+    "schedule": ("switch", "n_h", "n_l"),
+    "compact": ("table", "n_h_max", "n_l_max"),
+}
+
+
 def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
-    """Parse an experiment description from a key-value config file."""
+    """Parse an experiment description from a key-value config file.
+
+    Raises ``ValueError`` naming the section (and key) for a missing
+    required section or for any section or key it does not read."""
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:  # duplicate, unheaded or unparsable lines
+        raise ValueError(f"{path}: {exc}") from None
     if not read:
         raise FileNotFoundError(path)
     for section in ("experiment", "network"):
         if not parser.has_section(section):
             raise ValueError(f"{path}: missing required [{section}] section")
+    for section in parser.sections():
+        if section not in _INI_KEYS:
+            raise ValueError(f"{path}: unknown section [{section}]")
+    for section in (parser.default_section, *parser.sections()):
+        for key in parser[section]:
+            if key not in _INI_KEYS.get(section, ()):
+                raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
     exp = parser["experiment"]
     net = parser["network"]
     cfg = NetworkConfig(
@@ -430,8 +439,6 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     if parser.has_section("seeds"):
         seeds = tuple(int(tok) for tok in parser["seeds"].get("list", "0").split())
     params: dict = {}
-    if "workers" in exp:
-        params["workers"] = exp.getint("workers")
     if parser.has_section("mab"):
         for key in ("alpha", "elite_fraction", "rho", "d"):
             if key in parser["mab"]:
@@ -450,9 +457,9 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         comp = parser["compact"]
         if "table" in comp:
             params["table"] = comp.get("table")
-        if "n_h_max" in comp:
-            params["n_h_max"] = comp.getint("n_h_max")
-            params["n_l_max"] = comp.getint("n_l_max")
+        for key in ("n_h_max", "n_l_max"):
+            if key in comp:
+                params[key] = comp.getint(key)
     return ExperimentSpec(
         name=exp.get("name"),
         cfg=cfg,
@@ -462,18 +469,6 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         seeds=seeds,
         out_dir=Path(exp.get("out", ".")),
     )
-
-
-def _seed_worker(job: tuple) -> tuple[MabResult, float]:
-    """One seed's bandit run; module-level so seeds can run in worker
-    processes."""
-    space, cfg, final_cfg, schedule, mcfg = job
-    start = time.perf_counter()
-    if schedule is None:
-        result = run(space, cfg, mcfg)
-    else:
-        result = run_nonstationary(space, [(0, cfg), (schedule[0], final_cfg)], mcfg)
-    return result, time.perf_counter() - start
 
 
 def _running_mean(values: np.ndarray) -> np.ndarray:
@@ -570,18 +565,16 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         final_cfg = spec.cfg
         if schedule is not None:
             final_cfg = NetworkConfig(schedule[1], schedule[2], spec.cfg.m)
-        jobs = [
-            (space, spec.cfg, final_cfg, schedule, _mab_config(spec, seed))
-            for seed in spec.seeds
-        ]
-        workers = int(spec.params.get("workers", 1))
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_seed_worker, jobs))
-        else:
-            outcomes = [_seed_worker(job) for job in jobs]
         per_seed = []
-        for seed, (result, elapsed) in zip(spec.seeds, outcomes):
+        for seed in spec.seeds:
+            mcfg = _mab_config(spec, seed)
+            start = time.perf_counter()
+            if schedule is None:
+                result = run(space, spec.cfg, mcfg)
+            else:
+                loads = [(0, spec.cfg), (schedule[0], final_cfg)]
+                result = run_nonstationary(space, loads, mcfg)
+            elapsed = time.perf_counter() - start
             best = space.actions[result.best_index]
             mu = throughput_closed_form(final_cfg, best.pair)
             seed_record = {

@@ -15,15 +15,7 @@ import numpy as np
 
 from . import __version__
 from .actionspace import GridSpec, build_compact, full_space_size, generate_discretized
-from .bench import (
-    COMPACT_MAB_DEFAULTS,
-    DISCRETIZED_MAB_DEFAULTS,
-    TABLE_IDS,
-    ExperimentSpec,
-    load_experiment,
-    reproduce,
-    run_experiment,
-)
+from .bench import TABLE_IDS, ExperimentSpec, load_experiment, reproduce, run_experiment
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig
 from .optimize import SolverOptions, solve
@@ -291,8 +283,6 @@ def mab_param_options(fn):
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
               help="Seed; repeat for several runs.")
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
@@ -323,8 +313,6 @@ def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
 @click.option("--n-l-max", type=COUNT, default=10, show_default=True)
 @mab_param_options
 @click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True)
-@click.option("--workers", type=click.IntRange(min=1), default=None,
-              help="Parallel seed workers.")
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
 def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
@@ -348,19 +336,15 @@ def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
 @click.option("--table", "table_id", type=str, default="all", show_default=True,
               help="Reference table id (I..VII) or 'all'.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--mab-runs", type=int, default=None,
-              help="Override bandit pulls (smoke runs only).")
-@click.option("--mab-t", type=int, default=None,
-              help="Override slots per pull (smoke runs only).")
 @click.option("--strict", is_flag=True, default=False,
               help="Exit nonzero if any reproduced value fails its tolerance.")
 @click.pass_context
-def reproduce_cmd(ctx, table_id, seed, mab_runs, mab_t, strict):
+def reproduce_cmd(ctx, table_id, seed, strict):
     """Recompute published reference tables and report pass/fail."""
     ids = TABLE_IDS if table_id.lower() == "all" else (table_id,)
     all_passed = True
     for tid in ids:
-        report = reproduce(tid, seed=seed, mab_runs=mab_runs, mab_t=mab_t)
+        report = reproduce(tid, seed=seed)
         click.echo(report.render())
         click.echo("")
         all_passed = all_passed and report.passed

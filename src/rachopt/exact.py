@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,7 +39,6 @@ from .model import (
 __all__ = [
     "ENUMERATION_CAP",
     "EnumerationCapExceeded",
-    "PatternSet",
     "compositions",
     "multinomial_pmf",
     "throughput_terms",
@@ -62,7 +60,7 @@ _EXACT_COEF_MAX_N = 20
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """Pattern-sum enumeration would exceed the configured cap."""
+    """Pattern-sum enumeration would exceed ``ENUMERATION_CAP``."""
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -193,21 +191,6 @@ def throughput_closed_form(
     return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
-@dataclass(frozen=True)
-class PatternSet:
-    """Every access pattern a configuration can produce, in lexicographic
-    order of the pattern's character serialization."""
-
-    cfg: NetworkConfig
-    patterns: tuple[AccessPattern, ...]
-
-    def __len__(self) -> int:
-        return len(self.patterns)
-
-    def __iter__(self):
-        return iter(self.patterns)
-
-
 def _feasible_counts(cfg: NetworkConfig, n_high: int, n_low: int, n_coll: int) -> bool:
     # Devices not accounted for by singleton successes must fill the
     # collision RBs, at least two per collision.
@@ -228,8 +211,9 @@ _TAG_ORDER = (
 )
 
 
-def enumerate_patterns(cfg: NetworkConfig) -> PatternSet:
-    """All feasible patterns for ``cfg``; every device transmits, so leftover
+def enumerate_patterns(cfg: NetworkConfig) -> tuple[AccessPattern, ...]:
+    """All feasible patterns for ``cfg``, in lexicographic order of the
+    pattern's character serialization; every device transmits, so leftover
     devices force collisions and empty slots are only possible when the
     singleton successes absorb the whole population."""
     out: list[AccessPattern] = []
@@ -253,7 +237,7 @@ def enumerate_patterns(cfg: NetworkConfig) -> PatternSet:
             prefix.pop()
 
     rec(0, 0, 0, 0)
-    return PatternSet(cfg, tuple(out))
+    return tuple(out)
 
 
 def pattern_probability(
@@ -315,19 +299,19 @@ def pattern_probability(
 
 
 def throughput_by_pattern_sum(
-    cfg: NetworkConfig, pair: AccessProbabilityPair, cap: int = ENUMERATION_CAP
+    cfg: NetworkConfig, pair: AccessProbabilityPair
 ) -> ThroughputPair:
     """Throughput as sum over patterns of success count times probability.
 
     Exponential in m; refuses configurations whose occupancy enumeration
-    would exceed ``cap`` pairs.
+    would exceed ``ENUMERATION_CAP`` pairs.
     """
     work = math.comb(cfg.n_h + cfg.m - 1, cfg.m - 1) * math.comb(
         cfg.n_l + cfg.m - 1, cfg.m - 1
     )
-    if work > cap:
+    if work > ENUMERATION_CAP:
         raise EnumerationCapExceeded(
-            f"{work} occupancy pairs exceeds cap {cap} for cfg {cfg}"
+            f"{work} occupancy pairs exceeds cap {ENUMERATION_CAP} for cfg {cfg}"
         )
     mu_h_terms: list[float] = []
     mu_l_terms: list[float] = []

@@ -22,6 +22,19 @@ through one batch.
 
 Analytic gradients throughout; the reported objective is always a fresh
 closed-form evaluation of the polished, exactly renormalized pair.
+
+:class:`SolverOptions` sets only the multistart (``random_starts``,
+``seed``) and the cap on outer rounds (``max_outer``).  The rest are module
+constants:
+
+* ``_MAX_INNER`` -- projected-gradient iterations per outer round;
+* ``_OBJ_TOL`` and ``_VIOL_TOL`` -- a load stops when every start's mu_h
+  moved less than ``_OBJ_TOL`` over the round and every start's largest
+  constraint residual is at most ``_VIOL_TOL``;
+* ``_RHO0``, ``_RHO_GROWTH``, ``_RHO_MAX`` -- the penalty weight starts at
+  ``_RHO0`` and grows by the factor ``_RHO_GROWTH``, up to ``_RHO_MAX``, on
+  every round that fails to halve the residual;
+* ``_STEP0`` -- every start's initial ascent step.
 """
 
 from __future__ import annotations
@@ -46,31 +59,29 @@ __all__ = [
 # Feasibility slack on the mu_l floor for reported solutions.
 FEASIBILITY_TOL = 1e-6
 
+# Augmented-Lagrangian constants (see the module docstring).
+_MAX_INNER = 500
+_OBJ_TOL = 1e-9
+_VIOL_TOL = 1e-8
+_RHO0 = 10.0
+_RHO_GROWTH = 5.0
+_RHO_MAX = 1e8
+_STEP0 = 0.1
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Multistart and augmented-Lagrangian controls."""
+    """Multistart controls and the cap on multiplier updates."""
 
     random_starts: int = 20
     seed: int = 0
-    max_inner: int = 500  # projected-gradient iterations per outer round
     max_outer: int = 40  # multiplier updates
-    obj_tol: float = 1e-9
-    viol_tol: float = 1e-8
-    rho0: float = 10.0
-    rho_growth: float = 5.0
-    rho_max: float = 1e8
-    step0: float = 0.1
 
     def __post_init__(self) -> None:
         # written as `not x >= low`, so NaN fails too
-        lows = {"random_starts": 0, "max_inner": 1, "max_outer": 1, "rho_growth": 1}
-        for name, low in lows.items():
+        for name, low in (("random_starts", 0), ("max_outer", 1)):
             if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        for name in ("obj_tol", "viol_tol", "rho0", "step0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +165,7 @@ def _phi(n_h, n_l, gamma, x, lam, nu1, nu2, rho):
     return phi, grad, mu_h, mu_l, h1, h2
 
 
-def _inner_ascent(n_h, n_l, gamma, x, mult, step, opts):
+def _inner_ascent(n_h, n_l, gamma, x, mult, step):
     """Projected gradient ascent for one outer round, every load at once.
 
     A load stops when none of its starts gains 1e-12 and all its steps are
@@ -164,7 +175,7 @@ def _inner_ascent(n_h, n_l, gamma, x, mult, step, opts):
     x_out, step_out = np.empty_like(x), np.empty_like(step)
     rows = np.arange(len(x))
     phi, grad, *_ = _phi(n_h, n_l, gamma, x, *mult)
-    for _ in range(opts.max_inner):
+    for _ in range(_MAX_INNER):
         cand = np.clip(x + step[..., None] * grad, 0.0, 1.0)
         phi_c, grad_c, *_ = _phi(n_h, n_l, gamma, cand, *mult)
         better = phi_c > phi
@@ -256,19 +267,19 @@ def solve_batch(
     viol_final = np.full(shape, np.nan)
     rounds = np.zeros(len(cfgs), dtype=int)
     lam, nu1, nu2 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
-    rho = np.full(shape, opts.rho0)
-    step = np.full(shape, opts.step0)
+    rho = np.full(shape, _RHO0)
+    step = np.full(shape, _STEP0)
     prev_obj = np.full(shape, -np.inf)
     prev_viol = np.full(shape, np.inf)
 
     for outer in range(opts.max_outer):
         mult = (lam, nu1, nu2, rho)
-        x, step = _inner_ascent(n_h, n_l, gamma, x, mult, step, opts)
+        x, step = _inner_ascent(n_h, n_l, gamma, x, mult, step)
         _, _, mu_h, mu_l, h1, h2 = _phi(n_h, n_l, gamma, x, *mult)
         viol = _violation(gamma, mu_l, h1, h2)
         rounds[live], x_final[live], viol_final[live] = outer + 1, x, viol
-        done = np.all(viol <= opts.viol_tol, axis=1) & np.all(
-            np.abs(mu_h - prev_obj) < opts.obj_tol, axis=1
+        done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
+            np.abs(mu_h - prev_obj) < _OBJ_TOL, axis=1
         )
         if done.all():
             break
@@ -282,7 +293,7 @@ def solve_batch(
         nu1 = nu1 + rho * h1
         nu2 = nu2 + rho * h2
         stalled = viol > 0.5 * prev_viol
-        rho = np.where(stalled, np.minimum(rho * opts.rho_growth, opts.rho_max), rho)
+        rho = np.where(stalled, np.minimum(rho * _RHO_GROWTH, _RHO_MAX), rho)
         prev_obj = mu_h
         prev_viol = np.maximum(viol, 1e-300)
         step = np.maximum(step, 1e-6)  # re-arm after multiplier change

@@ -1,9 +1,13 @@
 import math
 import random
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rachopt.actionspace import (
     CompactKind,
@@ -19,7 +23,7 @@ from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig, min_rotation_shift
 from rachopt.optimize import SolverOptions, solve
 
-from support import burnside_orbit_count, min_joint_rotation
+from support import burnside_orbit_count, min_joint_rotation, random_simplex
 
 # Grid sizes for the benchmark (m, d) combinations.  The (3, 0.1) full count
 # is the exact value 66^2 = 4356; the corresponding reduced count 1452 times
@@ -133,8 +137,8 @@ def test_every_orbit_is_represented():
 def test_size_cap():
     with pytest.raises(ValueError):
         generate_discretized(GridSpec(5, 0.1))  # 1001^2 actions
-    with pytest.raises(ValueError):
-        generate_discretized(GridSpec(3, 0.5), cap=10)
+    with pytest.raises(ValueError, match="1002001 grid actions exceeds cap 1000000"):
+        generate_discretized(GridSpec(2, 0.001))  # 1001^2 actions, two RBs
 
 
 def test_exact_throughputs_match_scalar_route():
@@ -206,6 +210,43 @@ def test_compact_save_load_roundtrip(tmp_path):
         assert a.mu_h == pytest.approx(b.mu_h, abs=1e-9)
     header = path.read_text().splitlines()[0]
     assert header == "m,n_h,n_l,gamma,p_h_1,p_h_2,p_h_3,p_l_1,p_l_2,p_l_3,mu_h,mu_l"
+
+
+def _digits12(x: float) -> str:
+    return f"{x:.12g}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    n_h_max=st.integers(0, 4),
+    n_l_max=st.integers(0, 4),
+    gamma=st.floats(0.0, 1.5, allow_nan=False),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_compact_save_load_roundtrip_property(m, n_h_max, n_l_max, gamma, seed, sparse):
+    rng = np.random.default_rng(seed)
+
+    def random_opt(cfg, g):
+        pair = AccessProbabilityPair(
+            random_simplex(rng, cfg.m, sparse), random_simplex(rng, cfg.m, sparse)
+        )
+        return SimpleNamespace(pair=pair)
+
+    space = build_compact(m, n_h_max, n_l_max, gamma, opt=random_opt)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        save_compact(space, path)
+        loaded = load_compact(path)  # revalidates every stored throughput
+    assert (loaded.kind.m, loaded.kind.n_h_max, loaded.kind.n_l_max) == (m, n_h_max, n_l_max)
+    assert _digits12(loaded.kind.gamma) == _digits12(gamma)
+    assert loaded.index == space.index
+    for a, b in zip(space.entries, loaded.entries):
+        assert (a.n_h, a.n_l) == (b.n_h, b.n_l)
+        values_a = a.pair.p_h + a.pair.p_l + (a.mu_h, a.mu_l)
+        values_b = b.pair.p_h + b.pair.p_l + (b.mu_h, b.mu_l)
+        assert [_digits12(x) for x in values_a] == [_digits12(x) for x in values_b]
 
 
 def test_load_rejects_corrupted_throughput(tmp_path):

@@ -1,6 +1,8 @@
 """Reproduction harness and command-line interface tests."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,7 +107,6 @@ def test_load_experiment_full_roundtrip(tmp_path):
 name = demo
 method = mab-compact
 out = results/demo
-workers = 2
 
 [network]
 m = 5
@@ -142,8 +143,64 @@ table = table.csv
     assert spec.params["runs"] == 4000
     assert spec.params["schedule"] == (2000, 4, 5)
     assert spec.params["table"] == "table.csv"
-    assert spec.params["workers"] == 2
     assert spec.out_dir.name == "demo"
+
+
+MINIMAL_INI = {
+    "experiment": "name = x\nmethod = uniform\n",
+    "network": "m = 3\nn_h = 1\nn_l = 1\n",
+}
+
+
+def _ini_text(sections: dict) -> str:
+    return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
+
+
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("experiment", "workers = 2\n", "unknown key 'workers' in [experiment]"),
+        ("experiment", "workers = -3\n", "unknown key 'workers' in [experiment]"),
+        ("mab", "alhpa = 0.1\n", "unknown key 'alhpa' in [mab]"),
+        ("network", "n = 9\n", "unknown key 'n' in [network]"),
+        ("seeds", "list = 0\ncount = 2\n", "unknown key 'count' in [seeds]"),
+        ("DEFAULT", "m = 3\n", "unknown key 'm' in [DEFAULT]"),
+        ("bandit", "alpha = 0.1\n", "unknown section [bandit]"),
+        ("Mab", "", "unknown section [Mab]"),
+    ],
+)
+def test_load_experiment_rejects_unread_section_or_key(tmp_path, section, body, message):
+    sections = dict(MINIMAL_INI)
+    sections[section] = sections.get(section, "") + body
+    ini = _write_ini(tmp_path / "exp.ini", _ini_text(sections))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_experiment(ini)
+
+
+def test_load_experiment_names_malformed_file(tmp_path):
+    ini = _write_ini(tmp_path / "exp.ini", _ini_text(MINIMAL_INI) + "[network]\nm = 4\n")
+    with pytest.raises(ValueError, match=re.escape("section 'network' already exists")):
+        load_experiment(ini)
+
+
+def test_load_experiment_compact_n_l_max_defaults_to_n_h_max(tmp_path):
+    sections = {
+        **MINIMAL_INI,
+        "experiment": f"name = c\nmethod = mab-compact\nout = {tmp_path}\n",
+        "compact": "n_h_max = 1\n",
+        "mab": "runs = 100\nt = 10\nbatch_size = 50\n",
+    }
+    spec = load_experiment(_write_ini(tmp_path / "exp.ini", _ini_text(sections)))
+    record = json.loads(run_experiment(spec)[-1].read_text())
+    assert record["space_size"] == 4  # loads (0..1) x (0..1)
+
+
+def test_demo_configs_parse():
+    configs = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.ini"))
+    assert configs
+    for path in configs:
+        spec = load_experiment(path)
+        assert spec.name and spec.seeds, path
 
 
 def test_load_experiment_missing_file(tmp_path):
@@ -271,23 +328,6 @@ def test_run_experiment_mab_compact_has_mae_and_load(tmp_path, compact_2x2):
     assert attained == pytest.approx(target, rel=1e-9)
 
 
-def test_run_experiment_parallel_seeds_match_serial(tmp_path):
-    base = dict(MAB_SMOKE)
-    serial = ExperimentSpec(
-        name="s", cfg=NetworkConfig(4, 5, 3), gamma=0.0,
-        method="mab-discretized", params=base, seeds=(0, 1), out_dir=tmp_path / "a",
-    )
-    parallel = ExperimentSpec(
-        name="s", cfg=NetworkConfig(4, 5, 3), gamma=0.0,
-        method="mab-discretized", params={**base, "workers": 2}, seeds=(0, 1),
-        out_dir=tmp_path / "b",
-    )
-    run_experiment(serial)
-    run_experiment(parallel)
-    for name in ("s_seed0_trace.csv", "s_seed1_trace.csv", "s_seed0_plot.csv"):
-        assert (tmp_path / "a" / name).read_text() == (tmp_path / "b" / name).read_text()
-
-
 def test_run_experiment_schedule_evaluates_final_load(tmp_path, compact_2x2):
     spec = ExperimentSpec(
         name="sw", cfg=NetworkConfig(1, 1, 3), gamma=0.0, method="mab-compact",
@@ -378,17 +418,6 @@ def test_cli_rejects_negative_seed_and_counts(runner):
     _usage_error(
         runner.invoke(main, ["exact", "--m", "3", "--n-h", "-1", "--n-l", "1"]), "--n-h"
     )
-
-
-def test_cli_rejects_non_positive_workers(runner, tmp_path):
-    cfg = ["--m", "3", "--n-h", "1", "--n-l", "1"]
-    for cmd, args in (("mab", cfg), ("scenario", [])):
-        for bad in ("-3", "0"):
-            _usage_error(
-                runner.invoke(main, [cmd, *args, "--workers", bad, "--out", str(tmp_path)]),
-                "--workers", f"{bad} is not in the range x>=1",
-            )
-    assert not list(tmp_path.iterdir())
 
 
 def test_cli_rejects_bad_compact_bounds(runner, tmp_path):

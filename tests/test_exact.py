@@ -314,9 +314,9 @@ def test_pattern_sum_at_reserved_allocation():
 
 
 def test_pattern_sum_enumeration_cap():
-    cfg = NetworkConfig(4, 5, 3)
-    with pytest.raises(EnumerationCapExceeded):
-        throughput_by_pattern_sum(cfg, AccessProbabilityPair.uniform(3), cap=10)
+    cfg = NetworkConfig(80, 80, 3)  # C(82, 2)^2 = 11.0M occupancy pairs
+    with pytest.raises(EnumerationCapExceeded, match="11029041 occupancy pairs"):
+        throughput_by_pattern_sum(cfg, AccessProbabilityPair.uniform(3))
     big = NetworkConfig(50, 50, 10)
     with pytest.raises(EnumerationCapExceeded):
         throughput_by_pattern_sum(big, AccessProbabilityPair.uniform(10))
