@@ -395,22 +395,32 @@ class ExperimentSpec:
                 _mab_config(self, seed)  # raises on bad bandit parameters
 
 
-# Every section and key load_experiment reads; anything else is an error.
+def _seed_list(raw: str) -> tuple[int, ...]:
+    return tuple(int(tok) for tok in raw.split())
+
+
+# Every section and key load_experiment reads, with the parser of its value;
+# anything else is an error.
 _INI_KEYS = {
-    "experiment": ("name", "method", "out"),
-    "network": ("m", "n_h", "n_l", "gamma"),
-    "seeds": ("list",),
-    "mab": ("alpha", "elite_fraction", "rho", "d", "batch_size", "t", "runs"),
-    "schedule": ("switch", "n_h", "n_l"),
-    "compact": ("table", "n_h_max", "n_l_max"),
+    "experiment": {"name": str, "method": str, "out": str},
+    "network": {"m": int, "n_h": int, "n_l": int, "gamma": float},
+    "seeds": {"list": _seed_list},
+    "mab": {
+        "alpha": float, "elite_fraction": float, "rho": float, "d": float,
+        "batch_size": int, "t": int, "runs": int,
+    },
+    "schedule": {"switch": int, "n_h": int, "n_l": int},
+    "compact": {"table": str, "n_h_max": int, "n_l_max": int},
 }
+_REQUIRED = object()  # marks a key load_experiment has no default for
 
 
 def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     """Parse an experiment description from a key-value config file.
 
     Raises ``ValueError`` naming the section (and key) for a missing
-    required section or for any section or key it does not read."""
+    required section or key, for a value that does not parse, and for any
+    section or key it does not read."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -428,38 +438,33 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         for key in parser[section]:
             if key not in _INI_KEYS.get(section, ()):
                 raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
+
+    def value(section: str, key: str, default=_REQUIRED):
+        if key not in parser[section]:
+            if default is _REQUIRED:
+                raise ValueError(f"{path}: missing key {key!r} in [{section}]")
+            return default
+        raw = parser[section][key]
+        try:
+            return _INI_KEYS[section][key](raw)
+        except ValueError:
+            raise ValueError(f"{path}: bad value {raw!r} for {key!r} in [{section}]") from None
+
     exp = parser["experiment"]
-    net = parser["network"]
     cfg = NetworkConfig(
-        n_h=net.getint("n_h"), n_l=net.getint("n_l"), m=net.getint("m")
+        n_h=value("network", "n_h"), n_l=value("network", "n_l"), m=value("network", "m")
     )
-    gamma = net.getfloat("gamma", fallback=0.0)
+    gamma = value("network", "gamma", 0.0)
     method = exp.get("method")
     seeds: tuple[int, ...] = (0,)
     if parser.has_section("seeds"):
-        seeds = tuple(int(tok) for tok in parser["seeds"].get("list", "0").split())
+        seeds = value("seeds", "list", seeds)
     params: dict = {}
-    if parser.has_section("mab"):
-        for key in ("alpha", "elite_fraction", "rho", "d"):
-            if key in parser["mab"]:
-                params[key] = parser["mab"].getfloat(key)
-        for key in ("batch_size", "t", "runs"):
-            if key in parser["mab"]:
-                params[key] = parser["mab"].getint(key)
+    for section in ("mab", "compact"):
+        if parser.has_section(section):
+            params.update((key, value(section, key)) for key in parser[section])
     if parser.has_section("schedule"):
-        sched = parser["schedule"]
-        params["schedule"] = (
-            sched.getint("switch"),
-            sched.getint("n_h"),
-            sched.getint("n_l"),
-        )
-    if parser.has_section("compact"):
-        comp = parser["compact"]
-        if "table" in comp:
-            params["table"] = comp.get("table")
-        for key in ("n_h_max", "n_l_max"):
-            if key in comp:
-                params[key] = comp.getint(key)
+        params["schedule"] = tuple(value("schedule", key) for key in ("switch", "n_h", "n_l"))
     return ExperimentSpec(
         name=exp.get("name"),
         cfg=cfg,

@@ -3,10 +3,20 @@
 Slots are i.i.d.: every device re-picks an RB each slot, with no backoff or
 retransmission state.  Randomness comes from counter-based Philox streams:
 slot ``s`` consumes exactly the words at counter offsets
-``[s * k, (s + 1) * k)`` of ``Philox(key=seed)``, where ``k`` is the number
-of 4-word counter steps holding one uniform per device.  Traces are
-therefore bit-reproducible for a given (cfg, pair, t, seed) and independent
-of how slot ranges might be split across workers.
+``[s * k, (s + 1) * k)`` of ``Philox(key=seed mod 2**128)``, where ``k`` is
+the number of 4-word counter steps holding one uniform per device.  Traces
+are therefore bit-reproducible for a given (cfg, pair, t, seed) and
+independent of how the slots are split.
+
+The slots run in blocks of ``_BLOCK`` (8192) slots, small enough that a
+block's draws stay in cache.  Block ``[lo, hi)`` builds its own Philox
+stream started ``lo * k`` counter steps in, the position the one long
+stream would have reached (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011), so the output does not depend on the block size.  A
+call with more than one block runs them on a ``ThreadPoolExecutor`` created
+for that call, one worker per usable CPU; numpy's Philox fill and its array
+passes release the GIL.  A single block, such as the bandit's per-pull hook
+at t <= 1000, or a single usable CPU runs inline, without threads.
 
 Within a slot, device draws map to RBs by inverse CDF over the cumulative
 access probabilities in index order, high-priority devices first.
@@ -19,9 +29,10 @@ bytes of the per-slot pattern strings (``h``, ``l``, ``o``, ``x``); its
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -48,6 +59,9 @@ _EVENT_CODES = np.array(
      ord(SlotEvent.LOW_SUCCESS.value), ord(SlotEvent.COLLISION.value)],
     dtype=np.uint8,
 )
+# slots per block: a block's draws and counts (a few MB at n = 9) stay in
+# cache, where one pass over a whole t = 100000 run would not
+_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,42 +90,68 @@ class SimTrace:
         return tuple(pattern_from_string(row.tobytes().decode("ascii")) for row in self.codes)
 
 
-def _cumulative(probs) -> np.ndarray:
-    cum = np.cumsum(np.asarray(probs, dtype=float))
-    cum[-1] = 1.0  # guard against accumulated rounding at the top end
-    return cum
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
-def _occupancy_counts(
-    cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot per-RB transmitter counts, shape (t, m) for each class."""
+def _check(cfg: NetworkConfig, pair: AccessProbabilityPair, t: int) -> None:
     if t < 1:
         raise ValueError(f"need at least one slot, got t={t}")
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
-    n = cfg.n
-    m = cfg.m
-    if n == 0:
-        z = np.zeros((t, m), dtype=np.int64)
-        return z, z.copy()
+
+
+def _run_blocks(
+    cfg: NetworkConfig,
+    pair: AccessProbabilityPair,
+    t: int,
+    seed: int,
+    consume: Callable[[int, np.ndarray, np.ndarray], object],
+) -> list:
+    """Draw slots ``[0, t)`` in blocks of ``_BLOCK`` and hand each block's
+    per-slot per-RB transmitter counts ``(c_h, c_l)``, shape (hi - lo, m),
+    to ``consume(lo, c_h, c_l)``; returns its results in block order.
+
+    Each block starts its own Philox stream at its first slot's counter, so
+    blocks are independent: with more than one block and more than one
+    usable CPU they run on a thread pool that lives for this call only.
+    """
+    n, m = cfg.n, cfg.m
     # one uniform per device per slot, padded to whole Philox counter steps
     k = math.ceil(n / 4)
-    gen = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
-    u = gen.random(t * 4 * k).reshape(t, 4 * k)[:, :n]
-    rows = m * np.arange(t, dtype=np.int64)[:, None]
+    key = seed % (1 << 128)
+    low = np.arange(n) >= cfg.n_h
+    # device d of slot s on RB r counts in bin (2 s + low[d]) m + r; draws
+    # are laid out device-major so that every pass below is contiguous
+    bins = (2 * np.arange(min(t, _BLOCK)) + low[:, None]) * m
+    # a draw's RB is the number of its class's cumulative probabilities at
+    # or below it: searchsorted(cum, u, "right") clipped to m - 1
+    levels = np.cumsum([pair.p_h, pair.p_l], axis=1)[low.astype(np.intp), :-1]
+    levels = levels.T[:, :, None]
+    small = np.min_scalar_type(m - 1)
 
-    def count(block: np.ndarray, cum: np.ndarray) -> np.ndarray:
-        if block.shape[1] == 0:
-            return np.zeros((t, m), dtype=np.int64)
-        idx = np.searchsorted(cum, block, side="right")
-        np.clip(idx, 0, m - 1, out=idx)
-        flat = (idx + rows).ravel()
-        return np.bincount(flat, minlength=t * m).reshape(t, m)
+    def block(lo: int):
+        size = min(_BLOCK, t - lo)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=lo * k))
+        draws = gen.random(size * 4 * k).reshape(size, 4 * k)[:, :n].T.copy()
+        rb = (draws >= levels).sum(axis=0, dtype=small)
+        counts = np.bincount((rb + bins[:, :size]).ravel(), minlength=2 * m * size)
+        counts = counts.reshape(size, 2, m)
+        return consume(lo, counts[:, 0], counts[:, 1])
 
-    c_h = count(u[:, : cfg.n_h], _cumulative(pair.p_h))
-    c_l = count(u[:, cfg.n_h :], _cumulative(pair.p_l))
-    return c_h, c_l
+    starts = range(0, t, _BLOCK)
+    workers = min(len(starts), _usable_cpus())
+    if workers == 1:
+        return [block(lo) for lo in starts]
+    # imported only here: at module level it adds ~0.2 MB of memory to
+    # processes that never start a thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, starts))
 
 
 def sim_throughput(
@@ -122,23 +162,34 @@ def sim_throughput(
     Identical sampling to :func:`simulate`, skipping the event codes; both
     return multiples of 1/t.
     """
-    c_h, c_l = _occupancy_counts(cfg, pair, t, seed)
-    h = int(((c_h == 1) & (c_l == 0)).sum())
-    l = int(((c_l == 1) & (c_h == 0)).sum())
-    return ThroughputPair(h / t, l / t)
+
+    def successes(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> tuple[int, int]:
+        alone = c_h + c_l == 1
+        h = int(np.count_nonzero(alone & (c_h == 1)))
+        return h, int(np.count_nonzero(alone)) - h
+
+    _check(cfg, pair, t)
+    counts = _run_blocks(cfg, pair, t, seed, successes)
+    return ThroughputPair(sum(h for h, _ in counts) / t, sum(l for _, l in counts) / t)
 
 
 def simulate(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> SimTrace:
     """Run ``t`` slots and keep the full per-slot event trace."""
-    c_h, c_l = _occupancy_counts(cfg, pair, t, seed)
-    total = c_h + c_l
-    # event code per RB: empty 0, high success 1, low success 2, collision 3
-    codes = np.where(
-        total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2))
-    )
-    return SimTrace(seed=seed, codes=_EVENT_CODES[codes], cfg=cfg, pair=pair)
+    _check(cfg, pair, t)
+    codes = np.empty((t, cfg.m), dtype=np.uint8)
+
+    def events(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> None:
+        total = c_h + c_l
+        # event code per RB: empty 0, high success 1, low success 2, collision 3
+        code = np.where(
+            total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2))
+        )
+        codes[lo : lo + len(code)] = _EVENT_CODES[code]
+
+    _run_blocks(cfg, pair, t, seed, events)
+    return SimTrace(seed=seed, codes=codes, cfg=cfg, pair=pair)
 
 
 def empirical_throughput(trace: SimTrace) -> ThroughputPair:

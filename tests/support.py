@@ -5,6 +5,8 @@ enumeration, factorial-based pmfs, brute-force rotation scans) so the tests
 exercise genuinely separate routes to the same numbers.  The one exception
 is :func:`shaped_reward_oracle`, which builds on the library's per-slot pmf
 tables; ``test_exact`` checks those against the pattern probabilities.
+:func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
+the reference the block-wise library simulator must match bit for bit.
 """
 
 from __future__ import annotations
@@ -59,6 +61,50 @@ def brute_force_throughput(n_h: int, n_l: int, p_h, p_l) -> tuple[float, float]:
             mu_h += w * sum(1 for a, b in zip(c_h, c_l) if a == 1 and b == 0)
             mu_l += w * sum(1 for a, b in zip(c_h, c_l) if b == 1 and a == 0)
     return mu_h, mu_l
+
+
+def reference_occupancy_counts(cfg, pair, t: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-slot per-RB transmitter counts, shape (t, m) for each class.
+
+    The whole ``Philox(key=seed mod 2**128)`` stream of ``t`` slots is drawn
+    at once: ``ceil(n / 4)`` counter steps per slot, one uniform per device,
+    high-priority devices first, each mapped to an RB by inverse CDF.
+    """
+    n, m = cfg.n, cfg.m
+    if n == 0:
+        z = np.zeros((t, m), dtype=np.int64)
+        return z, z.copy()
+    k = math.ceil(n / 4)
+    gen = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
+    u = gen.random(t * 4 * k).reshape(t, 4 * k)[:, :n]
+    rows = m * np.arange(t, dtype=np.int64)[:, None]
+
+    def count(block: np.ndarray, probs) -> np.ndarray:
+        if block.shape[1] == 0:
+            return np.zeros((t, m), dtype=np.int64)
+        cum = np.cumsum(np.asarray(probs, dtype=float))
+        cum[-1] = 1.0
+        idx = np.searchsorted(cum, block, side="right")
+        np.clip(idx, 0, m - 1, out=idx)
+        return np.bincount((idx + rows).ravel(), minlength=t * m).reshape(t, m)
+
+    return count(u[:, : cfg.n_h], pair.p_h), count(u[:, cfg.n_h :], pair.p_l)
+
+
+def reference_sim_throughput(cfg, pair, t: int, seed: int) -> tuple[float, float]:
+    """Success rates of :func:`reference_occupancy_counts`, multiples of 1/t."""
+    c_h, c_l = reference_occupancy_counts(cfg, pair, t, seed)
+    h = int(((c_h == 1) & (c_l == 0)).sum())
+    l = int(((c_l == 1) & (c_h == 0)).sum())
+    return h / t, l / t
+
+
+def reference_event_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
+    """The (t, m) uint8 pattern-string bytes of :func:`reference_occupancy_counts`."""
+    c_h, c_l = reference_occupancy_counts(cfg, pair, t, seed)
+    total = c_h + c_l
+    chars = np.frombuffer(b"ohlx", dtype=np.uint8)
+    return chars[np.where(total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2)))]
 
 
 def random_simplex(rng: np.random.Generator, m: int, sparse: bool = False):

@@ -177,6 +177,46 @@ def test_load_experiment_rejects_unread_section_or_key(tmp_path, section, body, 
         load_experiment(ini)
 
 
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("network", "n_h = 1\nn_l = 1\n", "missing key 'm' in [network]"),
+        ("network", "m = 3\nn_l = 1\n", "missing key 'n_h' in [network]"),
+        ("network", "m = 3\nn_h = 1\n", "missing key 'n_l' in [network]"),
+        ("schedule", "n_h = 4\nn_l = 5\n", "missing key 'switch' in [schedule]"),
+        ("schedule", "switch = 20\nn_l = 5\n", "missing key 'n_h' in [schedule]"),
+        ("schedule", "switch = 20\nn_h = 4\n", "missing key 'n_l' in [schedule]"),
+    ],
+    ids=["network-m", "network-n_h", "network-n_l", "schedule-switch", "schedule-n_h", "schedule-n_l"],
+)
+def test_load_experiment_names_missing_key(tmp_path, section, body, message):
+    sections = {**MINIMAL_INI, section: body}
+    ini = _write_ini(tmp_path / "exp.ini", _ini_text(sections))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_experiment(ini)
+
+
+@pytest.mark.parametrize(
+    "section, body, message",
+    [
+        ("network", "m = 3\nn_h = 1\nn_l = 1\ngamma = abc\n", "bad value 'abc' for 'gamma' in [network]"),
+        ("network", "m = 3.5\nn_h = 1\nn_l = 1\n", "bad value '3.5' for 'm' in [network]"),
+        ("seeds", "list = 0 1 two\n", "bad value '0 1 two' for 'list' in [seeds]"),
+        ("mab", "alpha = 0.1x\n", "bad value '0.1x' for 'alpha' in [mab]"),
+        ("mab", "runs = 1e3\n", "bad value '1e3' for 'runs' in [mab]"),
+        ("compact", "n_h_max = many\n", "bad value 'many' for 'n_h_max' in [compact]"),
+        ("schedule", "switch = soon\nn_h = 4\nn_l = 5\n", "bad value 'soon' for 'switch' in [schedule]"),
+    ],
+    ids=["network-gamma", "network-m", "seeds-list", "mab-alpha", "mab-runs", "compact-n_h_max",
+         "schedule-switch"],
+)
+def test_load_experiment_names_unparsable_value(tmp_path, section, body, message):
+    sections = {**MINIMAL_INI, section: body}
+    ini = _write_ini(tmp_path / "exp.ini", _ini_text(sections))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_experiment(ini)
+
+
 def test_load_experiment_names_malformed_file(tmp_path):
     ini = _write_ini(tmp_path / "exp.ini", _ini_text(MINIMAL_INI) + "[network]\nm = 4\n")
     with pytest.raises(ValueError, match=re.escape("section 'network' already exists")):
@@ -491,6 +531,10 @@ def test_cli_experiment_names_missing_section(runner, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nname = x\nmethod = uniform\n")
     _usage_error(runner.invoke(main, ["experiment", str(ini)]), "missing required [network]")
+    ini.write_text("[experiment]\nname = x\nmethod = uniform\n[network]\nn_h = 1\nn_l = 1\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "missing key 'm' in [network]")
+    ini.write_text("[experiment]\nname = x\nmethod = uniform\n[network]\nm = 3\nn_h = 1\nn_l = 1\ngamma = abc\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "bad value 'abc' for 'gamma' in [network]")
 
 
 def test_cli_exact_requires_both_vectors(runner):

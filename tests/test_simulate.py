@@ -1,10 +1,14 @@
+import concurrent.futures
+import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rachopt.bench import published_pair
 from rachopt.exact import (
     enumerate_patterns,
     pattern_probability,
@@ -25,6 +29,12 @@ from rachopt.simulate import (
     sim_throughput,
     simulate,
 )
+
+from support import random_simplex, reference_event_codes, reference_sim_throughput
+
+# the module itself: the package re-exports the function under the same name
+simulate_module = importlib.import_module("rachopt.simulate")
+BLOCK = simulate_module._BLOCK
 
 
 def strings(trace):
@@ -219,3 +229,101 @@ def test_trace_file_round_trip_property(tmp_path_factory, rows, seed):
     assert (loaded.seed, loaded.t, loaded.m) == (seed, len(rows), m)
     assert np.array_equal(loaded.codes, codes)
     assert strings(loaded) == rows
+
+
+# loads with both classes, none at all, no high and no low devices
+BLOCK_LOADS = [
+    (NetworkConfig(4, 5, 4), AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.45, 0.0, 0.35, 0.2])),
+    (NetworkConfig(0, 0, 3), AccessProbabilityPair.uniform(3)),
+    (NetworkConfig(0, 6, 3), AccessProbabilityPair([1.0, 0.0, 0.0], [0.2, 0.3, 0.5])),
+    (NetworkConfig(7, 0, 2), AccessProbabilityPair([0.6, 0.4], [1.0, 0.0])),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 7, 2**128 + 5])
+@pytest.mark.parametrize("t", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5, 100_000])
+def test_block_driver_matches_one_shot_reference(t, seed):
+    for cfg, pair in BLOCK_LOADS:
+        mu = sim_throughput(cfg, pair, t, seed)
+        assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, seed)
+        codes = simulate(cfg, pair, t, seed).codes
+        assert codes.dtype == np.uint8
+        assert np.array_equal(codes, reference_event_codes(cfg, pair, t, seed))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    n_h=st.integers(0, 9),
+    n_l=st.integers(0, 9),
+    t=st.integers(1, 2 * BLOCK + 3),
+    seed=st.integers(0, 2**130),
+    draw=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_block_driver_matches_reference_property(m, n_h, n_l, t, seed, draw, sparse):
+    rng = np.random.default_rng(draw)
+    cfg = NetworkConfig(n_h, n_l, m)
+    pair = AccessProbabilityPair(random_simplex(rng, m, sparse), random_simplex(rng, m, sparse))
+    mu = sim_throughput(cfg, pair, t, seed)
+    assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, seed)
+    assert np.array_equal(simulate(cfg, pair, t, seed).codes, reference_event_codes(cfg, pair, t, seed))
+
+
+@pytest.mark.parametrize("cpus", [1, 3, 8])
+def test_block_split_does_not_depend_on_thread_count(monkeypatch, cpus):
+    # up to six workers on fewer cores, switching threads as often as the
+    # interpreter allows: a lost or misplaced block write shows in the codes
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
+    cfg = NetworkConfig(3, 2, 3)
+    pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
+    t = 5 * BLOCK + 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        mu = sim_throughput(cfg, pair, t, 9)
+        codes = simulate(cfg, pair, t, 9).codes
+    finally:
+        sys.setswitchinterval(interval)
+    assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 9)
+    assert np.array_equal(codes, reference_event_codes(cfg, pair, t, 9))
+
+
+# (gamma, m, high successes, low successes) of the published pairs at
+# t = 100000, seed 0, recorded from the one-shot simulator before the
+# block driver replaced it
+CRITERION_9_SEED_0 = [
+    (0.0, 3, 84464, 0),
+    (0.0, 4, 126541, 0),
+    (0.0, 5, 168713, 0),
+    (0.0, 6, 204665, 0),
+    (0.4, 3, 43147, 39727),
+    (0.4, 4, 85365, 39819),
+    (0.4, 5, 127110, 39796),
+    (0.4, 6, 169811, 39816),
+]
+
+
+@pytest.mark.parametrize("gamma,m,h,l", CRITERION_9_SEED_0)
+def test_published_pairs_keep_recorded_successes(gamma, m, h, l):
+    cfg = NetworkConfig(4, 5, m)
+    pair = published_pair(gamma, m)
+    t = 100_000
+    assert sim_throughput(cfg, pair, t, 0) == ThroughputPair(h / t, l / t)
+    assert reference_sim_throughput(cfg, pair, t, 0) == (h / t, l / t)
+
+
+def test_single_block_call_builds_no_executor(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a single-block call built an executor")
+
+    # the simulator imports the executor from concurrent.futures at call time
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 4)
+    cfg = NetworkConfig(4, 5, 4)
+    pair = AccessProbabilityPair.uniform(4)
+    for t in (1, 100, 1000, BLOCK):
+        sim_throughput(cfg, pair, t, 3)
+        simulate(cfg, pair, t, 3)
+    with pytest.raises(AssertionError, match="built an executor"):
+        sim_throughput(cfg, pair, BLOCK + 1, 3)
