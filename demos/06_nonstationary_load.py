@@ -84,8 +84,8 @@ def grid_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> Non
         space, [(0, cfg_a), (switch, cfg_b)], MabConfig(runs=total, **params)
     )
     mu_b = exact_throughputs(space, cfg_b)
-    fav = int(np.argmax(before.state.p_as))
-    print(f"  at the switch the favourite holds p_as {before.state.p_as[fav]:.3f}; "
+    fav = int(np.argmax(before.p_as))
+    print(f"  at the switch the favourite holds p_as {before.p_as[fav]:.3f}; "
           f"on the new load it is exact ({mu_b[fav, 0]:.4f}, {mu_b[fav, 1]:.4f})")
 
     chosen = result.trace.action_index
@@ -94,8 +94,8 @@ def grid_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> Non
         h = window_mean(mu_b[chosen, 0], lo, hi)
         l = window_mean(mu_b[chosen, 1], lo, hi)
         print(f"  pulls {lo:>5}-{hi:>5}: mean ({h:.4f}, {l:.4f})")
-    top = int(np.argmax(result.state.p_as))
-    print(f"  final favourite: p_as {result.state.p_as[top]:.3f}, exact "
+    top = int(np.argmax(result.p_as))
+    print(f"  final favourite: p_as {result.p_as[top]:.3f}, exact "
           f"({mu_b[top, 0]:.4f}, {mu_b[top, 1]:.4f})")
     print()
     print("the first-phase favourites starve the low class under the new load,")

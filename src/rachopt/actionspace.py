@@ -31,7 +31,7 @@ from .model import (
     ThroughputPair,
     min_rotation_shift,
 )
-from .optimize import SolverOptions, solve_batch
+from .optimize import FEASIBILITY_TOL, SolverOptions, solve_batch
 
 __all__ = [
     "DEFAULT_ACTION_CAP",
@@ -150,13 +150,18 @@ class ActionSpace:
     def __getitem__(self, i: int) -> Action:
         return self.actions[i]
 
+    @property
+    def is_compact(self) -> bool:
+        """Whether this is a compact table: a compact kind with its cells."""
+        return isinstance(self.kind, CompactKind) and self.entries is not None
+
     def infeasible_cells(self) -> frozenset[tuple[int, int]]:
         """Compact cells whose stored allocation misses the low-class floor."""
-        if not isinstance(self.kind, CompactKind) or self.entries is None:
+        if not self.is_compact:
             return frozenset()
         gamma = self.kind.gamma
         return frozenset(
-            (e.n_h, e.n_l) for e in self.entries if e.mu_l < gamma - 1e-6
+            (e.n_h, e.n_l) for e in self.entries if e.mu_l < gamma - FEASIBILITY_TOL
         )
 
 
@@ -183,7 +188,9 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
     """
     total = full_space_size(spec)
     if total > DEFAULT_ACTION_CAP:
-        raise ValueError(f"{total} grid actions exceeds cap {DEFAULT_ACTION_CAP}")
+        raise ValueError(
+            f"{total} grid actions exceeds cap {DEFAULT_ACTION_CAP} (m={spec.m}, d={spec.d})"
+        )
     comps = [tuple(c) for c in compositions(spec.q, spec.m)]
     actions: list[Action] = []
     index: dict = {}
@@ -202,6 +209,26 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
 
 
 # ------------------------------------------------------------- compact table
+
+
+def _compact_space(m: int, gamma: float, entries: list[CompactEntry]) -> ActionSpace:
+    """The compact space holding ``entries`` in order, one per cell of the
+    full load rectangle [0, n_h_max] x [0, n_l_max] they span."""
+    index: dict = {}
+    for i, e in enumerate(entries):
+        if (e.n_h, e.n_l) in index:
+            raise ValueError(f"duplicate cell ({e.n_h}, {e.n_l})")
+        index[(e.n_h, e.n_l)] = i
+    n_h_max = max(e.n_h for e in entries)
+    n_l_max = max(e.n_l for e in entries)
+    if len(entries) != (n_h_max + 1) * (n_l_max + 1):
+        raise ValueError("compact table does not cover a full load rectangle")
+    return ActionSpace(
+        kind=CompactKind(m, n_h_max, n_l_max, gamma),
+        actions=tuple(Action(e.pair) for e in entries),
+        index=index,
+        entries=tuple(entries),
+    )
 
 
 def build_compact(
@@ -243,8 +270,6 @@ def build_compact(
     solved = {cfg: res.pair for cfg, res in zip(pending, results)}
 
     entries: list[CompactEntry] = []
-    actions: list[Action] = []
-    index: dict = {}
     uniform = AccessProbabilityPair.uniform(m)
     for cfg in cfgs:
         pair = solved.get(cfg, uniform)
@@ -253,31 +278,27 @@ def build_compact(
             # normalize the stored vector
             pair = AccessProbabilityPair(uniform.p_h, pair.p_l)
         mu = throughput_closed_form(cfg, pair)
-        index[(cfg.n_h, cfg.n_l)] = len(actions)
-        actions.append(Action(pair))
         entries.append(CompactEntry(cfg.n_h, cfg.n_l, pair, mu.mu_h, mu.mu_l))
-    return ActionSpace(
-        kind=CompactKind(m, n_h_max, n_l_max, gamma),
-        actions=tuple(actions),
-        index=index,
-        entries=tuple(entries),
-    )
+    return _compact_space(m, gamma, entries)
 
 
-def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
-    """Write a compact table as CSV with 12-significant-digit values."""
-    if not isinstance(space.kind, CompactKind) or space.entries is None:
-        raise TypeError("save_compact expects a compact space")
-    m = space.kind.m
-    header = (
+def _compact_header(m: int) -> list[str]:
+    return (
         ["m", "n_h", "n_l", "gamma"]
         + [f"p_h_{i + 1}" for i in range(m)]
         + [f"p_l_{i + 1}" for i in range(m)]
         + ["mu_h", "mu_l"]
     )
+
+
+def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
+    """Write a compact table as CSV with 12-significant-digit values."""
+    if not space.is_compact:
+        raise TypeError("save_compact expects a compact space")
+    m = space.kind.m
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_compact_header(m))
         for e in space.entries:
             row = [m, e.n_h, e.n_l, f"{space.kind.gamma:.12g}"]
             row += [f"{x:.12g}" for x in e.pair.p_h]
@@ -288,57 +309,44 @@ def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
 
 def load_compact(path: Union[str, Path]) -> ActionSpace:
     """Read a compact table, revalidating every stored throughput against a
-    fresh exact evaluation."""
+    fresh exact evaluation.  Raises ``ValueError`` naming the file, and the
+    line of a row that does not parse or fails a check."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [r for r in reader if r]
-    if len(header) < 6 or header[:4] != ["m", "n_h", "n_l", "gamma"]:
-        raise ValueError(f"unrecognized compact-table header in {path}")
+        header = next(reader, [])
+        rows = [(reader.line_num, r) for r in reader if r]
     m = (len(header) - 6) // 2
-    if len(header) != 6 + 2 * m:
-        raise ValueError(f"malformed compact-table header in {path}")
+    if m < 1 or header != _compact_header(m):
+        raise ValueError(f"unrecognized compact-table header in {path}")
+    if not rows:
+        raise ValueError(f"empty compact table in {path}")
 
     entries: list[CompactEntry] = []
-    actions: list[Action] = []
-    index: dict = {}
     gamma = None
-    for r in rows:
-        row_m = int(r[0])
-        if row_m != m:
-            raise ValueError(f"row m={row_m} disagrees with header m={m}")
-        n_h, n_l = int(r[1]), int(r[2])
-        row_gamma = float(r[3])
-        if gamma is None:
+    for line, r in rows:
+        try:
+            if len(r) != len(header):
+                raise ValueError(f"{len(r)} fields, expected {len(header)}")
+            if int(r[0]) != m:
+                raise ValueError(f"row m={r[0]} disagrees with header m={m}")
+            n_h, n_l, row_gamma = int(r[1]), int(r[2]), float(r[3])
+            if gamma is not None and row_gamma != gamma:
+                raise ValueError("rows disagree on gamma")
             gamma = row_gamma
-        elif row_gamma != gamma:
-            raise ValueError("rows disagree on gamma")
-        p_h = tuple(float(x) for x in r[4 : 4 + m])
-        p_l = tuple(float(x) for x in r[4 + m : 4 + 2 * m])
-        pair = AccessProbabilityPair(p_h, p_l)
-        mu_h, mu_l = float(r[4 + 2 * m]), float(r[5 + 2 * m])
-        mu = throughput_closed_form(NetworkConfig(n_h, n_l, m), pair)
-        if abs(mu.mu_h - mu_h) > _TABLE_MU_TOL or abs(mu.mu_l - mu_l) > _TABLE_MU_TOL:
-            raise ValueError(
-                f"stored throughput for cell ({n_h}, {n_l}) fails revalidation"
+            pair = AccessProbabilityPair(
+                tuple(map(float, r[4 : 4 + m])), tuple(map(float, r[4 + m : 4 + 2 * m]))
             )
-        if (n_h, n_l) in index:
-            raise ValueError(f"duplicate cell ({n_h}, {n_l})")
-        index[(n_h, n_l)] = len(actions)
-        actions.append(Action(pair))
+            mu_h, mu_l = float(r[4 + 2 * m]), float(r[5 + 2 * m])
+            mu = throughput_closed_form(NetworkConfig(n_h, n_l, m), pair)
+            if abs(mu.mu_h - mu_h) > _TABLE_MU_TOL or abs(mu.mu_l - mu_l) > _TABLE_MU_TOL:
+                raise ValueError(f"stored throughput for cell ({n_h}, {n_l}) fails revalidation")
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad compact-table row at line {line}: {exc}") from None
         entries.append(CompactEntry(n_h, n_l, pair, mu_h, mu_l))
-    if gamma is None:
-        raise ValueError(f"empty compact table in {path}")
-    n_h_max = max(e.n_h for e in entries)
-    n_l_max = max(e.n_l for e in entries)
-    if len(entries) != (n_h_max + 1) * (n_l_max + 1):
-        raise ValueError("compact table does not cover a full load rectangle")
-    return ActionSpace(
-        kind=CompactKind(m, n_h_max, n_l_max, gamma),
-        actions=tuple(actions),
-        index=index,
-        entries=tuple(entries),
-    )
+    try:
+        return _compact_space(m, gamma, entries)
+    except ValueError as exc:  # a repeated cell or a cell missing
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:

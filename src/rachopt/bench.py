@@ -5,6 +5,12 @@ reports computed-versus-published values with pass/fail per the documented
 tolerances.  ``run_experiment`` executes a configured experiment (baseline,
 exact optimizer, or bandit) and writes result records, pull traces, and
 plot-ready CSV files.
+
+The paper's bandit settings live in :data:`MAB_PRESETS`, one
+:class:`~rachopt.mab.MabConfig` per bandit method (the grid's is
+``MabConfig()``), next to :data:`GRID_STEP`, the grid's step.  A bandit
+experiment replaces the preset's ``gamma`` and ``seed`` and any field its
+parameters name; Tables VI and VII run the grid preset.
 """
 
 from __future__ import annotations
@@ -12,15 +18,14 @@ from __future__ import annotations
 import configparser
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .actionspace import (
     ActionSpace,
-    CompactKind,
     GridSpec,
     build_compact,
     exact_throughputs,
@@ -60,8 +65,8 @@ __all__ = [
     "published_pair",
     "REFERENCE_MAB_UNCONSTRAINED",
     "REFERENCE_MAB_CONSTRAINED",
-    "DISCRETIZED_MAB_DEFAULTS",
-    "COMPACT_MAB_DEFAULTS",
+    "MAB_PRESETS",
+    "GRID_STEP",
 ]
 
 # published reference values, keyed by (m, d) or m; throughputs as printed
@@ -154,26 +159,14 @@ def published_pair(gamma: float, m: int) -> AccessProbabilityPair:
     )
 
 
-DISCRETIZED_MAB_DEFAULTS = {
-    "alpha": 0.2,
-    "elite_fraction": 0.1,
-    "batch_size": 500,
-    "rho": 0.0,
-    "t": 1000,
-    "runs": 15000,
-    "d": 0.2,
+# The paper's bandit settings for each bandit method; an experiment's gamma,
+# seed and [mab] values replace fields of its method's preset.
+MAB_PRESETS: dict[str, MabConfig] = {
+    "mab-discretized": MabConfig(),
+    "mab-compact": MabConfig(rho=0.1, t=100, runs=2000, batch_size=200, alpha=0.1),
 }
-
-COMPACT_MAB_DEFAULTS = {
-    "alpha": 0.1,
-    "elite_fraction": 0.1,
-    "batch_size": 200,
-    "rho": 0.1,
-    "t": 100,
-    "runs": 2000,
-}
-
-TABLE_IDS = ("I", "II", "III", "IV", "V", "VI", "VII")
+# The paper's grid step for the discretized space.
+GRID_STEP = 0.2
 
 TABLE_II_NOTE = (
     "Table II (uniform access probabilities) is not reproduced: its printed "
@@ -310,17 +303,15 @@ def _reproduce_mab(gamma: float, seed: int) -> TableReport:
     published = REFERENCE_MAB_CONSTRAINED if constrained else REFERENCE_MAB_UNCONSTRAINED
     report = TableReport(
         table_id,
-        f"bandit over the discretized space (d=0.2), gamma={gamma}",
+        f"bandit over the discretized space (d={GRID_STEP}), gamma={gamma}",
     )
-    mab_kwargs = dict(DISCRETIZED_MAB_DEFAULTS)
-    d = mab_kwargs.pop("d")
+    mcfg = replace(MAB_PRESETS["mab-discretized"], gamma=gamma, seed=seed)
     for m, (mu_h_pub, mu_l_pub) in published.items():
         cfg = _base_cfg(m)
-        space = generate_discretized(GridSpec(m, d), reduced=True)
+        space = generate_discretized(GridSpec(m, GRID_STEP), reduced=True)
         mus = exact_throughputs(space, cfg)
         feasible = mus[:, 1] >= gamma - 1e-9
         optimum = float(mus[feasible, 0].max())
-        mcfg = MabConfig(gamma=gamma, seed=seed, **mab_kwargs)
         res = run(space, cfg, mcfg)
         mu_h, mu_l = (float(v) for v in mus[res.best_index])
         within = mu_h >= 0.95 * optimum and (not constrained or mu_l >= gamma - 1e-9)
@@ -342,26 +333,27 @@ def _reproduce_mab(gamma: float, seed: int) -> TableReport:
     return report
 
 
+# How to recompute each published table, by table id, given the seed.
+_TABLES: dict[str, Callable[[int], TableReport]] = {
+    "I": lambda seed: _reproduce_space_sizes(),
+    "II": lambda seed: TableReport(
+        "II", "uniform access probabilities (not reproduced)", notes=[TABLE_II_NOTE]
+    ),
+    "III": lambda seed: _reproduce_acb(),
+    "IV": lambda seed: _reproduce_optimizer(0.0, seed),
+    "V": lambda seed: _reproduce_optimizer(0.4, seed),
+    "VI": lambda seed: _reproduce_mab(0.0, seed),
+    "VII": lambda seed: _reproduce_mab(0.4, seed),
+}
+TABLE_IDS = tuple(_TABLES)
+
+
 def reproduce(table_id: str, *, seed: int = 0) -> TableReport:
     """Recompute one published reference table and report pass/fail."""
     tid = str(table_id).strip().upper()
-    if tid not in TABLE_IDS:
+    if tid not in _TABLES:
         raise ValueError(f"unknown table id {table_id!r}, expected one of {TABLE_IDS}")
-    if tid == "I":
-        return _reproduce_space_sizes()
-    if tid == "II":
-        report = TableReport("II", "uniform access probabilities (not reproduced)")
-        report.notes.append(TABLE_II_NOTE)
-        return report
-    if tid == "III":
-        return _reproduce_acb()
-    if tid == "IV":
-        return _reproduce_optimizer(0.0, seed)
-    if tid == "V":
-        return _reproduce_optimizer(0.4, seed)
-    if tid == "VI":
-        return _reproduce_mab(0.0, seed)
-    return _reproduce_mab(0.4, seed)
+    return _TABLES[tid](seed)
 
 
 METHODS = ("uniform", "acb", "exact-opt", "mab-discretized", "mab-compact")
@@ -390,6 +382,9 @@ class ExperimentSpec:
             "table" in self.params or "n_h_max" in self.params
         ):
             raise ValueError("mab-compact needs a 'table' path or 'n_h_max'/'n_l_max' bounds")
+        schedule = self.params.get("schedule")
+        if schedule is not None and schedule[0] < 1:
+            raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
         if self.method.startswith("mab-"):
             for seed in self.seeds:
                 _mab_config(self, seed)  # raises on bad bandit parameters
@@ -504,25 +499,22 @@ def load_plot_data(path: Union[str, Path]) -> dict[str, np.ndarray]:
 
 
 def _mab_config(spec: ExperimentSpec, seed: int) -> MabConfig:
-    defaults = (
-        DISCRETIZED_MAB_DEFAULTS if spec.method == "mab-discretized" else COMPACT_MAB_DEFAULTS
-    )
-    kwargs = {
-        key: spec.params.get(key, default)
-        for key, default in defaults.items()
-        if key != "d"
-    }
-    return MabConfig(gamma=spec.gamma, seed=seed, **kwargs)
+    tuned = {f.name: spec.params[f.name] for f in fields(MabConfig) if f.name in spec.params}
+    return replace(MAB_PRESETS[spec.method], **{**tuned, "gamma": spec.gamma, "seed": seed})
 
 
 def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
     if spec.method == "mab-discretized":
-        d = spec.params.get("d", DISCRETIZED_MAB_DEFAULTS["d"])
-        return generate_discretized(GridSpec(spec.cfg.m, d), reduced=True)
+        return generate_discretized(
+            GridSpec(spec.cfg.m, spec.params.get("d", GRID_STEP)), reduced=True
+        )
     if "table" in spec.params:
-        space = load_compact(spec.params["table"])
-        if not isinstance(space.kind, CompactKind) or space.kind.m != spec.cfg.m:
-            raise ValueError("compact table does not match the experiment network")
+        path = spec.params["table"]
+        space = load_compact(path)
+        if space.kind.m != spec.cfg.m:
+            raise ValueError(
+                f"compact table {path} is for m={space.kind.m}, the network has m={spec.cfg.m}"
+            )
         return space
     return build_compact(
         m=spec.cfg.m,
@@ -565,7 +557,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         )
     else:
         space = _experiment_space(spec)
-        compact = isinstance(space.kind, CompactKind)
+        compact = space.is_compact
         schedule = spec.params.get("schedule")
         final_cfg = spec.cfg
         if schedule is not None:

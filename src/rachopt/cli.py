@@ -41,17 +41,23 @@ class NonNegativeFloat(click.ParamType):
 
 GAMMA = NonNegativeFloat()
 
-_cfg_options = [
+
+def _options(*opts):
+    """One decorator that applies ``opts`` in the order listed."""
+
+    def decorate(fn):
+        for opt in reversed(opts):
+            fn = opt(fn)
+        return fn
+
+    return decorate
+
+
+cfg_options = _options(
     click.option("--m", type=RBS, required=True, help="Number of resource blocks."),
     click.option("--n-h", type=COUNT, required=True, help="Number of high-priority devices."),
     click.option("--n-l", type=COUNT, required=True, help="Number of low-priority devices."),
-]
-
-
-def cfg_options(fn):
-    for opt in reversed(_cfg_options):
-        fn = opt(fn)
-    return fn
+)
 
 
 def grid_step(ctx, param, value: float | None) -> float | None:
@@ -182,7 +188,10 @@ def as_stats_cmd(m, d):
     """Discretized action-space sizes before and after rotation dedup."""
     spec = GridSpec(m, d)
     full = full_space_size(spec)
-    reduced = len(generate_discretized(spec, reduced=True))
+    try:
+        reduced = len(generate_discretized(spec, reduced=True))
+    except ValueError as exc:  # more grid actions than the cap
+        raise click.UsageError(str(exc)) from None
     click.echo(f"M={m} d={d}: full {full}, reduced {reduced}")
 
 
@@ -237,9 +246,9 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
             seeds=tuple(seeds),
             out_dir=Path(out),
         )
-    except ValueError as exc:  # a bandit parameter MabConfig rejects
+        written = run_experiment(spec)
+    except ValueError as exc:  # a bandit parameter, the grid's size or the table file
         raise click.BadParameter(str(exc)) from None
-    written = run_experiment(spec)
     for path in written:
         click.echo(f"wrote {path}")
     summary = json.loads(written[-1].read_text())
@@ -253,70 +262,54 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
         click.echo(line)
 
 
-def mab_param_options(fn):
-    for opt in reversed(
-        [
-            click.option("--alpha", type=float, default=None, help="Smoothing rate."),
-            click.option("--elite-fraction", type=float, default=None),
-            click.option("--batch-size", type=int, default=None),
-            click.option("--rho", type=float, default=None, help="Infeasibility discount."),
-            click.option("--t", type=int, default=None, help="Slots per pull."),
-            click.option("--runs", type=int, default=None, help="Total pulls."),
-        ]
-    ):
-        fn = opt(fn)
-    return fn
+# The action space and bandit options shared by `mab` and `scenario`.
+bandit_options = _options(
+    click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
+                 default="discretized", show_default=True),
+    click.option("--d", type=float, default=None, callback=grid_step,
+                 help="Grid step (discretized space)."),
+    click.option("--table", type=click.Path(exists=True), default=None,
+                 help="Precomputed compact table CSV."),
+    click.option("--n-h-max", type=COUNT, default=10, show_default=True,
+                 help="Compact table bound when building in place."),
+    click.option("--n-l-max", type=COUNT, default=10, show_default=True),
+    click.option("--alpha", type=float, default=None, help="Smoothing rate."),
+    click.option("--elite-fraction", type=float, default=None),
+    click.option("--batch-size", type=int, default=None),
+    click.option("--rho", type=float, default=None, help="Infeasibility discount."),
+    click.option("--t", type=int, default=None, help="Slots per pull."),
+    click.option("--runs", type=int, default=None, help="Total pulls."),
+    click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
+                 help="Seed; repeat for several runs."),
+)
 
 
 @main.command("mab")
-@click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
-              default="discretized", show_default=True)
 @cfg_options
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
-@click.option("--d", type=float, default=None, callback=grid_step,
-              help="Grid step (discretized space).")
-@click.option("--table", type=click.Path(exists=True), default=None,
-              help="Precomputed compact table CSV.")
-@click.option("--n-h-max", type=COUNT, default=10, show_default=True,
-              help="Compact table bound when building in place.")
-@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
-@mab_param_options
-@click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
-              help="Seed; repeat for several runs.")
+@bandit_options
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
-def mab_cmd(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
-            seeds, out, name, **mab_flags):
+def mab_cmd(**opts):
     """Run the cross-entropy bandit and write trace/plot/result files."""
-    _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
-              seeds, out, name, None, **mab_flags)
+    _mab_like(schedule=None, **opts)
 
 
 @main.command("scenario")
-@click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
-              default="discretized", show_default=True)
 @click.option("--m", type=RBS, default=5, show_default=True)
 @click.option("--n-h", type=COUNT, default=2, show_default=True, help="Initial high-class load.")
 @click.option("--n-l", type=COUNT, default=1, show_default=True, help="Initial low-class load.")
 @click.option("--switch-n-h", type=COUNT, default=4, show_default=True)
 @click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
-@click.option("--switch", "switch_pull", type=int, default=None,
+@click.option("--switch", "switch_pull", type=click.IntRange(min=1), default=None,
               help="Pull index of the load switch "
                    "[default: 15000 discretized, 2000 compact].")
 @click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
-@click.option("--d", type=float, default=None, callback=grid_step,
-              help="Grid step (discretized space).")
-@click.option("--table", type=click.Path(exists=True), default=None,
-              help="Precomputed compact table CSV.")
-@click.option("--n-h-max", type=COUNT, default=10, show_default=True)
-@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
-@mab_param_options
-@click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True)
+@bandit_options
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
-def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
-                 gamma, d, table, n_h_max, n_l_max, seeds, out, name, **mab_flags):
+def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
     """Non-stationary load switch: the device counts change mid-run.
 
     The bandit's state carries through the switch, so the run lengths default
@@ -324,12 +317,12 @@ def scenario_cmd(space_kind, m, n_h, n_l, switch_n_h, switch_n_l, switch_pull,
     counts on pre-switch favorites must be outweighed before the running-mean
     value estimates can track the new load.
     """
+    grid = opts["space_kind"] == "discretized"
     if switch_pull is None:
-        switch_pull = 15000 if space_kind == "discretized" else 2000
-    if mab_flags.get("runs") is None:
-        mab_flags["runs"] = 45000 if space_kind == "discretized" else 12000
-    _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
-              seeds, out, name, (switch_pull, switch_n_h, switch_n_l), **mab_flags)
+        switch_pull = 15000 if grid else 2000
+    if opts["runs"] is None:
+        opts["runs"] = 45000 if grid else 12000
+    _mab_like(schedule=(switch_pull, switch_n_h, switch_n_l), **opts)
 
 
 @main.command("reproduce")
@@ -357,10 +350,10 @@ def reproduce_cmd(ctx, table_id, seed, strict):
 def experiment_cmd(config):
     """Run an experiment described by a config file."""
     try:
-        spec = load_experiment(config)
-    except ValueError as exc:
+        written = run_experiment(load_experiment(config))
+    except ValueError as exc:  # the file, or the grid or table it names
         raise click.BadParameter(str(exc), param_hint="CONFIG") from None
-    for path in run_experiment(spec):
+    for path in written:
         click.echo(f"wrote {path}")
 
 

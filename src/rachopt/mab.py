@@ -27,10 +27,13 @@ load, 784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid.
 :mod:`rachopt.simulate` for every pull; the two backends agree in
 distribution but draw different random streams.
 
-A run's trace is one numpy record array, a record per pull with fields
-``pull``, ``action_index``, ``mu_h_t``, ``mu_l_t`` and ``reward``: the run
-fills its columns a batch and load phase at a time, and the readers below
-take them whole.
+A run returns a :class:`MabResult` with fields ``trace``, ``q``, ``v``,
+``p_as``, ``best_index`` and ``batch_size``: the final per-action mean
+reward, pull counts and sampling distribution sit next to the trace, and
+``best_index`` is the argmax of ``q``.  The trace is one numpy record
+array, a record per pull with fields ``pull``, ``action_index``,
+``mu_h_t``, ``mu_l_t`` and ``reward``: the run fills its columns a batch
+and load phase at a time, and the readers below take them whole.
 """
 
 from __future__ import annotations
@@ -44,14 +47,13 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .actionspace import ActionSpace, CompactKind
+from .actionspace import ActionSpace
 from .exact import scaling_reference, slot_success_pmf
 from .model import NetworkConfig, ThroughputPair
 
 __all__ = [
     "UNIFORM_SHARE",
     "MabConfig",
-    "MabState",
     "MabResult",
     "reward",
     "ce_update",
@@ -135,16 +137,6 @@ class MabConfig:
         return int(self.elite_fraction * self.batch_size)
 
 
-@dataclass
-class MabState:
-    """Running per-action statistics: mean reward q, pull counts v, and the
-    action-sampling distribution."""
-
-    q: np.ndarray
-    v: np.ndarray
-    p_as: np.ndarray
-
-
 def _empty_trace(pulls: int) -> np.recarray:
     """A zeroed pull trace with room for ``pulls`` records."""
     dtype = [("pull", np.int64), ("action_index", np.int64),
@@ -154,21 +146,16 @@ def _empty_trace(pulls: int) -> np.recarray:
 
 @dataclass
 class MabResult:
-    """Trace (a record array, one record per pull) and final statistics of
-    one bandit run."""
+    """One bandit run: its trace (a record array, one record per pull) and
+    its final statistics, the per-action mean reward ``q``, pull counts
+    ``v`` and sampling distribution ``p_as``."""
 
     trace: np.recarray
-    state: MabState
+    q: np.ndarray
+    v: np.ndarray
+    p_as: np.ndarray
     best_index: int
     batch_size: int
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.state.q
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.state.v
 
 
 def reward(mu_h_t, mu_l_t, gamma: float, rho: float, scale: float):
@@ -333,9 +320,9 @@ def run_nonstationary(
         snapshots = _fold(q, v, batch_idx.tolist(), trace.reward[first:end].tolist())
         p_new = ce_update(size, mcfg.elite_size, batch_idx, snapshots)
         p_as = smooth(smooth(p_as, p_new, mcfg.alpha), uniform, UNIFORM_SHARE)
-    state = MabState(q=np.array(q), v=np.array(v, dtype=np.int64), p_as=p_as)
-    best = int(np.argmax(state.q))
-    return MabResult(trace=trace, state=state, best_index=best, batch_size=mcfg.batch_size)
+    q = np.array(q)
+    return MabResult(trace=trace, q=q, v=np.array(v, dtype=np.int64), p_as=p_as,
+                     best_index=int(np.argmax(q)), batch_size=mcfg.batch_size)
 
 
 def _phase_runs(switches: Sequence[int], lo: int, hi: int):
@@ -364,7 +351,7 @@ def _load_arms(space: ActionSpace) -> np.ndarray:
     loads the floor does not bind) are one arm to the network, so their
     pulls are pooled and the arm is labelled by its first cell.
     """
-    if not isinstance(space.kind, CompactKind) or space.entries is None:
+    if not space.is_compact:
         raise TypeError("load estimation needs a compact space")
     first: dict = {}
     return np.array([first.setdefault(a.pair, i) for i, a in enumerate(space.actions)])
@@ -384,7 +371,7 @@ def estimate_load(space: ActionSpace, result: MabResult) -> tuple[int, int]:
     (ALT 2009).
     """
     arms = _load_arms(space)
-    pulls = np.bincount(arms, weights=result.state.v, minlength=len(arms))
+    pulls = np.bincount(arms, weights=result.v, minlength=len(arms))
     entry = space.entries[int(np.argmax(pulls))]
     return entry.n_h, entry.n_l
 

@@ -262,6 +262,35 @@ def test_load_rejects_corrupted_throughput(tmp_path):
         load_compact(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cols: cols[:4] + ["abc"] + cols[5:], "could not convert string to float: 'abc'"),
+        (lambda cols: cols[:-1], "11 fields, expected 12"),
+        (lambda cols: ["4"] + cols[1:], "row m=4 disagrees with header m=3"),
+    ],
+    ids=["unparsable-value", "short-row", "other-m"],
+)
+def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
+    path = tmp_path / "table.csv"
+    save_compact(build_compact(3, 1, 1, 0.0, opt=fake_opt), path)
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_compact(path)
+    assert str(err.value) == f"{path}: bad compact-table row at line 3: {message}"
+
+
+def test_load_compact_names_file_of_repeated_cell(tmp_path):
+    path = tmp_path / "table.csv"
+    save_compact(build_compact(3, 1, 1, 0.0, opt=fake_opt), path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + lines[1:4]) + "\n")
+    with pytest.raises(ValueError, match=f"^{path}: duplicate cell \\(0, 0\\)$"):
+        load_compact(path)
+
+
 def test_save_compact_rejects_discretized():
     space = generate_discretized(GridSpec(2, 0.5))
     with pytest.raises(TypeError):

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from rachopt.actionspace import build_compact, save_compact
+from rachopt.actionspace import (
+    GridSpec,
+    build_compact,
+    generate_discretized,
+    load_compact,
+    save_compact,
+)
 from rachopt.bench import (
     ExperimentSpec,
     ReportLine,
@@ -21,7 +27,7 @@ from rachopt.bench import (
 )
 from rachopt.cli import main
 from rachopt.exact import throughput_closed_form
-from rachopt.mab import load_mab_trace
+from rachopt.mab import MabConfig, load_mab_trace, run, save_mab_trace
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 
@@ -360,8 +366,6 @@ def test_run_experiment_mab_compact_has_mae_and_load(tmp_path, compact_2x2):
     assert entry["estimated_load"][0] == 2
     pair = AccessProbabilityPair(entry["p_h"], entry["p_l"])
     attained = throughput_closed_form(spec.cfg, pair).mu_h
-    from rachopt.actionspace import load_compact
-
     table = load_compact(compact_2x2)
     true_pair = table.actions[table.index[(2, 1)]].pair
     target = throughput_closed_form(spec.cfg, true_pair).mu_h
@@ -418,6 +422,7 @@ def _usage_error(result, *fragments):
     """Click reports bad input as a usage error (exit 2), not a traceback."""
     assert result.exit_code == 2, result.output
     assert not isinstance(result.exception, ValueError)
+    assert "Traceback" not in result.output
     for text in fragments:
         assert text in result.output
 
@@ -527,6 +532,57 @@ def test_cli_mab_rejects_batch_that_keeps_no_elite(runner, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_rejects_switch_before_first_pull(runner, tmp_path):
+    for bad in ("0", "-3"):
+        _usage_error(
+            runner.invoke(main, ["scenario", "--switch", bad, "--out", str(tmp_path)]),
+            "--switch", f"{bad} is not in the range x>=1",
+        )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nname = x\nmethod = mab-discretized\nout = {}\n"
+        "[network]\nm = 2\nn_h = 1\nn_l = 1\n"
+        "[schedule]\nswitch = -3\nn_h = 2\nn_l = 2\n".format(tmp_path / "res")
+    )
+    _usage_error(
+        runner.invoke(main, ["experiment", str(ini)]), "schedule switch must be >= 1, got -3"
+    )
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_rejects_grid_over_action_cap(runner, tmp_path):
+    cap = "378224704 grid actions exceeds cap 1000000 (m=8, d=0.1)"
+    _usage_error(runner.invoke(main, ["as-stats", "--m", "8", "--d", "0.1"]), cap)
+    _usage_error(
+        runner.invoke(main, ["mab", "--m", "8", "--n-h", "1", "--n-l", "1", "--d", "0.1",
+                             "--out", str(tmp_path)]),
+        cap,
+    )
+
+
+def test_cli_rejects_table_for_other_network(runner, tmp_path, compact_2x2):
+    _usage_error(
+        runner.invoke(main, ["mab", "--space", "compact", "--table", str(compact_2x2),
+                             "--m", "4", "--n-h", "1", "--n-l", "1", "--out", str(tmp_path)]),
+        f"compact table {compact_2x2} is for m=3, the network has m=4",
+    )
+
+
+def test_cli_rejects_table_value_that_does_not_parse(runner, tmp_path, compact_2x2):
+    lines = compact_2x2.read_text().splitlines()
+    cols = lines[2].split(",")
+    cols[5] = "abc"
+    lines[2] = ",".join(cols)
+    table = tmp_path / "t.csv"
+    table.write_text("\n".join(lines) + "\n")
+    for cmd, args in (("mab", ["--m", "3", "--n-h", "1", "--n-l", "1"]), ("scenario", [])):
+        _usage_error(
+            runner.invoke(main, [cmd, *args, "--space", "compact", "--table", str(table),
+                                 "--out", str(tmp_path / "out")]),
+            f"{table}: bad compact-table row at line 3: could not convert string to float: 'abc'",
+        )
+
+
 def test_cli_experiment_names_missing_section(runner, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nname = x\nmethod = uniform\n")
@@ -621,6 +677,42 @@ def test_cli_mab_discretized_smoke(runner, tmp_path):
     assert result.exit_code == 0
     assert (tmp_path / "g_seed0_trace.csv").exists()
     assert (tmp_path / "g_seed1_plot.csv").exists()
+
+
+def _same_trace(path, space, cfg, mcfg):
+    """Whether the trace CSV at ``path`` is the bytes a library run writes."""
+    expected = path.with_name("expected.csv")
+    save_mab_trace(run(space, cfg, mcfg), expected)
+    return path.read_bytes() == expected.read_bytes()
+
+
+def test_cli_mab_compact_runs_compact_preset(runner, tmp_path, compact_2x2):
+    result = runner.invoke(
+        main,
+        ["mab", "--space", "compact", "--table", str(compact_2x2),
+         "--m", "3", "--n-h", "2", "--n-l", "1", "--out", str(tmp_path), "--name", "c"],
+    )
+    assert result.exit_code == 0, result.output
+    preset = MabConfig(gamma=0.0, seed=0, alpha=0.1, elite_fraction=0.1, batch_size=200,
+                       rho=0.1, t=100, runs=2000)
+    assert _same_trace(tmp_path / "c_seed0_trace.csv", load_compact(compact_2x2),
+                       NetworkConfig(2, 1, 3), preset)
+
+
+@pytest.mark.parametrize("flags, alpha", [([], 0.2), (["--alpha", "0.3"], 0.3)])
+def test_cli_mab_grid_runs_grid_preset(runner, tmp_path, flags, alpha):
+    result = runner.invoke(
+        main,
+        ["mab", "--m", "2", "--n-h", "2", "--n-l", "1", "--d", "0.5", "--gamma", "0.2",
+         *flags, "--out", str(tmp_path), "--name", "g"],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(load_mab_trace(tmp_path / "g_seed0_trace.csv")) == 15000
+    preset = MabConfig(gamma=0.2, seed=0, alpha=alpha, elite_fraction=0.1, batch_size=500,
+                       rho=0.0, t=1000, runs=15000)
+    assert _same_trace(tmp_path / "g_seed0_trace.csv",
+                       generate_discretized(GridSpec(2, 0.5), reduced=True),
+                       NetworkConfig(2, 1, 2), preset)
 
 
 def test_cli_scenario_smoke(runner, tmp_path, compact_2x2):

@@ -23,7 +23,6 @@ from rachopt.mab import (
     UNIFORM_SHARE,
     MabConfig,
     MabResult,
-    MabState,
     _empty_trace,
     _fold,
     ce_update,
@@ -178,7 +177,7 @@ def test_single_action_space():
                      elite_fraction=0.2, alpha=0.3, seed=1)
     res = run(space, cfg, mcfg, throughput_fn=exact_fn)
     assert res.best_index == 0
-    assert res.state.p_as[0] == pytest.approx(1.0)
+    assert res.p_as[0] == pytest.approx(1.0)
     assert res.q[0] == pytest.approx(np.mean(res.trace.reward))
 
 
@@ -201,10 +200,10 @@ def test_p_as_stays_distribution_and_indices_in_range(small_space):
     mcfg = MabConfig(gamma=0.0, rho=0.0, t=20, runs=300, batch_size=30,
                      elite_fraction=0.1, alpha=0.2, seed=9)
     res = run(small_space, cfg, mcfg)
-    assert np.all(res.state.p_as >= 0)
-    assert res.state.p_as.sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(res.p_as >= 0)
+    assert res.p_as.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all((0 <= res.trace.action_index) & (res.trace.action_index < len(small_space)))
-    assert res.state.v.sum() == mcfg.n_batches * mcfg.batch_size
+    assert res.v.sum() == mcfg.n_batches * mcfg.batch_size
 
 
 def test_rho_zero_never_feasible_gives_zero_q(small_space):
@@ -223,7 +222,7 @@ def test_leftover_pulls_dropped(small_space):
                      elite_fraction=0.1, alpha=0.2, seed=3)
     res = run(small_space, cfg, mcfg, throughput_fn=exact_fn)
     assert len(res.trace) == 100
-    assert res.state.v.sum() == 100
+    assert res.v.sum() == 100
 
 
 def _three_action_space():
@@ -255,7 +254,7 @@ def test_concentration_on_three_action_space():
         mcfg = MabConfig(gamma=0.0, rho=0.0, t=1, runs=600, batch_size=30,
                          elite_fraction=0.1, alpha=0.2, seed=seed)
         res = run(space, cfg, mcfg, throughput_fn=fn)
-        if res.best_index == 0 and res.state.p_as[0] >= 0.9:
+        if res.best_index == 0 and res.p_as[0] >= 0.9:
             hits += 1
     assert hits >= 9
 
@@ -275,7 +274,7 @@ def test_concentration_on_grid_space_exact_rewards(small_space):
         res = run(small_space, cfg, mcfg, throughput_fn=exact_fn)
         ok = (
             mus[res.best_index] == pytest.approx(opt, abs=1e-12)
-            and res.state.p_as[res.best_index] >= 0.9
+            and res.p_as[res.best_index] >= 0.9
         )
         hits += ok
     assert hits >= 9
@@ -318,7 +317,7 @@ def test_nonstationary_prefix_matches_stationary_and_state_carries(small_space):
     # identical action stream and rewards before the switch
     assert np.array_equal(full.trace[:80], half.trace)
     # pull counts keep accumulating across the switch
-    assert full.state.v.sum() == 160
+    assert full.v.sum() == 160
     # post-switch rewards are computed under the new load and its own scale
     post = full.trace[80]
     pair = small_space.actions[post.action_index].pair
@@ -352,12 +351,12 @@ def test_estimate_load_is_most_played_pooled_allocation(compact_3x3):
     # pulls pool and the arm is labelled by its first cell
     assert compact_3x3.actions[7].pair == compact_3x3.actions[8].pair
     n = len(compact_3x3)
-    state = MabState(q=np.zeros(n), v=np.zeros(n, dtype=np.int64), p_as=np.full(n, 1 / n))
-    state.v[[3, 7, 8]] = [5, 3, 3]
-    state.q[3] = 1.0
-    res = MabResult(trace=_empty_trace(0), state=state, best_index=3, batch_size=1)
+    res = MabResult(trace=_empty_trace(0), q=np.zeros(n), v=np.zeros(n, dtype=np.int64),
+                    p_as=np.full(n, 1 / n), best_index=3, batch_size=1)
+    res.v[[3, 7, 8]] = [5, 3, 3]
+    res.q[3] = 1.0
     assert estimate_load(compact_3x3, res) == (2, 1)
-    state.v[3] = 7
+    res.v[3] = 7
     assert estimate_load(compact_3x3, res) == (1, 0)
 
 
@@ -491,10 +490,10 @@ def test_switch_does_not_lock_onto_stale_favourite():
         res = run_nonstationary(space, [(0, cfg_a), (1200, cfg_b)], mcfg,
                                 throughput_fn=fn)
         last_batch = [rec.action_index for rec in res.trace[-30:]]
-        assert res.state.p_as[1] >= 0.5, (seed, res.state.p_as)
+        assert res.p_as[1] >= 0.5, (seed, res.p_as)
         assert last_batch.count(1) > 15, (seed, last_batch)
         # state carried across the switch: counts and means are lifetime
-        assert res.state.v.sum() == 2400
+        assert res.v.sum() == 2400
         stale = [rec.reward for rec in res.trace if rec.action_index == 0]
         assert res.q[0] == pytest.approx(np.mean(stale), abs=1e-12)
 
@@ -509,7 +508,7 @@ def test_uniform_share_steady_state_off_the_favourite():
         mcfg = MabConfig(gamma=0.0, rho=0.0, t=1, runs=6000, batch_size=30,
                          elite_fraction=0.1, alpha=alpha, seed=0)
         res = run(space, cfg, mcfg, throughput_fn=fn)
-        off = 1.0 - res.state.p_as[0]
+        off = 1.0 - res.p_as[0]
         expected = s * (1 - 1 / 3) / (1 - (1 - s) * (1 - alpha))
         assert off == pytest.approx(expected, abs=1e-9)
 
@@ -686,7 +685,7 @@ def test_warm_run_equals_cold_run():
     warm = run_nonstationary(space, schedule, mcfg)
     assert np.array_equal(cold.trace, warm.trace)
     for attr in ("q", "v", "p_as"):
-        assert np.array_equal(getattr(cold.state, attr), getattr(warm.state, attr)), attr
+        assert np.array_equal(getattr(cold, attr), getattr(warm, attr)), attr
 
 
 def test_filled_pull_tables_leave_equality_and_repr():
@@ -737,8 +736,8 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_trace_csv_round_trip_property(tmp_path_factory, rows, batch_size):
     trace = _empty_trace(len(rows))
     trace[:] = [(p, *row) for p, row in enumerate(rows)]
-    state = MabState(q=np.zeros(1), v=np.ones(1), p_as=np.ones(1))
-    res = MabResult(trace=trace, state=state, best_index=0, batch_size=batch_size)
+    res = MabResult(trace=trace, q=np.zeros(1), v=np.ones(1), p_as=np.ones(1),
+                    best_index=0, batch_size=batch_size)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     save_mab_trace(res, path)
     loaded = load_mab_trace(path)

@@ -1,13 +1,14 @@
 import concurrent.futures
-import importlib
 import math
 import sys
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rachopt.simulate as simulate_module
 from rachopt.bench import published_pair
 from rachopt.exact import (
     enumerate_patterns,
@@ -32,13 +33,21 @@ from rachopt.simulate import (
 
 from support import random_simplex, reference_event_codes, reference_sim_throughput
 
-# the module itself: the package re-exports the function under the same name
-simulate_module = importlib.import_module("rachopt.simulate")
 BLOCK = simulate_module._BLOCK
 
 
 def strings(trace):
     return [pattern_to_string(p) for p in trace.patterns]
+
+
+def test_package_name_simulate_is_the_module(monkeypatch):
+    import rachopt
+    import rachopt.simulate as m
+
+    assert isinstance(m, types.ModuleType)
+    assert rachopt.simulate is m and m.simulate is simulate
+    monkeypatch.setattr("rachopt.simulate._usable_cpus", lambda: 1)
+    assert m._usable_cpus() == 1
 
 
 def test_degenerate_single_device():
