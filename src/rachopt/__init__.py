@@ -12,7 +12,6 @@ from .model import (
 from .exact import (
     enumerate_patterns,
     pattern_probability,
-    scaling_allocation,
     scaling_reference,
     slot_success_pmf,
     throughput_by_pattern_sum,

@@ -9,7 +9,8 @@ Two families:
 * compact -- a lookup table of optimizer solutions indexed by candidate load
   (n_h, n_l), so the bandit searches over loads instead of raw vectors.
 
-Grid actions carry exact integer numerators; all deduplication compares
+A grid pair's exact integer numerators over the common denominator q are its
+key in the space's index.  Deduplication compares integer codes of those
 numerators, never floats.
 """
 
@@ -25,12 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .exact import compositions, throughput_closed_form, throughput_terms
-from .model import (
-    AccessProbabilityPair,
-    NetworkConfig,
-    ThroughputPair,
-    min_rotation_shift,
-)
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 from .optimize import FEASIBILITY_TOL, SolverOptions, solve_batch
 
 __all__ = [
@@ -79,16 +75,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Action:
-    """One selectable access-probability pair.
-
-    Grid actions keep their integer numerators (over the common denominator
-    q) so equality and rotation checks stay exact.
-    """
+    """One selectable access-probability pair."""
 
     pair: AccessProbabilityPair
-    num_h: Optional[tuple[int, ...]] = None
-    num_l: Optional[tuple[int, ...]] = None
-    q: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -165,13 +154,6 @@ class ActionSpace:
         )
 
 
-def _grid_action(num_h: tuple[int, ...], num_l: tuple[int, ...], q: int) -> Action:
-    pair = AccessProbabilityPair(
-        tuple(n / q for n in num_h), tuple(n / q for n in num_l)
-    )
-    return Action(pair, num_h, num_l, q)
-
-
 def full_space_size(spec: GridSpec) -> int:
     """Number of grid pairs before any reduction."""
     per_vector = math.comb(spec.q + spec.m - 1, spec.m - 1)
@@ -191,19 +173,28 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
         raise ValueError(
             f"{total} grid actions exceeds cap {DEFAULT_ACTION_CAP} (m={spec.m}, d={spec.d})"
         )
-    comps = [tuple(c) for c in compositions(spec.q, spec.m)]
-    actions: list[Action] = []
-    index: dict = {}
-    for u in comps:
-        for v in comps:
-            if reduced and min_rotation_shift(u, v) != 0:
-                continue
-            pos = len(actions)
-            actions.append(_grid_action(u, v, spec.q))
-            index[(u, v)] = pos
+    comps = list(compositions(spec.q, spec.m))
+    c = len(comps)
+    keep = np.ones((c, c), dtype=bool)
+    if reduced:
+        # The pair (comps[i], comps[j]) has the integer code i * c + j, its
+        # rank in the lexicographic order of the 2m numerators.  Codes stay
+        # below the action cap, so they fit int64 whatever m and q are.  A
+        # pair is kept when no joint rotation has a smaller code; a periodic
+        # pair ties with some of its rotations and is kept once.
+        rank = {u: i for i, u in enumerate(comps)}
+        code = np.arange(c * c).reshape(c, c)
+        for s in range(1, spec.m):
+            r = np.array([rank[u[s:] + u[:s]] for u in comps])
+            keep &= code <= r[:, None] * c + r[None, :]
+    probs = [tuple(n / spec.q for n in u) for u in comps]
+    # row-major order of the kept (i, j) is lexicographic numerator order
+    pairs = list(zip(*(x.tolist() for x in np.nonzero(keep))))
+    actions = tuple(Action(AccessProbabilityPair(probs[i], probs[j])) for i, j in pairs)
+    index = {(comps[i], comps[j]): pos for pos, (i, j) in enumerate(pairs)}
     return ActionSpace(
         kind=DiscretizedKind(spec.m, spec.d, reduced),
-        actions=tuple(actions),
+        actions=actions,
         index=index,
     )
 

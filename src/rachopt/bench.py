@@ -445,12 +445,10 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         except ValueError:
             raise ValueError(f"{path}: bad value {raw!r} for {key!r} in [{section}]") from None
 
-    exp = parser["experiment"]
     cfg = NetworkConfig(
         n_h=value("network", "n_h"), n_l=value("network", "n_l"), m=value("network", "m")
     )
     gamma = value("network", "gamma", 0.0)
-    method = exp.get("method")
     seeds: tuple[int, ...] = (0,)
     if parser.has_section("seeds"):
         seeds = value("seeds", "list", seeds)
@@ -461,13 +459,13 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     if parser.has_section("schedule"):
         params["schedule"] = tuple(value("schedule", key) for key in ("switch", "n_h", "n_l"))
     return ExperimentSpec(
-        name=exp.get("name"),
+        name=value("experiment", "name"),
         cfg=cfg,
         gamma=gamma,
-        method=method,
+        method=value("experiment", "method"),
         params=params,
         seeds=seeds,
-        out_dir=Path(exp.get("out", ".")),
+        out_dir=Path(value("experiment", "out", ".")),
     )
 
 
@@ -515,6 +513,12 @@ def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
             raise ValueError(
                 f"compact table {path} is for m={space.kind.m}, the network has m={spec.cfg.m}"
             )
+        # tables store gamma to 12 significant digits
+        if f"{space.kind.gamma:.12g}" != f"{spec.gamma:.12g}":
+            raise ValueError(
+                f"compact table {path} is for gamma={space.kind.gamma}, "
+                f"the network has gamma={spec.gamma}"
+            )
         return space
     return build_compact(
         m=spec.cfg.m,
@@ -526,6 +530,8 @@ def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
 
 def run_experiment(spec: ExperimentSpec) -> list[Path]:
     """Run one experiment and write its artifacts; returns the paths."""
+    # the space first: a run it rejects leaves no output directory behind
+    space = _experiment_space(spec) if spec.method.startswith("mab-") else None
     spec.out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     record: dict = {
@@ -556,7 +562,6 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             p_l=list(res.pair.p_l),
         )
     else:
-        space = _experiment_space(spec)
         compact = space.is_compact
         schedule = spec.params.get("schedule")
         final_cfg = spec.cfg

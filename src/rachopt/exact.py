@@ -47,7 +47,6 @@ __all__ = [
     "pattern_probability",
     "throughput_by_pattern_sum",
     "slot_success_pmf",
-    "scaling_allocation",
     "scaling_reference",
 ]
 
@@ -420,21 +419,11 @@ def slot_success_pmf(n_h: int, n_l: int, p_h, p_l) -> np.ndarray:
     return out
 
 
-def scaling_allocation(m: int) -> AccessProbabilityPair:
-    """Reference allocation used for reward normalization: the high class
-    spreads uniformly over the first m-1 RBs, the low class occupies the
-    last RB alone."""
-    if m < 2:
-        raise ValueError(f"reference allocation needs m >= 2, got {m}")
-    share = 1.0 / (m - 1)
-    p_h = (share,) * (m - 1) + (0.0,)
-    p_l = (0.0,) * (m - 1) + (1.0,)
-    return AccessProbabilityPair(p_h, p_l)
-
-
 def scaling_reference(cfg: NetworkConfig) -> float:
-    """High-class throughput of :func:`scaling_allocation`, in closed form:
-    ``n_h * (1 - 1/(m-1)) ** (n_h - 1)``.
+    """High-class throughput of the reference allocation used for reward
+    normalization, in closed form: ``n_h * (1 - 1/(m-1)) ** (n_h - 1)``.
+    In that allocation the high class spreads uniformly over the first m-1
+    RBs and the low class occupies the last RB alone.
 
     Raises when undefined (m < 2, n_h = 0) or degenerate (value 0, which
     happens for m = 2 with n_h >= 2); callers that scale by this value must

@@ -31,7 +31,6 @@ __all__ = [
     "AccessProbabilityPair",
     "AccessPattern",
     "ThroughputPair",
-    "min_rotation_shift",
     "pattern_to_string",
     "pattern_from_string",
 ]
@@ -159,26 +158,6 @@ class ThroughputPair:
 
     mu_h: float
     mu_l: float
-
-
-def min_rotation_shift(row_h: Sequence, row_l: Sequence) -> int:
-    """Left-shift amount making the concatenated pair lexicographically smallest.
-
-    Both rows rotate jointly by the same amount.  Entries only need to support
-    ordering, so the same routine serves float vectors and exact grid
-    numerators.  Ties resolve toward the smaller shift.
-    """
-    m = len(row_h)
-    best_shift = 0
-    best = tuple(row_h) + tuple(row_l)
-    for s in range(1, m):
-        cand = tuple(row_h[(i + s) % m] for i in range(m)) + tuple(
-            row_l[(i + s) % m] for i in range(m)
-        )
-        if cand < best:
-            best = cand
-            best_shift = s
-    return best_shift
 
 
 def pattern_to_string(pattern: AccessPattern) -> str:

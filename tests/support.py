@@ -17,12 +17,15 @@ import math
 import numpy as np
 
 from rachopt.exact import slot_success_pmf
+from rachopt.model import AccessProbabilityPair
 
 
 def stars_and_bars(total: int, parts: int) -> list[tuple[int, ...]]:
     """All count vectors of length ``parts`` summing to ``total``."""
     if parts == 0:
         return [()] if total == 0 else []
+    if parts == 1:  # no bars to place, and total may exceed a range's size
+        return [(total,)]
     out = []
     for bars in itertools.combinations(range(total + parts - 1), parts - 1):
         counts = []
@@ -117,6 +120,16 @@ def random_simplex(rng: np.random.Generator, m: int, sparse: bool = False):
             v[rng.integers(0, m)] = 1.0
         v = v / v.sum()
     return tuple(float(x) for x in v)
+
+
+def scaling_allocation(m: int) -> AccessProbabilityPair:
+    """The reference allocation behind ``exact.scaling_reference``: the high
+    class spreads uniformly over the first m-1 RBs, the low class occupies
+    the last RB alone."""
+    share = 1.0 / (m - 1)
+    p_h = (share,) * (m - 1) + (0.0,)
+    p_l = (0.0,) * (m - 1) + (1.0,)
+    return AccessProbabilityPair(p_h, p_l)
 
 
 def min_joint_rotation(p_h, p_l) -> tuple[tuple, tuple]:

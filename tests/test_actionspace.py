@@ -20,10 +20,10 @@ from rachopt.actionspace import (
     save_compact,
 )
 from rachopt.exact import throughput_closed_form
-from rachopt.model import AccessProbabilityPair, NetworkConfig, min_rotation_shift
+from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import SolverOptions, solve
 
-from support import burnside_orbit_count, min_joint_rotation, random_simplex
+from support import burnside_orbit_count, min_joint_rotation, random_simplex, stars_and_bars
 
 # Grid sizes for the benchmark (m, d) combinations.  The (3, 0.1) full count
 # is the exact value 66^2 = 4356; the corresponding reduced count 1452 times
@@ -82,46 +82,37 @@ def test_single_rb_grid():
 
 def test_full_space_lexicographic_order():
     space = generate_discretized(GridSpec(3, 0.5))
-    keys = [a.num_h + a.num_l for a in space.actions]
+    keys = [u + v for u, v in space.index]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
 
 def test_grid_actions_are_exact():
     space = generate_discretized(GridSpec(3, 0.2))
-    for a in space.actions:
-        assert sum(a.num_h) == 5 and sum(a.num_l) == 5
-        assert a.pair.p_h == tuple(n / 5 for n in a.num_h)
+    for (u, v), pos in space.index.items():
+        assert sum(u) == 5 and sum(v) == 5
+        assert space[pos].pair.p_h == tuple(n / 5 for n in u)
 
 
 def test_reduced_space_members_are_canonical():
     space = generate_discretized(GridSpec(3, 0.2), reduced=True)
-    for a in space.actions:
-        assert min_rotation_shift(a.num_h, a.num_l) == 0
+    for u, v in space.index:
+        assert min_joint_rotation(u, v) == (u, v)
 
 
 def test_reduction_is_order_independent():
     spec = GridSpec(3, 0.5)
     full = generate_discretized(spec)
     reduced_keys = set(generate_discretized(spec, reduced=True).index)
-    shuffled = list(full.actions)
+    shuffled = list(full.index)
     random.Random(5).shuffle(shuffled)
-    seen = set()
-    for a in shuffled:
-        s = min_rotation_shift(a.num_h, a.num_l)
-        m = len(a.num_h)
-        seen.add(
-            (
-                tuple(a.num_h[(i + s) % m] for i in range(m)),
-                tuple(a.num_l[(i + s) % m] for i in range(m)),
-            )
-        )
+    seen = {min_joint_rotation(u, v) for u, v in shuffled}
     assert seen == reduced_keys
 
 
 def test_no_residual_rotation_duplicates():
     space = generate_discretized(GridSpec(3, 0.5), reduced=True)
-    orbits = [min_joint_rotation(a.num_h, a.num_l) for a in space.actions]
+    orbits = [min_joint_rotation(u, v) for u, v in space.index]
     assert len(set(orbits)) == len(orbits)
 
 
@@ -130,8 +121,24 @@ def test_every_orbit_is_represented():
     full = generate_discretized(spec)
     reduced = generate_discretized(spec, reduced=True)
     # each representative is its orbit's minimum, which the index holds
-    for a in full.actions:
-        assert min_joint_rotation(a.num_h, a.num_l) in reduced.index
+    for u, v in full.index:
+        assert min_joint_rotation(u, v) in reduced.index
+
+
+def test_grids_match_brute_force_enumeration():
+    specs = [GridSpec(m, d) for (m, d), (full, _) in REFERENCE_SIZES.items() if full <= 5000]
+    specs += [GridSpec(1, 0.5), GridSpec(1, 1e-20)]
+    for spec in specs:
+        comps = sorted(stars_and_bars(spec.q, spec.m))
+        every = [(u, v) for u in comps for v in comps]
+        canonical = [(u, v) for u, v in every if min_joint_rotation(u, v) == (u, v)]
+        for reduced, expected in ((False, every), (True, canonical)):
+            space = generate_discretized(spec, reduced=reduced)
+            assert list(space.index) == expected
+            assert list(space.index.values()) == list(range(len(expected)))
+            for (u, v), action in zip(expected, space.actions):
+                assert action.pair.p_h == tuple(n / spec.q for n in u)
+                assert action.pair.p_l == tuple(n / spec.q for n in v)
 
 
 def test_size_cap():

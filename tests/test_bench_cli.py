@@ -192,8 +192,11 @@ def test_load_experiment_rejects_unread_section_or_key(tmp_path, section, body, 
         ("schedule", "n_h = 4\nn_l = 5\n", "missing key 'switch' in [schedule]"),
         ("schedule", "switch = 20\nn_l = 5\n", "missing key 'n_h' in [schedule]"),
         ("schedule", "switch = 20\nn_h = 4\n", "missing key 'n_l' in [schedule]"),
+        ("experiment", "method = uniform\n", "missing key 'name' in [experiment]"),
+        ("experiment", "name = x\n", "missing key 'method' in [experiment]"),
     ],
-    ids=["network-m", "network-n_h", "network-n_l", "schedule-switch", "schedule-n_h", "schedule-n_l"],
+    ids=["network-m", "network-n_h", "network-n_l", "schedule-switch", "schedule-n_h", "schedule-n_l",
+         "experiment-name", "experiment-method"],
 )
 def test_load_experiment_names_missing_key(tmp_path, section, body, message):
     sections = {**MINIMAL_INI, section: body}
@@ -553,11 +556,13 @@ def test_cli_rejects_switch_before_first_pull(runner, tmp_path):
 def test_cli_rejects_grid_over_action_cap(runner, tmp_path):
     cap = "378224704 grid actions exceeds cap 1000000 (m=8, d=0.1)"
     _usage_error(runner.invoke(main, ["as-stats", "--m", "8", "--d", "0.1"]), cap)
+    out = tmp_path / "out"
     _usage_error(
         runner.invoke(main, ["mab", "--m", "8", "--n-h", "1", "--n-l", "1", "--d", "0.1",
-                             "--out", str(tmp_path)]),
+                             "--out", str(out)]),
         cap,
     )
+    assert not out.exists()
 
 
 def test_cli_rejects_table_for_other_network(runner, tmp_path, compact_2x2):
@@ -565,6 +570,15 @@ def test_cli_rejects_table_for_other_network(runner, tmp_path, compact_2x2):
         runner.invoke(main, ["mab", "--space", "compact", "--table", str(compact_2x2),
                              "--m", "4", "--n-h", "1", "--n-l", "1", "--out", str(tmp_path)]),
         f"compact table {compact_2x2} is for m=3, the network has m=4",
+    )
+
+
+def test_cli_rejects_table_for_other_floor(runner, tmp_path, compact_2x2):
+    _usage_error(
+        runner.invoke(main, ["mab", "--space", "compact", "--table", str(compact_2x2),
+                             "--m", "3", "--n-h", "1", "--n-l", "1", "--gamma", "0.4",
+                             "--out", str(tmp_path)]),
+        f"compact table {compact_2x2} is for gamma=0.0, the network has gamma=0.4",
     )
 
 

@@ -12,7 +12,6 @@ from rachopt.exact import (
     enumerate_patterns,
     multinomial_pmf,
     pattern_probability,
-    scaling_allocation,
     scaling_reference,
     slot_success_pmf,
     throughput_by_pattern_sum,
@@ -30,6 +29,7 @@ from support import (
     brute_force_throughput,
     factorial_pmf,
     random_simplex,
+    scaling_allocation,
     shaped_reward_oracle,
     stars_and_bars,
 )

@@ -229,11 +229,13 @@ def _three_action_space():
     """Tiny bandit problem: three actions whose exact rewards are fixed and
     separated by at least 0.1."""
     full = generate_discretized(GridSpec(2, 0.5))
-    chosen = (full.actions[0], full.actions[4], full.actions[8])
+    picks = (0, 4, 8)
+    keys = list(full.index)
+    chosen = tuple(full.actions[k] for k in picks)
     space = ActionSpace(
         kind=DiscretizedKind(2, 0.5, False),
         actions=chosen,
-        index={(a.num_h, a.num_l): i for i, a in enumerate(chosen)},
+        index={keys[k]: i for i, k in enumerate(picks)},
     )
     values = {chosen[0].pair: 0.9, chosen[1].pair: 0.5, chosen[2].pair: 0.1}
 

@@ -6,7 +6,6 @@ from rachopt.model import (
     AccessProbabilityPair,
     NetworkConfig,
     SlotEvent,
-    min_rotation_shift,
     pattern_from_string,
     pattern_to_string,
 )
@@ -59,12 +58,3 @@ def test_serialization_roundtrip():
         pattern_from_string("hqz")
     pat = AccessPattern([SlotEvent.COLLISION, SlotEvent.EMPTY])
     assert pattern_to_string(pat) == "xo"
-
-
-def test_min_rotation_shift_tie_breaks_low():
-    # fully symmetric vectors: every shift ties, smallest wins
-    assert min_rotation_shift((0.5, 0.5), (0.5, 0.5)) == 0
-    # period-2 vectors: shifts 0 and 2 tie at the minimum
-    assert min_rotation_shift((1, 2, 1, 2), (3, 4, 3, 4)) == 0
-    # here shifts 1 and 3 tie; 1 wins
-    assert min_rotation_shift((2, 1, 2, 1), (4, 3, 4, 3)) == 1
