@@ -1,14 +1,6 @@
 """Two-priority random-access channel analysis and tuning toolkit."""
 
-from .model import (
-    AccessPattern,
-    AccessProbabilityPair,
-    NetworkConfig,
-    SlotEvent,
-    ThroughputPair,
-    pattern_from_string,
-    pattern_to_string,
-)
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 from .exact import (
     enumerate_patterns,
     pattern_probability,

@@ -321,6 +321,8 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
             if int(r[0]) != m:
                 raise ValueError(f"row m={r[0]} disagrees with header m={m}")
             n_h, n_l, row_gamma = int(r[1]), int(r[2]), float(r[3])
+            if not row_gamma >= 0:
+                raise ValueError(f"gamma must be >= 0, got {row_gamma}")
             if gamma is not None and row_gamma != gamma:
                 raise ValueError("rows disagree on gamma")
             gamma = row_gamma

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__
 from .actionspace import GridSpec, build_compact, full_space_size, generate_discretized
-from .bench import TABLE_IDS, ExperimentSpec, load_experiment, reproduce, run_experiment
+from .bench import GRID_STEP, TABLE_IDS, ExperimentSpec, load_experiment, reproduce, run_experiment
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig
 from .optimize import SolverOptions, solve
@@ -182,7 +182,7 @@ def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
 
 @main.command("as-stats")
 @click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
-@click.option("--d", type=float, default=0.2, show_default=True, callback=grid_step,
+@click.option("--d", type=float, default=GRID_STEP, show_default=True, callback=grid_step,
               help="Grid step.")
 def as_stats_cmd(m, d):
     """Discretized action-space sizes before and after rotation dedup."""

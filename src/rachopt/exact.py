@@ -9,8 +9,9 @@ Two independent routes to the same quantity:
   :mod:`rachopt.actionspace` and the solver in :mod:`rachopt.optimize` all
   call it.
 * :func:`throughput_by_pattern_sum` -- enumerate every feasible access
-  pattern, weight its success counts by the pattern probability obtained from
-  multinomial occupancy sums.  Exponential in m; kept as a cross-check.
+  pattern (a string over :data:`~rachopt.model.PATTERN_CHARS`, one character
+  per RB), weight its success counts by the pattern probability obtained
+  from multinomial occupancy sums.  Exponential in m; kept as a cross-check.
 
 :func:`slot_success_pmf` goes one step further than the means: the exact
 per-slot joint law of the high and low success counts, which the bandit
@@ -23,18 +24,13 @@ never chosen).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .model import (
-    AccessPattern,
-    AccessProbabilityPair,
-    NetworkConfig,
-    SlotEvent,
-    ThroughputPair,
-)
+from .model import PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, ThroughputPair
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -201,46 +197,21 @@ def _feasible_counts(cfg: NetworkConfig, n_high: int, n_low: int, n_coll: int) -
     return (rest == 0) == (n_coll == 0)
 
 
-# Recursion order gives lexicographic serialization order: h < l < o < x.
-_TAG_ORDER = (
-    SlotEvent.HIGH_SUCCESS,
-    SlotEvent.LOW_SUCCESS,
-    SlotEvent.EMPTY,
-    SlotEvent.COLLISION,
-)
-
-
-def enumerate_patterns(cfg: NetworkConfig) -> tuple[AccessPattern, ...]:
-    """All feasible patterns for ``cfg``, in lexicographic order of the
-    pattern's character serialization; every device transmits, so leftover
-    devices force collisions and empty slots are only possible when the
-    singleton successes absorb the whole population."""
-    out: list[AccessPattern] = []
-    prefix: list[SlotEvent] = []
-
-    def rec(i: int, n_high: int, n_low: int, n_coll: int) -> None:
-        if n_high > cfg.n_h or n_low > cfg.n_l:
-            return
-        if i == cfg.m:
-            if _feasible_counts(cfg, n_high, n_low, n_coll):
-                out.append(AccessPattern(tuple(prefix)))
-            return
-        for tag in _TAG_ORDER:
-            prefix.append(tag)
-            rec(
-                i + 1,
-                n_high + (tag is SlotEvent.HIGH_SUCCESS),
-                n_low + (tag is SlotEvent.LOW_SUCCESS),
-                n_coll + (tag is SlotEvent.COLLISION),
-            )
-            prefix.pop()
-
-    rec(0, 0, 0, 0)
+def enumerate_patterns(cfg: NetworkConfig) -> tuple[str, ...]:
+    """All feasible patterns for ``cfg``, in lexicographic order; every
+    device transmits, so leftover devices force collisions and empty slots
+    are only possible when the singleton successes absorb the whole
+    population."""
+    out = []
+    for chars in itertools.product(PATTERN_CHARS, repeat=cfg.m):
+        pattern = "".join(chars)
+        if _feasible_counts(cfg, pattern.count("h"), pattern.count("l"), pattern.count("x")):
+            out.append(pattern)
     return tuple(out)
 
 
 def pattern_probability(
-    cfg: NetworkConfig, pair: AccessProbabilityPair, pattern: AccessPattern
+    cfg: NetworkConfig, pair: AccessProbabilityPair, pattern: str
 ) -> float:
     """P(slot produces ``pattern``) under independent per-device RB choices.
 
@@ -249,34 +220,17 @@ def pattern_probability(
     the leftover devices of both classes spread over the collision RBs with
     at least two transmitters per collision.
     """
-    if pattern.m != cfg.m or pair.m != cfg.m:
+    if len(pattern) != cfg.m or pair.m != cfg.m:
         raise ValueError("pattern/pair length must match config m")
-    high = pattern.high_rbs
-    low = pattern.low_rbs
-    coll = pattern.collision_rbs
-    r_h = cfg.n_h - len(high)
-    r_l = cfg.n_l - len(low)
+    if not set(pattern) <= set(PATTERN_CHARS):
+        raise ValueError(f"invalid pattern string {pattern!r}")
+    coll = [i for i, c in enumerate(pattern) if c == "x"]
+    base_h = [int(c == "h") for c in pattern]
+    base_l = [int(c == "l") for c in pattern]
+    r_h = cfg.n_h - sum(base_h)
+    r_l = cfg.n_l - sum(base_l)
     if r_h < 0 or r_l < 0:
         return 0.0
-    if not coll:
-        if r_h or r_l:
-            return 0.0
-        c_h = [0] * cfg.m
-        c_l = [0] * cfg.m
-        for i in high:
-            c_h[i] = 1
-        for i in low:
-            c_l[i] = 1
-        return multinomial_pmf(cfg.n_h, c_h, pair.p_h) * multinomial_pmf(
-            cfg.n_l, c_l, pair.p_l
-        )
-
-    base_h = [0] * cfg.m
-    base_l = [0] * cfg.m
-    for i in high:
-        base_h[i] = 1
-    for i in low:
-        base_l[i] = 1
 
     total = 0.0
     k = len(coll)
@@ -316,8 +270,8 @@ def throughput_by_pattern_sum(
     mu_l_terms: list[float] = []
     for pattern in enumerate_patterns(cfg):
         prob = pattern_probability(cfg, pair, pattern)
-        n_high = len(pattern.high_rbs)
-        n_low = len(pattern.low_rbs)
+        n_high = pattern.count("h")
+        n_low = pattern.count("l")
         if n_high:
             mu_h_terms.append(n_high * prob)
         if n_low:

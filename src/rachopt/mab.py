@@ -88,6 +88,9 @@ ThroughputFn = Callable[[NetworkConfig, object, int, int], ThroughputPair]
 # settles at 9% of the pulls.
 UNIFORM_SHARE = 0.01
 
+# First line of a pull-trace CSV, one name per column of a pull record.
+_TRACE_HEADER = "pull,action_index,mu_h_T,mu_l_T,reward"
+
 
 @dataclass(frozen=True)
 class MabConfig:
@@ -405,7 +408,7 @@ def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
     rows = result.trace.tolist()
     size = result.batch_size
     with open(path, "w", newline="") as fh:
-        fh.write("pull,action_index,mu_h_T,mu_l_T,reward\n")
+        fh.write(_TRACE_HEADER + "\n")
         writer = csv.writer(fh)
         for first in range(0, len(rows), size):
             fh.write(f"# batch {first // size}\n")
@@ -419,7 +422,7 @@ def load_mab_trace(path: Union[str, Path]) -> np.recarray:
     exactly five fields, or a field that does not parse."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
-        if header != "pull,action_index,mu_h_T,mu_l_T,reward":
+        if header != _TRACE_HEADER:
             raise ValueError(f"unrecognized trace header {header!r}")
         rows = []
         reader = csv.reader(fh)

@@ -8,44 +8,35 @@ the package is built on the vocabulary defined here:
 
 * :class:`NetworkConfig` -- population sizes and RB count,
 * :class:`AccessProbabilityPair` -- the two access-probability vectors,
-* :class:`AccessPattern` -- the per-RB event outcome of one slot,
 * :class:`ThroughputPair` -- expected successes per slot and class.
 
-Patterns serialize to compact strings, one character per RB:
-``h`` high success, ``l`` low success, ``o`` empty, ``x`` collision.
+An access pattern, the per-RB outcome of one slot, is a plain ``str`` with
+one character of :data:`PATTERN_CHARS` per RB.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SUM_TOL",
-    "SlotEvent",
+    "PATTERN_CHARS",
     "NetworkConfig",
     "AccessProbabilityPair",
-    "AccessPattern",
     "ThroughputPair",
-    "pattern_to_string",
-    "pattern_from_string",
 ]
 
 # Absolute tolerance on probability-vector sums.
 SUM_TOL = 1e-9
 
-
-class SlotEvent(Enum):
-    """Outcome of a single resource block in a single slot."""
-
-    HIGH_SUCCESS = "h"
-    LOW_SUCCESS = "l"
-    EMPTY = "o"
-    COLLISION = "x"
+# The per-RB outcomes of a slot, one character each: ``h`` high success,
+# ``l`` low success, ``o`` empty, ``x`` collision.  Their order here is the
+# lexicographic order of pattern strings.
+PATTERN_CHARS = "hlox"
 
 
 @dataclass(frozen=True)
@@ -118,56 +109,8 @@ class AccessProbabilityPair:
 
 
 @dataclass(frozen=True)
-class AccessPattern:
-    """Per-RB slot outcome; the four index sets partition the RBs."""
-
-    events: tuple[SlotEvent, ...]
-
-    def __init__(self, events: Iterable[SlotEvent]) -> None:
-        object.__setattr__(self, "events", tuple(events))
-        if not all(isinstance(e, SlotEvent) for e in self.events):
-            raise TypeError("events must be SlotEvent members")
-
-    @property
-    def m(self) -> int:
-        return len(self.events)
-
-    def _where(self, ev: SlotEvent) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.events) if e is ev)
-
-    @property
-    def high_rbs(self) -> tuple[int, ...]:
-        return self._where(SlotEvent.HIGH_SUCCESS)
-
-    @property
-    def low_rbs(self) -> tuple[int, ...]:
-        return self._where(SlotEvent.LOW_SUCCESS)
-
-    @property
-    def empty_rbs(self) -> tuple[int, ...]:
-        return self._where(SlotEvent.EMPTY)
-
-    @property
-    def collision_rbs(self) -> tuple[int, ...]:
-        return self._where(SlotEvent.COLLISION)
-
-
-@dataclass(frozen=True)
 class ThroughputPair:
     """Expected (or empirical) successful transmissions per slot, by class."""
 
     mu_h: float
     mu_l: float
-
-
-def pattern_to_string(pattern: AccessPattern) -> str:
-    """Serialize to one character per RB (``h``/``l``/``o``/``x``)."""
-    return "".join(e.value for e in pattern.events)
-
-
-def pattern_from_string(s: str) -> AccessPattern:
-    """Inverse of :func:`pattern_to_string`; rejects unknown characters."""
-    try:
-        return AccessPattern(SlotEvent(c) for c in s)
-    except ValueError as exc:
-        raise ValueError(f"invalid pattern string {s!r}") from exc

@@ -22,8 +22,8 @@ Within a slot, device draws map to RBs by inverse CDF over the cumulative
 access probabilities in index order, high-priority devices first.
 
 A :class:`SimTrace` stores a ``(t, m)`` uint8 array of event codes, the
-bytes of the per-slot pattern strings (``h``, ``l``, ``o``, ``x``); its
-:class:`~rachopt.model.AccessPattern` objects are built only on request.
+bytes of the per-slot pattern strings over
+:data:`~rachopt.model.PATTERN_CHARS`.
 """
 
 from __future__ import annotations
@@ -32,18 +32,11 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .model import (
-    AccessPattern,
-    AccessProbabilityPair,
-    NetworkConfig,
-    SlotEvent,
-    ThroughputPair,
-    pattern_from_string,
-)
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 
 __all__ = [
     "SimTrace",
@@ -54,11 +47,9 @@ __all__ = [
     "load_trace",
 ]
 
-_EVENT_CODES = np.array(
-    [ord(SlotEvent.EMPTY.value), ord(SlotEvent.HIGH_SUCCESS.value),
-     ord(SlotEvent.LOW_SUCCESS.value), ord(SlotEvent.COLLISION.value)],
-    dtype=np.uint8,
-)
+# pattern character of each event code: empty 0, high success 1, low
+# success 2, collision 3
+_EVENT_CODES = np.frombuffer(b"ohlx", dtype=np.uint8)
 # slots per block: a block's draws and counts (a few MB at n = 9) stay in
 # cache, where one pass over a whole t = 100000 run would not
 _BLOCK = 8192
@@ -66,15 +57,11 @@ _BLOCK = 8192
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Per-slot event codes, shape (t, m), plus the inputs that produced
-    them.  Traces loaded from disk carry only what the file stores (m, t,
-    seed and the codes), so ``cfg`` and ``pair`` may be None.
-    """
+    """Per-slot event codes, shape (t, m), and the seed that drew them:
+    what a trace file stores."""
 
     seed: int
     codes: np.ndarray
-    cfg: Optional[NetworkConfig] = None
-    pair: Optional[AccessProbabilityPair] = None
 
     @property
     def t(self) -> int:
@@ -85,9 +72,9 @@ class SimTrace:
         return self.codes.shape[1]
 
     @property
-    def patterns(self) -> tuple[AccessPattern, ...]:
-        """The slots as :class:`~rachopt.model.AccessPattern` objects."""
-        return tuple(pattern_from_string(row.tobytes().decode("ascii")) for row in self.codes)
+    def patterns(self) -> tuple[str, ...]:
+        """The slots as pattern strings."""
+        return tuple(row.tobytes().decode("ascii") for row in self.codes)
 
 
 def _usable_cpus() -> int:
@@ -182,22 +169,21 @@ def simulate(
 
     def events(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> None:
         total = c_h + c_l
-        # event code per RB: empty 0, high success 1, low success 2, collision 3
         code = np.where(
             total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2))
         )
         codes[lo : lo + len(code)] = _EVENT_CODES[code]
 
     _run_blocks(cfg, pair, t, seed, events)
-    return SimTrace(seed=seed, codes=codes, cfg=cfg, pair=pair)
+    return SimTrace(seed=seed, codes=codes)
 
 
 def empirical_throughput(trace: SimTrace) -> ThroughputPair:
     """Success rates of an existing trace, multiples of 1/t."""
     if trace.t == 0:
         raise ValueError("empty trace")
-    h = np.count_nonzero(trace.codes == ord(SlotEvent.HIGH_SUCCESS.value))
-    l = np.count_nonzero(trace.codes == ord(SlotEvent.LOW_SUCCESS.value))
+    h = np.count_nonzero(trace.codes == ord("h"))
+    l = np.count_nonzero(trace.codes == ord("l"))
     return ThroughputPair(int(h) / trace.t, int(l) / trace.t)
 
 
@@ -210,7 +196,7 @@ def save_trace(trace: SimTrace, path: Union[str, Path]) -> None:
 
 
 def load_trace(path: Union[str, Path]) -> SimTrace:
-    """Read a trace file back; cfg and pair are not stored in the format."""
+    """Read a trace file back."""
     with open(path) as fh:
         header = fh.readline().strip()
         try:

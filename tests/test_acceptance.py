@@ -342,7 +342,7 @@ def test_criterion_09_monte_carlo_consistency():
     small_pair = AccessProbabilityPair((0.5, 0.3, 0.2), (0.1, 0.2, 0.7))
     second = 0.0
     for pattern in enumerate_patterns(small_cfg):
-        h = len(pattern.high_rbs)
+        h = pattern.count("h")
         if h:
             second += pattern_probability(small_cfg, small_pair, pattern) * h * h
     enumerated = second - throughput_closed_form(small_cfg, small_pair).mu_h ** 2

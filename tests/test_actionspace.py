@@ -275,8 +275,10 @@ def test_load_rejects_corrupted_throughput(tmp_path):
         (lambda cols: cols[:4] + ["abc"] + cols[5:], "could not convert string to float: 'abc'"),
         (lambda cols: cols[:-1], "11 fields, expected 12"),
         (lambda cols: ["4"] + cols[1:], "row m=4 disagrees with header m=3"),
+        (lambda cols: cols[:3] + ["nan"] + cols[4:], "gamma must be >= 0, got nan"),
+        (lambda cols: cols[:3] + ["-0.5"] + cols[4:], "gamma must be >= 0, got -0.5"),
     ],
-    ids=["unparsable-value", "short-row", "other-m"],
+    ids=["unparsable-value", "short-row", "other-m", "nan-gamma", "negative-gamma"],
 )
 def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
     path = tmp_path / "table.csv"

@@ -18,12 +18,7 @@ from rachopt.exact import (
     throughput_closed_form,
     throughput_terms,
 )
-from rachopt.model import (
-    AccessProbabilityPair,
-    NetworkConfig,
-    pattern_from_string,
-    pattern_to_string,
-)
+from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 from support import (
     brute_force_throughput,
@@ -197,18 +192,15 @@ def test_compositions_order_and_count():
 
 
 def test_enumerate_patterns_single_pair_of_devices():
-    pats = enumerate_patterns(NetworkConfig(1, 1, 2))
-    assert [pattern_to_string(p) for p in pats] == ["hl", "lh", "ox", "xo"]
+    assert enumerate_patterns(NetworkConfig(1, 1, 2)) == ("hl", "lh", "ox", "xo")
 
 
 def test_enumerate_patterns_empty_network():
-    pats = enumerate_patterns(NetworkConfig(0, 0, 3))
-    assert [pattern_to_string(p) for p in pats] == ["ooo"]
+    assert enumerate_patterns(NetworkConfig(0, 0, 3)) == ("ooo",)
 
 
 def test_enumerate_patterns_two_high_devices():
-    pats = enumerate_patterns(NetworkConfig(2, 0, 2))
-    assert [pattern_to_string(p) for p in pats] == ["hh", "ox", "xo"]
+    assert enumerate_patterns(NetworkConfig(2, 0, 2)) == ("hh", "ox", "xo")
 
 
 def _oracle_feasible(n_h: int, n_l: int, s: str) -> bool:
@@ -223,13 +215,14 @@ def test_enumerate_patterns_matches_string_oracle():
     import itertools
 
     for n_h, n_l, m in [(2, 1, 2), (1, 2, 3), (3, 3, 3), (4, 5, 3), (0, 2, 2)]:
-        got = {pattern_to_string(p) for p in enumerate_patterns(NetworkConfig(n_h, n_l, m))}
+        got = enumerate_patterns(NetworkConfig(n_h, n_l, m))
         expected = {
             "".join(s)
             for s in itertools.product("hlox", repeat=m)
             if _oracle_feasible(n_h, n_l, "".join(s))
         }
-        assert got == expected
+        assert set(got) == expected and len(got) == len(expected)
+        assert list(got) == sorted(got)
 
 
 def test_multinomial_pmf_exact_and_log_routes():
@@ -253,27 +246,35 @@ def test_multinomial_pmf_exact_and_log_routes():
 
 def test_pattern_probability_examples():
     # a lone high device on a single RB always succeeds
-    p = pattern_probability(
-        NetworkConfig(1, 0, 1), pair_of([1.0], [1.0]), pattern_from_string("h")
-    )
-    assert p == 1.0
+    assert pattern_probability(NetworkConfig(1, 0, 1), pair_of([1.0], [1.0]), "h") == 1.0
 
     cfg = NetworkConfig(1, 1, 2)
     uni = AccessProbabilityPair.uniform(2)
-    assert pattern_probability(cfg, uni, pattern_from_string("hl")) == pytest.approx(
+    assert pattern_probability(cfg, uni, "hl") == pytest.approx(
         0.25, abs=1e-15
     )
 
     cfg = NetworkConfig(2, 0, 2)
     uni = AccessProbabilityPair.uniform(2)
-    assert pattern_probability(cfg, uni, pattern_from_string("hh")) == pytest.approx(
+    assert pattern_probability(cfg, uni, "hh") == pytest.approx(
         0.5, abs=1e-15
     )
-    assert pattern_probability(cfg, uni, pattern_from_string("xo")) == pytest.approx(
+    assert pattern_probability(cfg, uni, "xo") == pytest.approx(
         0.25, abs=1e-15
     )
     # infeasible patterns carry zero probability
-    assert pattern_probability(cfg, uni, pattern_from_string("ho")) == 0.0
+    assert pattern_probability(cfg, uni, "ho") == 0.0
+
+
+def test_pattern_probability_rejects_bad_patterns():
+    cfg = NetworkConfig(2, 1, 3)
+    uni = AccessProbabilityPair.uniform(3)
+    with pytest.raises(ValueError, match="length must match"):
+        pattern_probability(cfg, uni, "hl")
+    with pytest.raises(ValueError, match="length must match"):
+        pattern_probability(cfg, uni, "hlox")
+    with pytest.raises(ValueError, match="invalid pattern string 'hqz'"):
+        pattern_probability(cfg, uni, "hqz")
 
 
 def test_pattern_probabilities_normalize():
@@ -375,7 +376,7 @@ def _pattern_success_pmf(cfg: NetworkConfig, pair: AccessProbabilityPair) -> np.
     """Pattern probabilities summed by (high, low) success counts."""
     out = np.zeros((cfg.m + 1, cfg.m + 1))
     for pattern in enumerate_patterns(cfg):
-        h, l = len(pattern.high_rbs), len(pattern.low_rbs)
+        h, l = pattern.count("h"), pattern.count("l")
         out[h, l] += pattern_probability(cfg, pair, pattern)
     return out
 

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from rachopt.model import (
-    AccessPattern,
-    AccessProbabilityPair,
-    NetworkConfig,
-    SlotEvent,
-    pattern_from_string,
-    pattern_to_string,
-)
+from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 
 def test_network_config_validation():
@@ -40,21 +33,3 @@ def test_pair_validation_rejects_bad_sums():
 def test_uniform_pair():
     pair = AccessProbabilityPair.uniform(4)
     assert pair.p_h == pair.p_l == (0.25,) * 4
-
-
-def test_pattern_index_sets_partition_rbs():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        m = int(rng.integers(1, 7))
-        pat = AccessPattern(list(SlotEvent)[k] for k in rng.integers(0, 4, size=m))
-        merged = sorted(pat.high_rbs + pat.low_rbs + pat.empty_rbs + pat.collision_rbs)
-        assert merged == list(range(m))
-
-
-def test_serialization_roundtrip():
-    for s in ("h", "hlox", "xxoo", "l"):
-        assert pattern_to_string(pattern_from_string(s)) == s
-    with pytest.raises(ValueError):
-        pattern_from_string("hqz")
-    pat = AccessPattern([SlotEvent.COLLISION, SlotEvent.EMPTY])
-    assert pattern_to_string(pat) == "xo"

@@ -19,8 +19,6 @@ from rachopt.model import (
     AccessProbabilityPair,
     NetworkConfig,
     ThroughputPair,
-    pattern_from_string,
-    pattern_to_string,
 )
 from rachopt.simulate import (
     SimTrace,
@@ -34,10 +32,6 @@ from rachopt.simulate import (
 from support import random_simplex, reference_event_codes, reference_sim_throughput
 
 BLOCK = simulate_module._BLOCK
-
-
-def strings(trace):
-    return [pattern_to_string(p) for p in trace.patterns]
 
 
 def test_package_name_simulate_is_the_module(monkeypatch):
@@ -54,7 +48,7 @@ def test_degenerate_single_device():
     cfg = NetworkConfig(1, 0, 3)
     pair = AccessProbabilityPair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
     trace = simulate(cfg, pair, 20, seed=1)
-    assert strings(trace) == ["hoo"] * 20
+    assert trace.patterns == ("hoo",) * 20
     assert empirical_throughput(trace) == ThroughputPair(1.0, 0.0)
 
 
@@ -62,13 +56,13 @@ def test_degenerate_forced_collision():
     cfg = NetworkConfig(2, 0, 1)
     pair = AccessProbabilityPair([1.0], [1.0])
     trace = simulate(cfg, pair, 10, seed=2)
-    assert strings(trace) == ["x"] * 10
+    assert trace.patterns == ("x",) * 10
 
 
 def test_empty_network():
     cfg = NetworkConfig(0, 0, 2)
     trace = simulate(cfg, AccessProbabilityPair.uniform(2), 5, seed=3)
-    assert strings(trace) == ["oo"] * 5
+    assert trace.patterns == ("oo",) * 5
 
 
 def test_determinism_and_seed_sensitivity():
@@ -76,9 +70,9 @@ def test_determinism_and_seed_sensitivity():
     pair = AccessProbabilityPair.uniform(4)
     a = simulate(cfg, pair, 200, seed=42)
     b = simulate(cfg, pair, 200, seed=42)
-    assert strings(a) == strings(b)
+    assert a.patterns == b.patterns
     c = simulate(cfg, pair, 200, seed=43)
-    assert strings(a) != strings(c)
+    assert a.patterns != c.patterns
 
 
 def test_slot_substreams_give_prefix_property():
@@ -87,7 +81,7 @@ def test_slot_substreams_give_prefix_property():
     pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
     short = simulate(cfg, pair, 60, seed=9)
     long = simulate(cfg, pair, 200, seed=9)
-    assert strings(long)[:60] == strings(short)
+    assert long.patterns[:60] == short.patterns
 
 
 def test_fast_path_matches_trace_path():
@@ -104,9 +98,9 @@ def test_zero_probability_rbs_never_chosen():
     trace = simulate(cfg, pair, 300, seed=11)
     for p in trace.patterns:
         # RB 1 hosts only the low device; RBs 0 and 2 never see it
-        assert p.events[1].value in ("l", "o")
-        assert p.events[0].value in ("h", "o", "x")
-        assert p.events[2].value in ("h", "o", "x")
+        assert p[1] in ("l", "o")
+        assert p[0] in ("h", "o", "x")
+        assert p[2] in ("h", "o", "x")
     # the single low device always transmits alone on RB 1
     assert empirical_throughput(trace).mu_l == 1.0
 
@@ -114,7 +108,7 @@ def test_zero_probability_rbs_never_chosen():
 def test_empirical_throughput_hand_trace():
     codes = np.frombuffer(b"hloxhh", dtype=np.uint8).reshape(3, 2)
     trace = SimTrace(seed=0, codes=codes)
-    assert trace.patterns == tuple(pattern_from_string(s) for s in ("hl", "ox", "hh"))
+    assert trace.patterns == ("hl", "ox", "hh")
     mu = empirical_throughput(trace)
     assert mu.mu_h == pytest.approx(1.0)  # 1 + 0 + 2 successes over 3 slots
     assert mu.mu_l == pytest.approx(1.0 / 3.0)
@@ -172,7 +166,7 @@ def test_slot_mean_within_standard_errors():
     second = 0.0
     for pat in enumerate_patterns(cfg):
         prob = pattern_probability(cfg, pair, pat)
-        second += len(pat.high_rbs) ** 2 * prob
+        second += pat.count("h") ** 2 * prob
     var = second - exact.mu_h**2
     t = 20_000
     hits = 0
@@ -192,7 +186,7 @@ def test_trace_file_roundtrip(tmp_path):
     loaded = load_trace(path)
     assert loaded.seed == 31337
     assert loaded.t == 50 and loaded.m == 3
-    assert strings(loaded) == strings(trace)
+    assert loaded.patterns == trace.patterns
     assert np.array_equal(loaded.codes, trace.codes) and loaded.codes.dtype == np.uint8
     first_line = path.read_text().splitlines()[0]
     assert first_line == "3,50,31337"
@@ -237,7 +231,7 @@ def test_trace_file_round_trip_property(tmp_path_factory, rows, seed):
     loaded = load_trace(path)
     assert (loaded.seed, loaded.t, loaded.m) == (seed, len(rows), m)
     assert np.array_equal(loaded.codes, codes)
-    assert strings(loaded) == rows
+    assert loaded.patterns == tuple(rows)
 
 
 # loads with both classes, none at all, no high and no low devices
