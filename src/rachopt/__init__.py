@@ -11,8 +11,6 @@ from .exact import (
 )
 from .actionspace import (
     ActionSpace,
-    CompactKind,
-    DiscretizedKind,
     GridSpec,
     build_compact,
     full_space_size,

@@ -26,15 +26,13 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .exact import compositions, throughput_closed_form, throughput_terms
-from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 from .optimize import FEASIBILITY_TOL, SolverOptions, solve_batch
 
 __all__ = [
     "DEFAULT_ACTION_CAP",
     "GridSpec",
     "Action",
-    "DiscretizedKind",
-    "CompactKind",
     "CompactEntry",
     "ActionSpace",
     "full_space_size",
@@ -81,21 +79,6 @@ class Action:
 
 
 @dataclass(frozen=True)
-class DiscretizedKind:
-    m: int
-    d: float
-    reduced: bool
-
-
-@dataclass(frozen=True)
-class CompactKind:
-    m: int
-    n_h_max: int
-    n_l_max: int
-    gamma: float
-
-
-@dataclass(frozen=True)
 class CompactEntry:
     """One compact-table cell: the stored allocation for a candidate load."""
 
@@ -111,13 +94,15 @@ class ActionSpace:
     """Ordered collection of actions plus a key -> position map.
 
     Discretized spaces key actions by their exact numerators (canonical
-    numerators when reduced); compact spaces key by the (n_h, n_l) cell.
+    numerators when reduced); compact spaces key by the (n_h, n_l) cell and
+    carry their cells in ``entries`` and the low-class floor they were
+    solved for in ``gamma``.
     """
 
-    kind: Union[DiscretizedKind, CompactKind]
     actions: tuple[Action, ...]
     index: dict
     entries: Optional[tuple[CompactEntry, ...]] = None
+    gamma: Optional[float] = None
     # Exact per-load pull tables, keyed by (n_h, n_l) and filled by
     # rachopt.mab on first use.  A cache, not part of the space: equality
     # and repr ignore it.
@@ -136,21 +121,22 @@ class ActionSpace:
     def __len__(self) -> int:
         return len(self.actions)
 
-    def __getitem__(self, i: int) -> Action:
-        return self.actions[i]
+    @property
+    def m(self) -> int:
+        """Number of RBs, read off the first action."""
+        return self.actions[0].pair.m
 
     @property
     def is_compact(self) -> bool:
-        """Whether this is a compact table: a compact kind with its cells."""
-        return isinstance(self.kind, CompactKind) and self.entries is not None
+        """Whether this is a compact table, one action per cell."""
+        return self.entries is not None
 
     def infeasible_cells(self) -> frozenset[tuple[int, int]]:
         """Compact cells whose stored allocation misses the low-class floor."""
         if not self.is_compact:
             return frozenset()
-        gamma = self.kind.gamma
         return frozenset(
-            (e.n_h, e.n_l) for e in self.entries if e.mu_l < gamma - FEASIBILITY_TOL
+            (e.n_h, e.n_l) for e in self.entries if e.mu_l < self.gamma - FEASIBILITY_TOL
         )
 
 
@@ -192,19 +178,17 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
     pairs = list(zip(*(x.tolist() for x in np.nonzero(keep))))
     actions = tuple(Action(AccessProbabilityPair(probs[i], probs[j])) for i, j in pairs)
     index = {(comps[i], comps[j]): pos for pos, (i, j) in enumerate(pairs)}
-    return ActionSpace(
-        kind=DiscretizedKind(spec.m, spec.d, reduced),
-        actions=actions,
-        index=index,
-    )
+    return ActionSpace(actions, index)
 
 
 # ------------------------------------------------------------- compact table
 
 
-def _compact_space(m: int, gamma: float, entries: list[CompactEntry]) -> ActionSpace:
-    """The compact space holding ``entries`` in order, one per cell of the
-    full load rectangle [0, n_h_max] x [0, n_l_max] they span."""
+def _compact_space(gamma: float, entries: list[CompactEntry]) -> ActionSpace:
+    """The compact space solved for the floor ``gamma`` and holding
+    ``entries`` in order, one per cell of the full load rectangle
+    [0, n_h_max] x [0, n_l_max] they span."""
+    check_gamma(gamma)
     index: dict = {}
     for i, e in enumerate(entries):
         if (e.n_h, e.n_l) in index:
@@ -215,10 +199,10 @@ def _compact_space(m: int, gamma: float, entries: list[CompactEntry]) -> ActionS
     if len(entries) != (n_h_max + 1) * (n_l_max + 1):
         raise ValueError("compact table does not cover a full load rectangle")
     return ActionSpace(
-        kind=CompactKind(m, n_h_max, n_l_max, gamma),
         actions=tuple(Action(e.pair) for e in entries),
         index=index,
         entries=tuple(entries),
+        gamma=gamma,
     )
 
 
@@ -270,7 +254,7 @@ def build_compact(
             pair = AccessProbabilityPair(uniform.p_h, pair.p_l)
         mu = throughput_closed_form(cfg, pair)
         entries.append(CompactEntry(cfg.n_h, cfg.n_l, pair, mu.mu_h, mu.mu_l))
-    return _compact_space(m, gamma, entries)
+    return _compact_space(gamma, entries)
 
 
 def _compact_header(m: int) -> list[str]:
@@ -286,12 +270,12 @@ def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
     """Write a compact table as CSV with 12-significant-digit values."""
     if not space.is_compact:
         raise TypeError("save_compact expects a compact space")
-    m = space.kind.m
+    m = space.m
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_compact_header(m))
         for e in space.entries:
-            row = [m, e.n_h, e.n_l, f"{space.kind.gamma:.12g}"]
+            row = [m, e.n_h, e.n_l, f"{space.gamma:.12g}"]
             row += [f"{x:.12g}" for x in e.pair.p_h]
             row += [f"{x:.12g}" for x in e.pair.p_l]
             row += [f"{e.mu_h:.12g}", f"{e.mu_l:.12g}"]
@@ -321,8 +305,7 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
             if int(r[0]) != m:
                 raise ValueError(f"row m={r[0]} disagrees with header m={m}")
             n_h, n_l, row_gamma = int(r[1]), int(r[2]), float(r[3])
-            if not row_gamma >= 0:
-                raise ValueError(f"gamma must be >= 0, got {row_gamma}")
+            check_gamma(row_gamma)
             if gamma is not None and row_gamma != gamma:
                 raise ValueError("rows disagree on gamma")
             gamma = row_gamma
@@ -337,7 +320,7 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
             raise ValueError(f"{path}: bad compact-table row at line {line}: {exc}") from None
         entries.append(CompactEntry(n_h, n_l, pair, mu_h, mu_l))
     try:
-        return _compact_space(m, gamma, entries)
+        return _compact_space(gamma, entries)
     except ValueError as exc:  # a repeated cell or a cell missing
         raise ValueError(f"{path}: {exc}") from None
 

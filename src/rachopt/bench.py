@@ -44,8 +44,8 @@ from .mab import (
     run_nonstationary,
     save_mab_trace,
 )
-from .model import AccessProbabilityPair, NetworkConfig
-from .optimize import SolverOptions, solve
+from .model import AccessProbabilityPair, NetworkConfig, check_gamma
+from .optimize import FEASIBILITY_TOL, SolverOptions, solve
 
 __all__ = [
     "ReportLine",
@@ -252,7 +252,7 @@ def _reproduce_acb() -> TableReport:
     for m, (mu_h_pub, mu_l_pub) in REFERENCE_ACB.items():
         cfg = _base_cfg(m)
         mu = acb_throughput(cfg)
-        adm = acb_admission(cfg)
+        admitted = acb_admission(cfg)
         ok = abs(mu.mu_h - mu_h_pub) <= 0.01 and abs(mu.mu_l - mu_l_pub) <= 0.01
         report.lines.append(
             ReportLine(
@@ -260,7 +260,7 @@ def _reproduce_acb() -> TableReport:
                 f"mu_h={mu.mu_h:.4f} mu_l={mu.mu_l:.4f}",
                 f"mu_h={mu_h_pub} mu_l={mu_l_pub}",
                 ok,
-                f"admitted {adm.admitted_h}H/{adm.admitted_l}L",
+                f"admitted {admitted.n_h}H/{admitted.n_l}L",
             )
         )
     return report
@@ -281,7 +281,7 @@ def _reproduce_optimizer(gamma: float, seed: int) -> TableReport:
             ok = (
                 res.feasible
                 and res.mu.mu_h >= mu_h_pub - 0.01
-                and 0.4 - 1e-6 <= res.mu.mu_l <= 0.41
+                and 0.4 - FEASIBILITY_TOL <= res.mu.mu_l <= 0.41
             )
         else:
             ok = abs(res.mu.mu_h - mu_h_pub) <= 0.01 and abs(res.mu.mu_l) <= 1e-6
@@ -310,11 +310,11 @@ def _reproduce_mab(gamma: float, seed: int) -> TableReport:
         cfg = _base_cfg(m)
         space = generate_discretized(GridSpec(m, GRID_STEP), reduced=True)
         mus = exact_throughputs(space, cfg)
-        feasible = mus[:, 1] >= gamma - 1e-9
+        feasible = mus[:, 1] >= gamma - FEASIBILITY_TOL
         optimum = float(mus[feasible, 0].max())
         res = run(space, cfg, mcfg)
         mu_h, mu_l = (float(v) for v in mus[res.best_index])
-        within = mu_h >= 0.95 * optimum and (not constrained or mu_l >= gamma - 1e-9)
+        within = mu_h >= 0.95 * optimum and (not constrained or mu_l >= gamma - FEASIBILITY_TOL)
         gated = m in (3, 4)
         report.lines.append(
             ReportLine(
@@ -376,8 +376,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.seeds:
             raise ValueError("at least one seed is required")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
         if self.method == "mab-compact" and not (
             "table" in self.params or "n_h_max" in self.params
         ):
@@ -408,6 +410,12 @@ _INI_KEYS = {
     "compact": {"table": str, "n_h_max": int, "n_l_max": int},
 }
 _REQUIRED = object()  # marks a key load_experiment has no default for
+# The optional sections each method does not read; mab-compact reads all of
+# them but the grid step d in [mab].
+_UNREAD_SECTIONS = {
+    **dict.fromkeys(("uniform", "acb", "exact-opt"), ("mab", "schedule", "compact")),
+    "mab-discretized": ("compact",),
+}
 
 
 def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
@@ -415,7 +423,8 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
 
     Raises ``ValueError`` naming the section (and key) for a missing
     required section or key, for a value that does not parse, and for any
-    section or key it does not read."""
+    section or key it does not read, either at all or for the file's
+    method."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path)
@@ -458,11 +467,17 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
             params.update((key, value(section, key)) for key in parser[section])
     if parser.has_section("schedule"):
         params["schedule"] = tuple(value("schedule", key) for key in ("switch", "n_h", "n_l"))
+    method = value("experiment", "method")
+    for section in _UNREAD_SECTIONS.get(method, ()):
+        if parser.has_section(section):
+            raise ValueError(f"{path}: method {method!r} does not read [{section}]")
+    if method == "mab-compact" and parser.has_option("mab", "d"):
+        raise ValueError(f"{path}: method 'mab-compact' does not read 'd' in [mab]")
     return ExperimentSpec(
         name=value("experiment", "name"),
         cfg=cfg,
         gamma=gamma,
-        method=value("experiment", "method"),
+        method=method,
         params=params,
         seeds=seeds,
         out_dir=Path(value("experiment", "out", ".")),
@@ -509,14 +524,14 @@ def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
     if "table" in spec.params:
         path = spec.params["table"]
         space = load_compact(path)
-        if space.kind.m != spec.cfg.m:
+        if space.m != spec.cfg.m:
             raise ValueError(
-                f"compact table {path} is for m={space.kind.m}, the network has m={spec.cfg.m}"
+                f"compact table {path} is for m={space.m}, the network has m={spec.cfg.m}"
             )
         # tables store gamma to 12 significant digits
-        if f"{space.kind.gamma:.12g}" != f"{spec.gamma:.12g}":
+        if f"{space.gamma:.12g}" != f"{spec.gamma:.12g}":
             raise ValueError(
-                f"compact table {path} is for gamma={space.kind.gamma}, "
+                f"compact table {path} is for gamma={space.gamma}, "
                 f"the network has gamma={spec.gamma}"
             )
         return space
@@ -548,9 +563,9 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             mu = throughput_closed_form(spec.cfg, AccessProbabilityPair.uniform(spec.cfg.m))
         else:
             mu = acb_throughput(spec.cfg)
-            adm = acb_admission(spec.cfg)
-            record["admitted_h"] = adm.admitted_h
-            record["admitted_l"] = adm.admitted_l
+            admitted = acb_admission(spec.cfg)
+            record["admitted_h"] = admitted.n_h
+            record["admitted_l"] = admitted.n_l
         record.update(mu_h=mu.mu_h, mu_l=mu.mu_l)
     elif spec.method == "exact-opt":
         res = solve(spec.cfg, gamma=spec.gamma, options=SolverOptions(seed=spec.seeds[0]))

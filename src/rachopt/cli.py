@@ -17,7 +17,7 @@ from . import __version__
 from .actionspace import GridSpec, build_compact, full_space_size, generate_discretized
 from .bench import GRID_STEP, TABLE_IDS, ExperimentSpec, load_experiment, reproduce, run_experiment
 from .exact import throughput_closed_form
-from .model import AccessProbabilityPair, NetworkConfig
+from .model import AccessProbabilityPair, NetworkConfig, check_gamma
 from .optimize import SolverOptions, solve
 from .simulate import sim_throughput
 
@@ -27,19 +27,21 @@ COUNT = click.IntRange(min=0)
 RBS = click.IntRange(min=1)
 
 
-class NonNegativeFloat(click.ParamType):
-    """A float >= 0; unlike ``click.FloatRange`` it also rejects NaN."""
+class Floor(click.ParamType):
+    """A low-class floor: a finite float >= 0, as :func:`check_gamma` has it."""
 
     name = "float"
 
     def convert(self, value, param, ctx):
         x = click.FLOAT.convert(value, param, ctx)
-        if not x >= 0:
-            self.fail(f"{x} is not in the range x>=0.", param, ctx)
+        try:
+            check_gamma(x)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
         return x
 
 
-GAMMA = NonNegativeFloat()
+GAMMA = Floor()
 
 
 def _options(*opts):
@@ -225,10 +227,14 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
     params = {k: v for k, v in mab_flags.items() if v is not None}
     if space_kind == "discretized":
         method = "mab-discretized"
+        if table is not None:
+            raise click.UsageError("--table needs --space compact")
         if d is not None:
             params["d"] = d
     else:
         method = "mab-compact"
+        if d is not None:
+            raise click.UsageError("--d needs --space discretized")
         if table:
             params["table"] = table
         else:

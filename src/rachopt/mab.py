@@ -49,7 +49,7 @@ import numpy as np
 
 from .actionspace import ActionSpace
 from .exact import scaling_reference, slot_success_pmf
-from .model import NetworkConfig, ThroughputPair
+from .model import NetworkConfig, ThroughputPair, check_gamma
 
 __all__ = [
     "UNIFORM_SHARE",
@@ -126,8 +126,7 @@ class MabConfig:
             raise ValueError(f"t must be >= 1, got {self.t}")
         if not self.rho >= 0:
             raise ValueError(f"rho must be >= 0, got {self.rho}")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        check_gamma(self.gamma)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -239,7 +238,7 @@ def _exact_sampler(space: ActionSpace, mcfg: MabConfig):
     once per (space, load) and shared by every later run on the space:
     784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=mcfg.seed, spawn_key=(2,)))
-    k = np.arange(space.actions[0].pair.m + 1)
+    k = np.arange(space.m + 1)
     h_of, l_of = np.repeat(k, len(k)), np.tile(k, len(k))  # per flattened (h, l)
     t = mcfg.t
 
@@ -288,7 +287,7 @@ def run_nonstationary(
     if any(b <= a for a, b in zip(switches, switches[1:])):
         raise ValueError("schedule switch points must be strictly increasing")
     for _, cfg in schedule:
-        if cfg.m != space.actions[0].pair.m:
+        if cfg.m != space.m:
             raise ValueError(f"schedule cfg {cfg} does not match space m")
 
     size = len(space)

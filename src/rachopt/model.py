@@ -16,15 +16,15 @@ one character of :data:`PATTERN_CHARS` per RB.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 __all__ = [
     "SUM_TOL",
     "PATTERN_CHARS",
+    "check_gamma",
     "NetworkConfig",
     "AccessProbabilityPair",
     "ThroughputPair",
@@ -37,6 +37,15 @@ SUM_TOL = 1e-9
 # ``l`` low success, ``o`` empty, ``x`` collision.  Their order here is the
 # lexicographic order of pattern strings.
 PATTERN_CHARS = "hlox"
+
+
+def check_gamma(gamma: float) -> None:
+    """Raise ``ValueError`` unless ``gamma`` is a usable low-class floor:
+    a finite number >= 0."""
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,7 @@ class AccessProbabilityPair:
     """One access-probability vector per class, each a distribution over RBs.
 
     Entries must lie in [0, 1] and each vector must sum to 1 within
-    :data:`SUM_TOL`.  Instances are immutable and hashable; use
-    :meth:`as_arrays` for numeric work.
+    :data:`SUM_TOL`.  Instances are immutable and hashable.
     """
 
     p_h: tuple[float, ...]
@@ -97,9 +105,6 @@ class AccessProbabilityPair:
     @property
     def m(self) -> int:
         return len(self.p_h)
-
-    def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.asarray(self.p_h, dtype=float), np.asarray(self.p_l, dtype=float)
 
     @staticmethod
     def uniform(m: int) -> "AccessProbabilityPair":

@@ -45,7 +45,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exact import throughput_closed_form, throughput_terms
-from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 
 __all__ = [
     "SolverOptions",
@@ -94,12 +94,7 @@ class OptResult:
     pair: AccessProbabilityPair
     mu: ThroughputPair
     feasible: bool
-    gamma: float
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def objective(self) -> float:
-        return self.mu.mu_h
 
 
 def structural_unconstrained(cfg: NetworkConfig) -> AccessProbabilityPair:
@@ -235,8 +230,7 @@ def solve_batch(
     constraint residual of the chosen start's final iterate
     (``max_violation``).
     """
-    if not gamma >= 0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    check_gamma(gamma)
     if not cfgs:
         return []
     m = cfgs[0].m
@@ -333,7 +327,6 @@ def _pick(cfg, gamma, x, viol, rounds, opts) -> OptResult:
         pair=best[4],
         mu=best[5],
         feasible=bool(feasible_rows),
-        gamma=gamma,
         diagnostics=diagnostics,
     )
 

@@ -318,7 +318,7 @@ def _high_success_variance(cfg: NetworkConfig, pair: AccessProbabilityPair) -> f
     """
     mean = throughput_closed_form(cfg, pair).mu_h
     n_h, n_l = cfg.n_h, cfg.n_l
-    p, q = pair.as_arrays()
+    p, q = np.asarray(pair.p_h), np.asarray(pair.p_l)
     second = mean
     if n_h >= 2:
         for i in range(cfg.m):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rachopt.actionspace import (
-    CompactKind,
     GridSpec,
     build_compact,
     exact_throughputs,
@@ -77,7 +76,7 @@ def test_reduced_sizes_match_burnside():
 def test_single_rb_grid():
     space = generate_discretized(GridSpec(1, 0.5))
     assert len(space) == 1
-    assert space[0].pair.p_h == (1.0,)
+    assert space.actions[0].pair.p_h == (1.0,)
 
 
 def test_full_space_lexicographic_order():
@@ -91,7 +90,7 @@ def test_grid_actions_are_exact():
     space = generate_discretized(GridSpec(3, 0.2))
     for (u, v), pos in space.index.items():
         assert sum(u) == 5 and sum(v) == 5
-        assert space[pos].pair.p_h == tuple(n / 5 for n in u)
+        assert space.actions[pos].pair.p_h == tuple(n / 5 for n in u)
 
 
 def test_reduced_space_members_are_canonical():
@@ -172,7 +171,7 @@ def fake_opt(cfg: NetworkConfig, gamma: float) -> SimpleNamespace:
 
 def test_build_compact_layout():
     space = build_compact(3, 2, 2, 0.0, opt=fake_opt)
-    assert space.kind == CompactKind(3, 2, 2, 0.0)
+    assert (space.m, space.gamma) == (3, 0.0)
     assert len(space) == 9
     assert space.index[(0, 0)] == 0
     assert space.index[(2, 2)] == 8
@@ -185,6 +184,28 @@ def test_build_compact_layout():
         assert e.mu_h == mu.mu_h and e.mu_l == mu.mu_l
     # zero-high cells store a uniform high vector by convention
     assert space.entries[space.index[(0, 2)]].pair.p_h == (1 / 3, 1 / 3, 1 / 3)
+
+
+def test_space_reads_m_and_floor(tmp_path):
+    grid = generate_discretized(GridSpec(3, 0.5), reduced=True)
+    assert (grid.m, grid.gamma, grid.is_compact) == (3, None, False)
+    assert grid.infeasible_cells() == frozenset()
+    built = build_compact(4, 1, 2, 0.4, opt=fake_opt)
+    assert (built.m, built.gamma, built.is_compact) == (4, 0.4, True)
+    path = tmp_path / "table.csv"
+    save_compact(built, path)
+    loaded = load_compact(path)
+    assert (loaded.m, loaded.gamma, loaded.is_compact) == (4, 0.4, True)
+    assert loaded.infeasible_cells() == built.infeasible_cells()
+
+
+def test_build_compact_rejects_infinite_floor():
+    # (0, 0) alone needs no solve, so only the table's own check sees gamma
+    for args in ((2, 0, 0), (2, 1, 1)):
+        with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+            build_compact(*args, math.inf)
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        build_compact(2, 1, 1, math.inf, opt=fake_opt)
 
 
 def test_build_compact_flags_unreachable_floor():
@@ -209,7 +230,7 @@ def test_compact_save_load_roundtrip(tmp_path):
     path = tmp_path / "table.csv"
     save_compact(space, path)
     loaded = load_compact(path)
-    assert loaded.kind == space.kind
+    assert (loaded.m, loaded.gamma) == (space.m, space.gamma)
     assert loaded.index == space.index
     for a, b in zip(space.entries, loaded.entries):
         assert (a.n_h, a.n_l) == (b.n_h, b.n_l)
@@ -246,8 +267,8 @@ def test_compact_save_load_roundtrip_property(m, n_h_max, n_l_max, gamma, seed, 
         path = Path(tmp) / "table.csv"
         save_compact(space, path)
         loaded = load_compact(path)  # revalidates every stored throughput
-    assert (loaded.kind.m, loaded.kind.n_h_max, loaded.kind.n_l_max) == (m, n_h_max, n_l_max)
-    assert _digits12(loaded.kind.gamma) == _digits12(gamma)
+    assert (loaded.m, max(loaded.index)) == (m, (n_h_max, n_l_max))
+    assert _digits12(loaded.gamma) == _digits12(gamma)
     assert loaded.index == space.index
     for a, b in zip(space.entries, loaded.entries):
         assert (a.n_h, a.n_l) == (b.n_h, b.n_l)
@@ -277,8 +298,10 @@ def test_load_rejects_corrupted_throughput(tmp_path):
         (lambda cols: ["4"] + cols[1:], "row m=4 disagrees with header m=3"),
         (lambda cols: cols[:3] + ["nan"] + cols[4:], "gamma must be >= 0, got nan"),
         (lambda cols: cols[:3] + ["-0.5"] + cols[4:], "gamma must be >= 0, got -0.5"),
+        (lambda cols: cols[:3] + ["inf"] + cols[4:], "gamma must be finite, got inf"),
     ],
-    ids=["unparsable-value", "short-row", "other-m", "nan-gamma", "negative-gamma"],
+    ids=["unparsable-value", "short-row", "other-m", "nan-gamma", "negative-gamma",
+         "inf-gamma"],
 )
 def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
     path = tmp_path / "table.csv"

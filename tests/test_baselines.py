@@ -1,6 +1,6 @@
 import pytest
 
-from rachopt.baselines import AcbAdmission, acb_admission, acb_throughput
+from rachopt.baselines import acb_admission, acb_throughput
 from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 
@@ -16,13 +16,14 @@ REFERENCE_ACB = {
 
 
 def test_admission_examples():
-    assert acb_admission(NetworkConfig(4, 5, 3)) == AcbAdmission(1, 2)
-    assert acb_admission(NetworkConfig(4, 5, 4)) == AcbAdmission(1, 3)
-    assert acb_admission(NetworkConfig(4, 5, 5)) == AcbAdmission(2, 3)
-    assert acb_admission(NetworkConfig(4, 5, 6)) == AcbAdmission(2, 4)
-    # light load: no barring
-    assert acb_admission(NetworkConfig(2, 1, 5)) == AcbAdmission(2, 1)
-    assert acb_admission(NetworkConfig(0, 0, 3)) == AcbAdmission(0, 0)
+    assert acb_admission(NetworkConfig(4, 5, 3)) == NetworkConfig(1, 2, 3)
+    assert acb_admission(NetworkConfig(4, 5, 4)) == NetworkConfig(1, 3, 4)
+    assert acb_admission(NetworkConfig(4, 5, 5)) == NetworkConfig(2, 3, 5)
+    assert acb_admission(NetworkConfig(4, 5, 6)) == NetworkConfig(2, 4, 6)
+    # light load: no barring, the load itself
+    light = NetworkConfig(2, 1, 5)
+    assert acb_admission(light) is light
+    assert acb_admission(NetworkConfig(0, 0, 3)) == NetworkConfig(0, 0, 3)
 
 
 def test_admission_invariants():
@@ -30,10 +31,11 @@ def test_admission_invariants():
         for n_l in range(0, 8):
             for m in range(1, 7):
                 cfg = NetworkConfig(n_h, n_l, m)
-                adm = acb_admission(cfg)
-                assert 0 <= adm.admitted_h <= n_h
-                assert 0 <= adm.admitted_l <= n_l
-                assert adm.admitted_h + adm.admitted_l == min(cfg.n, m)
+                admitted = acb_admission(cfg)
+                assert admitted.m == m
+                assert 0 <= admitted.n_h <= n_h
+                assert 0 <= admitted.n_l <= n_l
+                assert admitted.n == min(cfg.n, m)
 
 
 def test_acb_matches_reference_values():
@@ -57,9 +59,9 @@ def test_acb_light_load_equals_plain_uniform():
 
 def test_acb_against_brute_force():
     cfg = NetworkConfig(4, 5, 4)
-    adm = acb_admission(cfg)
+    admitted = acb_admission(cfg)
     pair = AccessProbabilityPair.uniform(4)
-    exp = brute_force_throughput(adm.admitted_h, adm.admitted_l, pair.p_h, pair.p_l)
+    exp = brute_force_throughput(admitted.n_h, admitted.n_l, pair.p_h, pair.p_l)
     got = acb_throughput(cfg)
     assert got.mu_h == pytest.approx(exp[0], rel=1e-10)
     assert got.mu_l == pytest.approx(exp[1], rel=1e-10)

@@ -226,6 +226,30 @@ def test_load_experiment_names_unparsable_value(tmp_path, section, body, message
         load_experiment(ini)
 
 
+@pytest.mark.parametrize(
+    "method, section, body, message",
+    [
+        ("uniform", "mab", "alpha = 7\n", "method 'uniform' does not read [mab]"),
+        ("acb", "mab", "", "method 'acb' does not read [mab]"),
+        ("exact-opt", "schedule", "switch = 20\nn_h = 4\nn_l = 5\n",
+         "method 'exact-opt' does not read [schedule]"),
+        ("uniform", "compact", "n_h_max = 2\n", "method 'uniform' does not read [compact]"),
+        ("mab-discretized", "compact", "table = nonexistent.csv\n",
+         "method 'mab-discretized' does not read [compact]"),
+        ("mab-compact", "mab", "d = 0.5\n", "method 'mab-compact' does not read 'd' in [mab]"),
+    ],
+    ids=["uniform-mab", "acb-empty-mab", "exact-opt-schedule", "uniform-compact",
+         "discretized-compact", "compact-d"],
+)
+def test_load_experiment_rejects_section_or_key_the_method_does_not_read(
+    tmp_path, method, section, body, message
+):
+    sections = {**MINIMAL_INI, "experiment": f"name = x\nmethod = {method}\n", section: body}
+    ini = _write_ini(tmp_path / "exp.ini", _ini_text(sections))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_experiment(ini)
+
+
 def test_load_experiment_names_malformed_file(tmp_path):
     ini = _write_ini(tmp_path / "exp.ini", _ini_text(MINIMAL_INI) + "[network]\nm = 4\n")
     with pytest.raises(ValueError, match=re.escape("section 'network' already exists")):
@@ -275,6 +299,15 @@ def test_spec_validation_rejects_bad_method(tmp_path):
                 name="x", cfg=NetworkConfig(1, 1, 2), gamma=gamma, method="uniform",
                 params={}, seeds=(0,), out_dir=tmp_path,
             )
+
+
+def test_spec_validation_rejects_infinite_gamma_and_negative_seed(tmp_path):
+    base = dict(name="x", cfg=NetworkConfig(1, 1, 2), params={}, out_dir=tmp_path)
+    for method in ("uniform", "exact-opt", "mab-discretized"):
+        with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+            ExperimentSpec(**base, gamma=float("inf"), method=method, seeds=(0,))
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            ExperimentSpec(**base, gamma=0.0, method=method, seeds=(0, -5))
 
 
 def test_spec_validation_requires_seeds_and_compact_source(tmp_path):
@@ -494,13 +527,15 @@ def test_cli_rejects_negative_and_nan_gamma(runner, tmp_path):
         "mab": cfg,
         "scenario": [],
     }
+    cases = (
+        ("-1", "gamma must be >= 0, got -1.0"),
+        ("nan", "gamma must be >= 0, got nan"),
+        ("inf", "gamma must be finite, got inf"),
+    )
     for cmd, args in commands.items():
-        # the check is `not gamma >= 0`, so NaN fails it as well
-        for bad, shown in (("-1", "-1.0"), ("nan", "nan")):
-            _usage_error(
-                runner.invoke(main, [cmd, *args, "--gamma", bad]),
-                "--gamma", f"{shown} is not in the range x>=0",
-            )
+        for bad, message in cases:
+            _usage_error(runner.invoke(main, [cmd, *args, "--gamma", bad]), "--gamma", message)
+    assert not (tmp_path / "table.csv").exists()
 
 
 def test_cli_rejects_negative_starts(runner):
@@ -595,6 +630,41 @@ def test_cli_rejects_table_value_that_does_not_parse(runner, tmp_path, compact_2
                                  "--out", str(tmp_path / "out")]),
             f"{table}: bad compact-table row at line 3: could not convert string to float: 'abc'",
         )
+
+
+def test_cli_rejects_input_the_run_does_not_read(runner, tmp_path, compact_2x2):
+    out = tmp_path / "out"
+    cfg = ["--m", "3", "--n-h", "1", "--n-l", "1", "--out", str(out)]
+    for cmd, args in (("mab", cfg), ("scenario", ["--out", str(out)])):
+        _usage_error(
+            runner.invoke(main, [cmd, *args, "--table", str(compact_2x2)]),
+            "--table needs --space compact",
+        )
+        _usage_error(
+            runner.invoke(main, [cmd, *args, "--space", "compact", "--d", "0.5"]),
+            "--d needs --space discretized",
+        )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        f"[experiment]\nname = x\nmethod = mab-discretized\nout = {out}\n"
+        "[network]\nm = 2\nn_h = 1\nn_l = 1\n[compact]\ntable = nonexistent.csv\n"
+    )
+    _usage_error(
+        runner.invoke(main, ["experiment", str(ini)]),
+        "method 'mab-discretized' does not read [compact]",
+    )
+    assert not out.exists()
+
+
+def test_cli_experiment_rejects_bad_floor_or_seed_before_any_output(runner, tmp_path):
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    head = f"[experiment]\nname = x\nmethod = exact-opt\nout = {out}\n"
+    ini.write_text(head + "[network]\nm = 2\nn_h = 1\nn_l = 1\n[seeds]\nlist = -1\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "seed must be >= 0, got -1")
+    ini.write_text(head + "[network]\nm = 2\nn_h = 1\nn_l = 1\ngamma = inf\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "gamma must be finite, got inf")
+    assert not out.exists()
 
 
 def test_cli_experiment_names_missing_section(runner, tmp_path):

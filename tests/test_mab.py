@@ -13,7 +13,6 @@ from rachopt import mab
 from rachopt.actionspace import (
     Action,
     ActionSpace,
-    DiscretizedKind,
     GridSpec,
     build_compact,
     generate_discretized,
@@ -164,6 +163,8 @@ def test_config_validation():
         MabConfig(rho=float("nan"))
     with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
         MabConfig(gamma=float("nan"))
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        MabConfig(gamma=math.inf)
     cfg = MabConfig(runs=1030, batch_size=100, elite_fraction=0.1)
     assert cfg.n_batches == 10 and cfg.elite_size == 10
 
@@ -233,7 +234,6 @@ def _three_action_space():
     keys = list(full.index)
     chosen = tuple(full.actions[k] for k in picks)
     space = ActionSpace(
-        kind=DiscretizedKind(2, 0.5, False),
         actions=chosen,
         index={keys[k]: i for i, k in enumerate(picks)},
     )
@@ -522,7 +522,6 @@ def _space_of(*pairs):
     """An action space holding exactly the given pairs, in order."""
     actions = tuple(Action(pair) for pair in pairs)
     return ActionSpace(
-        kind=DiscretizedKind(pairs[0].m, 0.5, False),
         actions=actions,
         index={(p.p_h, p.p_l): i for i, p in enumerate(pairs)},
     )

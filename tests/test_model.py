@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from rachopt.model import AccessProbabilityPair, NetworkConfig
+from rachopt.model import AccessProbabilityPair, NetworkConfig, check_gamma
 
 
 def test_network_config_validation():
@@ -33,3 +35,13 @@ def test_pair_validation_rejects_bad_sums():
 def test_uniform_pair():
     pair = AccessProbabilityPair.uniform(4)
     assert pair.p_h == pair.p_l == (0.25,) * 4
+
+
+def test_check_gamma_accepts_only_finite_floors():
+    for gamma in (0.0, 0.4, 7):
+        check_gamma(gamma)
+    for gamma in (-0.1, float("nan"), -math.inf):
+        with pytest.raises(ValueError, match=f"^gamma must be >= 0, got {gamma}$"):
+            check_gamma(gamma)
+    with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
+        check_gamma(math.inf)

@@ -175,6 +175,9 @@ def test_solve_rejects_negative_gamma():
     # written as `not gamma >= 0`, so NaN fails too
     with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
         solve(NetworkConfig(1, 1, 2), float("nan"))
+    # before any start runs: an infinite floor turns the multipliers to NaN
+    with pytest.raises(ValueError, match="gamma must be finite, got inf"):
+        solve(NetworkConfig(1, 1, 2), float("inf"))
 
 
 def _same_result(a: OptResult, b: OptResult) -> bool:
