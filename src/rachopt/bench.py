@@ -356,42 +356,6 @@ def reproduce(table_id: str, *, seed: int = 0) -> TableReport:
     return _TABLES[tid](seed)
 
 
-METHODS = ("uniform", "acb", "exact-opt", "mab-discretized", "mab-compact")
-
-
-@dataclass
-class ExperimentSpec:
-    """One configured experiment: a network, a method, and output layout."""
-
-    name: str
-    cfg: NetworkConfig
-    gamma: float
-    method: str
-    params: dict
-    seeds: tuple[int, ...]
-    out_dir: Path
-
-    def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        check_gamma(self.gamma)
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seed must be >= 0, got {seed}")
-        if self.method == "mab-compact" and not (
-            "table" in self.params or "n_h_max" in self.params
-        ):
-            raise ValueError("mab-compact needs a 'table' path or 'n_h_max'/'n_l_max' bounds")
-        schedule = self.params.get("schedule")
-        if schedule is not None and schedule[0] < 1:
-            raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
-        if self.method.startswith("mab-"):
-            for seed in self.seeds:
-                _mab_config(self, seed)  # raises on bad bandit parameters
-
-
 def _seed_list(raw: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in raw.split())
 
@@ -410,12 +374,56 @@ _INI_KEYS = {
     "compact": {"table": str, "n_h_max": int, "n_l_max": int},
 }
 _REQUIRED = object()  # marks a key load_experiment has no default for
-# The optional sections each method does not read; mab-compact reads all of
-# them but the grid step d in [mab].
-_UNREAD_SECTIONS = {
-    **dict.fromkeys(("uniform", "acb", "exact-opt"), ("mab", "schedule", "compact")),
-    "mab-discretized": ("compact",),
+# The params keys each method reads, any other is an error: [mab] and [compact]
+# keys under their own names, the [schedule] section as "schedule".
+METHOD_PARAMS: dict[str, tuple[str, ...]] = {
+    **dict.fromkeys(("uniform", "acb", "exact-opt"), ()),
+    "mab-discretized": (*_INI_KEYS["mab"], "schedule"),
+    "mab-compact": (*(k for k in _INI_KEYS["mab"] if k != "d"), "schedule", *_INI_KEYS["compact"]),
 }
+METHODS = tuple(METHOD_PARAMS)
+
+
+@dataclass
+class ExperimentSpec:
+    """One configured experiment: a network, a method, and output layout."""
+
+    name: str
+    cfg: NetworkConfig
+    gamma: float
+    method: str
+    params: dict
+    seeds: tuple[int, ...]
+    out_dir: Path
+
+    def __post_init__(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
+        for key in self.params:
+            if key not in METHOD_PARAMS[self.method]:
+                raise ValueError(f"method {self.method!r} does not read {key!r}")
+        if not self.seeds:
+            raise ValueError("at least one seed is required")
+        check_gamma(self.gamma)
+        for seed in self.seeds:
+            if seed < 0:
+                raise ValueError(f"seed must be >= 0, got {seed}")
+        if self.method == "mab-compact":
+            given = [key for key in ("table", "n_h_max", "n_l_max") if key in self.params]
+            if given not in (["table"], ["n_h_max"], ["n_h_max", "n_l_max"]):
+                raise ValueError("mab-compact needs a 'table' or 'n_h_max'/'n_l_max' bounds, "
+                                 f"not both; got {given}")
+        schedule = self.params.get("schedule")
+        if schedule is not None and schedule[0] < 1:
+            raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
+        if self.method.startswith("mab-"):
+            for seed in self.seeds:
+                mcfg = _mab_config(self, seed)  # raises on bad bandit parameters
+            pulls = mcfg.n_batches * mcfg.batch_size
+            if schedule is not None and schedule[0] >= pulls:
+                raise ValueError(
+                    f"schedule switch {schedule[0]} is not below the run's {pulls} pulls"
+                )
 
 
 def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
@@ -468,11 +476,11 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     if parser.has_section("schedule"):
         params["schedule"] = tuple(value("schedule", key) for key in ("switch", "n_h", "n_l"))
     method = value("experiment", "method")
-    for section in _UNREAD_SECTIONS.get(method, ()):
-        if parser.has_section(section):
+    reads = METHOD_PARAMS.get(method)  # an unknown method is ExperimentSpec's error
+    for section in ("mab", "schedule", "compact"):
+        feeds = {section, *_INI_KEYS[section]}
+        if reads is not None and parser.has_section(section) and not feeds & set(reads):
             raise ValueError(f"{path}: method {method!r} does not read [{section}]")
-    if method == "mab-compact" and parser.has_option("mab", "d"):
-        raise ValueError(f"{path}: method 'mab-compact' does not read 'd' in [mab]")
     return ExperimentSpec(
         name=value("experiment", "name"),
         cfg=cfg,

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import __version__
 from .actionspace import GridSpec, build_compact, full_space_size, generate_discretized
-from .bench import GRID_STEP, TABLE_IDS, ExperimentSpec, load_experiment, reproduce, run_experiment
+from .bench import (GRID_STEP, MAB_PRESETS, TABLE_IDS, ExperimentSpec, load_experiment,
+                    reproduce, run_experiment)
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, check_gamma
 from .optimize import SolverOptions, solve
@@ -25,6 +26,7 @@ from .simulate import sim_throughput
 SEED = click.IntRange(min=0)
 COUNT = click.IntRange(min=0)
 RBS = click.IntRange(min=1)
+COMPACT_BOUND = 10  # the compact table's load bounds when none are given
 
 
 class Floor(click.ParamType):
@@ -59,6 +61,13 @@ cfg_options = _options(
     click.option("--m", type=RBS, required=True, help="Number of resource blocks."),
     click.option("--n-h", type=COUNT, required=True, help="Number of high-priority devices."),
     click.option("--n-l", type=COUNT, required=True, help="Number of low-priority devices."),
+)
+
+pair_options = _options(
+    click.option("--p-h", type=str, default=None,
+                 help="High-class probabilities (comma separated)."),
+    click.option("--p-l", type=str, default=None,
+                 help="Low-class probabilities (comma separated)."),
 )
 
 
@@ -112,8 +121,7 @@ def main() -> None:
 
 @main.command("exact")
 @cfg_options
-@click.option("--p-h", type=str, default=None, help="High-class probabilities (comma separated).")
-@click.option("--p-l", type=str, default=None, help="Low-class probabilities (comma separated).")
+@pair_options
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
 def exact_cmd(m: int, n_h: int, n_l: int, p_h: str | None, p_l: str | None, out: str | None):
     """Exact expected throughput of an access-probability pair (default uniform)."""
@@ -127,8 +135,7 @@ def exact_cmd(m: int, n_h: int, n_l: int, p_h: str | None, p_l: str | None, out:
 
 @main.command("simulate")
 @cfg_options
-@click.option("--p-h", type=str, default=None, help="High-class probabilities (comma separated).")
-@click.option("--p-l", type=str, default=None, help="Low-class probabilities (comma separated).")
+@pair_options
 @click.option("--t", type=click.IntRange(min=1), default=1000, show_default=True,
               help="Number of slots.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
@@ -199,8 +206,8 @@ def as_stats_cmd(m, d):
 
 @main.command("compact-build")
 @click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
-@click.option("--n-h-max", type=COUNT, default=10, show_default=True)
-@click.option("--n-l-max", type=COUNT, default=10, show_default=True)
+@click.option("--n-h-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
+@click.option("--n-l-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
 @click.option("--seed", type=SEED, default=0, show_default=True,
               help="Optimizer multistart seed used for every cell.")
@@ -222,26 +229,11 @@ def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
                    f"{sorted(infeasible)}")
 
 
-def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
-              seeds, out, name, schedule, **mab_flags):
-    params = {k: v for k, v in mab_flags.items() if v is not None}
-    if space_kind == "discretized":
-        method = "mab-discretized"
-        if table is not None:
-            raise click.UsageError("--table needs --space compact")
-        if d is not None:
-            params["d"] = d
-    else:
-        method = "mab-compact"
-        if d is not None:
-            raise click.UsageError("--d needs --space discretized")
-        if table:
-            params["table"] = table
-        else:
-            params["n_h_max"] = n_h_max
-            params["n_l_max"] = n_l_max
-    if schedule is not None:
-        params["schedule"] = schedule
+def _mab_like(space_kind, m, n_h, n_l, gamma, seeds, out, name, **flags):
+    method = f"mab-{space_kind}"
+    params = {k: v for k, v in flags.items() if v is not None}
+    if method == "mab-compact" and "table" not in params:
+        params = {"n_h_max": COMPACT_BOUND, "n_l_max": COMPACT_BOUND, **params}
     try:
         spec = ExperimentSpec(
             name=name,
@@ -253,7 +245,7 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, d, table, n_h_max, n_l_max,
             out_dir=Path(out),
         )
         written = run_experiment(spec)
-    except ValueError as exc:  # a bandit parameter, the grid's size or the table file
+    except ValueError as exc:  # an unread flag, a bandit parameter, the grid or the table
         raise click.BadParameter(str(exc)) from None
     for path in written:
         click.echo(f"wrote {path}")
@@ -276,9 +268,9 @@ bandit_options = _options(
                  help="Grid step (discretized space)."),
     click.option("--table", type=click.Path(exists=True), default=None,
                  help="Precomputed compact table CSV."),
-    click.option("--n-h-max", type=COUNT, default=10, show_default=True,
+    click.option("--n-h-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
                  help="Compact table bound when building in place."),
-    click.option("--n-l-max", type=COUNT, default=10, show_default=True),
+    click.option("--n-l-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND)),
     click.option("--alpha", type=float, default=None, help="Smoothing rate."),
     click.option("--elite-fraction", type=float, default=None),
     click.option("--batch-size", type=int, default=None),
@@ -309,8 +301,8 @@ def mab_cmd(**opts):
 @click.option("--switch-n-h", type=COUNT, default=4, show_default=True)
 @click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
 @click.option("--switch", "switch_pull", type=click.IntRange(min=1), default=None,
-              help="Pull index of the load switch "
-                   "[default: 15000 discretized, 2000 compact].")
+              help=f"Pull index of the load switch [default: {MAB_PRESETS['mab-discretized'].runs}"
+                   f" discretized, {MAB_PRESETS['mab-compact'].runs} compact].")
 @click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
 @bandit_options
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
@@ -323,11 +315,9 @@ def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
     counts on pre-switch favorites must be outweighed before the running-mean
     value estimates can track the new load.
     """
-    grid = opts["space_kind"] == "discretized"
-    if switch_pull is None:
-        switch_pull = 15000 if grid else 2000
     if opts["runs"] is None:
-        opts["runs"] = 45000 if grid else 12000
+        opts["runs"] = 45000 if opts["space_kind"] == "discretized" else 12000
+    switch_pull = switch_pull or MAB_PRESETS[f"mab-{opts['space_kind']}"].runs  # --switch is >= 1
     _mab_like(schedule=(switch_pull, switch_n_h, switch_n_l), **opts)
 
 

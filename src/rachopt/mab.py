@@ -124,8 +124,8 @@ class MabConfig:
             raise ValueError(f"alpha {self.alpha} outside [0, 1]")
         if self.t < 1:
             raise ValueError(f"t must be >= 1, got {self.t}")
-        if not self.rho >= 0:
-            raise ValueError(f"rho must be >= 0, got {self.rho}")
+        if not 0 <= self.rho <= 1:
+            raise ValueError(f"rho {self.rho} outside [0, 1]")
         check_gamma(self.gamma)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")

@@ -236,10 +236,13 @@ def test_load_experiment_names_unparsable_value(tmp_path, section, body, message
         ("uniform", "compact", "n_h_max = 2\n", "method 'uniform' does not read [compact]"),
         ("mab-discretized", "compact", "table = nonexistent.csv\n",
          "method 'mab-discretized' does not read [compact]"),
-        ("mab-compact", "mab", "d = 0.5\n", "method 'mab-compact' does not read 'd' in [mab]"),
+        ("mab-compact", "mab", "d = 0.5\n", "method 'mab-compact' does not read 'd'"),
+        ("mab-compact", "compact", "table = t.csv\nn_h_max = 2\n",
+         "mab-compact needs a 'table' or 'n_h_max'/'n_l_max' bounds, not both; "
+         "got ['table', 'n_h_max']"),
     ],
     ids=["uniform-mab", "acb-empty-mab", "exact-opt-schedule", "uniform-compact",
-         "discretized-compact", "compact-d"],
+         "discretized-compact", "compact-d", "compact-table-and-bound"],
 )
 def test_load_experiment_rejects_section_or_key_the_method_does_not_read(
     tmp_path, method, section, body, message
@@ -560,6 +563,14 @@ def test_cli_mab_rejects_alpha_outside_unit_interval(runner, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_cli_mab_rejects_rho_outside_unit_interval(runner, tmp_path):
+    for bad in ("inf", "nan", "1.5"):
+        result = runner.invoke(main, ["mab", "--m", "3", "--n-h", "1", "--n-l", "1",
+                                      "--rho", bad, "--out", str(tmp_path)])
+        _usage_error(result, f"rho {float(bad)} outside [0, 1]")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_mab_rejects_batch_that_keeps_no_elite(runner, tmp_path):
     # int(0.1 * 5) = 0 elite pulls per batch
     cfg = ["--m", "3", "--n-h", "1", "--n-l", "1"]
@@ -584,6 +595,28 @@ def test_cli_rejects_switch_before_first_pull(runner, tmp_path):
     )
     _usage_error(
         runner.invoke(main, ["experiment", str(ini)]), "schedule switch must be >= 1, got -3"
+    )
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_rejects_switch_at_or_after_last_pull(runner, tmp_path):
+    # 400 runs in batches of 200: pulls 0..399
+    run = ["--runs", "400", "--batch-size", "200", "--out", str(tmp_path / "res")]
+    for switch in ("400", "5000"):
+        _usage_error(
+            runner.invoke(main, ["scenario", "--space", "compact", "--m", "3",
+                                 "--n-h-max", "3", "--n-l-max", "3", "--switch", switch, *run]),
+            f"schedule switch {switch} is not below the run's 400 pulls",
+        )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nname = x\nmethod = mab-discretized\nout = {}\n"
+        "[network]\nm = 2\nn_h = 1\nn_l = 1\n[mab]\nruns = 1030\nbatch_size = 100\n"
+        "[schedule]\nswitch = 1000\nn_h = 2\nn_l = 2\n".format(tmp_path / "res")
+    )
+    _usage_error(
+        runner.invoke(main, ["experiment", str(ini)]),
+        "schedule switch 1000 is not below the run's 1000 pulls",
     )
     assert not (tmp_path / "res").exists()
 
@@ -635,24 +668,35 @@ def test_cli_rejects_table_value_that_does_not_parse(runner, tmp_path, compact_2
 def test_cli_rejects_input_the_run_does_not_read(runner, tmp_path, compact_2x2):
     out = tmp_path / "out"
     cfg = ["--m", "3", "--n-h", "1", "--n-l", "1", "--out", str(out)]
+    table = ["--table", str(compact_2x2)]
     for cmd, args in (("mab", cfg), ("scenario", ["--out", str(out)])):
         _usage_error(
-            runner.invoke(main, [cmd, *args, "--table", str(compact_2x2)]),
-            "--table needs --space compact",
+            runner.invoke(main, [cmd, *args, *table]),
+            "method 'mab-discretized' does not read 'table'",
         )
         _usage_error(
             runner.invoke(main, [cmd, *args, "--space", "compact", "--d", "0.5"]),
-            "--d needs --space discretized",
+            "method 'mab-compact' does not read 'd'",
+        )
+        _usage_error(
+            runner.invoke(main, [cmd, *args, "--n-h-max", "2"]),
+            "method 'mab-discretized' does not read 'n_h_max'",
+        )
+        _usage_error(
+            runner.invoke(main, [cmd, *args, "--space", "compact", *table, "--n-h-max", "7"]),
+            "not both; got ['table', 'n_h_max']",
         )
     ini = tmp_path / "exp.ini"
-    ini.write_text(
-        f"[experiment]\nname = x\nmethod = mab-discretized\nout = {out}\n"
-        "[network]\nm = 2\nn_h = 1\nn_l = 1\n[compact]\ntable = nonexistent.csv\n"
-    )
-    _usage_error(
-        runner.invoke(main, ["experiment", str(ini)]),
-        "method 'mab-discretized' does not read [compact]",
-    )
+    head = (f"[experiment]\nname = x\nmethod = {{}}\nout = {out}\n"
+            "[network]\nm = 3\nn_h = 1\nn_l = 1\n[compact]\n")
+    for method, compact, message in (
+        ("mab-discretized", "table = nonexistent.csv\n",
+         "method 'mab-discretized' does not read [compact]"),
+        ("mab-compact", f"table = {compact_2x2}\nn_h_max = 7\n",
+         "not both; got ['table', 'n_h_max']"),
+    ):
+        ini.write_text(head.format(method) + compact)
+        _usage_error(runner.invoke(main, ["experiment", str(ini)]), message)
     assert not out.exists()
 
 
@@ -749,6 +793,17 @@ def test_cli_compact_build_and_mab(runner, tmp_path):
     assert mab.exit_code == 0
     assert "estimated load (2," in mab.output  # n_l ambiguous at gamma=0
     assert (tmp_path / "out" / "demo_result.json").exists()
+
+
+def test_cli_mab_compact_bounds_default_to_ten(runner, tmp_path):
+    # --n-h-max 2 alone builds loads (0..2) x (0..10)
+    result = runner.invoke(
+        main,
+        ["mab", "--m", "2", "--n-h", "1", "--n-l", "1", "--space", "compact", "--n-h-max", "2",
+         "--out", str(tmp_path), "--name", "b"],
+    )
+    assert result.exit_code == 0, result.output
+    assert json.loads((tmp_path / "b_result.json").read_text())["space_size"] == 33
 
 
 def test_cli_mab_discretized_smoke(runner, tmp_path):

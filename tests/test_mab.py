@@ -2,6 +2,7 @@
 refits, seeding, load estimation and the pull-trace format."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -158,9 +159,10 @@ def test_config_validation():
         MabConfig(t=0)
     with pytest.raises(ValueError):
         MabConfig(rho=-0.1)
-    # written as `not x >= 0`, so NaN fails too
-    with pytest.raises(ValueError, match="rho must be >= 0, got nan"):
-        MabConfig(rho=float("nan"))
+    # written as `not 0 <= x <= 1`, so NaN fails too
+    for rho in ("nan", "inf", "1.5"):
+        with pytest.raises(ValueError, match=re.escape(f"rho {float(rho)} outside [0, 1]")):
+            MabConfig(rho=float(rho))
     with pytest.raises(ValueError, match="gamma must be >= 0, got nan"):
         MabConfig(gamma=float("nan"))
     with pytest.raises(ValueError, match="gamma must be finite, got inf"):
