@@ -232,6 +232,9 @@ def build_compact(
     """
     if opt is not None and options is not None:
         raise ValueError("options apply to the batched solver; pass opt or options")
+    for name, bound in (("n_h_max", n_h_max), ("n_l_max", n_l_max)):
+        if bound < 0:
+            raise ValueError(f"{name} must be >= 0, got {bound}")
     cfgs = [
         NetworkConfig(n_h, n_l, m)
         for n_h in range(n_h_max + 1)

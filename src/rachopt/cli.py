@@ -175,7 +175,8 @@ def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
     click.echo(f"mu_h = {res.mu.mu_h:.6f}")
     click.echo(f"mu_l = {res.mu.mu_l:.6f}")
     click.echo(f"feasible = {res.feasible}")
-    telemetry = {key: res.diagnostics[key] for key in ("outer_rounds", "cap_hit", "max_violation")}
+    keys = ("outer_rounds", "inner_steps", "cap_hit", "max_violation")
+    telemetry = {key: res.diagnostics[key] for key in keys}
     for key, value in telemetry.items():
         click.echo(f"{key} = {value}")
     write_json(

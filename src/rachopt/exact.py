@@ -2,12 +2,13 @@
 
 Two independent routes to the same quantity:
 
-* :func:`throughput_terms` -- the closed form: per-RB success probabilities
-  of both classes, with their gradients on request, for any batch of
-  allocations.  It is the only place the formula is written;
-  :func:`throughput_closed_form`, the grid tables of
-  :mod:`rachopt.actionspace` and the solver in :mod:`rachopt.optimize` all
-  call it.
+* :func:`stacked_terms` -- the closed form: per-RB success probabilities
+  of both classes, stacked in one (2, ..., m) array, with their gradients on
+  request, for any batch of allocations and a :func:`load_table`.  It is
+  the only place the formula is written; the solver in
+  :mod:`rachopt.optimize` calls it, and so does :func:`throughput_terms`,
+  which serves :func:`throughput_closed_form` and the grid tables of
+  :mod:`rachopt.actionspace`.
 * :func:`throughput_by_pattern_sum` -- enumerate every feasible access
   pattern (a string over :data:`~rachopt.model.PATTERN_CHARS`, one character
   per RB), weight its success counts by the pattern probability obtained
@@ -37,6 +38,8 @@ __all__ = [
     "EnumerationCapExceeded",
     "compositions",
     "multinomial_pmf",
+    "load_table",
+    "stacked_terms",
     "throughput_terms",
     "throughput_closed_form",
     "enumerate_patterns",
@@ -112,26 +115,49 @@ def multinomial_pmf(n: int, counts: Sequence[int], probs: Sequence[float]) -> fl
     return math.exp(log_prob)
 
 
-def _power(base: np.ndarray, n):
-    """``base ** max(n, 0)`` as numpy computes it for a scalar exponent.
+@functools.lru_cache(maxsize=256)
+def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
+    """The load's constants in :func:`stacked_terms` for an array of ``ndim``
+    axes: ``(e, two, c)``, each with one more leading axis, read-only as the
+    cache shares them.  ``n_h`` and ``n_l`` are ints or tuples of ints, one
+    load per index of the axis after the class axis.
 
-    numpy squares for a scalar exponent of 2 but calls ``pow`` for an array
-    exponent, and the two can differ in the last bit, so an array exponent
-    is squared where it equals 2.  Every other exponent agrees bit for bit
-    between the two routes.  A scalar exponent skips the ``np.where``."""
-    if not isinstance(n, np.ndarray):
-        return base ** max(n, 0)
-    n = np.maximum(n, 0)
-    return np.where(n == 2, base * base, base**n)
+    ``e[k]`` = ``max(n - k, 0)`` for k = 0, 1, 2: one ``pow`` call gives all
+    six powers.  numpy squares a scalar exponent of 2 but calls ``pow`` on an
+    array one, which can differ in the last bit, so a 2 is stored as 1 and
+    ``two`` (None if empty) marks the powers multiplied once more.  ``c`` is
+    ``n``, ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the coefficients of the
+    terms and the cross derivatives, then of the own derivatives."""
+    n = np.array([n_h, n_l])
+    n = n.reshape(n.shape + (1,) * (ndim - n.ndim))
+    e = np.maximum(n - np.arange(3).reshape((3,) + (1,) * n.ndim), 0)
+    two = e == 2
+    # integer products, so a zero load gives +0.0; float, so no ufunc casts
+    e, c = np.where(two, 1, e).astype(float), np.stack([n, -n * n[::-1], n, n - 1]).astype(float)
+    e.flags.writeable = two.flags.writeable = c.flags.writeable = False
+    return e, two if two.any() else None, c
 
 
-def _per_row(n, ndim: int):
-    """An int as it is, or a load array aligned with the leading axes of a
-    (..., m) array."""
-    if isinstance(n, (int, np.integer)):
-        return n
-    n = np.asarray(n)
-    return n.reshape(n.shape + (1,) * (ndim - n.ndim))
+def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
+    """The terms of (mu_h, mu_l) over a stacked ``x`` of shape (2, ..., m),
+    ``x[0]`` = p_h and ``x[1]`` = p_l, under a :func:`load_table`.
+
+    With ``grad`` returns shape (3, 2, ..., m): the terms, the cross
+    derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
+    (d mu_h / d p_h, d mu_l / d p_l).  So ``t[2:0:-1, 0]`` is the gradient
+    of mu_h and ``t[1:, 1]`` that of mu_l, both stacked like ``x``."""
+    e, two, c = table
+    k = 3 if grad else 2
+    one = 1.0 - x
+    p = one ** e[:k]
+    if two is not None:
+        np.multiply(p, one, out=p, where=two[:k])
+    if not grad:
+        return c[0] * x * p[1] * p[0, ::-1]
+    out = np.empty((3,) + x.shape)
+    np.multiply(c[:2] * x * p[1], p[:2, ::-1], out=out[:2])
+    np.multiply(c[2] * (p[1] - c[3] * x * p[2]), p[0, ::-1], out=out[2])
+    return out
 
 
 def throughput_terms(n_h, n_l, p_h, p_l, grad: bool = False):
@@ -143,35 +169,25 @@ def throughput_terms(n_h, n_l, p_h, p_l, grad: bool = False):
     class, with ``a = p_h`` and ``b = p_l`` of shape (..., m).  Summing the
     terms over the last axis gives the slot expectations.
 
-    ``n_h`` and ``n_l`` are ints, or int arrays that broadcast against the
-    leading axes of ``p`` (shape (L,) against p of shape (L, ..., m)), so one
-    call scores allocations under a different load per row.  Per-row loads
-    give bit for bit the terms of one scalar call per load.
+    ``n_h`` and ``n_l`` are ints, or int arrays of shape (L,) against p of
+    shape (L, ..., m), so one call scores allocations under a different
+    load per row.  Per-row loads give bit for bit the terms of one scalar
+    call per load.
 
     With ``grad`` also returns ``d mu_h / d p_h``, ``d mu_h / d p_l``,
     ``d mu_l / d p_h`` and ``d mu_l / d p_l``, each of shape (..., m): term
     ``i`` depends on RB ``i`` alone.  Exponents are floored at 0 so that
     n = 0 and n = 1 need no branches: wherever a floor takes effect, the
     power it touches has a zero coefficient, and no power is infinite at
-    p = 1.
+    p = 1.  This is :func:`stacked_terms` on ``p_h`` and ``p_l`` stacked.
     """
-    # contiguous operands: numpy runs strided views in short inner loops
-    a = np.ascontiguousarray(p_h, dtype=float)
-    b = np.ascontiguousarray(p_l, dtype=float)
-    n_h, n_l = _per_row(n_h, a.ndim), _per_row(n_l, b.ndim)
-    one_a, one_b = 1.0 - a, 1.0 - b
-    a0, a1 = _power(one_a, n_h), _power(one_a, n_h - 1)
-    b0, b1 = _power(one_b, n_l), _power(one_b, n_l - 1)
-    mu_h = n_h * a * a1 * b0
-    mu_l = n_l * b * b1 * a0
+    x = np.array([p_h, p_l], dtype=float)
+    # the table is cached, so per-row loads go in as tuples
+    n_h, n_l = (tuple(n) if isinstance(n, (list, np.ndarray)) else n for n in (n_h, n_l))
+    t = stacked_terms(x, load_table(n_h, n_l, x.ndim), grad)
     if not grad:
-        return mu_h, mu_l
-    a2, b2 = _power(one_a, n_h - 2), _power(one_b, n_l - 2)
-    dh_a = n_h * (a1 - (n_h - 1) * a * a2) * b0
-    dh_b = -n_h * n_l * a * a1 * b1
-    dl_a = -n_l * n_h * b * b1 * a1
-    dl_b = n_l * (b1 - (n_l - 1) * b * b2) * a0
-    return mu_h, mu_l, dh_a, dh_b, dl_a, dl_b
+        return t[0], t[1]
+    return t[0, 0], t[0, 1], t[2, 0], t[1, 0], t[1, 1], t[2, 1]
 
 
 def throughput_closed_form(

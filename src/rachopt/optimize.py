@@ -10,9 +10,11 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 * each start follows projected gradient ascent with a per-start adaptive
   step, all starts advancing in lock-step as rows of one array.
 
-:func:`solve_batch` runs many loads (n_h, n_l) with the same m at once, as
-one (loads, starts, 2m) array scored by the per-row loads of
-:func:`rachopt.exact.throughput_terms`.  Every load keeps its own stopping
+:func:`solve_batch` runs many loads (n_h, n_l) with the same m at once.  The
+iterate is one contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and
+``x[1]`` = p_l, scored by :func:`rachopt.exact.stacked_terms`, so one numpy
+call covers both classes; ``nu`` and ``h``, the simplex multipliers and
+residuals, are (2, loads, starts).  Every load keeps its own stopping
 rules -- the inner ascent stops a load on its own gain and steps, and the
 outer convergence test and multiplier updates are per load -- and a load
 that has finished leaves the working arrays, so each result is bit for bit
@@ -44,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import throughput_closed_form, throughput_terms
+from .exact import load_table, stacked_terms, throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 
 __all__ = [
@@ -129,74 +131,61 @@ def canonical_permutation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
     )
 
 
-def _phi(n_h, n_l, gamma, x, lam, nu1, nu2, rho):
-    """Augmented Lagrangian value and gradient over a (loads, starts, 2m)
-    array.  A single load goes to the kernel as scalars, which skips the
-    per-row power fix-up."""
-    m = x.shape[-1] // 2
-    if len(n_h) == 1:
-        n_h, n_l = int(n_h[0]), int(n_l[0])
-    t_h, t_l, dh_a, dh_b, dl_a, dl_b = throughput_terms(
-        n_h, n_l, x[..., :m], x[..., m:], grad=True
-    )
-    mu_h, mu_l = t_h.sum(axis=-1), t_l.sum(axis=-1)
-    c = mu_l - gamma
-    active = np.maximum(0.0, lam - rho * c)
-    h1 = x[..., :m].sum(axis=-1) - 1.0
-    h2 = x[..., m:].sum(axis=-1) - 1.0
-    phi = (
-        mu_h
-        - (active**2 - lam**2) / (2.0 * rho)
-        - nu1 * h1
-        - 0.5 * rho * h1**2
-        - nu2 * h2
-        - 0.5 * rho * h2**2
-    )
-    grad = np.concatenate(
-        [dh_a + active[..., None] * dl_a, dh_b + active[..., None] * dl_b], axis=-1
-    )
-    grad[..., :m] -= (nu1 + rho * h1)[..., None]
-    grad[..., m:] -= (nu2 + rho * h2)[..., None]
-    return phi, grad, mu_h, mu_l, h1, h2
+def _phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
+    """Augmented Lagrangian value and gradient over a (2, loads, starts, m)
+    array; ``lam2``, ``two_rho`` and ``half_rho`` are fixed for the round."""
+    t = stacked_terms(x, table, grad=True)
+    mu_h, mu_l = t[0].sum(axis=-1)
+    h = x.sum(axis=-1) - 1.0
+    active = np.maximum(0.0, lam - rho * (mu_l - gamma))
+    nu_h, pen = nu * h, half_rho * (h * h)
+    phi = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]
+    # d mu_h / dx + active * d mu_l / dx, stacked like x
+    grad = t[2:0:-1, 0] + active[..., None] * t[1:, 1]
+    grad -= (nu + rho * h)[..., None]
+    return phi, grad
 
 
-def _inner_ascent(n_h, n_l, gamma, x, mult, step):
+def _inner_ascent(table, gamma, x, mult, step):
     """Projected gradient ascent for one outer round, every load at once.
 
     A load stops when none of its starts gains 1e-12 and all its steps are
     below 1e-13.  Stopped loads leave the working arrays, which are
     compacted only on the iterations where some load stops.  Returns the new
-    ``x`` and ``step`` of every load."""
+    ``x`` and ``step`` of every load and the steps each load took."""
     x_out, step_out = np.empty_like(x), np.empty_like(step)
-    rows = np.arange(len(x))
-    phi, grad, *_ = _phi(n_h, n_l, gamma, x, *mult)
-    for _ in range(_MAX_INNER):
-        cand = np.clip(x + step[..., None] * grad, 0.0, 1.0)
-        phi_c, grad_c, *_ = _phi(n_h, n_l, gamma, cand, *mult)
+    taken = np.full(x.shape[1], _MAX_INNER)
+    rows = np.arange(x.shape[1])
+    phi, grad = _phi(table, gamma, x, *mult)
+    cand = np.empty_like(x)
+    for it in range(_MAX_INNER):
+        np.multiply(step[..., None], grad, out=cand)
+        cand += x
+        np.maximum(cand, 0.0, out=cand)
+        np.minimum(cand, 1.0, out=cand)
+        phi_c, grad_c = _phi(table, gamma, cand, *mult)
         better = phi_c > phi
         gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
         np.copyto(x, cand, where=better[..., None])
         np.copyto(grad, grad_c, where=better[..., None])
         np.copyto(phi, phi_c, where=better)
-        step = np.where(better, np.minimum(step * 1.3, 1e3), step * 0.4)
+        # steps stay at most 1e3, so the cap never binds on a shrinking step
+        step = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
         if gained.all():
             continue
         stop = ~gained & (step < 1e-13).all(axis=1)
         if stop.any():
-            x_out[rows[stop]], step_out[rows[stop]] = x[stop], step[stop]
+            done = rows[stop]
+            x_out[:, done], step_out[done], taken[done] = x[:, stop], step[stop], it + 1
             go = ~stop
             if not go.any():
-                return x_out, step_out
-            rows, x, grad, phi, step = rows[go], x[go], grad[go], phi[go], step[go]
-            n_h, n_l, mult = n_h[go], n_l[go], tuple(v[go] for v in mult)
-    x_out[rows], step_out[rows] = x, step
-    return x_out, step_out
-
-
-def _violation(gamma, mu_l, h1, h2):
-    return np.maximum.reduce(
-        [np.abs(h1), np.abs(h2), np.maximum(0.0, gamma - mu_l)]
-    )
+                return x_out, step_out, taken
+            rows, x, grad, phi, step = rows[go], x[:, go], grad[:, go], phi[go], step[go]
+            cand = np.empty_like(x)
+            table = tuple(None if t is None else t[..., go, :, :] for t in table)
+            mult = tuple(v[..., go, :] for v in mult)
+    x_out[:, rows], step_out[rows] = x, step
+    return x_out, step_out, taken
 
 
 def _polish(row: np.ndarray, m: int) -> AccessProbabilityPair:
@@ -214,7 +203,7 @@ def solve_batch(
 ) -> list[OptResult]:
     """Maximize mu_h subject to mu_l >= gamma for every load in ``cfgs``.
 
-    All loads share m and run in lock-step as one (loads, starts, 2m) array.
+    All loads share m and run in lock-step as one (2, loads, starts, m) array.
     Each load keeps its own stopping rules: its inner ascent ends on its own
     gain and steps, and its outer rounds end on its own convergence test, at
     which point it leaves the working arrays.  The result for each load is
@@ -226,8 +215,9 @@ def solve_batch(
     result (ties broken by the canonical permutation's lexicographic order),
     and falls back to the best-attained mu_l when nothing is feasible.
     ``diagnostics`` reports the starts, the feasible starts, the outer
-    rounds, whether they hit ``max_outer`` (``cap_hit``) and the largest
-    constraint residual of the chosen start's final iterate
+    rounds, whether they hit ``max_outer`` (``cap_hit``), the projected
+    gradient steps its inner ascents took over all rounds (``inner_steps``)
+    and the largest constraint residual of the chosen start's final iterate
     (``max_violation``).
     """
     check_gamma(gamma)
@@ -239,39 +229,44 @@ def solve_batch(
     opts = options or SolverOptions()
     rng = np.random.default_rng(opts.seed)
 
-    shared = [np.full(2 * m, 1.0 / m)]
+    shared = [np.full((2, m), 1.0 / m)]
     for _ in range(opts.random_starts):
-        shared.append(
-            np.concatenate([rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))])
-        )
+        shared.append(np.array([rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))]))
+    # one contiguous (2, loads, starts, m) array, x[0] = p_h and x[1] = p_l
     x = np.stack(
         [
-            np.stack([np.asarray(s.p_h + s.p_l), *shared])
+            np.clip(np.stack([np.array([s.p_h, s.p_l]), *shared], axis=1), 0.0, 1.0)
             for s in map(structural_unconstrained, cfgs)
-        ]
+        ],
+        axis=1,
     )
-    x = np.clip(x, 0.0, 1.0)
-    n_h = np.array([cfg.n_h for cfg in cfgs])
-    n_l = np.array([cfg.n_l for cfg in cfgs])
-    shape = x.shape[:2]
+    # spread over every element of x: numpy runs equal shapes faster
+    table = tuple(
+        None if t is None else np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))
+        for t in load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), x.ndim)
+    )
+    shape = x.shape[1:3]
 
     # working arrays of the loads still iterating, in ``live`` order
     live = np.arange(len(cfgs))
     x_final = x.copy()
     viol_final = np.full(shape, np.nan)
     rounds = np.zeros(len(cfgs), dtype=int)
-    lam, nu1, nu2 = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    inner_steps = np.zeros(len(cfgs), dtype=int)
+    lam, nu = np.zeros(shape), np.zeros((2,) + shape)
     rho = np.full(shape, _RHO0)
     step = np.full(shape, _STEP0)
     prev_obj = np.full(shape, -np.inf)
     prev_viol = np.full(shape, np.inf)
 
     for outer in range(opts.max_outer):
-        mult = (lam, nu1, nu2, rho)
-        x, step = _inner_ascent(n_h, n_l, gamma, x, mult, step)
-        _, _, mu_h, mu_l, h1, h2 = _phi(n_h, n_l, gamma, x, *mult)
-        viol = _violation(gamma, mu_l, h1, h2)
-        rounds[live], x_final[live], viol_final[live] = outer + 1, x, viol
+        mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
+        x, step, taken = _inner_ascent(table, gamma, x, mult, step)
+        inner_steps[live] += taken
+        mu_h, mu_l = stacked_terms(x, table).sum(axis=-1)
+        h = x.sum(axis=-1) - 1.0
+        viol = np.maximum(np.abs(h).max(axis=0), np.maximum(0.0, gamma - mu_l))
+        rounds[live], x_final[:, live], viol_final[live] = outer + 1, x, viol
         done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
             np.abs(mu_h - prev_obj) < _OBJ_TOL, axis=1
         )
@@ -279,26 +274,27 @@ def solve_batch(
             break
         if done.any():
             go = ~done
-            live, x, step, n_h, n_l = live[go], x[go], step[go], n_h[go], n_l[go]
-            lam, nu1, nu2, rho = lam[go], nu1[go], nu2[go], rho[go]
-            mu_h, mu_l, h1, h2, viol = mu_h[go], mu_l[go], h1[go], h2[go], viol[go]
+            live, x, step, lam, nu, rho = live[go], x[:, go], step[go], lam[go], nu[:, go], rho[go]
+            mu_h, mu_l, h, viol = mu_h[go], mu_l[go], h[:, go], viol[go]
             prev_viol = prev_viol[go]
+            table = tuple(None if t is None else t[..., go, :, :] for t in table)
         lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
-        nu1 = nu1 + rho * h1
-        nu2 = nu2 + rho * h2
+        nu = nu + rho * h
         stalled = viol > 0.5 * prev_viol
         rho = np.where(stalled, np.minimum(rho * _RHO_GROWTH, _RHO_MAX), rho)
         prev_obj = mu_h
         prev_viol = np.maximum(viol, 1e-300)
         step = np.maximum(step, 1e-6)  # re-arm after multiplier change
 
+    # back to one (starts, 2m) row block per load for the polish
+    x_final = x_final.transpose(1, 2, 0, 3).reshape(len(cfgs), -1, 2 * m)
     return [
-        _pick(cfg, gamma, x_final[i], viol_final[i], int(rounds[i]), opts)
+        _pick(cfg, gamma, x_final[i], viol_final[i], int(rounds[i]), int(inner_steps[i]), opts)
         for i, cfg in enumerate(cfgs)
     ]
 
 
-def _pick(cfg, gamma, x, viol, rounds, opts) -> OptResult:
+def _pick(cfg, gamma, x, viol, rounds, inner_steps, opts) -> OptResult:
     """Polish every start of one load and choose its result."""
     candidates = []
     for row in range(len(x)):
@@ -314,6 +310,7 @@ def _pick(cfg, gamma, x, viol, rounds, opts) -> OptResult:
         "feasible_starts": sum(c[0] for c in candidates),
         "outer_rounds": rounds,
         "cap_hit": rounds == opts.max_outer,
+        "inner_steps": inner_steps,
     }
     feasible_rows = [c for c in candidates if c[0]]
     if feasible_rows:

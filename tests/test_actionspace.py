@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 import tempfile
@@ -208,6 +209,13 @@ def test_build_compact_rejects_infinite_floor():
         build_compact(2, 1, 1, math.inf, opt=fake_opt)
 
 
+def test_build_compact_rejects_negative_bound_by_name():
+    with pytest.raises(ValueError, match="^n_h_max must be >= 0, got -1$"):
+        build_compact(2, -1, 3, 0.0)
+    with pytest.raises(ValueError, match="^n_l_max must be >= 0, got -2$"):
+        build_compact(2, 1, -2, 0.0, opt=fake_opt)
+
+
 def test_build_compact_flags_unreachable_floor():
     space = build_compact(3, 1, 1, 0.5, opt=fake_opt)
     flagged = space.infeasible_cells()
@@ -223,6 +231,21 @@ def test_build_compact_batch_matches_per_cell_solves():
     assert batch.infeasible_cells() == {(n_h, 0) for n_h in range(4)}
     with pytest.raises(ValueError, match="opt or options"):
         build_compact(3, 1, 1, 0.4, opt=solve, options=options)
+
+
+def test_build_compact_matches_pinned_throughputs():
+    # mu_h and mu_l of build_compact(4, 2, 2, 0.4) as the solver stored them
+    # when this file was written; the table has loads with exponent-2 powers
+    # and the n_l = 0 row that cannot meet the floor
+    space = build_compact(4, 2, 2, 0.4)
+    with open(Path(__file__).parent / "data" / "compact_m4_mu.csv", newline="") as fh:
+        pinned = {(int(r["n_h"]), int(r["n_l"])): (float(r["mu_h"]), float(r["mu_l"]))
+                  for r in csv.DictReader(fh)}
+    assert sorted(pinned) == sorted(space.index)
+    for e in space.entries:
+        assert e.mu_h == pytest.approx(pinned[e.n_h, e.n_l][0], rel=0, abs=1e-9)
+        assert e.mu_l == pytest.approx(pinned[e.n_h, e.n_l][1], rel=0, abs=1e-9)
+    assert space.infeasible_cells() == {(n_h, 0) for n_h in range(3)}
 
 
 def test_compact_save_load_roundtrip(tmp_path):

@@ -711,6 +711,18 @@ def test_cli_experiment_rejects_bad_floor_or_seed_before_any_output(runner, tmp_
     assert not out.exists()
 
 
+def test_cli_experiment_rejects_negative_compact_bound_before_any_output(runner, tmp_path):
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    head = (f"[experiment]\nname = x\nmethod = mab-compact\nout = {out}\n"
+            "[network]\nm = 2\nn_h = 1\nn_l = 1\n[compact]\n")
+    for bounds, message in (("n_h_max = -1\n", "n_h_max must be >= 0, got -1"),
+                            ("n_h_max = 1\nn_l_max = -1\n", "n_l_max must be >= 0, got -1")):
+        ini.write_text(head + bounds)
+        _usage_error(runner.invoke(main, ["experiment", str(ini)]), message)
+    assert not out.exists()
+
+
 def test_cli_experiment_names_missing_section(runner, tmp_path):
     ini = tmp_path / "exp.ini"
     ini.write_text("[experiment]\nname = x\nmethod = uniform\n")
@@ -767,6 +779,19 @@ def test_cli_optimize_smoke(runner, tmp_path):
     assert 0.0 <= record["max_violation"] < 1e-6
     for key in ("outer_rounds", "cap_hit", "max_violation"):
         assert f"{key} = {record[key]}" in result.output
+
+
+def test_cli_optimize_prints_inner_steps(runner, tmp_path):
+    out = tmp_path / "opt.json"
+    result = runner.invoke(
+        main,
+        ["optimize", "--m", "3", "--n-h", "2", "--n-l", "1",
+         "--gamma", "0.4", "--starts", "2", "--out", str(out)],
+    )
+    assert result.exit_code == 0
+    steps = json.loads(out.read_text())["inner_steps"]
+    assert isinstance(steps, int) and steps >= 1
+    assert f"inner_steps = {steps}" in result.output
 
 
 def test_cli_as_stats(runner):

@@ -6,6 +6,7 @@ from rachopt.exact import scaling_reference, throughput_closed_form, throughput_
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import (
     FEASIBILITY_TOL,
+    _MAX_INNER,
     _VIOL_TOL,
     OptResult,
     SolverOptions,
@@ -216,6 +217,17 @@ def test_solve_reports_cap_hit_and_violation():
     res = solve(NetworkConfig(2, 1, 3), 0.4, FAST)
     assert not res.diagnostics["cap_hit"] and res.diagnostics["outer_rounds"] < 25
     assert 0.0 <= res.diagnostics["max_violation"] <= _VIOL_TOL
+
+
+def test_solve_reports_inner_steps():
+    # (5, 1) at m = 5 runs every inner ascent to its last step; (2, 1) at
+    # m = 3 settles within a fraction of them
+    slow = solve(NetworkConfig(5, 1, 5), 0.4, SolverOptions(random_starts=4, max_outer=3))
+    assert slow.diagnostics["cap_hit"]
+    assert 3 <= slow.diagnostics["inner_steps"] <= 3 * _MAX_INNER
+    quick = solve(NetworkConfig(2, 1, 3), 0.4, FAST).diagnostics
+    assert not quick["cap_hit"]
+    assert quick["outer_rounds"] <= quick["inner_steps"] < quick["outer_rounds"] * _MAX_INNER // 4
 
 
 @pytest.mark.parametrize(
