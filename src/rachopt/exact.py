@@ -9,10 +9,13 @@ Two independent routes to the same quantity:
   :mod:`rachopt.optimize` calls it, and so does :func:`throughput_terms`,
   which serves :func:`throughput_closed_form` and the grid tables of
   :mod:`rachopt.actionspace`.
-* :func:`throughput_by_pattern_sum` -- enumerate every feasible access
-  pattern (a string over :data:`~rachopt.model.PATTERN_CHARS`, one character
-  per RB), weight its success counts by the pattern probability obtained
-  from multinomial occupancy sums.  Exponential in m; kept as a cross-check.
+* :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
+  occupancy vectors by the access pattern it produces (a string over
+  :data:`~rachopt.model.PATTERN_CHARS`, one character per RB) and weight
+  each pattern's success counts by its probability.  It sums the joint law
+  of all RBs and never forms a per-RB success probability, so it shares the
+  model with the closed form but no formula.  Exponential in m; kept as a
+  cross-check.
 
 :func:`slot_success_pmf` goes one step further than the means: the exact
 per-slot joint law of the high and low success counts, which the bandit
@@ -27,7 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -37,12 +40,12 @@ __all__ = [
     "ENUMERATION_CAP",
     "EnumerationCapExceeded",
     "compositions",
-    "multinomial_pmf",
     "load_table",
     "stacked_terms",
     "throughput_terms",
     "throughput_closed_form",
     "enumerate_patterns",
+    "pattern_probabilities",
     "pattern_probability",
     "throughput_by_pattern_sum",
     "slot_success_pmf",
@@ -76,58 +79,20 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def _log_multinomial_coef(n: int, counts: Sequence[int]) -> float:
-    return math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
-
-
-def _multinomial_coef(n: int, counts: Sequence[int]) -> int:
-    coef = 1
-    remaining = n
-    for c in counts:
-        coef *= math.comb(remaining, c)
-        remaining -= c
-    return coef
-
-
-def multinomial_pmf(n: int, counts: Sequence[int], probs: Sequence[float]) -> float:
-    """P(multinomial(n, probs) == counts).
-
-    Exact integer coefficients for n <= 20, log-space beyond.  A zero
-    probability with a positive count gives 0 exactly.
-    """
-    if sum(counts) != n:
-        raise ValueError(f"counts sum to {sum(counts)}, expected {n}")
-    if len(counts) != len(probs):
-        raise ValueError("counts and probs must have equal length")
-    if n == 0:
-        return 1.0
-    for c, p in zip(counts, probs):
-        if c > 0 and p == 0.0:
-            return 0.0
-    if n <= _EXACT_COEF_MAX_N:
-        prob = float(_multinomial_coef(n, counts))
-        for c, p in zip(counts, probs):
-            if c:
-                prob *= p**c
-        return prob
-    log_prob = _log_multinomial_coef(n, counts)
-    log_prob += sum(c * math.log(p) for c, p in zip(counts, probs) if c)
-    return math.exp(log_prob)
-
-
 @functools.lru_cache(maxsize=256)
 def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
     """The load's constants in :func:`stacked_terms` for an array of ``ndim``
-    axes: ``(e, two, c)``, each with one more leading axis, read-only as the
-    cache shares them.  ``n_h`` and ``n_l`` are ints or tuples of ints, one
-    load per index of the axis after the class axis.
+    axes: ``(e, c, two_value, two_grad)``, each with one more leading axis,
+    read-only as the cache shares them.  ``n_h`` and ``n_l`` are ints or
+    tuples of ints, one load per index of the axis after the class axis.
 
     ``e[k]`` = ``max(n - k, 0)`` for k = 0, 1, 2: one ``pow`` call gives all
     six powers.  numpy squares a scalar exponent of 2 but calls ``pow`` on an
     array one, which can differ in the last bit, so a 2 is stored as 1 and
-    ``two`` (None if empty) marks the powers multiplied once more.  ``c`` is
-    ``n``, ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the coefficients of the
-    terms and the cross derivatives, then of the own derivatives."""
+    masks (None if empty) mark the powers multiplied once more: over the rows
+    k < 2 that the terms read, and over all three.  ``c`` is ``n``,
+    ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the coefficients of the terms
+    and the cross derivatives, then of the own derivatives."""
     n = np.array([n_h, n_l])
     n = n.reshape(n.shape + (1,) * (ndim - n.ndim))
     e = np.maximum(n - np.arange(3).reshape((3,) + (1,) * n.ndim), 0)
@@ -135,7 +100,7 @@ def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
     # integer products, so a zero load gives +0.0; float, so no ufunc casts
     e, c = np.where(two, 1, e).astype(float), np.stack([n, -n * n[::-1], n, n - 1]).astype(float)
     e.flags.writeable = two.flags.writeable = c.flags.writeable = False
-    return e, two if two.any() else None, c
+    return (e, c) + tuple(t if t.any() else None for t in (two[:2], two))
 
 
 def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
@@ -146,12 +111,12 @@ def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
     derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
     (d mu_h / d p_h, d mu_l / d p_l).  So ``t[2:0:-1, 0]`` is the gradient
     of mu_h and ``t[1:, 1]`` that of mu_l, both stacked like ``x``."""
-    e, two, c = table
-    k = 3 if grad else 2
+    e, c, two_value, two_grad = table
+    k, two = (3, two_grad) if grad else (2, two_value)
     one = 1.0 - x
     p = one ** e[:k]
     if two is not None:
-        np.multiply(p, one, out=p, where=two[:k])
+        np.multiply(p, one, out=p, where=two)
     if not grad:
         return c[0] * x * p[1] * p[0, ::-1]
     out = np.empty((3,) + x.shape)
@@ -202,15 +167,20 @@ def throughput_closed_form(
     return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
-def _feasible_counts(cfg: NetworkConfig, n_high: int, n_low: int, n_coll: int) -> bool:
-    # Devices not accounted for by singleton successes must fill the
-    # collision RBs, at least two per collision.
-    if n_high > cfg.n_h or n_low > cfg.n_l:
-        return False
-    rest = cfg.n - n_high - n_low
-    if rest < 2 * n_coll:
-        return False
-    return (rest == 0) == (n_coll == 0)
+def _feasible_patterns(cfg: NetworkConfig) -> Iterator[tuple[int, str]]:
+    """Every feasible pattern of ``cfg``, in lexicographic order, with its
+    code: the base-4 number whose digit at RB ``i`` is the PATTERN_CHARS
+    index of its character there, so the codes ascend."""
+    for code, chars in enumerate(itertools.product(PATTERN_CHARS, repeat=cfg.m)):
+        pattern = "".join(chars)
+        n_high, n_low, n_coll = pattern.count("h"), pattern.count("l"), pattern.count("x")
+        # Devices not accounted for by singleton successes must fill the
+        # collision RBs, at least two per collision.
+        rest = cfg.n - n_high - n_low
+        if n_high > cfg.n_h or n_low > cfg.n_l or rest < 2 * n_coll:
+            continue
+        if (rest == 0) == (n_coll == 0):
+            yield code, pattern
 
 
 def enumerate_patterns(cfg: NetworkConfig) -> tuple[str, ...]:
@@ -218,53 +188,94 @@ def enumerate_patterns(cfg: NetworkConfig) -> tuple[str, ...]:
     device transmits, so leftover devices force collisions and empty slots
     are only possible when the singleton successes absorb the whole
     population."""
-    out = []
-    for chars in itertools.product(PATTERN_CHARS, repeat=cfg.m):
-        pattern = "".join(chars)
-        if _feasible_counts(cfg, pattern.count("h"), pattern.count("l"), pattern.count("x")):
-            out.append(pattern)
-    return tuple(out)
+    return tuple(pattern for _, pattern in _feasible_patterns(cfg))
+
+
+# Occupancy pairs per pass of :func:`pattern_probabilities`; bounds its memory.
+_PAIR_CHUNK = 1 << 16
+
+# The PATTERN_CHARS index of an RB, at 3 * min(high devices, 2) + min(low
+# devices, 2) on it: one device of one class alone is that class's success.
+_RB_DIGIT = np.array([PATTERN_CHARS.index(c) for c in "olxhxxxxx"])
+_RB_DIGIT.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=32)
+def _occupancies(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every occupancy vector of ``n`` devices over ``m`` RBs, shape (c, m),
+    and its multinomial coefficient: the exact integer for n <= 20, its log
+    beyond.  Read-only, as the cache shares them."""
+    counts = np.array(list(compositions(n, m)), dtype=np.int64).reshape(-1, m)
+    if n <= _EXACT_COEF_MAX_N:
+        # 20! < 2**63, so the integer quotient is exact
+        fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+        coef = (fact[n] // fact[counts].prod(axis=1)).astype(float)
+    else:
+        coef = math.lgamma(n + 1) - np.vectorize(math.lgamma)(counts + 1.0).sum(axis=1)
+    counts.flags.writeable = coef.flags.writeable = False
+    return counts, coef
+
+
+def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The occupancy vectors of ``n`` devices that access vector ``p`` gives
+    a positive probability, and those probabilities.  A positive count on a
+    zero probability gives 0 exactly, without a ``log(0)`` or ``0 * inf``."""
+    counts, coef = _occupancies(n, p.size)
+    if n <= _EXACT_COEF_MAX_N:
+        w = coef * np.prod(p**counts, axis=1)
+    else:
+        blocked = (counts[:, p == 0.0] > 0).any(axis=1)
+        log_p = np.log(np.where(p > 0.0, p, 1.0))
+        w = np.where(blocked, 0.0, np.exp(coef + counts @ log_p))
+    keep = w > 0.0
+    return counts[keep], w[keep]
+
+
+def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> dict[str, float]:
+    """P(slot produces the pattern), keyed by every pattern of
+    :func:`enumerate_patterns`, in its order.
+
+    Each class's occupancy vectors are enumerated once with their
+    multinomial probabilities, and each (high, low) pair of them adds its
+    probability to the pattern it produces.  Refuses configurations with
+    more than ``ENUMERATION_CAP`` occupancy pairs.
+    """
+    if pair.m != cfg.m:
+        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
+    work = math.comb(cfg.n_h + cfg.m - 1, cfg.m - 1) * math.comb(cfg.n_l + cfg.m - 1, cfg.m - 1)
+    if work > ENUMERATION_CAP:
+        raise EnumerationCapExceeded(
+            f"{work} occupancy pairs exceeds cap {ENUMERATION_CAP} for cfg {cfg}"
+        )
+    codes, patterns = zip(*_feasible_patterns(cfg))
+    codes = np.array(codes)
+    c_h, w_h = _occupancy_weights(cfg.n_h, np.asarray(pair.p_h, dtype=float))
+    c_l, w_l = _occupancy_weights(cfg.n_l, np.asarray(pair.p_l, dtype=float))
+    high, low = 3 * np.minimum(c_h, 2), np.minimum(c_l, 2)
+    probs = np.zeros(len(codes))
+    # chunks of high rows against every low row: at most the larger of
+    # _PAIR_CHUNK pairs and one high row's pairs at a time
+    rows = max(1, _PAIR_CHUNK // len(w_l))
+    for lo in range(0, len(w_h), rows):
+        h = high[lo : lo + rows, None]
+        code = _RB_DIGIT[h[..., 0] + low[:, 0]]
+        for i in range(1, cfg.m):
+            code = 4 * code + _RB_DIGIT[h[..., i] + low[:, i]]
+        weight = (w_h[lo : lo + rows, None] * w_l).ravel()
+        probs += np.bincount(np.searchsorted(codes, code.ravel()), weight, len(codes))
+    return dict(zip(patterns, probs.tolist()))
 
 
 def pattern_probability(
     cfg: NetworkConfig, pair: AccessProbabilityPair, pattern: str
 ) -> float:
-    """P(slot produces ``pattern``) under independent per-device RB choices.
-
-    Sums the joint multinomial probability over every occupancy consistent
-    with the pattern: success RBs pin their counts, empty RBs pin zero, and
-    the leftover devices of both classes spread over the collision RBs with
-    at least two transmitters per collision.
-    """
+    """P(slot produces ``pattern``): its entry of
+    :func:`pattern_probabilities`, and 0 for an infeasible pattern."""
     if len(pattern) != cfg.m or pair.m != cfg.m:
         raise ValueError("pattern/pair length must match config m")
     if not set(pattern) <= set(PATTERN_CHARS):
         raise ValueError(f"invalid pattern string {pattern!r}")
-    coll = [i for i, c in enumerate(pattern) if c == "x"]
-    base_h = [int(c == "h") for c in pattern]
-    base_l = [int(c == "l") for c in pattern]
-    r_h = cfg.n_h - sum(base_h)
-    r_l = cfg.n_l - sum(base_l)
-    if r_h < 0 or r_l < 0:
-        return 0.0
-
-    total = 0.0
-    k = len(coll)
-    for spread_h in compositions(r_h, k):
-        c_h = list(base_h)
-        for i, extra in zip(coll, spread_h):
-            c_h[i] = extra
-        pmf_h = multinomial_pmf(cfg.n_h, c_h, pair.p_h)
-        if pmf_h == 0.0:
-            continue
-        for spread_l in compositions(r_l, k):
-            if any(a + b < 2 for a, b in zip(spread_h, spread_l)):
-                continue
-            c_l = list(base_l)
-            for i, extra in zip(coll, spread_l):
-                c_l[i] = extra
-            total += pmf_h * multinomial_pmf(cfg.n_l, c_l, pair.p_l)
-    return total
+    return pattern_probabilities(cfg, pair).get(pattern, 0.0)
 
 
 def throughput_by_pattern_sum(
@@ -275,24 +286,11 @@ def throughput_by_pattern_sum(
     Exponential in m; refuses configurations whose occupancy enumeration
     would exceed ``ENUMERATION_CAP`` pairs.
     """
-    work = math.comb(cfg.n_h + cfg.m - 1, cfg.m - 1) * math.comb(
-        cfg.n_l + cfg.m - 1, cfg.m - 1
+    table = pattern_probabilities(cfg, pair)
+    return ThroughputPair(
+        math.fsum(pattern.count("h") * prob for pattern, prob in table.items()),
+        math.fsum(pattern.count("l") * prob for pattern, prob in table.items()),
     )
-    if work > ENUMERATION_CAP:
-        raise EnumerationCapExceeded(
-            f"{work} occupancy pairs exceeds cap {ENUMERATION_CAP} for cfg {cfg}"
-        )
-    mu_h_terms: list[float] = []
-    mu_l_terms: list[float] = []
-    for pattern in enumerate_patterns(cfg):
-        prob = pattern_probability(cfg, pair, pattern)
-        n_high = pattern.count("h")
-        n_low = pattern.count("l")
-        if n_high:
-            mu_h_terms.append(n_high * prob)
-        if n_low:
-            mu_l_terms.append(n_low * prob)
-    return ThroughputPair(math.fsum(mu_h_terms), math.fsum(mu_l_terms))
 
 
 # Actions per DP pass in :func:`slot_success_pmf`; bounds its working memory.

@@ -5,6 +5,8 @@ enumeration, factorial-based pmfs, brute-force rotation scans) so the tests
 exercise genuinely separate routes to the same numbers.  The one exception
 is :func:`shaped_reward_oracle`, which builds on the library's per-slot pmf
 tables; ``test_exact`` checks those against the pattern probabilities.
+:func:`loop_pattern_probability` is the library's former per-pattern loop,
+kept as the reference its one-pass pattern table is tested against.
 :func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
 the reference the block-wise library simulator must match bit for bit.
 """
@@ -46,6 +48,72 @@ def factorial_pmf(n: int, counts, probs) -> float:
     for c, p in zip(counts, probs):
         val *= p**c
     return val
+
+
+def multinomial_pmf(n: int, counts, probs) -> float:
+    """P(multinomial(n, probs) == counts).
+
+    Exact integer coefficients for n <= 20, log-space beyond.  A zero
+    probability with a positive count gives 0 exactly.
+    """
+    if sum(counts) != n:
+        raise ValueError(f"counts sum to {sum(counts)}, expected {n}")
+    if len(counts) != len(probs):
+        raise ValueError("counts and probs must have equal length")
+    if n == 0:
+        return 1.0
+    for c, p in zip(counts, probs):
+        if c > 0 and p == 0.0:
+            return 0.0
+    if n <= 20:
+        coef = 1
+        remaining = n
+        for c in counts:
+            coef *= math.comb(remaining, c)
+            remaining -= c
+        prob = float(coef)
+        for c, p in zip(counts, probs):
+            if c:
+                prob *= p**c
+        return prob
+    log_prob = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
+    log_prob += sum(c * math.log(p) for c, p in zip(counts, probs) if c)
+    return math.exp(log_prob)
+
+
+def loop_pattern_probability(cfg, pair, pattern: str) -> float:
+    """P(slot produces ``pattern``), one pattern at a time.
+
+    Sums the joint multinomial probability over every occupancy consistent
+    with the pattern: success RBs pin their counts, empty RBs pin zero, and
+    the leftover devices of both classes spread over the collision RBs with
+    at least two transmitters per collision.
+    """
+    coll = [i for i, c in enumerate(pattern) if c == "x"]
+    base_h = [int(c == "h") for c in pattern]
+    base_l = [int(c == "l") for c in pattern]
+    r_h = cfg.n_h - sum(base_h)
+    r_l = cfg.n_l - sum(base_l)
+    if r_h < 0 or r_l < 0:
+        return 0.0
+
+    total = 0.0
+    k = len(coll)
+    for spread_h in stars_and_bars(r_h, k):
+        c_h = list(base_h)
+        for i, extra in zip(coll, spread_h):
+            c_h[i] = extra
+        pmf_h = multinomial_pmf(cfg.n_h, c_h, pair.p_h)
+        if pmf_h == 0.0:
+            continue
+        for spread_l in stars_and_bars(r_l, k):
+            if any(a + b < 2 for a, b in zip(spread_h, spread_l)):
+                continue
+            c_l = list(base_l)
+            for i, extra in zip(coll, spread_l):
+                c_l[i] = extra
+            total += pmf_h * multinomial_pmf(cfg.n_l, c_l, pair.p_l)
+    return total
 
 
 def brute_force_throughput(n_h: int, n_l: int, p_h, p_l) -> tuple[float, float]:

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
+from rachopt.bench import published_pair
 from rachopt.exact import (
     EnumerationCapExceeded,
     compositions,
     enumerate_patterns,
-    multinomial_pmf,
+    load_table,
+    pattern_probabilities,
     pattern_probability,
     scaling_reference,
     slot_success_pmf,
@@ -23,6 +27,8 @@ from rachopt.model import AccessProbabilityPair, NetworkConfig
 from support import (
     brute_force_throughput,
     factorial_pmf,
+    loop_pattern_probability,
+    multinomial_pmf,
     random_simplex,
     scaling_allocation,
     shaped_reward_oracle,
@@ -149,6 +155,27 @@ def test_throughput_terms_per_row_loads_match_scalar_calls():
     for i, (h, l) in enumerate(loads):
         single = throughput_terms(h, l, a[i, 0], b[i, 0])
         assert all(np.array_equal(got[i], want) for got, want in zip(flat, single))
+
+
+@pytest.mark.parametrize("n_h, n_l", [(4, 5), (5, 4), (4, 4), (4, 0), (2, 4), (3, 4)])
+def test_value_terms_equal_grad_terms_where_an_exponent_is_two(n_h, n_l):
+    # n - 2 = 2 puts an exponent of 2 in the gradient row k = 2 only (the
+    # value path skips its multiply); n - 1 = 2 and n = 2 put one in a row
+    # the value path reads
+    rng = np.random.default_rng(11)
+    for m in (3, 5):
+        a = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m)])
+        b = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m)[::-1]])
+        value = throughput_terms(n_h, n_l, a, b)
+        grad = throughput_terms(n_h, n_l, a, b, grad=True)
+        assert np.array_equal(value[0], grad[0]) and np.array_equal(value[1], grad[1])
+        loads = np.resize([n_h, n_l, 4, 2], len(a))
+        value = throughput_terms(loads, loads[::-1], a, b)
+        grad = throughput_terms(loads, loads[::-1], a, b, grad=True)
+        assert np.array_equal(value[0], grad[0]) and np.array_equal(value[1], grad[1])
+    _, _, two_value, two_grad = load_table(n_h, n_l, 2)
+    assert two_grad is not None
+    assert (two_value is None) == (2 not in (n_h, n_l, n_h - 1, n_l - 1))
 
 
 # ---------------------------------------------------------- pattern machinery
@@ -286,9 +313,7 @@ def test_pattern_probabilities_normalize():
             random_simplex(rng, m, sparse=bool(rng.integers(0, 2))),
             random_simplex(rng, m),
         )
-        total = math.fsum(
-            pattern_probability(cfg, pair, pat) for pat in enumerate_patterns(cfg)
-        )
+        total = math.fsum(pattern_probabilities(cfg, pair).values())
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -321,6 +346,97 @@ def test_pattern_sum_enumeration_cap():
     big = NetworkConfig(50, 50, 10)
     with pytest.raises(EnumerationCapExceeded):
         throughput_by_pattern_sum(big, AccessProbabilityPair.uniform(10))
+
+
+def test_pattern_probabilities_match_loop_reference():
+    rng = np.random.default_rng(45)
+    cases = []
+    for _ in range(50):
+        m = int(rng.integers(1, 5))
+        cfg = NetworkConfig(int(rng.integers(0, 7)), int(rng.integers(0, 7)), m)
+        sparse = rng.integers(0, 2, size=2).astype(bool)
+        cases.append((cfg, pair_of(random_simplex(rng, m, sparse[0]), random_simplex(rng, m, sparse[1]))))
+    cases += [
+        (NetworkConfig(0, 0, 3), AccessProbabilityPair.uniform(3)),
+        (NetworkConfig(3, 2, 4), pair_of([0.0, 0.5, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0])),
+        (NetworkConfig(2, 3, 3), pair_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])),
+        (NetworkConfig(22, 1, 2), pair_of([0.3, 0.7], [0.5, 0.5])),
+    ]
+    for cfg, pair in cases:
+        got = pattern_probabilities(cfg, pair)
+        assert tuple(got) == enumerate_patterns(cfg)
+        for pat, prob in got.items():
+            assert abs(prob - loop_pattern_probability(cfg, pair, pat)) <= 1e-15, (cfg, pair, pat)
+        likeliest = max(got, key=got.get)
+        assert pattern_probability(cfg, pair, likeliest) == got[likeliest]
+
+
+def test_pattern_sum_with_more_than_twenty_devices():
+    # n > 20 takes the log-space coefficients, one class or both
+    rng = np.random.default_rng(46)
+    for cfg in (NetworkConfig(25, 3, 2), NetworkConfig(3, 24, 3), NetworkConfig(21, 22, 3)):
+        for sparse in (False, True):
+            pair = pair_of(random_simplex(rng, cfg.m, sparse), random_simplex(rng, cfg.m))
+            direct = throughput_closed_form(cfg, pair)
+            summed = throughput_by_pattern_sum(cfg, pair)
+            assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+            assert abs(summed.mu_l - direct.mu_l) <= 1e-12
+            assert math.fsum(pattern_probabilities(cfg, pair).values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pattern_sum_zero_probabilities_are_exact_and_quiet():
+    # zero access probabilities on both the exact and the log-space route:
+    # no RuntimeWarning (log(0), 0 * inf), and the patterns they rule out
+    # get exactly 0
+    cases = [
+        (NetworkConfig(4, 5, 3), pair_of([0.5, 0.5, 0.0], [0.0, 0.0, 1.0])),
+        (NetworkConfig(25, 22, 3), pair_of([0.5, 0.5, 0.0], [0.0, 0.0, 1.0])),
+        (NetworkConfig(21, 2, 3), pair_of([0.0, 0.0, 1.0], [0.0, 1.0, 0.0])),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg, pair in cases:
+            for pat, prob in pattern_probabilities(cfg, pair).items():
+                reachable = all(
+                    (c != "h" or pair.p_h[i] > 0) and (c != "l" or pair.p_l[i] > 0)
+                    for i, c in enumerate(pat)
+                )
+                if not reachable:
+                    assert prob == 0.0, pat
+            direct = throughput_closed_form(cfg, pair)
+            summed = throughput_by_pattern_sum(cfg, pair)
+            assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+            assert abs(summed.mu_l - direct.mu_l) <= 1e-12
+    # every device of both classes on the last RB: one collision pattern
+    probs = pattern_probabilities(cases[1][0], pair_of([0.0, 0.0, 1.0], [0.0, 0.0, 1.0]))
+    assert [pat for pat, prob in probs.items() if prob] == ["oox"] and probs["oox"] == 1.0
+
+
+def test_pattern_table_working_memory_is_bounded():
+    # 861 occupancy vectors per class, 741321 pairs; all at once they would
+    # take tens of MB, so the bound shows that the pairs go in chunks
+    cfg = NetworkConfig(40, 40, 3)
+    pair = AccessProbabilityPair.uniform(3)
+    pattern_probabilities(cfg, pair)  # fill the occupancy cache
+    tracemalloc.start()
+    try:
+        summed = throughput_by_pattern_sum(cfg, pair)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6, peak
+    direct = throughput_closed_form(cfg, pair)
+    assert abs(summed.mu_h - direct.mu_h) <= 1e-12 and abs(summed.mu_l - direct.mu_l) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+def test_pattern_sum_matches_closed_form_on_published_pairs(gamma, m):
+    cfg, pair = NetworkConfig(4, 5, m), published_pair(gamma, m)
+    direct = throughput_closed_form(cfg, pair)
+    summed = throughput_by_pattern_sum(cfg, pair)
+    assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+    assert abs(summed.mu_l - direct.mu_l) <= 1e-12
 
 
 # ------------------------------------------------------------ reward scaling
@@ -375,9 +491,8 @@ def test_scaling_reference_is_grid_max_when_class_fits():
 def _pattern_success_pmf(cfg: NetworkConfig, pair: AccessProbabilityPair) -> np.ndarray:
     """Pattern probabilities summed by (high, low) success counts."""
     out = np.zeros((cfg.m + 1, cfg.m + 1))
-    for pattern in enumerate_patterns(cfg):
-        h, l = pattern.count("h"), pattern.count("l")
-        out[h, l] += pattern_probability(cfg, pair, pattern)
+    for pattern, prob in pattern_probabilities(cfg, pair).items():
+        out[pattern.count("h"), pattern.count("l")] += prob
     return out
 
 

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import rachopt.simulate as simulate_module
 from rachopt.bench import published_pair
 from rachopt.exact import (
-    enumerate_patterns,
-    pattern_probability,
+    pattern_probabilities,
     throughput_closed_form,
 )
 from rachopt.model import (
@@ -164,8 +163,7 @@ def test_slot_mean_within_standard_errors():
     pair = AccessProbabilityPair.uniform(3)
     exact = throughput_closed_form(cfg, pair)
     second = 0.0
-    for pat in enumerate_patterns(cfg):
-        prob = pattern_probability(cfg, pair, pat)
+    for pat, prob in pattern_probabilities(cfg, pair).items():
         second += pat.count("h") ** 2 * prob
     var = second - exact.mu_h**2
     t = 20_000
