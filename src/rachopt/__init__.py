@@ -2,8 +2,6 @@
 
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 from .exact import (
-    enumerate_patterns,
-    pattern_probability,
     scaling_reference,
     slot_success_pmf,
     throughput_by_pattern_sum,

@@ -435,11 +435,10 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
     method."""
     parser = configparser.ConfigParser()
     try:
-        read = parser.read(path)
+        with open(path) as fh:
+            parser.read_file(fh)
     except configparser.Error as exc:  # duplicate, unheaded or unparsable lines
         raise ValueError(f"{path}: {exc}") from None
-    if not read:
-        raise FileNotFoundError(path)
     for section in ("experiment", "network"):
         if not parser.has_section(section):
             raise ValueError(f"{path}: missing required [{section}] section")

@@ -106,10 +106,18 @@ def resolve_pair(p_h: str | None, p_l: str | None, m: int) -> AccessProbabilityP
         raise click.BadParameter(str(exc), param_hint="--p-h/--p-l") from None
 
 
+def unusable_path(exc: OSError) -> click.UsageError:
+    """A file the run cannot open or create, as a usage error that names it."""
+    return click.UsageError(f"cannot open or create {exc.filename!r}: {exc.strerror}")
+
+
 def write_json(out: str | None, record: dict) -> None:
     if out:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(json.dumps(record, indent=2) + "\n")
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(json.dumps(record, indent=2) + "\n")
+        except OSError as exc:
+            raise unusable_path(exc) from None
         click.echo(f"wrote {out}")
 
 
@@ -217,12 +225,18 @@ def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
     """Precompute the compact (load -> allocation) table and save it."""
     from .actionspace import save_compact
 
+    try:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)  # before the solves
+    except OSError as exc:
+        raise unusable_path(exc) from None
     space = build_compact(
         m=m, n_h_max=n_h_max, n_l_max=n_l_max, gamma=gamma,
         options=SolverOptions(seed=seed),
     )
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
-    save_compact(space, out)
+    try:
+        save_compact(space, out)
+    except OSError as exc:
+        raise unusable_path(exc) from None
     infeasible = space.infeasible_cells()
     click.echo(f"built {len(space)} cells -> {out}")
     if infeasible:
@@ -248,6 +262,8 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, seeds, out, name, **flags):
         written = run_experiment(spec)
     except ValueError as exc:  # an unread flag, a bandit parameter, the grid or the table
         raise click.BadParameter(str(exc)) from None
+    except OSError as exc:  # the table or the output directory
+        raise unusable_path(exc) from None
     for path in written:
         click.echo(f"wrote {path}")
     summary = json.loads(written[-1].read_text())
@@ -323,15 +339,15 @@ def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
 
 
 @main.command("reproduce")
-@click.option("--table", "table_id", type=str, default="all", show_default=True,
-              help="Reference table id (I..VII) or 'all'.")
+@click.option("--table", "table_id", type=click.Choice((*TABLE_IDS, "all"), case_sensitive=False),
+              default="all", show_default=True, help="Reference table id (I..VII) or 'all'.")
 @click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("--strict", is_flag=True, default=False,
               help="Exit nonzero if any reproduced value fails its tolerance.")
 @click.pass_context
 def reproduce_cmd(ctx, table_id, seed, strict):
     """Recompute published reference tables and report pass/fail."""
-    ids = TABLE_IDS if table_id.lower() == "all" else (table_id,)
+    ids = TABLE_IDS if table_id == "all" else (table_id,)
     all_passed = True
     for tid in ids:
         report = reproduce(tid, seed=seed)
@@ -350,6 +366,8 @@ def experiment_cmd(config):
         written = run_experiment(load_experiment(config))
     except ValueError as exc:  # the file, or the grid or table it names
         raise click.BadParameter(str(exc), param_hint="CONFIG") from None
+    except OSError as exc:  # the table it names or the output directory
+        raise unusable_path(exc) from None
     for path in written:
         click.echo(f"wrote {path}")
 

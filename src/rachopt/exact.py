@@ -11,11 +11,14 @@ Two independent routes to the same quantity:
   :mod:`rachopt.actionspace`.
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
-  :data:`~rachopt.model.PATTERN_CHARS`, one character per RB) and weight
-  each pattern's success counts by its probability.  It sums the joint law
-  of all RBs and never forms a per-RB success probability, so it shares the
-  model with the closed form but no formula.  Exponential in m; kept as a
-  cross-check.
+  :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
+  of :func:`~rachopt.model.pattern_bytes` that the simulator also writes
+  its traces with) and weight each pattern's success counts by its
+  probability.  The patterns are those the pairs produce, so none is
+  listed that no occupancy reaches.  It sums the joint law of all RBs and
+  never forms a per-RB success probability, so it shares the model with
+  the closed form but no formula.  Its work is one step per occupancy
+  pair, which ``ENUMERATION_CAP`` bounds; kept as a cross-check.
 
 :func:`slot_success_pmf` goes one step further than the means: the exact
 per-slot joint law of the high and low success counts, which the bandit
@@ -28,13 +31,12 @@ never chosen).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from typing import Iterator
 
 import numpy as np
 
-from .model import PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, ThroughputPair
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, pattern_bytes
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -44,9 +46,7 @@ __all__ = [
     "stacked_terms",
     "throughput_terms",
     "throughput_closed_form",
-    "enumerate_patterns",
     "pattern_probabilities",
-    "pattern_probability",
     "throughput_by_pattern_sum",
     "slot_success_pmf",
     "scaling_reference",
@@ -167,37 +167,8 @@ def throughput_closed_form(
     return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
-def _feasible_patterns(cfg: NetworkConfig) -> Iterator[tuple[int, str]]:
-    """Every feasible pattern of ``cfg``, in lexicographic order, with its
-    code: the base-4 number whose digit at RB ``i`` is the PATTERN_CHARS
-    index of its character there, so the codes ascend."""
-    for code, chars in enumerate(itertools.product(PATTERN_CHARS, repeat=cfg.m)):
-        pattern = "".join(chars)
-        n_high, n_low, n_coll = pattern.count("h"), pattern.count("l"), pattern.count("x")
-        # Devices not accounted for by singleton successes must fill the
-        # collision RBs, at least two per collision.
-        rest = cfg.n - n_high - n_low
-        if n_high > cfg.n_h or n_low > cfg.n_l or rest < 2 * n_coll:
-            continue
-        if (rest == 0) == (n_coll == 0):
-            yield code, pattern
-
-
-def enumerate_patterns(cfg: NetworkConfig) -> tuple[str, ...]:
-    """All feasible patterns for ``cfg``, in lexicographic order; every
-    device transmits, so leftover devices force collisions and empty slots
-    are only possible when the singleton successes absorb the whole
-    population."""
-    return tuple(pattern for _, pattern in _feasible_patterns(cfg))
-
-
 # Occupancy pairs per pass of :func:`pattern_probabilities`; bounds its memory.
 _PAIR_CHUNK = 1 << 16
-
-# The PATTERN_CHARS index of an RB, at 3 * min(high devices, 2) + min(low
-# devices, 2) on it: one device of one class alone is that class's success.
-_RB_DIGIT = np.array([PATTERN_CHARS.index(c) for c in "olxhxxxxx"])
-_RB_DIGIT.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=32)
@@ -232,13 +203,15 @@ def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> dict[str, float]:
-    """P(slot produces the pattern), keyed by every pattern of
-    :func:`enumerate_patterns`, in its order.
+    """P(slot produces the pattern), keyed by every pattern that an
+    occupancy of positive probability produces, in lexicographic order; any
+    other pattern has probability 0.
 
     Each class's occupancy vectors are enumerated once with their
     multinomial probabilities, and each (high, low) pair of them adds its
-    probability to the pattern it produces.  Refuses configurations with
-    more than ``ENUMERATION_CAP`` occupancy pairs.
+    probability to the pattern it produces, so the work is the number of
+    occupancy pairs, C(n_h + m - 1, m - 1) * C(n_l + m - 1, m - 1).
+    Refuses configurations with more than ``ENUMERATION_CAP`` of them.
     """
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
@@ -247,35 +220,22 @@ def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> di
         raise EnumerationCapExceeded(
             f"{work} occupancy pairs exceeds cap {ENUMERATION_CAP} for cfg {cfg}"
         )
-    codes, patterns = zip(*_feasible_patterns(cfg))
-    codes = np.array(codes)
     c_h, w_h = _occupancy_weights(cfg.n_h, np.asarray(pair.p_h, dtype=float))
     c_l, w_l = _occupancy_weights(cfg.n_l, np.asarray(pair.p_l, dtype=float))
-    high, low = 3 * np.minimum(c_h, 2), np.minimum(c_l, 2)
-    probs = np.zeros(len(codes))
+    seen, sums = [], []
     # chunks of high rows against every low row: at most the larger of
-    # _PAIR_CHUNK pairs and one high row's pairs at a time
+    # _PAIR_CHUNK pairs and one high row's pairs at a time; each pair's
+    # pattern is its row of bytes, which sort as the strings do
     rows = max(1, _PAIR_CHUNK // len(w_l))
     for lo in range(0, len(w_h), rows):
-        h = high[lo : lo + rows, None]
-        code = _RB_DIGIT[h[..., 0] + low[:, 0]]
-        for i in range(1, cfg.m):
-            code = 4 * code + _RB_DIGIT[h[..., i] + low[:, i]]
-        weight = (w_h[lo : lo + rows, None] * w_l).ravel()
-        probs += np.bincount(np.searchsorted(codes, code.ravel()), weight, len(codes))
-    return dict(zip(patterns, probs.tolist()))
-
-
-def pattern_probability(
-    cfg: NetworkConfig, pair: AccessProbabilityPair, pattern: str
-) -> float:
-    """P(slot produces ``pattern``): its entry of
-    :func:`pattern_probabilities`, and 0 for an infeasible pattern."""
-    if len(pattern) != cfg.m or pair.m != cfg.m:
-        raise ValueError("pattern/pair length must match config m")
-    if not set(pattern) <= set(PATTERN_CHARS):
-        raise ValueError(f"invalid pattern string {pattern!r}")
-    return pattern_probabilities(cfg, pair).get(pattern, 0.0)
+        chars = pattern_bytes(c_h[lo : lo + rows, None], c_l).view(f"S{cfg.m}").ravel()
+        patterns, pattern_of = np.unique(chars, return_inverse=True)
+        seen.append(patterns)
+        sums.append(np.bincount(pattern_of, (w_h[lo : lo + rows, None] * w_l).ravel()))
+    # each pattern's total adds its chunk sums in chunk order
+    patterns, pattern_of = np.unique(np.concatenate(seen), return_inverse=True)
+    probs = np.bincount(pattern_of, np.concatenate(sums))
+    return dict(zip(patterns.astype(str).tolist(), probs.tolist()))
 
 
 def throughput_by_pattern_sum(
@@ -283,8 +243,9 @@ def throughput_by_pattern_sum(
 ) -> ThroughputPair:
     """Throughput as sum over patterns of success count times probability.
 
-    Exponential in m; refuses configurations whose occupancy enumeration
-    would exceed ``ENUMERATION_CAP`` pairs.
+    The work is that of :func:`pattern_probabilities`, one step per
+    occupancy pair; refuses configurations with more than
+    ``ENUMERATION_CAP`` pairs.
     """
     table = pattern_probabilities(cfg, pair)
     return ThroughputPair(

@@ -11,7 +11,8 @@ the package is built on the vocabulary defined here:
 * :class:`ThroughputPair` -- expected successes per slot and class.
 
 An access pattern, the per-RB outcome of one slot, is a plain ``str`` with
-one character of :data:`PATTERN_CHARS` per RB.
+one character of :data:`PATTERN_CHARS` per RB; :func:`pattern_bytes` is the
+rule that gives an RB its character.
 """
 
 from __future__ import annotations
@@ -21,9 +22,12 @@ import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "SUM_TOL",
     "PATTERN_CHARS",
+    "pattern_bytes",
     "check_gamma",
     "NetworkConfig",
     "AccessProbabilityPair",
@@ -37,6 +41,18 @@ SUM_TOL = 1e-9
 # ``l`` low success, ``o`` empty, ``x`` collision.  Their order here is the
 # lexicographic order of pattern strings.
 PATTERN_CHARS = "hlox"
+
+# The character of an RB, as its ASCII byte, at 3 * min(high devices, 2) +
+# min(low devices, 2) on it; read-only, as bytes buffers are.
+_RB_CHAR = np.frombuffer(b"olxhxxxxx", dtype=np.uint8)
+
+
+def pattern_bytes(c_h, c_l) -> np.ndarray:
+    """The pattern characters, as uint8 ASCII bytes, of RBs on which ``c_h``
+    high and ``c_l`` low devices transmit (integer arrays that broadcast):
+    one device alone is its class's success, none leaves the RB empty and
+    two or more collide."""
+    return _RB_CHAR[3 * np.minimum(c_h, 2) + np.minimum(c_l, 2)]
 
 
 def check_gamma(gamma: float) -> None:

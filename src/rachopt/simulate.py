@@ -23,7 +23,8 @@ access probabilities in index order, high-priority devices first.
 
 A :class:`SimTrace` stores a ``(t, m)`` uint8 array of event codes, the
 bytes of the per-slot pattern strings over
-:data:`~rachopt.model.PATTERN_CHARS`.
+:data:`~rachopt.model.PATTERN_CHARS`, written by
+:func:`~rachopt.model.pattern_bytes`.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair
+from .model import (PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, ThroughputPair,
+                    pattern_bytes)
 
 __all__ = [
     "SimTrace",
@@ -47,9 +49,6 @@ __all__ = [
     "load_trace",
 ]
 
-# pattern character of each event code: empty 0, high success 1, low
-# success 2, collision 3
-_EVENT_CODES = np.frombuffer(b"ohlx", dtype=np.uint8)
 # slots per block: a block's draws and counts (a few MB at n = 9) stay in
 # cache, where one pass over a whole t = 100000 run would not
 _BLOCK = 8192
@@ -168,11 +167,7 @@ def simulate(
     codes = np.empty((t, cfg.m), dtype=np.uint8)
 
     def events(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> None:
-        total = c_h + c_l
-        code = np.where(
-            total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2))
-        )
-        codes[lo : lo + len(code)] = _EVENT_CODES[code]
+        codes[lo : lo + len(c_h)] = pattern_bytes(c_h, c_l)
 
     _run_blocks(cfg, pair, t, seed, events)
     return SimTrace(seed=seed, codes=codes)
@@ -211,7 +206,7 @@ def load_trace(path: Union[str, Path]) -> SimTrace:
         raise ValueError(f"expected {t} slots, found {len(lines)}")
     raw = "".join(lines).encode("ascii", "replace")
     codes = np.frombuffer(raw, dtype=np.uint8).reshape(t, m)
-    bad = ~np.isin(codes, _EVENT_CODES).all(axis=1)
+    bad = ~np.isin(codes, list(PATTERN_CHARS.encode())).all(axis=1)
     if bad.any():
         raise ValueError(f"invalid pattern string {lines[int(np.argmax(bad))]!r}")
     return SimTrace(seed=seed, codes=codes)

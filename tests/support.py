@@ -6,7 +6,8 @@ exercise genuinely separate routes to the same numbers.  The one exception
 is :func:`shaped_reward_oracle`, which builds on the library's per-slot pmf
 tables; ``test_exact`` checks those against the pattern probabilities.
 :func:`loop_pattern_probability` is the library's former per-pattern loop,
-kept as the reference its one-pass pattern table is tested against.
+kept as the reference its one-pass pattern table is tested against, and
+:func:`feasible_patterns` its former walk over all 4^m pattern strings.
 :func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
 the reference the block-wise library simulator must match bit for bit.
 """
@@ -113,6 +114,40 @@ def loop_pattern_probability(cfg, pair, pattern: str) -> float:
             for i, extra in zip(coll, spread_l):
                 c_l[i] = extra
             total += pmf_h * multinomial_pmf(cfg.n_l, c_l, pair.p_l)
+    return total
+
+
+def pattern_feasible(n_h: int, n_l: int, pattern: str) -> bool:
+    """Whether some occupancy of the devices produces ``pattern``: the
+    devices that are not singleton successes fill the collision RBs, at
+    least two per collision, and there are none left over only if there is
+    no collision."""
+    h, l, x = pattern.count("h"), pattern.count("l"), pattern.count("x")
+    if h > n_h or l > n_l:
+        return False
+    rest = n_h + n_l - h - l
+    return rest >= 2 * x and (rest == 0) == (x == 0)
+
+
+def feasible_patterns(n_h: int, n_l: int, m: int) -> tuple[str, ...]:
+    """Every feasible pattern over ``m`` RBs in lexicographic order, by
+    walking all 4^m strings."""
+    strings = map("".join, itertools.product("hlox", repeat=m))
+    return tuple(s for s in strings if pattern_feasible(n_h, n_l, s))
+
+
+def feasible_pattern_count(n_h: int, n_l: int, m: int) -> int:
+    """How many patterns over ``m`` RBs are feasible, counted by their
+    numbers of ``h``, ``l`` and ``x`` RBs: one multinomial coefficient each."""
+    total = 0
+    for h in range(m + 1):
+        for l in range(m + 1 - h):
+            for x in range(m + 1 - h - l):
+                if pattern_feasible(n_h, n_l, "h" * h + "l" * l + "x" * x):
+                    total += math.factorial(m) // (
+                        math.factorial(h) * math.factorial(l) * math.factorial(x)
+                        * math.factorial(m - h - l - x)
+                    )
     return total
 
 

@@ -8,6 +8,7 @@ visible both in the test report and in the end-of-run summary.
 import functools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from rachopt.actionspace import (
 )
 from rachopt.baselines import acb_throughput
 from rachopt.bench import (
+    MAB_PRESETS,
     REFERENCE_ACB,
     REFERENCE_SOLVER_SECONDS,
     REFERENCE_SPACE_SIZES,
@@ -32,7 +34,7 @@ from rachopt.exact import (
     throughput_by_pattern_sum,
     throughput_closed_form,
 )
-from rachopt.mab import MabConfig, estimate_load, mae_trace, run, run_nonstationary
+from rachopt.mab import estimate_load, mae_trace, run, run_nonstationary
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import SolverOptions, solve
 from rachopt.simulate import sim_throughput
@@ -227,15 +229,11 @@ def test_criterion_06_barring_baseline():
     assert elapsed < 30
 
 
-# Bandit parameters as published for the discretized space.  The per-pull
-# horizon stays at the published T=1000: with a shorter horizon the empirical
-# low-class rate misses the floor too often at (M=4, gamma=0.4) - the
-# constrained optimum's shaped reward drops below a safe suboptimal action's
-# and no seed can converge to it, regardless of pull budget.
-DISCRETIZED_PARAMS = dict(rho=0.0, t=1000, runs=15000, batch_size=500,
-                          elite_fraction=0.1, alpha=0.2)
-COMPACT_PARAMS = dict(rho=0.1, t=100, runs=2000, batch_size=200,
-                      elite_fraction=0.1, alpha=0.1)
+# The bandit runs the published settings of bench.MAB_PRESETS.  The grid's
+# per-pull horizon stays at the published T=1000: with a shorter horizon the
+# empirical low-class rate misses the floor too often at (M=4, gamma=0.4) -
+# the constrained optimum's shaped reward drops below a safe suboptimal
+# action's and no seed can converge to it, regardless of pull budget.
 
 
 def test_criterion_07_discretized_bandit():
@@ -251,7 +249,7 @@ def test_criterion_07_discretized_bandit():
         optimum = float(mus[feasible, 0].max())
         count = 0
         for seed in range(10):
-            mcfg = MabConfig(gamma=gamma, seed=seed, **DISCRETIZED_PARAMS)
+            mcfg = replace(MAB_PRESETS["mab-discretized"], gamma=gamma, seed=seed)
             res = run(space, cfg, mcfg)
             mu_h, mu_l = (float(v) for v in mus[res.best_index])
             if mu_h >= 0.95 * optimum and (gamma == 0.0 or mu_l >= 0.4 - 1e-9):
@@ -281,7 +279,7 @@ def test_criterion_08_compact_load_estimation(compact_m6):
     hits = 0
     maes = []
     for seed in range(10):
-        mcfg = MabConfig(gamma=0.4, seed=seed, **COMPACT_PARAMS)
+        mcfg = replace(MAB_PRESETS["mab-compact"], gamma=0.4, seed=seed)
         res = run(space, cfg, mcfg)
         n_h, n_l = estimate_load(space, res)
         attained = throughput_closed_form(
@@ -400,7 +398,7 @@ def test_criterion_11_nonstationary_scenario(compact_m5):
     cfg_b = NetworkConfig(4, 5, 5)
     published_h = 0.9 * 1.2282
     space = grid(5, 0.2)
-    disc_params = {**DISCRETIZED_PARAMS, "runs": 30000}
+    disc_preset = replace(MAB_PRESETS["mab-discretized"], gamma=0.4, runs=30000)
 
     # The grid bandit maximizes the expected shaped reward, not mu_h: the
     # floor is checked per pull on the EMPIRICAL mu_l of t = 1000 slots and
@@ -415,8 +413,8 @@ def test_criterion_11_nonstationary_scenario(compact_m5):
     # optimum.
     p_h, p_l = space.allocations
     oracle = shaped_reward_oracle(
-        cfg_b.n_h, cfg_b.n_l, p_h, p_l, disc_params["t"], 0.4,
-        disc_params["rho"], scaling_reference(cfg_b),
+        cfg_b.n_h, cfg_b.n_l, p_h, p_l, disc_preset.t, 0.4,
+        disc_preset.rho, scaling_reference(cfg_b),
     )
     best = int(np.argmax(oracle["reward"]))
     disc_target_h = 0.9 * float(oracle["mu_h"][best])
@@ -424,7 +422,7 @@ def test_criterion_11_nonstationary_scenario(compact_m5):
     disc_hits = 0
     disc_tails = []
     for seed in range(10):
-        mcfg = MabConfig(gamma=0.4, seed=seed, **disc_params)
+        mcfg = replace(disc_preset, seed=seed)
         res = run_nonstationary(space, [(0, cfg_a), (15000, cfg_b)], mcfg)
         mu_h, mu_l = _trailing_means(res)
         disc_tails.append((round(mu_h, 3), round(mu_l, 3)))
@@ -432,9 +430,9 @@ def test_criterion_11_nonstationary_scenario(compact_m5):
 
     comp_hits = 0
     comp_tails = []
-    comp_params = {**COMPACT_PARAMS, "runs": 12000}
+    comp_preset = replace(MAB_PRESETS["mab-compact"], gamma=0.4, runs=12000)
     for seed in range(10):
-        mcfg = MabConfig(gamma=0.4, seed=seed, **comp_params)
+        mcfg = replace(comp_preset, seed=seed)
         res = run_nonstationary(compact_m5, [(0, cfg_a), (2000, cfg_b)], mcfg)
         mu_h, mu_l = _trailing_means(res)
         comp_tails.append((round(mu_h, 3), round(mu_l, 3)))

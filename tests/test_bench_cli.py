@@ -16,6 +16,7 @@ from rachopt.actionspace import (
     save_compact,
 )
 from rachopt.bench import (
+    TABLE_IDS,
     ExperimentSpec,
     ReportLine,
     TableReport,
@@ -909,6 +910,49 @@ def test_cli_reproduce_strict_exit_code(runner, monkeypatch):
     strict = runner.invoke(main, ["reproduce", "--table", "III", "--strict"])
     assert strict.exit_code == 1
     assert "=> FAIL" in strict.output
+
+
+def test_cli_reproduce_rejects_unknown_table_and_takes_any_case(runner, monkeypatch):
+    result = runner.invoke(main, ["reproduce", "--table", "VIII"])
+    _usage_error(result, "'VIII' is not one of", "'vii'", "'all'")
+    asked = []
+    monkeypatch.setattr("rachopt.cli.reproduce",
+                        lambda tid, **k: asked.append(tid) or TableReport(tid, "stub"))
+    assert runner.invoke(main, ["reproduce", "--table", "vi"]).exit_code == 0
+    assert runner.invoke(main, ["reproduce", "--table", "ALL"]).exit_code == 0
+    assert asked == ["VI", *TABLE_IDS]
+
+
+def test_cli_experiment_names_unreadable_table_before_any_output(runner, tmp_path):
+    out = tmp_path / "out"
+    ini = tmp_path / "exp.ini"
+    head = (f"[experiment]\nname = x\nmethod = mab-compact\nout = {out}\n"
+            "[network]\nm = 2\nn_h = 1\nn_l = 1\n[compact]\n")
+    for table, reason in ((tmp_path / "missing.csv", "No such file or directory"),
+                          (tmp_path, "Is a directory")):
+        ini.write_text(head + f"table = {table}\n")
+        _usage_error(runner.invoke(main, ["experiment", str(ini)]), str(table), reason)
+    assert not out.exists()
+
+
+def test_cli_output_under_a_file_is_usage_error(runner, tmp_path, compact_2x2):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nname = x\nmethod = uniform\nout = {blocker}\n"
+                   "[network]\nm = 2\nn_h = 1\nn_l = 1\n")
+    net = ["--m", "2", "--n-h", "1", "--n-l", "1"]
+    for args in (
+        ["exact", *net, "--out", str(blocker / "x.json")],
+        ["optimize", *net, "--starts", "1", "--out", str(blocker / "x.json")],
+        ["compact-build", "--m", "2", "--n-h-max", "1", "--n-l-max", "1",
+         "--out", str(blocker / "a" / "t.csv")],
+        ["mab", "--m", "3", "--n-h", "1", "--n-l", "1", "--space", "compact",
+         "--table", str(compact_2x2), "--out", str(blocker)],
+        ["experiment", str(ini)],
+    ):
+        _usage_error(runner.invoke(main, args), "cannot open or create", str(blocker))
+    assert blocker.read_text() == ""
 
 
 def test_cli_experiment_runs_ini(runner, tmp_path):

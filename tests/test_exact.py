@@ -12,10 +12,8 @@ from rachopt.bench import published_pair
 from rachopt.exact import (
     EnumerationCapExceeded,
     compositions,
-    enumerate_patterns,
     load_table,
     pattern_probabilities,
-    pattern_probability,
     scaling_reference,
     slot_success_pmf,
     throughput_by_pattern_sum,
@@ -27,8 +25,11 @@ from rachopt.model import AccessProbabilityPair, NetworkConfig
 from support import (
     brute_force_throughput,
     factorial_pmf,
+    feasible_pattern_count,
+    feasible_patterns,
     loop_pattern_probability,
     multinomial_pmf,
+    pattern_feasible,
     random_simplex,
     scaling_allocation,
     shaped_reward_oracle,
@@ -218,38 +219,35 @@ def test_compositions_order_and_count():
     assert list(compositions(3, 1)) == [(3,)]
 
 
+# Under the uniform pair every occupancy has positive probability, so the
+# pattern table lists every feasible pattern.
+
+
+def uniform_patterns(n_h: int, n_l: int, m: int) -> tuple[str, ...]:
+    uniform = AccessProbabilityPair.uniform(m)
+    return tuple(pattern_probabilities(NetworkConfig(n_h, n_l, m), uniform))
+
+
 def test_enumerate_patterns_single_pair_of_devices():
-    assert enumerate_patterns(NetworkConfig(1, 1, 2)) == ("hl", "lh", "ox", "xo")
+    assert uniform_patterns(1, 1, 2) == ("hl", "lh", "ox", "xo")
 
 
 def test_enumerate_patterns_empty_network():
-    assert enumerate_patterns(NetworkConfig(0, 0, 3)) == ("ooo",)
+    assert uniform_patterns(0, 0, 3) == ("ooo",)
 
 
 def test_enumerate_patterns_two_high_devices():
-    assert enumerate_patterns(NetworkConfig(2, 0, 2)) == ("hh", "ox", "xo")
-
-
-def _oracle_feasible(n_h: int, n_l: int, s: str) -> bool:
-    h, l, x = s.count("h"), s.count("l"), s.count("x")
-    if h > n_h or l > n_l:
-        return False
-    rest = n_h + n_l - h - l
-    return rest >= 2 * x and (rest == 0) == (x == 0)
+    assert uniform_patterns(2, 0, 2) == ("hh", "ox", "xo")
 
 
 def test_enumerate_patterns_matches_string_oracle():
-    import itertools
+    for n_h, n_l, m in [(2, 1, 2), (1, 2, 3), (3, 3, 3), (4, 5, 3), (0, 2, 2), (2, 3, 5)]:
+        assert uniform_patterns(n_h, n_l, m) == feasible_patterns(n_h, n_l, m)
 
-    for n_h, n_l, m in [(2, 1, 2), (1, 2, 3), (3, 3, 3), (4, 5, 3), (0, 2, 2)]:
-        got = enumerate_patterns(NetworkConfig(n_h, n_l, m))
-        expected = {
-            "".join(s)
-            for s in itertools.product("hlox", repeat=m)
-            if _oracle_feasible(n_h, n_l, "".join(s))
-        }
-        assert set(got) == expected and len(got) == len(expected)
-        assert list(got) == sorted(got)
+
+def test_feasible_pattern_count_matches_string_walk():
+    for n_h, n_l, m in [(1, 1, 2), (0, 0, 3), (2, 0, 4), (4, 5, 3), (1, 1, 6), (2, 1, 6)]:
+        assert feasible_pattern_count(n_h, n_l, m) == len(feasible_patterns(n_h, n_l, m))
 
 
 def test_multinomial_pmf_exact_and_log_routes():
@@ -273,35 +271,18 @@ def test_multinomial_pmf_exact_and_log_routes():
 
 def test_pattern_probability_examples():
     # a lone high device on a single RB always succeeds
-    assert pattern_probability(NetworkConfig(1, 0, 1), pair_of([1.0], [1.0]), "h") == 1.0
+    assert pattern_probabilities(NetworkConfig(1, 0, 1), pair_of([1.0], [1.0])) == {"h": 1.0}
 
     cfg = NetworkConfig(1, 1, 2)
     uni = AccessProbabilityPair.uniform(2)
-    assert pattern_probability(cfg, uni, "hl") == pytest.approx(
-        0.25, abs=1e-15
-    )
+    assert pattern_probabilities(cfg, uni).get("hl", 0.0) == pytest.approx(0.25, abs=1e-15)
 
     cfg = NetworkConfig(2, 0, 2)
-    uni = AccessProbabilityPair.uniform(2)
-    assert pattern_probability(cfg, uni, "hh") == pytest.approx(
-        0.5, abs=1e-15
-    )
-    assert pattern_probability(cfg, uni, "xo") == pytest.approx(
-        0.25, abs=1e-15
-    )
+    table = pattern_probabilities(cfg, uni)
+    assert table.get("hh", 0.0) == pytest.approx(0.5, abs=1e-15)
+    assert table.get("xo", 0.0) == pytest.approx(0.25, abs=1e-15)
     # infeasible patterns carry zero probability
-    assert pattern_probability(cfg, uni, "ho") == 0.0
-
-
-def test_pattern_probability_rejects_bad_patterns():
-    cfg = NetworkConfig(2, 1, 3)
-    uni = AccessProbabilityPair.uniform(3)
-    with pytest.raises(ValueError, match="length must match"):
-        pattern_probability(cfg, uni, "hl")
-    with pytest.raises(ValueError, match="length must match"):
-        pattern_probability(cfg, uni, "hlox")
-    with pytest.raises(ValueError, match="invalid pattern string 'hqz'"):
-        pattern_probability(cfg, uni, "hqz")
+    assert table.get("ho", 0.0) == 0.0
 
 
 def test_pattern_probabilities_normalize():
@@ -364,11 +345,13 @@ def test_pattern_probabilities_match_loop_reference():
     ]
     for cfg, pair in cases:
         got = pattern_probabilities(cfg, pair)
-        assert tuple(got) == enumerate_patterns(cfg)
+        assert list(got) == sorted(got), cfg
         for pat, prob in got.items():
+            assert pattern_feasible(cfg.n_h, cfg.n_l, pat), (cfg, pat)
             assert abs(prob - loop_pattern_probability(cfg, pair, pat)) <= 1e-15, (cfg, pair, pat)
-        likeliest = max(got, key=got.get)
-        assert pattern_probability(cfg, pair, likeliest) == got[likeliest]
+        # a feasible pattern the table leaves out is one no occupancy reaches
+        for pat in set(feasible_patterns(cfg.n_h, cfg.n_l, cfg.m)) - set(got):
+            assert loop_pattern_probability(cfg, pair, pat) == 0.0, (cfg, pair, pat)
 
 
 def test_pattern_sum_with_more_than_twenty_devices():
@@ -427,6 +410,25 @@ def test_pattern_table_working_memory_is_bounded():
     assert peak < 8e6, peak
     direct = throughput_closed_form(cfg, pair)
     assert abs(summed.mu_h - direct.mu_h) <= 1e-12 and abs(summed.mu_l - direct.mu_l) <= 1e-12
+
+
+def test_pattern_sum_at_large_m_with_few_devices():
+    # few occupancy pairs over many RBs: the work follows the pairs, not 4^m;
+    # m = 40 is past where a base-4 int64 pattern code would wrap
+    rng = np.random.default_rng(47)
+    for cfg in (NetworkConfig(1, 1, 10), NetworkConfig(2, 1, 12), NetworkConfig(1, 1, 40)):
+        uniform = AccessProbabilityPair.uniform(cfg.m)
+        # distinct feasible keys, as many as there are feasible patterns
+        table = pattern_probabilities(cfg, uniform)
+        assert all(pattern_feasible(cfg.n_h, cfg.n_l, pat) for pat in table)
+        assert len(table) == feasible_pattern_count(cfg.n_h, cfg.n_l, cfg.m)
+        randoms = [pair_of(random_simplex(rng, cfg.m, sparse), random_simplex(rng, cfg.m))
+                   for sparse in (False, True)]
+        for pair in (uniform, *randoms):
+            direct = throughput_closed_form(cfg, pair)
+            summed = throughput_by_pattern_sum(cfg, pair)
+            assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+            assert abs(summed.mu_l - direct.mu_l) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

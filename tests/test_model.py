@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rachopt.model import AccessProbabilityPair, NetworkConfig, check_gamma
+from rachopt.model import PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, check_gamma, pattern_bytes
 
 
 def test_network_config_validation():
@@ -45,3 +45,21 @@ def test_check_gamma_accepts_only_finite_floors():
             check_gamma(gamma)
     with pytest.raises(ValueError, match="^gamma must be finite, got inf$"):
         check_gamma(math.inf)
+
+
+def test_pattern_bytes_follow_the_rb_rule():
+    c_h, c_l = np.meshgrid(np.arange(6), np.arange(6), indexing="ij")
+    got = pattern_bytes(c_h, c_l)
+    assert got.dtype == np.uint8 and got.shape == (6, 6)
+    for h in range(6):
+        for l in range(6):
+            if h + l == 0:
+                expected = "o"
+            elif h + l >= 2:
+                expected = "x"
+            else:
+                expected = "h" if h else "l"
+            assert chr(got[h, l]) == expected, (h, l)
+    assert set(got.tobytes().decode()) == set(PATTERN_CHARS)
+    # lexicographic order of pattern strings is their byte order
+    assert list(PATTERN_CHARS) == sorted(PATTERN_CHARS)
