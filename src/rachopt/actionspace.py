@@ -25,7 +25,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exact import compositions, throughput_closed_form, throughput_terms
+from .exact import compositions, load_table, stacked_terms, throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 from .optimize import FEASIBILITY_TOL, SolverOptions, solve_batch
 
@@ -109,14 +109,14 @@ class ActionSpace:
     pull_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
-    def allocations(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(p_h, p_l)`` with one row per action, shape (size, m).  Built
-        once per space and read-only."""
-        p_h = np.array([a.pair.p_h for a in self.actions], dtype=float)
-        p_l = np.array([a.pair.p_l for a in self.actions], dtype=float)
-        p_h.setflags(write=False)
-        p_l.setflags(write=False)
-        return p_h, p_l
+    def allocations(self) -> np.ndarray:
+        """Every action's ``(p_h, p_l)`` stacked as the closed-form kernel
+        takes them, shape (2, size, m): ``p_h, p_l = space.allocations``
+        gives one row per action for each class.  Built once per space and
+        read-only."""
+        x = np.array([[a.pair.p_h for a in self.actions], [a.pair.p_l for a in self.actions]])
+        x.setflags(write=False)
+        return x
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -159,7 +159,7 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
         raise ValueError(
             f"{total} grid actions exceeds cap {DEFAULT_ACTION_CAP} (m={spec.m}, d={spec.d})"
         )
-    comps = list(compositions(spec.q, spec.m))
+    comps = [tuple(u) for u in compositions(spec.q, spec.m).tolist()]
     c = len(comps)
     keep = np.ones((c, c), dtype=bool)
     if reduced:
@@ -333,5 +333,5 @@ def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
 
     Returns an array of shape (size, 2) in action order.
     """
-    terms = throughput_terms(cfg.n_h, cfg.n_l, *space.allocations)
-    return np.stack([t.sum(axis=1) for t in terms], axis=1)
+    x = space.allocations
+    return stacked_terms(x, load_table(cfg.n_h, cfg.n_l, x.ndim)).sum(axis=-1).T

@@ -5,10 +5,9 @@ Two independent routes to the same quantity:
 * :func:`stacked_terms` -- the closed form: per-RB success probabilities
   of both classes, stacked in one (2, ..., m) array, with their gradients on
   request, for any batch of allocations and a :func:`load_table`.  It is
-  the only place the formula is written; the solver in
-  :mod:`rachopt.optimize` calls it, and so does :func:`throughput_terms`,
-  which serves :func:`throughput_closed_form` and the grid tables of
-  :mod:`rachopt.actionspace`.
+  the only place the formula is written and the one way into it: the
+  solver in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the
+  grid tables of :mod:`rachopt.actionspace` all call it.
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
   :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
@@ -32,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +42,6 @@ __all__ = [
     "compositions",
     "load_table",
     "stacked_terms",
-    "throughput_terms",
     "throughput_closed_form",
     "pattern_probabilities",
     "throughput_by_pattern_sum",
@@ -64,19 +61,23 @@ class EnumerationCapExceeded(RuntimeError):
     """Pattern-sum enumeration would exceed ``ENUMERATION_CAP``."""
 
 
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative ints summing to ``total``, in
-    lexicographic order."""
+def compositions(total: int, parts: int) -> np.ndarray:
+    """Every tuple of ``parts`` non-negative ints summing to ``total``, one
+    row each in lexicographic order: shape (C(total + parts - 1, parts - 1),
+    parts).  Built by splitting the last part in two, ``parts - 1`` times.
+    The rows are int64, but one part holds any ``total``: past int64 numpy
+    keeps it as an exact Python int (dtype object)."""
     if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in compositions(total - head, parts - 1):
-            yield (head,) + rest
+        return np.zeros((int(total == 0), 0), dtype=np.int64)
+    rows = np.array([[total]])
+    for _ in range(parts - 1):
+        # row r becomes last[r] + 1 rows, its last part split as (head, rest)
+        last = rows[:, -1]
+        reps = last + 1
+        head = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows[:, :-1], reps, axis=0), head,
+                                np.repeat(last, reps) - head])
+    return rows
 
 
 @functools.lru_cache(maxsize=256)
@@ -104,13 +105,25 @@ def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
 
 
 def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
-    """The terms of (mu_h, mu_l) over a stacked ``x`` of shape (2, ..., m),
-    ``x[0]`` = p_h and ``x[1]`` = p_l, under a :func:`load_table`.
+    """The per-RB terms of (mu_h, mu_l) over a stacked ``x`` of shape
+    (2, ..., m), ``x[0]`` = p_h and ``x[1]`` = p_l, under a
+    :func:`load_table`; shape (2, ..., m).
+
+    RB ``i`` carries a high success iff exactly one of the n_h devices picks
+    it and no low-priority device does:
+    ``n_h a_i (1-a_i)**(n_h-1) (1-b_i)**n_l``, and symmetrically for the low
+    class, with ``a = p_h`` and ``b = p_l``.  Summing the terms over the
+    last axis gives the slot expectations.  A table of per-row loads scores
+    each row under its own load, bit for bit as a table of that load alone.
 
     With ``grad`` returns shape (3, 2, ..., m): the terms, the cross
     derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
-    (d mu_h / d p_h, d mu_l / d p_l).  So ``t[2:0:-1, 0]`` is the gradient
-    of mu_h and ``t[1:, 1]`` that of mu_l, both stacked like ``x``."""
+    (d mu_h / d p_h, d mu_l / d p_l); term ``i`` depends on RB ``i`` alone.
+    So ``t[2:0:-1, 0]`` is the gradient of mu_h and ``t[1:, 1]`` that of
+    mu_l, both stacked like ``x``.  Exponents are floored at 0 so that
+    n = 0 and n = 1 need no branches: wherever a floor takes effect, the
+    power it touches has a zero coefficient, and no power is infinite at
+    p = 1."""
     e, c, two_value, two_grad = table
     k, two = (3, two_grad) if grad else (2, two_value)
     one = 1.0 - x
@@ -125,45 +138,15 @@ def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
     return out
 
 
-def throughput_terms(n_h, n_l, p_h, p_l, grad: bool = False):
-    """Per-RB terms of (mu_h, mu_l), optionally with their gradients.
-
-    RB ``i`` carries a high success iff exactly one of the n_h devices picks
-    it and no low-priority device does:
-    ``n_h a_i (1-a_i)**(n_h-1) (1-b_i)**n_l``, and symmetrically for the low
-    class, with ``a = p_h`` and ``b = p_l`` of shape (..., m).  Summing the
-    terms over the last axis gives the slot expectations.
-
-    ``n_h`` and ``n_l`` are ints, or int arrays of shape (L,) against p of
-    shape (L, ..., m), so one call scores allocations under a different
-    load per row.  Per-row loads give bit for bit the terms of one scalar
-    call per load.
-
-    With ``grad`` also returns ``d mu_h / d p_h``, ``d mu_h / d p_l``,
-    ``d mu_l / d p_h`` and ``d mu_l / d p_l``, each of shape (..., m): term
-    ``i`` depends on RB ``i`` alone.  Exponents are floored at 0 so that
-    n = 0 and n = 1 need no branches: wherever a floor takes effect, the
-    power it touches has a zero coefficient, and no power is infinite at
-    p = 1.  This is :func:`stacked_terms` on ``p_h`` and ``p_l`` stacked.
-    """
-    x = np.array([p_h, p_l], dtype=float)
-    # the table is cached, so per-row loads go in as tuples
-    n_h, n_l = (tuple(n) if isinstance(n, (list, np.ndarray)) else n for n in (n_h, n_l))
-    t = stacked_terms(x, load_table(n_h, n_l, x.ndim), grad)
-    if not grad:
-        return t[0], t[1]
-    return t[0, 0], t[0, 1], t[2, 0], t[1, 0], t[1, 1], t[2, 1]
-
-
 def throughput_closed_form(
     cfg: NetworkConfig, pair: AccessProbabilityPair
 ) -> ThroughputPair:
     """Expected successes per slot for each class: the fsum of
-    :func:`throughput_terms` over RBs, which keeps the result invariant
-    under any joint permutation of the RBs."""
+    :func:`stacked_terms` over RBs, which keeps the result invariant under
+    any joint permutation of the RBs."""
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
-    mu_h, mu_l = throughput_terms(cfg.n_h, cfg.n_l, pair.p_h, pair.p_l)
+    mu_h, mu_l = stacked_terms(np.array([pair.p_h, pair.p_l]), load_table(cfg.n_h, cfg.n_l, 2))
     return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
@@ -176,13 +159,14 @@ def _occupancies(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Every occupancy vector of ``n`` devices over ``m`` RBs, shape (c, m),
     and its multinomial coefficient: the exact integer for n <= 20, its log
     beyond.  Read-only, as the cache shares them."""
-    counts = np.array(list(compositions(n, m)), dtype=np.int64).reshape(-1, m)
+    counts = compositions(n, m)
     if n <= _EXACT_COEF_MAX_N:
         # 20! < 2**63, so the integer quotient is exact
         fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
         coef = (fact[n] // fact[counts].prod(axis=1)).astype(float)
     else:
-        coef = math.lgamma(n + 1) - np.vectorize(math.lgamma)(counts + 1.0).sum(axis=1)
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        coef = math.lgamma(n + 1) - log_fact[counts].sum(axis=1)
     counts.flags.writeable = coef.flags.writeable = False
     return counts, coef
 

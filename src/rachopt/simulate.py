@@ -21,10 +21,12 @@ at t <= 1000, or a single usable CPU runs inline, without threads.
 Within a slot, device draws map to RBs by inverse CDF over the cumulative
 access probabilities in index order, high-priority devices first.
 
-A :class:`SimTrace` stores a ``(t, m)`` uint8 array of event codes, the
-bytes of the per-slot pattern strings over
-:data:`~rachopt.model.PATTERN_CHARS`, written by
-:func:`~rachopt.model.pattern_bytes`.
+Each block's per-RB transmitter counts become pattern bytes through
+:func:`~rachopt.model.pattern_bytes`, the one outcome rule: a
+:class:`SimTrace` keeps them as a ``(t, m)`` uint8 array of event codes,
+the bytes of the per-slot pattern strings over
+:data:`~rachopt.model.PATTERN_CHARS`, and :func:`sim_throughput` counts
+their ``h`` and ``l`` bytes instead.
 """
 
 from __future__ import annotations
@@ -95,11 +97,11 @@ def _run_blocks(
     pair: AccessProbabilityPair,
     t: int,
     seed: int,
-    consume: Callable[[int, np.ndarray, np.ndarray], object],
+    consume: Callable[[int, np.ndarray], object],
 ) -> list:
     """Draw slots ``[0, t)`` in blocks of ``_BLOCK`` and hand each block's
-    per-slot per-RB transmitter counts ``(c_h, c_l)``, shape (hi - lo, m),
-    to ``consume(lo, c_h, c_l)``; returns its results in block order.
+    pattern bytes, shape (hi - lo, m), to ``consume(lo, codes)``; returns
+    its results in block order.
 
     Each block starts its own Philox stream at its first slot's counter, so
     blocks are independent: with more than one block and more than one
@@ -126,7 +128,7 @@ def _run_blocks(
         rb = (draws >= levels).sum(axis=0, dtype=small)
         counts = np.bincount((rb + bins[:, :size]).ravel(), minlength=2 * m * size)
         counts = counts.reshape(size, 2, m)
-        return consume(lo, counts[:, 0], counts[:, 1])
+        return consume(lo, pattern_bytes(counts[:, 0], counts[:, 1]))
 
     starts = range(0, t, _BLOCK)
     workers = min(len(starts), _usable_cpus())
@@ -140,22 +142,20 @@ def _run_blocks(
         return list(pool.map(block, starts))
 
 
+def _successes(codes: np.ndarray) -> tuple[int, int]:
+    """The high and the low successes among pattern bytes."""
+    return int(np.count_nonzero(codes == ord("h"))), int(np.count_nonzero(codes == ord("l")))
+
+
 def sim_throughput(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> ThroughputPair:
-    """Empirical per-slot success rates over ``t`` slots.
-
-    Identical sampling to :func:`simulate`, skipping the event codes; both
-    return multiples of 1/t.
+    """Empirical per-slot success rates over ``t`` slots: the ``h`` and
+    ``l`` bytes of the trace :func:`simulate` would keep, counted block by
+    block without keeping it; both return multiples of 1/t.
     """
-
-    def successes(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> tuple[int, int]:
-        alone = c_h + c_l == 1
-        h = int(np.count_nonzero(alone & (c_h == 1)))
-        return h, int(np.count_nonzero(alone)) - h
-
     _check(cfg, pair, t)
-    counts = _run_blocks(cfg, pair, t, seed, successes)
+    counts = _run_blocks(cfg, pair, t, seed, lambda lo, codes: _successes(codes))
     return ThroughputPair(sum(h for h, _ in counts) / t, sum(l for _, l in counts) / t)
 
 
@@ -166,8 +166,8 @@ def simulate(
     _check(cfg, pair, t)
     codes = np.empty((t, cfg.m), dtype=np.uint8)
 
-    def events(lo: int, c_h: np.ndarray, c_l: np.ndarray) -> None:
-        codes[lo : lo + len(c_h)] = pattern_bytes(c_h, c_l)
+    def events(lo: int, block: np.ndarray) -> None:
+        codes[lo : lo + len(block)] = block
 
     _run_blocks(cfg, pair, t, seed, events)
     return SimTrace(seed=seed, codes=codes)
@@ -177,9 +177,8 @@ def empirical_throughput(trace: SimTrace) -> ThroughputPair:
     """Success rates of an existing trace, multiples of 1/t."""
     if trace.t == 0:
         raise ValueError("empty trace")
-    h = np.count_nonzero(trace.codes == ord("h"))
-    l = np.count_nonzero(trace.codes == ord("l"))
-    return ThroughputPair(int(h) / trace.t, int(l) / trace.t)
+    h, l = _successes(trace.codes)
+    return ThroughputPair(h / trace.t, l / trace.t)
 
 
 def save_trace(trace: SimTrace, path: Union[str, Path]) -> None:

@@ -322,9 +322,10 @@ def test_load_rejects_corrupted_throughput(tmp_path):
         (lambda cols: cols[:3] + ["nan"] + cols[4:], "gamma must be >= 0, got nan"),
         (lambda cols: cols[:3] + ["-0.5"] + cols[4:], "gamma must be >= 0, got -0.5"),
         (lambda cols: cols[:3] + ["inf"] + cols[4:], "gamma must be finite, got inf"),
+        (lambda cols: cols[:3] + ["0.5"] + cols[4:], "rows disagree on gamma"),
     ],
     ids=["unparsable-value", "short-row", "other-m", "nan-gamma", "negative-gamma",
-         "inf-gamma"],
+         "inf-gamma", "other-gamma"],
 )
 def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
     path = tmp_path / "table.csv"
@@ -344,6 +345,25 @@ def test_load_compact_names_file_of_repeated_cell(tmp_path):
     path.write_text("\n".join(lines[:2] + lines[1:4]) + "\n")
     with pytest.raises(ValueError, match=f"^{path}: duplicate cell \\(0, 0\\)$"):
         load_compact(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines[:-1], "{path}: compact table does not cover a full load rectangle"),
+        (lambda lines: [lines[0].replace("mu_l", "mu_x")] + lines[1:],
+         "unrecognized compact-table header in {path}"),
+        (lambda lines: lines[:1], "empty compact table in {path}"),
+    ],
+    ids=["missing-cell", "unknown-header", "no-rows"],
+)
+def test_load_compact_names_file_of_bad_table(tmp_path, edit, message):
+    path = tmp_path / "table.csv"
+    save_compact(build_compact(3, 1, 1, 0.0, opt=fake_opt), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_compact(path)
+    assert str(err.value) == message.format(path=path)
 
 
 def test_save_compact_rejects_discretized():

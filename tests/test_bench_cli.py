@@ -60,6 +60,17 @@ def test_reproduce_acb_all_within_tolerance():
     assert all(line.passed for line in report.lines)
 
 
+@pytest.mark.parametrize("table_id", ["IV", "V", "VI"])
+def test_reproduce_optimizer_and_bandit_tables_pass(table_id):
+    report = reproduce(table_id)
+    gated = [line for line in report.lines if line.passed is not None]
+    assert gated and all(line.passed for line in gated)
+    assert report.passed
+    if table_id == "V":
+        # the benchmark reads mu_h off the front of these strings
+        assert all(line.computed.startswith("mu_h=") for line in report.lines)
+
+
 def test_reproduce_excluded_table_is_note_only():
     report = reproduce("II")
     assert report.passed
@@ -810,6 +821,15 @@ def test_cli_compact_build_and_mab(runner, tmp_path):
     )
     assert build.exit_code == 0
     assert "built 9 cells" in build.output
+    assert "cannot meet the floor" not in build.output
+    # with a floor, the n_l = 0 cells cannot meet it and are listed
+    floored = runner.invoke(
+        main,
+        ["compact-build", "--m", "3", "--n-h-max", "1", "--n-l-max", "1",
+         "--gamma", "0.3", "--out", str(tmp_path / "floored.csv")],
+    )
+    assert floored.exit_code == 0, floored.output
+    assert "2 cells cannot meet the floor: [(0, 0), (1, 0)]" in floored.output
     mab = runner.invoke(
         main,
         ["mab", "--space", "compact", "--m", "3", "--n-h", "2", "--n-l", "1",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rachopt import exact
 from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
 from rachopt.bench import published_pair
 from rachopt.exact import (
@@ -16,9 +17,9 @@ from rachopt.exact import (
     pattern_probabilities,
     scaling_reference,
     slot_success_pmf,
+    stacked_terms,
     throughput_by_pattern_sum,
     throughput_closed_form,
-    throughput_terms,
 )
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 
@@ -134,6 +135,15 @@ def test_closed_form_bounds():
 def test_closed_form_rejects_length_mismatch():
     with pytest.raises(ValueError):
         throughput_closed_form(NetworkConfig(1, 1, 3), AccessProbabilityPair.uniform(2))
+    with pytest.raises(ValueError, match="pair has m=2, config has m=3"):
+        pattern_probabilities(NetworkConfig(1, 1, 3), AccessProbabilityPair.uniform(2))
+
+
+def terms(n_h, n_l, a, b, grad=False):
+    """:func:`stacked_terms` of ``a`` and ``b`` under one load, or one per
+    row of the axis after the class axis (tuples of ints)."""
+    x = np.array([a, b])
+    return stacked_terms(x, load_table(n_h, n_l, x.ndim), grad)
 
 
 def test_throughput_terms_per_row_loads_match_scalar_calls():
@@ -144,18 +154,16 @@ def test_throughput_terms_per_row_loads_match_scalar_calls():
     a = rng.dirichlet(np.ones(3), size=(len(loads), 40))
     b = rng.dirichlet(np.ones(3), size=(len(loads), 40))
     a[:, :3], b[:, :3] = CORNER_OWN, CORNER_OTHER
-    n_h = np.array([n for n, _ in loads])
-    n_l = np.array([n for _, n in loads])
-    batch = throughput_terms(n_h, n_l, a, b, grad=True)
+    n_h = tuple(n for n, _ in loads)
+    n_l = tuple(n for _, n in loads)
+    batch = terms(n_h, n_l, a, b, grad=True)
     for i, (h, l) in enumerate(loads):
-        single = throughput_terms(h, l, a[i], b[i], grad=True)
-        for got, want in zip(batch, single):
-            assert np.array_equal(got[i], want), (h, l)
+        single = terms(h, l, a[i], b[i], grad=True)
+        assert np.array_equal(batch[:, :, i], single), (h, l)
     # loads against the leading axis of a 2-D batch, values only
-    flat = throughput_terms(n_h, n_l, a[:, 0], b[:, 0])
+    flat = terms(n_h, n_l, a[:, 0], b[:, 0])
     for i, (h, l) in enumerate(loads):
-        single = throughput_terms(h, l, a[i, 0], b[i, 0])
-        assert all(np.array_equal(got[i], want) for got, want in zip(flat, single))
+        assert np.array_equal(flat[:, i], terms(h, l, a[i, 0], b[i, 0])), (h, l)
 
 
 @pytest.mark.parametrize("n_h, n_l", [(4, 5), (5, 4), (4, 4), (4, 0), (2, 4), (3, 4)])
@@ -167,13 +175,10 @@ def test_value_terms_equal_grad_terms_where_an_exponent_is_two(n_h, n_l):
     for m in (3, 5):
         a = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m)])
         b = np.vstack([rng.dirichlet(np.ones(m), size=20), np.eye(m)[::-1]])
-        value = throughput_terms(n_h, n_l, a, b)
-        grad = throughput_terms(n_h, n_l, a, b, grad=True)
-        assert np.array_equal(value[0], grad[0]) and np.array_equal(value[1], grad[1])
-        loads = np.resize([n_h, n_l, 4, 2], len(a))
-        value = throughput_terms(loads, loads[::-1], a, b)
-        grad = throughput_terms(loads, loads[::-1], a, b, grad=True)
-        assert np.array_equal(value[0], grad[0]) and np.array_equal(value[1], grad[1])
+        assert np.array_equal(terms(n_h, n_l, a, b), terms(n_h, n_l, a, b, grad=True)[0])
+        loads = tuple(np.resize([n_h, n_l, 4, 2], len(a)).tolist())
+        value = terms(loads, loads[::-1], a, b)
+        assert np.array_equal(value, terms(loads, loads[::-1], a, b, grad=True)[0])
     _, _, two_value, two_grad = load_table(n_h, n_l, 2)
     assert two_grad is not None
     assert (two_value is None) == (2 not in (n_h, n_l, n_h - 1, n_l - 1))
@@ -192,10 +197,13 @@ CORNER_OTHER = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 @pytest.mark.parametrize("n_own", [0, 1, 2])
 def test_throughput_terms_corners(n_own, n_other, high):
     own, other = CORNER_OWN, CORNER_OTHER
+    # the own class's terms, and its gradient indexed as the solver does
     if high:
-        t_own, _, d_own, d_other, _, _ = throughput_terms(n_own, n_other, own, other, grad=True)
+        t = terms(n_own, n_other, own, other, grad=True)
+        t_own, (d_own, d_other) = t[0, 0], t[2:0:-1, 0]
     else:
-        _, t_own, _, _, d_other, d_own = throughput_terms(n_other, n_own, other, own, grad=True)
+        t = terms(n_other, n_own, other, own, grad=True)
+        t_own, (d_other, d_own) = t[0, 1], t[1:, 1]
     for arr in (t_own, d_own, d_other):
         assert arr.shape == own.shape and np.isfinite(arr).all()
     clear = (1.0 - other) ** n_other
@@ -212,11 +220,17 @@ def test_throughput_terms_corners(n_own, n_other, high):
 
 
 def test_compositions_order_and_count():
-    got = list(compositions(2, 2))
-    assert got == [(0, 2), (1, 1), (2, 0)]
-    assert len(list(compositions(5, 3))) == math.comb(7, 2)
-    assert list(compositions(0, 0)) == [()]
-    assert list(compositions(3, 1)) == [(3,)]
+    assert compositions(2, 2).tolist() == [[0, 2], [1, 1], [2, 0]]
+    assert compositions(5, 3).shape == (math.comb(7, 2), 3)
+    assert compositions(0, 0).tolist() == [[]]
+    assert compositions(3, 0).shape == (0, 0)
+    assert compositions(3, 1).tolist() == [[3]]
+    # one part holds any total, past int64 too, as an exact Python int
+    assert compositions(10**20, 1).tolist() == [[10**20]]
+    for total, parts in ((0, 4), (1, 32), (6, 4), (9, 5), (40, 3)):
+        got = compositions(total, parts)
+        assert got.dtype == np.int64
+        assert [tuple(u) for u in got.tolist()] == sorted(stars_and_bars(total, parts))
 
 
 # Under the uniform pair every occupancy has positive probability, so the
@@ -395,21 +409,33 @@ def test_pattern_sum_zero_probabilities_are_exact_and_quiet():
     assert [pat for pat, prob in probs.items() if prob] == ["oox"] and probs["oox"] == 1.0
 
 
+def peak_bytes(call):
+    """``call()`` and the peak of the memory it allocated while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_pattern_table_working_memory_is_bounded():
     # 861 occupancy vectors per class, 741321 pairs; all at once they would
     # take tens of MB, so the bound shows that the pairs go in chunks
     cfg = NetworkConfig(40, 40, 3)
     pair = AccessProbabilityPair.uniform(3)
     pattern_probabilities(cfg, pair)  # fill the occupancy cache
-    tracemalloc.start()
-    try:
-        summed = throughput_by_pattern_sum(cfg, pair)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    summed, peak = peak_bytes(lambda: throughput_by_pattern_sum(cfg, pair))
     assert peak < 8e6, peak
     direct = throughput_closed_form(cfg, pair)
     assert abs(summed.mu_h - direct.mu_h) <= 1e-12 and abs(summed.mu_l - direct.mu_l) <= 1e-12
+    # one-sided loads of 721801 pairs, measured cold: one class has all the
+    # occupancy vectors, so the cache fill is where the memory goes
+    for cfg in (NetworkConfig(0, 1200, 3), NetworkConfig(1200, 0, 3)):
+        exact._occupancies.cache_clear()
+        summed, peak = peak_bytes(lambda: throughput_by_pattern_sum(cfg, pair))
+        assert peak < 120e6, (cfg, peak)
+        direct = throughput_closed_form(cfg, pair)
+        assert abs(summed.mu_h - direct.mu_h) <= 1e-12 and abs(summed.mu_l - direct.mu_l) <= 1e-12
 
 
 def test_pattern_sum_at_large_m_with_few_devices():

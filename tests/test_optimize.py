@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
-from rachopt.exact import scaling_reference, throughput_closed_form, throughput_terms
+from rachopt.exact import load_table, scaling_reference, stacked_terms, throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import (
     FEASIBILITY_TOL,
     _MAX_INNER,
     _VIOL_TOL,
     OptResult,
+    _phi,
     SolverOptions,
     canonical_permutation,
     solve,
@@ -78,9 +79,11 @@ def test_gradients_match_central_differences():
         a, b = a / a.sum(), b / b.sum()
         if min(a.min(), b.min()) < 2 * step:
             continue
-        _, _, dh_a, dh_b, dl_a, dl_b = throughput_terms(cfg.n_h, cfg.n_l, a, b, grad=True)
-        grad_h = np.concatenate([dh_a, dh_b])
-        grad_l = np.concatenate([dl_a, dl_b])
+        x = np.array([a, b])
+        t = stacked_terms(x, load_table(cfg.n_h, cfg.n_l, x.ndim), grad=True)
+        # each gradient stacked like x, as the solver's _phi reads them
+        grad_h = t[2:0:-1, 0].ravel()
+        grad_l = t[1:, 1].ravel()
 
         x0 = np.concatenate([a, b])
 
@@ -107,6 +110,33 @@ def test_gradients_match_central_differences():
             assert grad_h[j] == pytest.approx(fd_h, rel=1e-5, abs=1e-7)
             assert grad_l[j] == pytest.approx(fd_l, rel=1e-5, abs=1e-7)
         checked += 1
+
+
+def test_lagrangian_gradient_matches_central_differences():
+    # the augmented Lagrangian the ascent climbs, at points off the simplex
+    # (nonzero residuals) with nonzero simplex multipliers; a floor far above
+    # every mu_l keeps it active, a zero floor and multiplier leave it off
+    rng = np.random.default_rng(59)
+    loads = [(4, 5), (3, 2), (0, 3), (5, 0), (1, 1)]
+    n_h, n_l = tuple(h for h, _ in loads), tuple(l for _, l in loads)
+    m, starts, step = 4, 6, 1e-6
+    x = 0.05 + 0.9 * rng.random((2, len(loads), starts, m))
+    table = load_table(n_h, n_l, x.ndim)
+    nu = rng.uniform(-1.0, 1.0, (2, len(loads), starts))
+    rho = rng.uniform(1.0, 20.0, (len(loads), starts))
+    for gamma, lam in ((2.5, rng.uniform(0.1, 2.0, rho.shape)), (0.0, np.zeros(rho.shape))):
+        mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
+        grad = _phi(table, gamma, x, *mult)[1]
+        mu_l = stacked_terms(x, table)[1].sum(axis=-1)
+        active = lam - rho * (mu_l - gamma) > 0
+        assert active.all() if gamma else not active.any()
+        for c in range(2):
+            for i in range(m):
+                hi, lo = x.copy(), x.copy()
+                hi[c, ..., i] += step
+                lo[c, ..., i] -= step
+                diff = _phi(table, gamma, hi, *mult)[0] - _phi(table, gamma, lo, *mult)[0]
+                np.testing.assert_allclose(grad[c, ..., i], diff / (2 * step), rtol=1e-5, atol=1e-6)
 
 
 def test_solve_unconstrained_small():

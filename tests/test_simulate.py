@@ -111,6 +111,8 @@ def test_empirical_throughput_hand_trace():
     mu = empirical_throughput(trace)
     assert mu.mu_h == pytest.approx(1.0)  # 1 + 0 + 2 successes over 3 slots
     assert mu.mu_l == pytest.approx(1.0 / 3.0)
+    with pytest.raises(ValueError, match="empty trace"):
+        empirical_throughput(SimTrace(seed=0, codes=np.empty((0, 2), dtype=np.uint8)))
 
 
 def test_throughputs_are_multiples_of_inverse_t():
