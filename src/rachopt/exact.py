@@ -181,9 +181,9 @@ def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     else:
         blocked = (counts[:, p == 0.0] > 0).any(axis=1)
         log_p = np.log(np.where(p > 0.0, p, 1.0))
-        w = np.where(blocked, 0.0, np.exp(coef + counts @ log_p))
-    keep = w > 0.0
-    return counts[keep], w[keep]
+        w = np.exp(np.where(blocked, -np.inf, coef + counts @ log_p))  # blocked: 0, no overflow
+    keep = w > 0.0  # all kept: the cached rows, not a copy
+    return (counts, w) if keep.all() else (counts[keep], w[keep])
 
 
 def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> dict[str, float]:
@@ -207,15 +207,16 @@ def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> di
     c_h, w_h = _occupancy_weights(cfg.n_h, np.asarray(pair.p_h, dtype=float))
     c_l, w_l = _occupancy_weights(cfg.n_l, np.asarray(pair.p_l, dtype=float))
     seen, sums = [], []
-    # chunks of high rows against every low row: at most the larger of
-    # _PAIR_CHUNK pairs and one high row's pairs at a time; each pair's
-    # pattern is its row of bytes, which sort as the strings do
-    rows = max(1, _PAIR_CHUNK // len(w_l))
+    # chunks of high rows against all low rows, or of low rows where one row's
+    # pairs exceed _PAIR_CHUNK; a pattern's bytes sort as its string does
+    rows, cols = max(1, _PAIR_CHUNK // len(w_l)), min(len(w_l), _PAIR_CHUNK)
     for lo in range(0, len(w_h), rows):
-        chars = pattern_bytes(c_h[lo : lo + rows, None], c_l).view(f"S{cfg.m}").ravel()
-        patterns, pattern_of = np.unique(chars, return_inverse=True)
-        seen.append(patterns)
-        sums.append(np.bincount(pattern_of, (w_h[lo : lo + rows, None] * w_l).ravel()))
+        for left in range(0, len(w_l), cols):
+            high, low = slice(lo, lo + rows), slice(left, left + cols)
+            chars = pattern_bytes(c_h[high, None], c_l[low]).view(f"S{cfg.m}").ravel()
+            patterns, pattern_of = np.unique(chars, return_inverse=True)
+            seen.append(patterns)
+            sums.append(np.bincount(pattern_of, (w_h[high, None] * w_l[low]).ravel()))
     # each pattern's total adds its chunk sums in chunk order
     patterns, pattern_of = np.unique(np.concatenate(seen), return_inverse=True)
     probs = np.bincount(pattern_of, np.concatenate(sums))

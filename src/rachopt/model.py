@@ -52,7 +52,7 @@ def pattern_bytes(c_h, c_l) -> np.ndarray:
     high and ``c_l`` low devices transmit (integer arrays that broadcast):
     one device alone is its class's success, none leaves the RB empty and
     two or more collide."""
-    return _RB_CHAR[3 * np.minimum(c_h, 2) + np.minimum(c_l, 2)]
+    return _RB_CHAR.take(3 * np.minimum(c_h, 2) + np.minimum(c_l, 2))
 
 
 def check_gamma(gamma: float) -> None:

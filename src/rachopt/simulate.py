@@ -4,29 +4,29 @@ Slots are i.i.d.: every device re-picks an RB each slot, with no backoff or
 retransmission state.  Randomness comes from counter-based Philox streams:
 slot ``s`` consumes exactly the words at counter offsets
 ``[s * k, (s + 1) * k)`` of ``Philox(key=seed mod 2**128)``, where ``k`` is
-the number of 4-word counter steps holding one uniform per device.  Traces
+the number of 4-word counter steps holding one word per device.  Traces
 are therefore bit-reproducible for a given (cfg, pair, t, seed) and
 independent of how the slots are split.
 
-The slots run in blocks of ``_BLOCK`` (8192) slots, small enough that a
-block's draws stay in cache.  Block ``[lo, hi)`` builds its own Philox
-stream started ``lo * k`` counter steps in, the position the one long
-stream would have reached (Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC 2011), so the output does not depend on the block size.  A
-call with more than one block runs them on a ``ThreadPoolExecutor`` created
-for that call, one worker per usable CPU; numpy's Philox fill and its array
-passes release the GIL.  A single block, such as the bandit's per-pull hook
-at t <= 1000, or a single usable CPU runs inline, without threads.
+A device's RB is the number of its class's cumulative access probabilities
+at or below its uniform ``(w >> 11) * 2**-53`` (``Generator.random`` of its
+word ``w``), high-priority devices first.  As a level ``L`` is at or below
+it exactly when ``w >> 11 >= ceil(L * 2**53)``, the kernel compares integers.
 
-Within a slot, device draws map to RBs by inverse CDF over the cumulative
-access probabilities in index order, high-priority devices first.
+The slots run in blocks of ``_BLOCK_WORDS`` words (8192 slots at n = 9..12),
+so a block's passes stay in cache and do not grow with the population.
+Block ``[lo, hi)`` starts its own Philox stream ``lo * k`` counter steps in,
+where the one long stream would be (Salmon et al., "Parallel random numbers:
+as easy as 1, 2, 3", SC 2011), so the output does not depend on the block
+size.  Several blocks run on a ``ThreadPoolExecutor`` made for the call, one
+worker per usable CPU (numpy's Philox fill and array passes release the
+GIL); one block, as in the bandit's per-pull hook, or one CPU runs inline.
 
-Each block's per-RB transmitter counts become pattern bytes through
-:func:`~rachopt.model.pattern_bytes`, the one outcome rule: a
-:class:`SimTrace` keeps them as a ``(t, m)`` uint8 array of event codes,
-the bytes of the per-slot pattern strings over
-:data:`~rachopt.model.PATTERN_CHARS`, and :func:`sim_throughput` counts
-their ``h`` and ``l`` bytes instead.
+Each block counts each class's devices per RB in the narrowest unsigned type
+that holds n; :func:`~rachopt.model.pattern_bytes`, the one outcome rule,
+turns the counts into the bytes of the per-slot pattern strings over
+:data:`~rachopt.model.PATTERN_CHARS`, which a :class:`SimTrace` keeps as a
+``(t, m)`` uint8 array and :func:`sim_throughput` counts ``h`` and ``l`` in.
 """
 
 from __future__ import annotations
@@ -51,9 +51,8 @@ __all__ = [
     "load_trace",
 ]
 
-# slots per block: a block's draws and counts (a few MB at n = 9) stay in
-# cache, where one pass over a whole t = 100000 run would not
-_BLOCK = 8192
+# Philox words per block: its passes (a few MB) stay in cache at any population
+_BLOCK_WORDS = 8192 * 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,38 +98,38 @@ def _run_blocks(
     seed: int,
     consume: Callable[[int, np.ndarray], object],
 ) -> list:
-    """Draw slots ``[0, t)`` in blocks of ``_BLOCK`` and hand each block's
-    pattern bytes, shape (hi - lo, m), to ``consume(lo, codes)``; returns
-    its results in block order.
+    """Draw slots ``[0, t)`` in blocks of ``_BLOCK_WORDS`` Philox words and
+    hand each block's pattern bytes, shape (hi - lo, m), to
+    ``consume(lo, codes)``; returns its results in block order.
 
     Each block starts its own Philox stream at its first slot's counter, so
     blocks are independent: with more than one block and more than one
     usable CPU they run on a thread pool that lives for this call only.
     """
     n, m = cfg.n, cfg.m
-    # one uniform per device per slot, padded to whole Philox counter steps
+    # one word per device per slot, padded to whole Philox counter steps
     k = math.ceil(n / 4)
     key = seed % (1 << 128)
-    low = np.arange(n) >= cfg.n_h
-    # device d of slot s on RB r counts in bin (2 s + low[d]) m + r; draws
-    # are laid out device-major so that every pass below is contiguous
-    bins = (2 * np.arange(min(t, _BLOCK)) + low[:, None]) * m
-    # a draw's RB is the number of its class's cumulative probabilities at
-    # or below it: searchsorted(cum, u, "right") clipped to m - 1
-    levels = np.cumsum([pair.p_h, pair.p_l], axis=1)[low.astype(np.intp), :-1]
-    levels = levels.T[:, :, None]
-    small = np.min_scalar_type(m - 1)
+    slots = max(1, _BLOCK_WORDS // (4 * max(k, 1)))
+    marks = np.ceil(np.array([pair.p_h, pair.p_l]).cumsum(axis=1)[:, :-1] * 2.0**53)
+    marks = np.repeat(marks.astype(np.uint64), (cfg.n_h, cfg.n_l), axis=0).T[:, :, None]
 
     def block(lo: int):
-        size = min(_BLOCK, t - lo)
-        gen = np.random.Generator(np.random.Philox(key=key, counter=lo * k))
-        draws = gen.random(size * 4 * k).reshape(size, 4 * k)[:, :n].T.copy()
-        rb = (draws >= levels).sum(axis=0, dtype=small)
-        counts = np.bincount((rb + bins[:, :size]).ravel(), minlength=2 * m * size)
-        counts = counts.reshape(size, 2, m)
-        return consume(lo, pattern_bytes(counts[:, 0], counts[:, 1]))
+        size = min(slots, t - lo)
+        draws = np.random.Philox(key=key, counter=lo * k).random_raw(size * 4 * k)
+        # device-major, so that every pass below is contiguous; rebinding frees
+        # the raw words at once, so a block's heap is reused, not refaulted
+        draws = np.right_shift(draws.reshape(size, 4 * k)[:, :n].T, 11, order="C")
+        # row r: a class's devices at or above level r, so all of them in row
+        # 0 and none in row m; RB r holds the drop from row r to row r + 1
+        above = np.empty((2, m + 1, size), dtype=np.min_scalar_type(n))
+        above[:, 0], above[:, m] = [[cfg.n_h], [cfg.n_l]], 0
+        hit = draws >= marks
+        hit[:, : cfg.n_h].sum(axis=1, out=above[0, 1:m])
+        hit[:, cfg.n_h :].sum(axis=1, out=above[1, 1:m])
+        return consume(lo, pattern_bytes(*(above[:, :-1] - above[:, 1:])).T)
 
-    starts = range(0, t, _BLOCK)
+    starts = range(0, t, slots)
     workers = min(len(starts), _usable_cpus())
     if workers == 1:
         return [block(lo) for lo in starts]

@@ -436,6 +436,19 @@ def test_pattern_table_working_memory_is_bounded():
         assert peak < 120e6, (cfg, peak)
         direct = throughput_closed_form(cfg, pair)
         assert abs(summed.mu_h - direct.mu_h) <= 1e-12 and abs(summed.mu_l - direct.mu_l) <= 1e-12
+    # one-sided loads of 2003001 occupancy vectors, measured warm: the low
+    # rows go in chunks as the high rows do, and rows that all have positive
+    # probability are the cached ones, not a copy; a zero entry blocks rows
+    # whose multinomial coefficient alone overflows exp
+    zero = AccessProbabilityPair([0.3, 0.0, 0.7], [0.0, 0.3, 0.7])
+    for cfg in (NetworkConfig(0, 2000, 3), NetworkConfig(2000, 0, 3)):
+        for load_pair in (pair, zero):
+            pattern_probabilities(cfg, load_pair)  # fill the occupancy cache
+            summed, peak = peak_bytes(lambda: throughput_by_pattern_sum(cfg, load_pair))
+            assert peak < 80e6, (cfg, load_pair, peak)
+            direct = throughput_closed_form(cfg, load_pair)
+            assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+            assert abs(summed.mu_l - direct.mu_l) <= 1e-12
 
 
 def test_pattern_sum_at_large_m_with_few_devices():

@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -30,7 +31,15 @@ from rachopt.simulate import (
 
 from support import random_simplex, reference_event_codes, reference_sim_throughput
 
-BLOCK = simulate_module._BLOCK
+
+def block_slots(cfg: NetworkConfig) -> int:
+    """Slots per simulator block at this load: a fixed budget of Philox
+    words, whole counter steps of one word per device."""
+    return max(1, simulate_module._BLOCK_WORDS // (4 * max(1, math.ceil(cfg.n / 4))))
+
+
+# the block of the paper's loads, n = 9
+BLOCK = block_slots(NetworkConfig(4, 5, 4))
 
 
 def test_package_name_simulate_is_the_module(monkeypatch):
@@ -254,19 +263,84 @@ def test_block_driver_matches_one_shot_reference(t, seed):
         assert np.array_equal(codes, reference_event_codes(cfg, pair, t, seed))
 
 
+@pytest.mark.parametrize("n_h,n_l", [(0, 0), (3, 3), (4, 5), (7, 6), (150, 151), (400, 200)])
+def test_block_boundaries_follow_the_load(n_h, n_l):
+    # each load's own slots per block, around one block and a few
+    rng = np.random.default_rng(n_h * 1000 + n_l)
+    cfg = NetworkConfig(n_h, n_l, 4)
+    pair = AccessProbabilityPair(random_simplex(rng, 4), random_simplex(rng, 4, sparse=True))
+    slots = block_slots(cfg)
+    for t in (slots - 1, slots, slots + 1, 3 * slots + 5):
+        mu = sim_throughput(cfg, pair, t, 11)
+        assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 11)
+        assert np.array_equal(simulate(cfg, pair, t, 11).codes, reference_event_codes(cfg, pair, t, 11))
+
+
+def first_uniform(seed: int) -> float:
+    """The first uniform of the stream of ``seed``: device 0 of slot 0."""
+    return float(np.random.Generator(np.random.Philox(key=seed)).random())
+
+
+@pytest.mark.parametrize("seed", [5, 2**100 + 3])
+def test_draw_on_a_level_picks_the_rb_above(seed):
+    # a draw equal to a cumulative level belongs to the RB above it, as
+    # searchsorted(cum, u, "right") has it; one ulp either side moves it
+    u = first_uniform(seed)
+    cfg = NetworkConfig(1, 0, 2)
+    for level, first in ((u, "oh"), (np.nextafter(u, 0.0), "oh"), (np.nextafter(u, 1.0), "ho")):
+        pair = AccessProbabilityPair([level, 1.0 - level], [0.5, 0.5])
+        trace = simulate(cfg, pair, 500, seed)
+        assert trace.patterns[0] == first
+        assert np.array_equal(trace.codes, reference_event_codes(cfg, pair, 500, seed))
+    # levels of exactly 0 and 1.0, a running sum that ends a little above
+    # 1 and a draw on a level, with both classes and several devices
+    cases = [
+        ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0]),
+        ([0.25, 0.75 + 4e-10, 0.0], [0.0, 1.0, 0.0]),
+        ([u, 1.0 - u, 0.0], [0.0, u, 1.0 - u]),
+    ]
+    for p_h, p_l in cases:
+        pair = AccessProbabilityPair(p_h, p_l)
+        for cfg in (NetworkConfig(1, 0, 3), NetworkConfig(3, 4, 3)):
+            codes = simulate(cfg, pair, 2000, seed).codes
+            assert np.array_equal(codes, reference_event_codes(cfg, pair, 2000, seed)), (p_h, p_l)
+    codes = simulate(NetworkConfig(3, 4, 3), AccessProbabilityPair(*cases[0]), 2000, seed).codes
+    # no high device on RB 0, no low device on RB 2, and both get used
+    assert ord("h") not in codes[:, 0] and ord("l") not in codes[:, 2]
+    assert ord("h") in codes[:, 2] and ord("l") in codes[:, 0]
+
+
+def test_block_memory_does_not_grow_with_the_population(monkeypatch):
+    # one CPU, 1000 devices: the 2000 slots as one block would hold 2
+    # million words and peak near 50 MB; blocks of 98304 words stay small
+    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 1)
+    cfg = NetworkConfig(500, 500, 4)
+    pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+    tracemalloc.start()
+    try:
+        codes = simulate(cfg, pair, 2000, 8).codes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+    assert np.array_equal(codes, reference_event_codes(cfg, pair, 2000, 8))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     m=st.integers(1, 6),
-    n_h=st.integers(0, 9),
-    n_l=st.integers(0, 9),
-    t=st.integers(1, 2 * BLOCK + 3),
+    n_h=st.integers(0, 300),
+    n_l=st.integers(0, 300),
     seed=st.integers(0, 2**130),
     draw=st.integers(0, 2**32 - 1),
     sparse=st.booleans(),
+    data=st.data(),
 )
-def test_block_driver_matches_reference_property(m, n_h, n_l, t, seed, draw, sparse):
+def test_block_driver_matches_reference_property(m, n_h, n_l, seed, draw, sparse, data):
+    # past 255 devices the per-RB counts no longer fit in one byte
     rng = np.random.default_rng(draw)
     cfg = NetworkConfig(n_h, n_l, m)
+    t = data.draw(st.integers(1, 2 * block_slots(cfg) + 3), label="t")
     pair = AccessProbabilityPair(random_simplex(rng, m, sparse), random_simplex(rng, m, sparse))
     mu = sim_throughput(cfg, pair, t, seed)
     assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, seed)
@@ -280,7 +354,7 @@ def test_block_split_does_not_depend_on_thread_count(monkeypatch, cpus):
     monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
     cfg = NetworkConfig(3, 2, 3)
     pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
-    t = 5 * BLOCK + 5
+    t = 5 * block_slots(cfg) + 5
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -330,3 +404,9 @@ def test_single_block_call_builds_no_executor(monkeypatch):
         simulate(cfg, pair, t, 3)
     with pytest.raises(AssertionError, match="built an executor"):
         sim_throughput(cfg, pair, BLOCK + 1, 3)
+    # a block holds fewer slots as the population grows
+    cfg = NetworkConfig(250, 250, 4)
+    assert block_slots(cfg) == 196
+    simulate(cfg, pair, 196, 3)
+    with pytest.raises(AssertionError, match="built an executor"):
+        simulate(cfg, pair, 197, 3)
