@@ -9,7 +9,7 @@ whole classes rather than shape per-block probabilities.
 from rachopt.baselines import acb_throughput
 from rachopt.bench import REFERENCE_CONSTRAINED, REFERENCE_UNCONSTRAINED
 from rachopt.model import NetworkConfig
-from rachopt.optimize import SolverOptions, solve
+from rachopt.optimize import solve
 
 
 def main() -> None:
@@ -20,8 +20,8 @@ def main() -> None:
     print("-" * len(header))
     for m in (3, 4, 5, 6):
         cfg = NetworkConfig(n_h=4, n_l=5, m=m)
-        free = solve(cfg, gamma=0.0, options=SolverOptions(seed=0))
-        floored = solve(cfg, gamma=0.4, options=SolverOptions(seed=0))
+        free = solve(cfg, gamma=0.0)
+        floored = solve(cfg, gamma=0.4)
         acb = acb_throughput(cfg)
         ref_free = REFERENCE_UNCONSTRAINED[m][0]
         ref_floor = REFERENCE_CONSTRAINED[m][0]
@@ -31,7 +31,7 @@ def main() -> None:
 
     print()
     cfg = NetworkConfig(n_h=4, n_l=5, m=5)
-    floored = solve(cfg, gamma=0.4, options=SolverOptions(seed=0))
+    floored = solve(cfg, gamma=0.4)
     print(f"constrained solution at M=5 (floor 0.4):")
     print(f"  p_h = {tuple(round(x, 4) for x in floored.pair.p_h)}")
     print(f"  p_l = {tuple(round(x, 4) for x in floored.pair.p_l)}")

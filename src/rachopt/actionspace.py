@@ -27,7 +27,7 @@ import numpy as np
 
 from .exact import compositions, load_table, stacked_terms, throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
-from .optimize import FEASIBILITY_TOL, SolverOptions, solve_batch
+from .optimize import FEASIBILITY_TOL, solve_batch
 
 __all__ = [
     "DEFAULT_ACTION_CAP",
@@ -212,26 +212,23 @@ def build_compact(
     n_l_max: int,
     gamma: float,
     opt: Optional[Callable[[NetworkConfig, float], "object"]] = None,
-    options: Optional[SolverOptions] = None,
 ) -> ActionSpace:
     """Solve the constrained allocation problem for every candidate load in
     [0, n_h_max] x [0, n_l_max] and store the solutions as a lookup table.
 
-    By default every cell that needs a solve goes through one
-    :func:`rachopt.optimize.solve_batch` call under ``options``: all cells
-    advance in lock-step, each with its own stopping rules, and each stores
-    bit for bit what a per-cell :func:`rachopt.optimize.solve` would.  The
-    ``opt`` hook replaces the batch with a per-cell call: it maps (cfg,
-    gamma) to an optimizer result carrying a ``pair`` attribute, for custom
-    solvers and for timing each solve on its own.
+    By default every cell that needs a solve goes through one default
+    :func:`rachopt.optimize.solve_batch` call: all cells advance in
+    lock-step, each with its own stopping rules, and each stores bit for bit
+    what a per-cell :func:`rachopt.optimize.solve` would.  The ``opt`` hook
+    replaces the batch with a per-cell call: it maps (cfg, gamma) to an
+    optimizer result carrying a ``pair`` attribute, for custom solvers and
+    for timing each solve on its own.
 
     Cells with n_h = 0 have identically zero objective, so any feasible
     vector works and p_h is stored uniform by convention.  Cells where the
     constraint cannot be met (n_l = 0 with gamma > 0) keep the best-attained
     allocation and are reported by :meth:`ActionSpace.infeasible_cells`.
     """
-    if opt is not None and options is not None:
-        raise ValueError("options apply to the batched solver; pass opt or options")
     for name, bound in (("n_h_max", n_h_max), ("n_l_max", n_l_max)):
         if bound < 0:
             raise ValueError(f"{name} must be >= 0, got {bound}")
@@ -242,7 +239,7 @@ def build_compact(
     ]
     pending = [c for c in cfgs if c.n_h > 0 or (c.n_l > 0 and gamma != 0.0)]
     if opt is None:
-        results = solve_batch(pending, gamma, options)
+        results = solve_batch(pending, gamma)
     else:
         results = [opt(cfg, gamma) for cfg in pending]
     solved = {cfg: res.pair for cfg, res in zip(pending, results)}
@@ -333,5 +330,7 @@ def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
 
     Returns an array of shape (size, 2) in action order.
     """
+    if space.m != cfg.m:
+        raise ValueError(f"space has m={space.m}, config has m={cfg.m}")
     x = space.allocations
     return stacked_terms(x, load_table(cfg.n_h, cfg.n_l, x.ndim)).sum(axis=-1).T

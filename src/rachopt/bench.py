@@ -45,7 +45,7 @@ from .mab import (
     save_mab_trace,
 )
 from .model import AccessProbabilityPair, NetworkConfig, check_gamma
-from .optimize import FEASIBILITY_TOL, SolverOptions, solve
+from .optimize import FEASIBILITY_TOL, solve
 
 __all__ = [
     "ReportLine",
@@ -266,7 +266,7 @@ def _reproduce_acb() -> TableReport:
     return report
 
 
-def _reproduce_optimizer(gamma: float, seed: int) -> TableReport:
+def _reproduce_optimizer(gamma: float) -> TableReport:
     constrained = gamma > 0
     table_id = "V" if constrained else "IV"
     published = REFERENCE_CONSTRAINED if constrained else REFERENCE_UNCONSTRAINED
@@ -276,7 +276,7 @@ def _reproduce_optimizer(gamma: float, seed: int) -> TableReport:
     )
     for m, (mu_h_pub, mu_l_pub) in published.items():
         cfg = _base_cfg(m)
-        res = solve(cfg, gamma=gamma, options=SolverOptions(seed=seed))
+        res = solve(cfg, gamma=gamma)
         if constrained:
             ok = (
                 res.feasible
@@ -333,15 +333,15 @@ def _reproduce_mab(gamma: float, seed: int) -> TableReport:
     return report
 
 
-# How to recompute each published table, by table id, given the seed.
+# How to recompute each published table, by table id, given the bandit seed.
 _TABLES: dict[str, Callable[[int], TableReport]] = {
     "I": lambda seed: _reproduce_space_sizes(),
     "II": lambda seed: TableReport(
         "II", "uniform access probabilities (not reproduced)", notes=[TABLE_II_NOTE]
     ),
     "III": lambda seed: _reproduce_acb(),
-    "IV": lambda seed: _reproduce_optimizer(0.0, seed),
-    "V": lambda seed: _reproduce_optimizer(0.4, seed),
+    "IV": lambda seed: _reproduce_optimizer(0.0),
+    "V": lambda seed: _reproduce_optimizer(0.4),
     "VI": lambda seed: _reproduce_mab(0.0, seed),
     "VII": lambda seed: _reproduce_mab(0.4, seed),
 }
@@ -575,7 +575,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             record["admitted_l"] = admitted.n_l
         record.update(mu_h=mu.mu_h, mu_l=mu.mu_l)
     elif spec.method == "exact-opt":
-        res = solve(spec.cfg, gamma=spec.gamma, options=SolverOptions(seed=spec.seeds[0]))
+        res = solve(spec.cfg, gamma=spec.gamma)
         record.update(
             mu_h=res.mu.mu_h,
             mu_l=res.mu.mu_l,

@@ -19,7 +19,7 @@ from .bench import (GRID_STEP, MAB_PRESETS, TABLE_IDS, ExperimentSpec, load_expe
                     reproduce, run_experiment)
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, check_gamma
-from .optimize import SolverOptions, solve
+from .optimize import solve
 from .simulate import sim_throughput
 
 # Seeds feed numpy's SeedSequence, which takes non-negative integers only.
@@ -170,14 +170,10 @@ def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
 @cfg_options
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True,
               help="Low-class throughput floor.")
-@click.option("--seed", type=SEED, default=0, show_default=True)
-@click.option("--starts", type=COUNT, default=20, show_default=True,
-              help="Number of multistart initializations.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
-def optimize_cmd(m, n_h, n_l, gamma, seed, starts, out):
+def optimize_cmd(m, n_h, n_l, gamma, out):
     """Maximize high-class throughput subject to the low-class floor."""
-    cfg = NetworkConfig(n_h=n_h, n_l=n_l, m=m)
-    res = solve(cfg, gamma=gamma, options=SolverOptions(random_starts=starts, seed=seed))
+    res = solve(NetworkConfig(n_h=n_h, n_l=n_l, m=m), gamma=gamma)
     click.echo(f"p_h = {np.round(res.pair.p_h, 6).tolist()}")
     click.echo(f"p_l = {np.round(res.pair.p_l, 6).tolist()}")
     click.echo(f"mu_h = {res.mu.mu_h:.6f}")
@@ -218,10 +214,8 @@ def as_stats_cmd(m, d):
 @click.option("--n-h-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
 @click.option("--n-l-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
-@click.option("--seed", type=SEED, default=0, show_default=True,
-              help="Optimizer multistart seed used for every cell.")
 @click.option("--out", type=click.Path(), required=True, help="Destination CSV.")
-def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
+def compact_build_cmd(m, n_h_max, n_l_max, gamma, out):
     """Precompute the compact (load -> allocation) table and save it."""
     from .actionspace import save_compact
 
@@ -229,10 +223,7 @@ def compact_build_cmd(m, n_h_max, n_l_max, gamma, seed, out):
         Path(out).parent.mkdir(parents=True, exist_ok=True)  # before the solves
     except OSError as exc:
         raise unusable_path(exc) from None
-    space = build_compact(
-        m=m, n_h_max=n_h_max, n_l_max=n_l_max, gamma=gamma,
-        options=SolverOptions(seed=seed),
-    )
+    space = build_compact(m=m, n_h_max=n_h_max, n_l_max=n_l_max, gamma=gamma)
     try:
         save_compact(space, out)
     except OSError as exc:
@@ -341,7 +332,8 @@ def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
 @main.command("reproduce")
 @click.option("--table", "table_id", type=click.Choice((*TABLE_IDS, "all"), case_sensitive=False),
               default="all", show_default=True, help="Reference table id (I..VII) or 'all'.")
-@click.option("--seed", type=SEED, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True,
+              help="Bandit seed; only Tables VI and VII read it.")
 @click.option("--strict", is_flag=True, default=False,
               help="Exit nonzero if any reproduced value fails its tolerance.")
 @click.pass_context

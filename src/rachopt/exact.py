@@ -150,7 +150,7 @@ def throughput_closed_form(
     return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
 
 
-# Occupancy pairs per pass of :func:`pattern_probabilities`; bounds its memory.
+# Occupancy pairs, or vectors of the log weights, per pass; bounds the memory.
 _PAIR_CHUNK = 1 << 16
 
 
@@ -179,11 +179,19 @@ def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n <= _EXACT_COEF_MAX_N:
         w = coef * np.prod(p**counts, axis=1)
     else:
-        blocked = (counts[:, p == 0.0] > 0).any(axis=1)
-        log_p = np.log(np.where(p > 0.0, p, 1.0))
-        w = np.exp(np.where(blocked, -np.inf, coef + counts @ log_p))  # blocked: 0, no overflow
-    keep = w > 0.0  # all kept: the cached rows, not a copy
-    return (counts, w) if keep.all() else (counts[keep], w[keep])
+        zero, log_p = p == 0.0, np.log(np.where(p > 0.0, p, 1.0))
+        w = coef.copy()
+        # in row chunks, as the product converts its int64 rows to float64
+        for lo in range(0, len(counts), _PAIR_CHUNK):
+            rows = slice(lo, lo + _PAIR_CHUNK)
+            w[rows] += counts[rows] @ log_p
+            w[rows][(counts[rows, zero] > 0).any(axis=1)] = -np.inf  # blocked: 0, no overflow
+        np.exp(w, out=w)
+    keep = w > 0.0
+    if keep.all():
+        return counts, w  # the cached rows, not a copy
+    w = w[keep]  # frees the full weights before the rows are copied
+    return counts[keep], w
 
 
 def pattern_probabilities(cfg: NetworkConfig, pair: AccessProbabilityPair) -> dict[str, float]:

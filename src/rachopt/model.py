@@ -52,7 +52,9 @@ def pattern_bytes(c_h, c_l) -> np.ndarray:
     high and ``c_l`` low devices transmit (integer arrays that broadcast):
     one device alone is its class's success, none leaves the RB empty and
     two or more collide."""
-    return _RB_CHAR.take(3 * np.minimum(c_h, 2) + np.minimum(c_l, 2))
+    # min(c, 2) in numpy's SIMD loops, which np.minimum against a scalar skips
+    h, l = ((c >= 1).view(np.uint8) + (c >= 2).view(np.uint8) for c in (c_h, c_l))
+    return _RB_CHAR.take(3 * h + l)
 
 
 def check_gamma(gamma: float) -> None:

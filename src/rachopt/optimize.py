@@ -25,9 +25,9 @@ through one batch.
 Analytic gradients throughout; the reported objective is always a fresh
 closed-form evaluation of the polished, exactly renormalized pair.
 
-:class:`SolverOptions` sets only the multistart (``random_starts``,
-``seed``) and the cap on outer rounds (``max_outer``).  The rest are module
-constants:
+:class:`SolverOptions` sets only the number of random starts, which come
+from one fixed stream (``random_starts``), and the cap on outer rounds
+(``max_outer``).  The rest are module constants:
 
 * ``_MAX_INNER`` -- projected-gradient iterations per outer round;
 * ``_OBJ_TOL`` and ``_VIOL_TOL`` -- a load stops when every start's mu_h
@@ -76,7 +76,6 @@ class SolverOptions:
     """Multistart controls and the cap on multiplier updates."""
 
     random_starts: int = 20
-    seed: int = 0
     max_outer: int = 40  # multiplier updates
 
     def __post_init__(self) -> None:
@@ -211,7 +210,7 @@ def solve_batch(
 
     Each load runs its structural allocation and the uniform pair alongside
     the random simplex starts, which every load shares (they come from one
-    ``default_rng(options.seed)``).  It picks the best feasible polished
+    fixed stream, ``default_rng(0)``).  It picks the best feasible polished
     result (ties broken by the canonical permutation's lexicographic order),
     and falls back to the best-attained mu_l when nothing is feasible.
     ``diagnostics`` reports the starts, the feasible starts, the outer
@@ -227,11 +226,8 @@ def solve_batch(
     if any(cfg.m != m for cfg in cfgs):
         raise ValueError("every load in one batch must have the same m")
     opts = options or SolverOptions()
-    rng = np.random.default_rng(opts.seed)
-
-    shared = [np.full((2, m), 1.0 / m)]
-    for _ in range(opts.random_starts):
-        shared.append(np.array([rng.dirichlet(np.ones(m)), rng.dirichlet(np.ones(m))]))
+    starts = np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
+    shared = [np.full((2, m), 1.0 / m), *starts]
     # one contiguous (2, loads, starts, m) array, x[0] = p_h and x[1] = p_l
     x = np.stack(
         [

@@ -36,7 +36,7 @@ from rachopt.exact import (
 )
 from rachopt.mab import estimate_load, mae_trace, run, run_nonstationary
 from rachopt.model import AccessProbabilityPair, NetworkConfig
-from rachopt.optimize import SolverOptions, solve
+from rachopt.optimize import solve
 from rachopt.simulate import sim_throughput
 
 from support import (
@@ -62,7 +62,7 @@ def unconstrained_solutions():
     out = {}
     start = time.perf_counter()
     for m in (3, 4, 5, 6):
-        out[m] = solve(load_cfg(m), gamma=0.0, options=SolverOptions(seed=0))
+        out[m] = solve(load_cfg(m), gamma=0.0)
     return out, time.perf_counter() - start
 
 
@@ -72,7 +72,7 @@ def constrained_solutions():
     times = {}
     for m in (3, 4, 5, 6):
         start = time.perf_counter()
-        out[m] = solve(load_cfg(m), gamma=0.4, options=SolverOptions(seed=0))
+        out[m] = solve(load_cfg(m), gamma=0.4)
         times[m] = time.perf_counter() - start
     return out, times
 

@@ -21,7 +21,7 @@ from rachopt.actionspace import (
 )
 from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig
-from rachopt.optimize import SolverOptions, solve
+from rachopt.optimize import solve
 
 from support import burnside_orbit_count, min_joint_rotation, random_simplex, stars_and_bars
 
@@ -158,6 +158,14 @@ def test_exact_throughputs_match_scalar_route():
             assert row[1] == pytest.approx(mu.mu_l, abs=1e-12)
 
 
+def test_exact_throughputs_rejects_other_m():
+    space = generate_discretized(GridSpec(4, 0.5), reduced=True)
+    with pytest.raises(ValueError, match="^space has m=4, config has m=3$"):
+        exact_throughputs(space, NetworkConfig(4, 5, 3))
+    with pytest.raises(ValueError, match="^space has m=4, config has m=5$"):
+        exact_throughputs(space, NetworkConfig(4, 5, 5))
+
+
 # ------------------------------------------------------------- compact table
 
 
@@ -224,13 +232,10 @@ def test_build_compact_flags_unreachable_floor():
 
 
 def test_build_compact_batch_matches_per_cell_solves():
-    options = SolverOptions(random_starts=4, max_outer=10, seed=3)
-    batch = build_compact(3, 3, 2, 0.4, options=options)
-    per_cell = build_compact(3, 3, 2, 0.4, opt=lambda cfg, g: solve(cfg, g, options))
+    batch = build_compact(3, 3, 2, 0.4)
+    per_cell = build_compact(3, 3, 2, 0.4, opt=solve)
     assert batch.entries == per_cell.entries
     assert batch.infeasible_cells() == {(n_h, 0) for n_h in range(4)}
-    with pytest.raises(ValueError, match="opt or options"):
-        build_compact(3, 1, 1, 0.4, opt=solve, options=options)
 
 
 def test_build_compact_matches_pinned_throughputs():

@@ -71,6 +71,11 @@ def test_reproduce_optimizer_and_bandit_tables_pass(table_id):
         assert all(line.computed.startswith("mu_h=") for line in report.lines)
 
 
+def test_reproduce_optimizer_tables_ignore_the_seed():
+    # the solver's starts are fixed; the seed reaches only the bandit tables
+    assert reproduce("V", seed=3).render() == reproduce("V").render()
+
+
 def test_reproduce_excluded_table_is_note_only():
     report = reproduce("II")
     assert report.passed
@@ -373,6 +378,19 @@ def test_run_experiment_exact_opt(tmp_path):
     assert len(record["p_h"]) == 3
 
 
+def test_run_experiment_exact_opt_ignores_the_seed(tmp_path):
+    records = []
+    for seeds in ((0,), (3,)):
+        spec = ExperimentSpec(
+            name=f"opt{seeds[0]}", cfg=NetworkConfig(4, 5, 3), gamma=0.4, method="exact-opt",
+            params={}, seeds=seeds, out_dir=tmp_path,
+        )
+        records.append(json.loads(run_experiment(spec)[0].read_text()))
+        records[-1].pop("name")
+    assert records[0] == records[1]
+    assert records[0]["feasible"] is True
+
+
 MAB_SMOKE = {"runs": 300, "t": 50, "batch_size": 50, "d": 0.5}
 
 
@@ -553,12 +571,17 @@ def test_cli_rejects_negative_and_nan_gamma(runner, tmp_path):
     assert not (tmp_path / "table.csv").exists()
 
 
-def test_cli_rejects_negative_starts(runner):
-    _usage_error(
-        runner.invoke(main, ["optimize", "--m", "3", "--n-h", "1", "--n-l", "1",
-                             "--starts", "-3"]),
-        "--starts", "-3 is not in the range x>=0",
-    )
+def test_cli_solver_takes_no_seed_or_starts(runner, tmp_path):
+    # the solver's random starts are fixed, so no command chooses them
+    net = ["--m", "3", "--n-h", "1", "--n-l", "1"]
+    table = tmp_path / "table.csv"
+    for args, flag in (
+        (["optimize", *net, "--seed", "1"], "--seed"),
+        (["optimize", *net, "--starts", "4"], "--starts"),
+        (["compact-build", "--m", "3", "--seed", "1", "--out", str(table)], "--seed"),
+    ):
+        _usage_error(runner.invoke(main, args), "No such option", flag)
+    assert not table.exists()
 
 
 def test_cli_simulate_rejects_zero_slots(runner):
@@ -770,7 +793,7 @@ def test_cli_optimize_smoke(runner, tmp_path):
     result = runner.invoke(
         main,
         ["optimize", "--m", "3", "--n-h", "4", "--n-l", "5",
-         "--gamma", "0", "--starts", "4"],
+         "--gamma", "0"],
     )
     assert result.exit_code == 0
     assert "feasible = True" in result.output
@@ -781,7 +804,7 @@ def test_cli_optimize_smoke(runner, tmp_path):
     result = runner.invoke(
         main,
         ["optimize", "--m", "3", "--n-h", "4", "--n-l", "5",
-         "--gamma", "0.4", "--starts", "0", "--out", str(out)],
+         "--gamma", "0.4", "--out", str(out)],
     )
     assert result.exit_code == 0
     record = json.loads(out.read_text())
@@ -798,7 +821,7 @@ def test_cli_optimize_prints_inner_steps(runner, tmp_path):
     result = runner.invoke(
         main,
         ["optimize", "--m", "3", "--n-h", "2", "--n-l", "1",
-         "--gamma", "0.4", "--starts", "2", "--out", str(out)],
+         "--gamma", "0.4", "--out", str(out)],
     )
     assert result.exit_code == 0
     steps = json.loads(out.read_text())["inner_steps"]
@@ -964,7 +987,7 @@ def test_cli_output_under_a_file_is_usage_error(runner, tmp_path, compact_2x2):
     net = ["--m", "2", "--n-h", "1", "--n-l", "1"]
     for args in (
         ["exact", *net, "--out", str(blocker / "x.json")],
-        ["optimize", *net, "--starts", "1", "--out", str(blocker / "x.json")],
+        ["optimize", *net, "--out", str(blocker / "x.json")],
         ["compact-build", "--m", "2", "--n-h-max", "1", "--n-l-max", "1",
          "--out", str(blocker / "a" / "t.csv")],
         ["mab", "--m", "3", "--n-h", "1", "--n-l", "1", "--space", "compact",
