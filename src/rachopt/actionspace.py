@@ -314,7 +314,7 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
             )
             mu_h, mu_l = float(r[4 + 2 * m]), float(r[5 + 2 * m])
             mu = throughput_closed_form(NetworkConfig(n_h, n_l, m), pair)
-            if abs(mu.mu_h - mu_h) > _TABLE_MU_TOL or abs(mu.mu_l - mu_l) > _TABLE_MU_TOL:
+            if not (abs(mu.mu_h - mu_h) <= _TABLE_MU_TOL and abs(mu.mu_l - mu_l) <= _TABLE_MU_TOL):
                 raise ValueError(f"stored throughput for cell ({n_h}, {n_l}) fails revalidation")
         except ValueError as exc:
             raise ValueError(f"{path}: bad compact-table row at line {line}: {exc}") from None

@@ -9,8 +9,8 @@ plot-ready CSV files.
 The paper's bandit settings live in :data:`MAB_PRESETS`, one
 :class:`~rachopt.mab.MabConfig` per bandit method (the grid's is
 ``MabConfig()``), next to :data:`GRID_STEP`, the grid's step.  A bandit
-experiment replaces the preset's ``gamma`` and ``seed`` and any field its
-parameters name; Tables VI and VII run the grid preset.
+experiment replaces the preset's ``gamma``, its ``seed`` (once per seed) and
+any field its parameters name; Tables VI and VII run the grid preset.
 """
 
 from __future__ import annotations
@@ -66,7 +66,9 @@ __all__ = [
     "REFERENCE_MAB_UNCONSTRAINED",
     "REFERENCE_MAB_CONSTRAINED",
     "MAB_PRESETS",
+    "MAB_SEEDS",
     "GRID_STEP",
+    "COMPACT_BOUND",
 ]
 
 # published reference values, keyed by (m, d) or m; throughputs as printed
@@ -165,8 +167,12 @@ MAB_PRESETS: dict[str, MabConfig] = {
     "mab-discretized": MabConfig(),
     "mab-compact": MabConfig(rho=0.1, t=100, runs=2000, batch_size=200, alpha=0.1),
 }
+# The seeds a bandit experiment runs when it names none.
+MAB_SEEDS = (0,)
 # The paper's grid step for the discretized space.
 GRID_STEP = 0.2
+# Each load bound, n_h_max and n_l_max, of a compact table built in place.
+COMPACT_BOUND = 10
 
 TABLE_II_NOTE = (
     "Table II (uniform access probabilities) is not reproduced: its printed "
@@ -348,7 +354,7 @@ _TABLES: dict[str, Callable[[int], TableReport]] = {
 TABLE_IDS = tuple(_TABLES)
 
 
-def reproduce(table_id: str, *, seed: int = 0) -> TableReport:
+def reproduce(table_id: str, *, seed: int = MAB_SEEDS[0]) -> TableReport:
     """Recompute one published reference table and report pass/fail."""
     tid = str(table_id).strip().upper()
     if tid not in _TABLES:
@@ -356,16 +362,12 @@ def reproduce(table_id: str, *, seed: int = 0) -> TableReport:
     return _TABLES[tid](seed)
 
 
-def _seed_list(raw: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in raw.split())
-
-
 # Every section and key load_experiment reads, with the parser of its value;
 # anything else is an error.
 _INI_KEYS = {
     "experiment": {"name": str, "method": str, "out": str},
     "network": {"m": int, "n_h": int, "n_l": int, "gamma": float},
-    "seeds": {"list": _seed_list},
+    "seeds": {"list": lambda raw: tuple(int(tok) for tok in raw.split())},
     "mab": {
         "alpha": float, "elite_fraction": float, "rho": float, "d": float,
         "batch_size": int, "t": int, "runs": int,
@@ -375,11 +377,13 @@ _INI_KEYS = {
 }
 _REQUIRED = object()  # marks a key load_experiment has no default for
 # The params keys each method reads, any other is an error: [mab] and [compact]
-# keys under their own names, the [schedule] section as "schedule".
+# keys under their own names, the [schedule] section as "schedule" and the
+# [seeds] list as "seeds".
 METHOD_PARAMS: dict[str, tuple[str, ...]] = {
     **dict.fromkeys(("uniform", "acb", "exact-opt"), ()),
-    "mab-discretized": (*_INI_KEYS["mab"], "schedule"),
-    "mab-compact": (*(k for k in _INI_KEYS["mab"] if k != "d"), "schedule", *_INI_KEYS["compact"]),
+    "mab-discretized": (*_INI_KEYS["mab"], "schedule", "seeds"),
+    "mab-compact": (*(k for k in _INI_KEYS["mab"] if k != "d"), "schedule", "seeds",
+                    *_INI_KEYS["compact"]),
 }
 METHODS = tuple(METHOD_PARAMS)
 
@@ -393,7 +397,6 @@ class ExperimentSpec:
     gamma: float
     method: str
     params: dict
-    seeds: tuple[int, ...]
     out_dir: Path
 
     def __post_init__(self) -> None:
@@ -402,22 +405,18 @@ class ExperimentSpec:
         for key in self.params:
             if key not in METHOD_PARAMS[self.method]:
                 raise ValueError(f"method {self.method!r} does not read {key!r}")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
         check_gamma(self.gamma)
-        for seed in self.seeds:
-            if seed < 0:
-                raise ValueError(f"seed must be >= 0, got {seed}")
-        if self.method == "mab-compact":
-            given = [key for key in ("table", "n_h_max", "n_l_max") if key in self.params]
-            if given not in (["table"], ["n_h_max"], ["n_h_max", "n_l_max"]):
-                raise ValueError("mab-compact needs a 'table' or 'n_h_max'/'n_l_max' bounds, "
-                                 f"not both; got {given}")
+        given = [key for key in ("table", "n_h_max", "n_l_max") if key in self.params]
+        if "table" in given and len(given) > 1:
+            raise ValueError("mab-compact takes a 'table' or 'n_h_max'/'n_l_max' bounds, "
+                             f"not both; got {given}")
         schedule = self.params.get("schedule")
         if schedule is not None and schedule[0] < 1:
             raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
         if self.method.startswith("mab-"):
-            for seed in self.seeds:
+            if not self.params.get("seeds", MAB_SEEDS):
+                raise ValueError("at least one seed is required")
+            for seed in self.params.get("seeds", MAB_SEEDS):
                 mcfg = _mab_config(self, seed)  # raises on bad bandit parameters
             pulls = mcfg.n_batches * mcfg.batch_size
             if schedule is not None and schedule[0] >= pulls:
@@ -465,10 +464,9 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         n_h=value("network", "n_h"), n_l=value("network", "n_l"), m=value("network", "m")
     )
     gamma = value("network", "gamma", 0.0)
-    seeds: tuple[int, ...] = (0,)
-    if parser.has_section("seeds"):
-        seeds = value("seeds", "list", seeds)
     params: dict = {}
+    if parser.has_section("seeds") and "list" in parser["seeds"]:
+        params["seeds"] = value("seeds", "list")
     for section in ("mab", "compact"):
         if parser.has_section(section):
             params.update((key, value(section, key)) for key in parser[section])
@@ -476,7 +474,7 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         params["schedule"] = tuple(value("schedule", key) for key in ("switch", "n_h", "n_l"))
     method = value("experiment", "method")
     reads = METHOD_PARAMS.get(method)  # an unknown method is ExperimentSpec's error
-    for section in ("mab", "schedule", "compact"):
+    for section in ("seeds", "mab", "schedule", "compact"):
         feeds = {section, *_INI_KEYS[section]}
         if reads is not None and parser.has_section(section) and not feeds & set(reads):
             raise ValueError(f"{path}: method {method!r} does not read [{section}]")
@@ -486,7 +484,6 @@ def load_experiment(path: Union[str, Path]) -> ExperimentSpec:
         gamma=gamma,
         method=method,
         params=params,
-        seeds=seeds,
         out_dir=Path(value("experiment", "out", ".")),
     )
 
@@ -544,8 +541,8 @@ def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
         return space
     return build_compact(
         m=spec.cfg.m,
-        n_h_max=spec.params["n_h_max"],
-        n_l_max=spec.params.get("n_l_max", spec.params["n_h_max"]),
+        n_h_max=spec.params.get("n_h_max", COMPACT_BOUND),
+        n_l_max=spec.params.get("n_l_max", COMPACT_BOUND),
         gamma=spec.gamma,
     )
 
@@ -584,13 +581,12 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
             p_l=list(res.pair.p_l),
         )
     else:
-        compact = space.is_compact
         schedule = spec.params.get("schedule")
         final_cfg = spec.cfg
         if schedule is not None:
             final_cfg = NetworkConfig(schedule[1], schedule[2], spec.cfg.m)
         per_seed = []
-        for seed in spec.seeds:
+        for seed in spec.params.get("seeds", MAB_SEEDS):
             mcfg = _mab_config(spec, seed)
             start = time.perf_counter()
             if schedule is None:
@@ -611,7 +607,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
                 "seconds": round(elapsed, 3),
             }
             mae = None
-            if compact:
+            if space.is_compact:
                 seed_record["estimated_load"] = list(estimate_load(space, result))
                 mae = mae_trace(space, result, final_cfg)
             trace_path = spec.out_dir / f"{spec.name}_seed{seed}_trace.csv"

@@ -14,9 +14,10 @@ import click
 import numpy as np
 
 from . import __version__
-from .actionspace import GridSpec, build_compact, full_space_size, generate_discretized
-from .bench import (GRID_STEP, MAB_PRESETS, TABLE_IDS, ExperimentSpec, load_experiment,
-                    reproduce, run_experiment)
+from .actionspace import (GridSpec, build_compact, full_space_size, generate_discretized,
+                          save_compact)
+from .bench import (COMPACT_BOUND, GRID_STEP, MAB_PRESETS, MAB_SEEDS, TABLE_IDS, ExperimentSpec,
+                    load_experiment, reproduce, run_experiment)
 from .exact import throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, check_gamma
 from .optimize import solve
@@ -26,7 +27,10 @@ from .simulate import sim_throughput
 SEED = click.IntRange(min=0)
 COUNT = click.IntRange(min=0)
 RBS = click.IntRange(min=1)
-COMPACT_BOUND = 10  # the compact table's load bounds when none are given
+SPACES = ("discretized", "compact")
+# Pulls per run: the presets' for `mab`; longer for `scenario`, see its help.
+PRESET_RUNS = {kind: MAB_PRESETS[f"mab-{kind}"].runs for kind in SPACES}
+SCENARIO_RUNS = {"discretized": 45000, "compact": 12000}
 
 
 class Floor(click.ParamType):
@@ -217,8 +221,6 @@ def as_stats_cmd(m, d):
 @click.option("--out", type=click.Path(), required=True, help="Destination CSV.")
 def compact_build_cmd(m, n_h_max, n_l_max, gamma, out):
     """Precompute the compact (load -> allocation) table and save it."""
-    from .actionspace import save_compact
-
     try:
         Path(out).parent.mkdir(parents=True, exist_ok=True)  # before the solves
     except OSError as exc:
@@ -235,22 +237,14 @@ def compact_build_cmd(m, n_h_max, n_l_max, gamma, out):
                    f"{sorted(infeasible)}")
 
 
-def _mab_like(space_kind, m, n_h, n_l, gamma, seeds, out, name, **flags):
-    method = f"mab-{space_kind}"
-    params = {k: v for k, v in flags.items() if v is not None}
-    if method == "mab-compact" and "table" not in params:
-        params = {"n_h_max": COMPACT_BOUND, "n_l_max": COMPACT_BOUND, **params}
+def _mab_like(space_kind, m, n_h, n_l, gamma, out, name, **flags):
     try:
-        spec = ExperimentSpec(
-            name=name,
-            cfg=NetworkConfig(n_h=n_h, n_l=n_l, m=m),
-            gamma=gamma,
-            method=method,
-            params=params,
-            seeds=tuple(seeds),
-            out_dir=Path(out),
-        )
-        written = run_experiment(spec)
+        written = run_experiment(ExperimentSpec(
+            name=name, cfg=NetworkConfig(n_h=n_h, n_l=n_l, m=m), gamma=gamma,
+            method=f"mab-{space_kind}", out_dir=Path(out),
+            # a flag not given is not passed: bench holds every default
+            params={k: v for k, v in flags.items() if v not in (None, ())},
+        ))
     except ValueError as exc:  # an unread flag, a bandit parameter, the grid or the table
         raise click.BadParameter(str(exc)) from None
     except OSError as exc:  # the table or the output directory
@@ -268,32 +262,39 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, seeds, out, name, **flags):
         click.echo(line)
 
 
-# The action space and bandit options shared by `mab` and `scenario`.
-bandit_options = _options(
-    click.option("--space", "space_kind", type=click.Choice(["discretized", "compact"]),
-                 default="discretized", show_default=True),
-    click.option("--d", type=float, default=None, callback=grid_step,
-                 help="Grid step (discretized space)."),
-    click.option("--table", type=click.Path(exists=True), default=None,
-                 help="Precomputed compact table CSV."),
-    click.option("--n-h-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
-                 help="Compact table bound when building in place."),
-    click.option("--n-l-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND)),
-    click.option("--alpha", type=float, default=None, help="Smoothing rate."),
-    click.option("--elite-fraction", type=float, default=None),
-    click.option("--batch-size", type=int, default=None),
-    click.option("--rho", type=float, default=None, help="Infeasibility discount."),
-    click.option("--t", type=int, default=None, help="Slots per pull."),
-    click.option("--runs", type=int, default=None, help="Total pulls."),
-    click.option("--seed", "seeds", type=SEED, multiple=True, default=(0,), show_default=True,
-                 help="Seed; repeat for several runs."),
-)
+def per_space(values: dict[str, int]) -> str:
+    return f"[default: {values['discretized']} discretized, {values['compact']} compact]"
+
+
+def bandit_options(runs: dict[str, int]):
+    """The space and bandit options of `mab` and `scenario`, which run ``runs`` pulls."""
+    return _options(
+        click.option("--space", "space_kind", type=click.Choice(SPACES),
+                     default="discretized", show_default=True),
+        click.option("--d", type=float, default=None, callback=grid_step,
+                     help="Grid step (discretized space)."),
+        click.option("--table", type=click.Path(exists=True), default=None,
+                     help="Precomputed compact table CSV."),
+        click.option("--n-h-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
+                     help="Compact table bound when building in place."),
+        click.option("--n-l-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
+                     help="Compact table bound when building in place."),
+        click.option("--alpha", type=float, default=None, help="Smoothing rate."),
+        click.option("--elite-fraction", type=float, default=None),
+        click.option("--batch-size", type=int, default=None),
+        click.option("--rho", type=float, default=None, help="Infeasibility discount."),
+        click.option("--t", type=int, default=None, help="Slots per pull."),
+        click.option("--runs", type=int, default=None, help=f"Total pulls {per_space(runs)}."),
+        click.option("--seed", "seeds", type=SEED, multiple=True,
+                     show_default=" ".join(map(str, MAB_SEEDS)),
+                     help="Seed; repeat for several runs."),
+    )
 
 
 @main.command("mab")
 @cfg_options
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
-@bandit_options
+@bandit_options(PRESET_RUNS)
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
@@ -309,10 +310,9 @@ def mab_cmd(**opts):
 @click.option("--switch-n-h", type=COUNT, default=4, show_default=True)
 @click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
 @click.option("--switch", "switch_pull", type=click.IntRange(min=1), default=None,
-              help=f"Pull index of the load switch [default: {MAB_PRESETS['mab-discretized'].runs}"
-                   f" discretized, {MAB_PRESETS['mab-compact'].runs} compact].")
+              help=f"Pull index of the load switch {per_space(PRESET_RUNS)}.")
 @click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
-@bandit_options
+@bandit_options(SCENARIO_RUNS)
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)
 def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
@@ -324,15 +324,15 @@ def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
     value estimates can track the new load.
     """
     if opts["runs"] is None:
-        opts["runs"] = 45000 if opts["space_kind"] == "discretized" else 12000
-    switch_pull = switch_pull or MAB_PRESETS[f"mab-{opts['space_kind']}"].runs  # --switch is >= 1
+        opts["runs"] = SCENARIO_RUNS[opts["space_kind"]]
+    switch_pull = switch_pull or PRESET_RUNS[opts["space_kind"]]  # --switch is >= 1
     _mab_like(schedule=(switch_pull, switch_n_h, switch_n_l), **opts)
 
 
 @main.command("reproduce")
 @click.option("--table", "table_id", type=click.Choice((*TABLE_IDS, "all"), case_sensitive=False),
               default="all", show_default=True, help="Reference table id (I..VII) or 'all'.")
-@click.option("--seed", type=SEED, default=0, show_default=True,
+@click.option("--seed", type=SEED, default=MAB_SEEDS[0], show_default=True,
               help="Bandit seed; only Tables VI and VII read it.")
 @click.option("--strict", is_flag=True, default=False,
               help="Exit nonzero if any reproduced value fails its tolerance.")

@@ -42,6 +42,8 @@ import bisect
 import csv
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -134,9 +136,10 @@ class MabConfig:
     def n_batches(self) -> int:
         return self.runs // self.batch_size
 
-    @property
+    @cached_property
     def elite_size(self) -> int:
-        return int(self.elite_fraction * self.batch_size)
+        # the fraction as written: 0.29 of 100 is 29, where the float product is 28.999...
+        return int(Fraction(str(self.elite_fraction)) * self.batch_size)
 
 
 def _empty_trace(pulls: int) -> np.recarray:

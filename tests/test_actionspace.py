@@ -328,9 +328,13 @@ def test_load_rejects_corrupted_throughput(tmp_path):
         (lambda cols: cols[:3] + ["-0.5"] + cols[4:], "gamma must be >= 0, got -0.5"),
         (lambda cols: cols[:3] + ["inf"] + cols[4:], "gamma must be finite, got inf"),
         (lambda cols: cols[:3] + ["0.5"] + cols[4:], "rows disagree on gamma"),
+        (lambda cols: cols[:-1] + ["nan"], "stored throughput for cell (0, 1) fails revalidation"),
+        (lambda cols: cols[:-2] + ["nan"] + cols[-1:],
+         "stored throughput for cell (0, 1) fails revalidation"),
+        (lambda cols: cols[:-1] + ["inf"], "stored throughput for cell (0, 1) fails revalidation"),
     ],
     ids=["unparsable-value", "short-row", "other-m", "nan-gamma", "negative-gamma",
-         "inf-gamma", "other-gamma"],
+         "inf-gamma", "other-gamma", "nan-mu_l", "nan-mu_h", "inf-mu_l"],
 )
 def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
     path = tmp_path / "table.csv"

@@ -2,7 +2,9 @@
 
 import json
 import re
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -161,7 +163,7 @@ table = table.csv
     assert spec.method == "mab-compact"
     assert spec.cfg == NetworkConfig(2, 1, 5)
     assert spec.gamma == 0.4
-    assert spec.seeds == (0, 1, 2)
+    assert spec.params["seeds"] == (0, 1, 2)
     assert spec.params["alpha"] == 0.1
     assert spec.params["runs"] == 4000
     assert spec.params["schedule"] == (2000, 4, 5)
@@ -255,11 +257,15 @@ def test_load_experiment_names_unparsable_value(tmp_path, section, body, message
          "method 'mab-discretized' does not read [compact]"),
         ("mab-compact", "mab", "d = 0.5\n", "method 'mab-compact' does not read 'd'"),
         ("mab-compact", "compact", "table = t.csv\nn_h_max = 2\n",
-         "mab-compact needs a 'table' or 'n_h_max'/'n_l_max' bounds, not both; "
+         "mab-compact takes a 'table' or 'n_h_max'/'n_l_max' bounds, not both; "
          "got ['table', 'n_h_max']"),
+        ("uniform", "seeds", "list = 0\n", "method 'uniform' does not read [seeds]"),
+        ("acb", "seeds", "", "method 'acb' does not read [seeds]"),
+        ("exact-opt", "seeds", "list = 3\n", "method 'exact-opt' does not read [seeds]"),
     ],
     ids=["uniform-mab", "acb-empty-mab", "exact-opt-schedule", "uniform-compact",
-         "discretized-compact", "compact-d", "compact-table-and-bound"],
+         "discretized-compact", "compact-d", "compact-table-and-bound", "uniform-seeds",
+         "acb-empty-seeds", "exact-opt-seeds"],
 )
 def test_load_experiment_rejects_section_or_key_the_method_does_not_read(
     tmp_path, method, section, body, message
@@ -276,16 +282,23 @@ def test_load_experiment_names_malformed_file(tmp_path):
         load_experiment(ini)
 
 
-def test_load_experiment_compact_n_l_max_defaults_to_n_h_max(tmp_path):
-    sections = {
-        **MINIMAL_INI,
-        "experiment": f"name = c\nmethod = mab-compact\nout = {tmp_path}\n",
-        "compact": "n_h_max = 1\n",
-        "mab": "runs = 100\nt = 10\nbatch_size = 50\n",
-    }
-    spec = load_experiment(_write_ini(tmp_path / "exp.ini", _ini_text(sections)))
-    record = json.loads(run_experiment(spec)[-1].read_text())
-    assert record["space_size"] == 4  # loads (0..1) x (0..1)
+def test_load_experiment_compact_bounds_default_to_ten_each(tmp_path, monkeypatch):
+    # each bound left out is COMPACT_BOUND, whatever the other one is; a
+    # stand-in solver keeps the 11 x 11 build cheap
+    uniform = lambda cfg, gamma: SimpleNamespace(pair=AccessProbabilityPair.uniform(cfg.m))
+    monkeypatch.setattr("rachopt.bench.build_compact", partial(build_compact, opt=uniform))
+    for compact, size in (("n_h_max = 1\n", 2 * 11), ("n_l_max = 0\n", 11 * 1), ("", 11 * 11)):
+        sections = {
+            **MINIMAL_INI,
+            "experiment": f"name = c\nmethod = mab-compact\nout = {tmp_path}\n",
+            "network": "m = 2\nn_h = 1\nn_l = 1\n",
+            "mab": "runs = 100\nt = 10\nbatch_size = 50\n",
+        }
+        if compact:
+            sections["compact"] = compact
+        spec = load_experiment(_write_ini(tmp_path / "exp.ini", _ini_text(sections)))
+        record = json.loads(run_experiment(spec)[-1].read_text())
+        assert record["space_size"] == size, compact
 
 
 def test_demo_configs_parse():
@@ -293,7 +306,7 @@ def test_demo_configs_parse():
     assert configs
     for path in configs:
         spec = load_experiment(path)
-        assert spec.name and spec.seeds, path
+        assert spec.name, path
 
 
 def test_load_experiment_missing_file(tmp_path):
@@ -311,42 +324,42 @@ def test_spec_validation_rejects_bad_method(tmp_path):
     with pytest.raises(ValueError, match="unknown method"):
         ExperimentSpec(
             name="x", cfg=NetworkConfig(1, 1, 2), gamma=0.0, method="magic",
-            params={}, seeds=(0,), out_dir=tmp_path,
+            params={}, out_dir=tmp_path,
         )
     for gamma in (-0.1, float("nan")):
         with pytest.raises(ValueError, match="gamma must be >= 0"):
             ExperimentSpec(
                 name="x", cfg=NetworkConfig(1, 1, 2), gamma=gamma, method="uniform",
-                params={}, seeds=(0,), out_dir=tmp_path,
+                params={}, out_dir=tmp_path,
             )
 
 
 def test_spec_validation_rejects_infinite_gamma_and_negative_seed(tmp_path):
-    base = dict(name="x", cfg=NetworkConfig(1, 1, 2), params={}, out_dir=tmp_path)
+    base = dict(name="x", cfg=NetworkConfig(1, 1, 2), out_dir=tmp_path)
     for method in ("uniform", "exact-opt", "mab-discretized"):
         with pytest.raises(ValueError, match="gamma must be finite, got inf"):
-            ExperimentSpec(**base, gamma=float("inf"), method=method, seeds=(0,))
+            ExperimentSpec(**base, gamma=float("inf"), method=method, params={})
+    for method in ("mab-discretized", "mab-compact"):
         with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
-            ExperimentSpec(**base, gamma=0.0, method=method, seeds=(0, -5))
+            ExperimentSpec(**base, gamma=0.0, method=method, params={"seeds": (0, -5)})
 
 
-def test_spec_validation_requires_seeds_and_compact_source(tmp_path):
-    with pytest.raises(ValueError, match="seed"):
-        ExperimentSpec(
-            name="x", cfg=NetworkConfig(1, 1, 2), gamma=0.0, method="uniform",
-            params={}, seeds=(), out_dir=tmp_path,
-        )
-    with pytest.raises(ValueError, match="mab-compact"):
-        ExperimentSpec(
-            name="x", cfg=NetworkConfig(1, 1, 2), gamma=0.0, method="mab-compact",
-            params={}, seeds=(0,), out_dir=tmp_path,
-        )
+def test_spec_validation_rejects_empty_seeds_and_table_beside_bounds(tmp_path):
+    base = dict(name="x", cfg=NetworkConfig(1, 1, 2), gamma=0.0, out_dir=tmp_path)
+    for method in ("mab-discretized", "mab-compact"):
+        with pytest.raises(ValueError, match="at least one seed is required"):
+            ExperimentSpec(**base, method=method, params={"seeds": ()})
+    for bounds in ({"n_h_max": 2}, {"n_l_max": 2}, {"n_h_max": 2, "n_l_max": 2}):
+        with pytest.raises(ValueError, match="not both"):
+            ExperimentSpec(**base, method="mab-compact", params={"table": "t.csv", **bounds})
+    # with neither, the bounds are COMPACT_BOUND each
+    ExperimentSpec(**base, method="mab-compact", params={})
 
 
 def test_run_experiment_uniform_single_record(tmp_path):
     spec = ExperimentSpec(
         name="uni", cfg=NetworkConfig(4, 5, 4), gamma=0.0, method="uniform",
-        params={}, seeds=(0,), out_dir=tmp_path,
+        params={}, out_dir=tmp_path,
     )
     written = run_experiment(spec)
     assert [p.name for p in written] == ["uni_result.json"]
@@ -359,7 +372,7 @@ def test_run_experiment_uniform_single_record(tmp_path):
 def test_run_experiment_acb_reports_admission(tmp_path):
     spec = ExperimentSpec(
         name="acb", cfg=NetworkConfig(4, 5, 5), gamma=0.0, method="acb",
-        params={}, seeds=(0,), out_dir=tmp_path,
+        params={}, out_dir=tmp_path,
     )
     record = json.loads(run_experiment(spec)[0].read_text())
     assert record["admitted_h"] == 2
@@ -370,7 +383,7 @@ def test_run_experiment_acb_reports_admission(tmp_path):
 def test_run_experiment_exact_opt(tmp_path):
     spec = ExperimentSpec(
         name="opt", cfg=NetworkConfig(4, 5, 3), gamma=0.0, method="exact-opt",
-        params={}, seeds=(0,), out_dir=tmp_path,
+        params={}, out_dir=tmp_path,
     )
     record = json.loads(run_experiment(spec)[0].read_text())
     assert record["feasible"] is True
@@ -378,17 +391,14 @@ def test_run_experiment_exact_opt(tmp_path):
     assert len(record["p_h"]) == 3
 
 
-def test_run_experiment_exact_opt_ignores_the_seed(tmp_path):
-    records = []
-    for seeds in ((0,), (3,)):
-        spec = ExperimentSpec(
-            name=f"opt{seeds[0]}", cfg=NetworkConfig(4, 5, 3), gamma=0.4, method="exact-opt",
-            params={}, seeds=seeds, out_dir=tmp_path,
-        )
-        records.append(json.loads(run_experiment(spec)[0].read_text()))
-        records[-1].pop("name")
-    assert records[0] == records[1]
-    assert records[0]["feasible"] is True
+def test_spec_rejects_seeds_for_methods_that_draw_nothing(tmp_path):
+    # only the bandits draw random numbers, so only they read seeds
+    for method in ("uniform", "acb", "exact-opt"):
+        with pytest.raises(ValueError, match=f"method '{method}' does not read 'seeds'"):
+            ExperimentSpec(
+                name="x", cfg=NetworkConfig(4, 5, 3), gamma=0.4, method=method,
+                params={"seeds": (3,)}, out_dir=tmp_path,
+            )
 
 
 MAB_SMOKE = {"runs": 300, "t": 50, "batch_size": 50, "d": 0.5}
@@ -397,7 +407,7 @@ MAB_SMOKE = {"runs": 300, "t": 50, "batch_size": 50, "d": 0.5}
 def test_run_experiment_mab_artifacts_roundtrip(tmp_path):
     spec = ExperimentSpec(
         name="grid", cfg=NetworkConfig(4, 5, 3), gamma=0.0,
-        method="mab-discretized", params=dict(MAB_SMOKE), seeds=(0, 1),
+        method="mab-discretized", params={**MAB_SMOKE, "seeds": (0, 1)},
         out_dir=tmp_path,
     )
     written = run_experiment(spec)
@@ -423,7 +433,7 @@ def test_run_experiment_mab_compact_has_mae_and_load(tmp_path, compact_2x2):
     spec = ExperimentSpec(
         name="cas", cfg=NetworkConfig(2, 1, 3), gamma=0.0, method="mab-compact",
         params={"table": str(compact_2x2), "runs": 300, "t": 50, "batch_size": 50},
-        seeds=(0,), out_dir=tmp_path,
+        out_dir=tmp_path,
     )
     written = run_experiment(spec)
     plot = load_plot_data(tmp_path / "cas_seed0_plot.csv")
@@ -448,7 +458,7 @@ def test_run_experiment_schedule_evaluates_final_load(tmp_path, compact_2x2):
             "table": str(compact_2x2), "runs": 300, "t": 50, "batch_size": 50,
             "schedule": (100, 2, 2),
         },
-        seeds=(0,), out_dir=tmp_path,
+        out_dir=tmp_path,
     )
     record = json.loads(run_experiment(spec)[-1].read_text())
     entry = record["seeds"][0]
@@ -738,11 +748,16 @@ def test_cli_rejects_input_the_run_does_not_read(runner, tmp_path, compact_2x2):
 def test_cli_experiment_rejects_bad_floor_or_seed_before_any_output(runner, tmp_path):
     out = tmp_path / "out"
     ini = tmp_path / "exp.ini"
-    head = f"[experiment]\nname = x\nmethod = exact-opt\nout = {out}\n"
-    ini.write_text(head + "[network]\nm = 2\nn_h = 1\nn_l = 1\n[seeds]\nlist = -1\n")
-    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "seed must be >= 0, got -1")
-    ini.write_text(head + "[network]\nm = 2\nn_h = 1\nn_l = 1\ngamma = inf\n")
-    _usage_error(runner.invoke(main, ["experiment", str(ini)]), "gamma must be finite, got inf")
+    head = f"[experiment]\nname = x\nmethod = {{}}\nout = {out}\n"
+    net = "[network]\nm = 2\nn_h = 1\nn_l = 1\n"
+    for method, tail, message in (
+        ("mab-discretized", "[seeds]\nlist = 0 -1\n", "seed must be >= 0, got -1"),
+        ("mab-compact", "[seeds]\nlist =\n", "at least one seed is required"),
+        ("exact-opt", "[seeds]\nlist = 0\n", "method 'exact-opt' does not read [seeds]"),
+        ("exact-opt", "gamma = inf\n", "gamma must be finite, got inf"),
+    ):
+        ini.write_text(head.format(method) + net + tail)
+        _usage_error(runner.invoke(main, ["experiment", str(ini)]), message)
     assert not out.exists()
 
 
@@ -873,6 +888,55 @@ def test_cli_mab_compact_bounds_default_to_ten(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "b_result.json").read_text())["space_size"] == 33
+
+
+def _record_without_seconds(path):
+    record = json.loads(path.read_text())
+    for entry in record["seeds"]:
+        entry.pop("seconds")
+    return record
+
+
+@pytest.mark.parametrize(
+    "gamma, flags, sections",
+    [
+        # --n-h-max alone: n_l_max is COMPACT_BOUND on both routes, 2 x 11 loads
+        ("0", ["--space", "compact", "--n-h-max", "1"],
+         {"experiment": "method = mab-compact\n", "compact": "n_h_max = 1\n"}),
+        ("0.2", ["--d", "0.5", "--seed", "0", "--seed", "3"],
+         {"experiment": "method = mab-discretized\n", "mab": "d = 0.5\n",
+          "seeds": "list = 0 3\n"}),
+        ("0.2", ["--space", "compact", "--n-h-max", "2", "--n-l-max", "1", "--alpha", "0.3",
+                 "--rho", "0.2", "--seed", "1"],
+         {"experiment": "method = mab-compact\n", "compact": "n_h_max = 2\nn_l_max = 1\n",
+          "mab": "alpha = 0.3\nrho = 0.2\n", "seeds": "list = 1\n"}),
+    ],
+    ids=["compact-n_h_max-alone", "grid-two-seeds", "compact-bounds-and-tuning"],
+)
+def test_cli_mab_flags_and_ini_write_the_same_record(runner, tmp_path, gamma, flags, sections):
+    net = ["--m", "2", "--n-h", "1", "--n-l", "1", "--gamma", gamma]
+    pulls = ["--runs", "100", "--t", "10", "--batch-size", "50"]
+    result = runner.invoke(main, ["mab", *net, *pulls, *flags,
+                                  "--out", str(tmp_path / "flags"), "--name", "p"])
+    assert result.exit_code == 0, result.output
+    ini = {
+        "experiment": f"name = p\nout = {tmp_path / 'ini'}\n",
+        "network": f"m = 2\nn_h = 1\nn_l = 1\ngamma = {gamma}\n",
+        "mab": "runs = 100\nt = 10\nbatch_size = 50\n",
+    }
+    for section, body in sections.items():
+        ini[section] = ini.get(section, "") + body
+    ini_path = _write_ini(tmp_path / "p.ini", _ini_text(ini))
+    result = runner.invoke(main, ["experiment", str(ini_path)])
+    assert result.exit_code == 0, result.output
+    flags_dir, ini_dir = tmp_path / "flags", tmp_path / "ini"
+    names = sorted(p.name for p in flags_dir.iterdir())
+    assert names == sorted(p.name for p in ini_dir.iterdir())
+    for name in names:
+        if name.endswith(".csv"):  # traces and plots
+            assert (flags_dir / name).read_bytes() == (ini_dir / name).read_bytes(), name
+    record = _record_without_seconds(flags_dir / "p_result.json")
+    assert record == _record_without_seconds(ini_dir / "p_result.json")
 
 
 def test_cli_mab_discretized_smoke(runner, tmp_path):

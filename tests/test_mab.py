@@ -171,6 +171,25 @@ def test_config_validation():
     assert cfg.n_batches == 10 and cfg.elite_size == 10
 
 
+@pytest.mark.parametrize("fraction, batch_size, size", [
+    (0.29, 100, 29), (0.57, 100, 57), (0.58, 50, 29), (0.58, 100, 58), (0.58, 200, 116),
+    (0.29, 200, 58), (0.57, 200, 114), (0.1, 500, 50), (0.2, 200, 40), (0.105, 100, 10),
+])
+def test_elite_size_takes_the_fraction_as_written(fraction, batch_size, size):
+    # 0.29 * 100 is 28.999999999999996 in floats; the elite is 29 records
+    cfg = MabConfig(runs=batch_size, batch_size=batch_size, elite_fraction=fraction)
+    assert cfg.elite_size == size
+
+
+def test_elite_size_keeps_the_papers_fractions():
+    # for the paper's 0.1 and 0.2 the float product never falls short, so the
+    # bandit's streams are the float rule's at every batch size
+    for fraction in (0.1, 0.2):
+        for batch_size in range(10, 20001):
+            cfg = MabConfig(runs=batch_size, batch_size=batch_size, elite_fraction=fraction)
+            assert cfg.elite_size == int(fraction * batch_size)
+
+
 def test_single_action_space():
     spec = GridSpec(1, 1.0)
     space = generate_discretized(spec)
