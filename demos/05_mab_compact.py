@@ -15,7 +15,8 @@ from rachopt.model import NetworkConfig
 
 def main() -> None:
     gamma = 0.4
-    space = build_compact(m=4, n_h_max=5, n_l_max=5, gamma=gamma)
+    n_l_max = 5
+    space = build_compact(m=4, n_h_max=5, n_l_max=n_l_max, gamma=gamma)
     print(f"compact space at M=4: {len(space)} load cells, "
           f"each pre-optimized for mu_l >= {gamma}")
 
@@ -29,8 +30,9 @@ def main() -> None:
 
     est = estimate_load(space, result)
     mu = exact_throughputs(space, true_cfg)
-    got = mu[space.index[est]]
-    match = space.index[(true_cfg.n_h, true_cfg.n_l)]
+    # the table lists its cells row-major: (n_h, n_l) sits at n_h * (n_l_max + 1) + n_l
+    got = mu[est[0] * (n_l_max + 1) + est[1]]
+    match = true_cfg.n_h * (n_l_max + 1) + true_cfg.n_l
     exact_best = mu[match]
     print(f"bandit's load estimate after {mab_cfg.runs} pulls: {est}")
     print(f"  its allocation earns mu=({got[0]:.4f}, {got[1]:.4f}) on the true load")

@@ -31,7 +31,8 @@ def window_mean(values: np.ndarray, lo: int, hi: int) -> float:
 
 
 def compact_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> None:
-    space = build_compact(m=5, n_h_max=6, n_l_max=6, gamma=gamma)
+    n_l_max = 6
+    space = build_compact(m=5, n_h_max=6, n_l_max=n_l_max, gamma=gamma)
     switch, total = 2000, 12000
     print(f"compact space at M=5: {len(space)} load cells")
     print(f"load starts at ({cfg_a.n_h}, {cfg_a.n_l}), switches to "
@@ -51,7 +52,8 @@ def compact_switch(cfg_a: NetworkConfig, cfg_b: NetworkConfig, gamma: float) -> 
         h = window_mean(mu_b[chosen, 0], lo, hi)
         l = window_mean(mu_b[chosen, 1], lo, hi)
         print(f"  pulls {lo:>5}-{hi:>5}: mean ({h:.4f}, {l:.4f})")
-    opt = mu_b[space.index[(cfg_b.n_h, cfg_b.n_l)]]
+    # the table lists its cells row-major: (n_h, n_l) sits at n_h * (n_l_max + 1) + n_l
+    opt = mu_b[cfg_b.n_h * (n_l_max + 1) + cfg_b.n_l]
     print(f"  post-switch optimum: ({opt[0]:.4f}, {opt[1]:.4f})")
 
     final = mu_b[result.best_index]

@@ -6,12 +6,14 @@ Two families:
   {0, 1/q, ..., 1} with exact unit sum, optionally reduced to one
   representative per joint-rotation orbit (rotating both vectors by the same
   offset relabels RBs without changing any throughput);
-* compact -- a lookup table of optimizer solutions indexed by candidate load
+* compact -- a lookup table of optimizer solutions, one per candidate load
   (n_h, n_l), so the bandit searches over loads instead of raw vectors.
 
-A grid pair's exact integer numerators over the common denominator q are its
-key in the space's index.  Deduplication compares integer codes of those
-numerators, never floats.
+Every action is addressed by its position.  A grid lists its pairs in the
+lexicographic order of their integer numerators over the common denominator
+q (``round(x * q)`` of an ``allocations`` row) and deduplicates by integer
+codes of those numerators, never floats.  A compact table lists the cells of
+[0, n_h_max] x [0, n_l_max] row-major: (n_h, n_l) at ``n_h * (n_l_max + 1) + n_l``.
 """
 
 from __future__ import annotations
@@ -91,16 +93,11 @@ class CompactEntry:
 
 @dataclass
 class ActionSpace:
-    """Ordered collection of actions plus a key -> position map.
-
-    Discretized spaces key actions by their exact numerators (canonical
-    numerators when reduced); compact spaces key by the (n_h, n_l) cell and
-    carry their cells in ``entries`` and the low-class floor they were
-    solved for in ``gamma``.
-    """
+    """Ordered collection of actions, each addressed by its position (see the
+    module docstring).  A compact table also carries its row-major cells in
+    ``entries`` and the low-class floor they were solved for in ``gamma``."""
 
     actions: tuple[Action, ...]
-    index: dict
     entries: Optional[tuple[CompactEntry, ...]] = None
     gamma: Optional[float] = None
     # Exact per-load pull tables, keyed by (n_h, n_l) and filled by
@@ -175,34 +172,18 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
             keep &= code <= r[:, None] * c + r[None, :]
     probs = [tuple(n / spec.q for n in u) for u in comps]
     # row-major order of the kept (i, j) is lexicographic numerator order
-    pairs = list(zip(*(x.tolist() for x in np.nonzero(keep))))
-    actions = tuple(Action(AccessProbabilityPair(probs[i], probs[j])) for i, j in pairs)
-    index = {(comps[i], comps[j]): pos for pos, (i, j) in enumerate(pairs)}
-    return ActionSpace(actions, index)
+    kept = zip(*(x.tolist() for x in np.nonzero(keep)))
+    return ActionSpace(tuple(Action(AccessProbabilityPair(probs[i], probs[j])) for i, j in kept))
 
 
 # ------------------------------------------------------------- compact table
 
 
 def _compact_space(gamma: float, entries: list[CompactEntry]) -> ActionSpace:
-    """The compact space solved for the floor ``gamma`` and holding
-    ``entries`` in order, one per cell of the full load rectangle
-    [0, n_h_max] x [0, n_l_max] they span."""
+    """The compact space of ``entries``, row-major cells solved for ``gamma``."""
     check_gamma(gamma)
-    index: dict = {}
-    for i, e in enumerate(entries):
-        if (e.n_h, e.n_l) in index:
-            raise ValueError(f"duplicate cell ({e.n_h}, {e.n_l})")
-        index[(e.n_h, e.n_l)] = i
-    n_h_max = max(e.n_h for e in entries)
-    n_l_max = max(e.n_l for e in entries)
-    if len(entries) != (n_h_max + 1) * (n_l_max + 1):
-        raise ValueError("compact table does not cover a full load rectangle")
     return ActionSpace(
-        actions=tuple(Action(e.pair) for e in entries),
-        index=index,
-        entries=tuple(entries),
-        gamma=gamma,
+        actions=tuple(Action(e.pair) for e in entries), entries=tuple(entries), gamma=gamma
     )
 
 
@@ -284,8 +265,8 @@ def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
 
 def load_compact(path: Union[str, Path]) -> ActionSpace:
     """Read a compact table, revalidating every stored throughput against a
-    fresh exact evaluation.  Raises ``ValueError`` naming the file, and the
-    line of a row that does not parse or fails a check."""
+    fresh exact evaluation and every cell's row-major position.  Raises
+    ``ValueError`` naming the file, and the line of a bad row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
@@ -319,10 +300,15 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
         except ValueError as exc:
             raise ValueError(f"{path}: bad compact-table row at line {line}: {exc}") from None
         entries.append(CompactEntry(n_h, n_l, pair, mu_h, mu_l))
-    try:
-        return _compact_space(gamma, entries)
-    except ValueError as exc:  # a repeated cell or a cell missing
-        raise ValueError(f"{path}: {exc}") from None
+    # row-major order over [0, n_h_max] x [0, n_l_max]: cell divmod(i, n_l_max + 1) at i
+    width = max(e.n_l for e in entries) + 1
+    for i, ((line, _), e) in enumerate(zip(rows, entries)):
+        if (e.n_h, e.n_l) != divmod(i, width):
+            raise ValueError(f"{path}: bad compact-table row at line {line}: cell "
+                             f"({e.n_h}, {e.n_l}) where row-major order puts {divmod(i, width)}")
+    if len(entries) % width:
+        raise ValueError(f"{path}: compact table does not cover a full load rectangle")
+    return _compact_space(gamma, entries)
 
 
 def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:

@@ -411,8 +411,13 @@ class ExperimentSpec:
             raise ValueError("mab-compact takes a 'table' or 'n_h_max'/'n_l_max' bounds, "
                              f"not both; got {given}")
         schedule = self.params.get("schedule")
-        if schedule is not None and schedule[0] < 1:
-            raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
+        if schedule is not None:
+            if schedule[0] < 1:
+                raise ValueError(f"schedule switch must be >= 1, got {schedule[0]}")
+            try:
+                NetworkConfig(schedule[1], schedule[2], self.cfg.m)
+            except ValueError as exc:
+                raise ValueError(f"schedule load: {exc}") from None
         if self.method.startswith("mab-"):
             if not self.params.get("seeds", MAB_SEEDS):
                 raise ValueError("at least one seed is required")

@@ -28,8 +28,14 @@ SEED = click.IntRange(min=0)
 COUNT = click.IntRange(min=0)
 RBS = click.IntRange(min=1)
 SPACES = ("discretized", "compact")
-# Pulls per run: the presets' for `mab`; longer for `scenario`, see its help.
-PRESET_RUNS = {kind: MAB_PRESETS[f"mab-{kind}"].runs for kind in SPACES}
+
+
+def preset(name: str) -> dict:
+    """Each space's preset value of the bandit setting ``name``."""
+    return {kind: getattr(MAB_PRESETS[f"mab-{kind}"], name) for kind in SPACES}
+
+
+# Pulls per `scenario` run, longer than the presets': see its help.
 SCENARIO_RUNS = {"discretized": 45000, "compact": 12000}
 
 
@@ -262,7 +268,7 @@ def _mab_like(space_kind, m, n_h, n_l, gamma, out, name, **flags):
         click.echo(line)
 
 
-def per_space(values: dict[str, int]) -> str:
+def per_space(values: dict) -> str:
     return f"[default: {values['discretized']} discretized, {values['compact']} compact]"
 
 
@@ -272,18 +278,20 @@ def bandit_options(runs: dict[str, int]):
         click.option("--space", "space_kind", type=click.Choice(SPACES),
                      default="discretized", show_default=True),
         click.option("--d", type=float, default=None, callback=grid_step,
-                     help="Grid step (discretized space)."),
+                     show_default=str(GRID_STEP), help="Grid step (discretized space)."),
         click.option("--table", type=click.Path(exists=True), default=None,
                      help="Precomputed compact table CSV."),
         click.option("--n-h-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
                      help="Compact table bound when building in place."),
         click.option("--n-l-max", type=COUNT, default=None, show_default=str(COMPACT_BOUND),
                      help="Compact table bound when building in place."),
-        click.option("--alpha", type=float, default=None, help="Smoothing rate."),
-        click.option("--elite-fraction", type=float, default=None),
-        click.option("--batch-size", type=int, default=None),
-        click.option("--rho", type=float, default=None, help="Infeasibility discount."),
-        click.option("--t", type=int, default=None, help="Slots per pull."),
+        *(click.option(f"--{name.replace('_', '-')}", type=kind, default=None,
+                       help=f"{text} {per_space(preset(name))}.")
+          for name, kind, text in (("alpha", float, "Smoothing rate"),
+                                   ("elite_fraction", float, "Elite share of each batch"),
+                                   ("batch_size", int, "Pulls per batch"),
+                                   ("rho", float, "Infeasibility discount"),
+                                   ("t", int, "Slots per pull"))),
         click.option("--runs", type=int, default=None, help=f"Total pulls {per_space(runs)}."),
         click.option("--seed", "seeds", type=SEED, multiple=True,
                      show_default=" ".join(map(str, MAB_SEEDS)),
@@ -294,7 +302,7 @@ def bandit_options(runs: dict[str, int]):
 @main.command("mab")
 @cfg_options
 @click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
-@bandit_options(PRESET_RUNS)
+@bandit_options(preset("runs"))
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
 @click.option("--name", type=str, default="mab", show_default=True)
@@ -310,7 +318,7 @@ def mab_cmd(**opts):
 @click.option("--switch-n-h", type=COUNT, default=4, show_default=True)
 @click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
 @click.option("--switch", "switch_pull", type=click.IntRange(min=1), default=None,
-              help=f"Pull index of the load switch {per_space(PRESET_RUNS)}.")
+              help=f"Pull index of the load switch {per_space(preset('runs'))}.")
 @click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
 @bandit_options(SCENARIO_RUNS)
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
@@ -325,7 +333,7 @@ def scenario_cmd(switch_pull, switch_n_h, switch_n_l, **opts):
     """
     if opts["runs"] is None:
         opts["runs"] = SCENARIO_RUNS[opts["space_kind"]]
-    switch_pull = switch_pull or PRESET_RUNS[opts["space_kind"]]  # --switch is >= 1
+    switch_pull = switch_pull or preset("runs")[opts["space_kind"]]  # --switch is >= 1
     _mab_like(schedule=(switch_pull, switch_n_h, switch_n_l), **opts)
 
 

@@ -235,6 +235,19 @@ def scaling_allocation(m: int) -> AccessProbabilityPair:
     return AccessProbabilityPair(p_h, p_l)
 
 
+def grid_numerators(space, q: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Each grid action's integer numerators over the denominator ``q``, in
+    action order, read back from ``space.allocations`` as ``round(x * q)``.
+
+    Exact for every grid the action cap admits: m >= 2 keeps q <= 999, and
+    m = 1 has the one pair ((1.0,), (1.0,)).
+    """
+    return [
+        (tuple(round(x * q) for x in p_h), tuple(round(x * q) for x in p_l))
+        for p_h, p_l in zip(*space.allocations.tolist())
+    ]
+
+
 def min_joint_rotation(p_h, p_l) -> tuple[tuple, tuple]:
     """Brute-force lexicographically smallest joint rotation."""
     m = len(p_h)

@@ -273,18 +273,15 @@ def test_criterion_08_compact_load_estimation(compact_m6):
     start = time.perf_counter()
     space = compact_m6
     cfg = load_cfg(6)
-    target = throughput_closed_form(
-        cfg, space.actions[space.index[(4, 5)]].pair
-    ).mu_h
+    width = space.entries[-1].n_l + 1  # cell (n_h, n_l) sits at n_h * width + n_l
+    target = throughput_closed_form(cfg, space.actions[4 * width + 5].pair).mu_h
     hits = 0
     maes = []
     for seed in range(10):
         mcfg = replace(MAB_PRESETS["mab-compact"], gamma=0.4, seed=seed)
         res = run(space, cfg, mcfg)
         n_h, n_l = estimate_load(space, res)
-        attained = throughput_closed_form(
-            cfg, space.actions[space.index[(n_h, n_l)]].pair
-        ).mu_h
+        attained = throughput_closed_form(cfg, space.actions[n_h * width + n_l].pair).mu_h
         if abs(attained - target) <= 0.02 * target:
             hits += 1
         maes.append(mae_trace(space, res, cfg))

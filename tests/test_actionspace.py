@@ -23,7 +23,13 @@ from rachopt.exact import throughput_closed_form
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import solve
 
-from support import burnside_orbit_count, min_joint_rotation, random_simplex, stars_and_bars
+from support import (
+    burnside_orbit_count,
+    grid_numerators,
+    min_joint_rotation,
+    random_simplex,
+    stars_and_bars,
+)
 
 # Grid sizes for the benchmark (m, d) combinations.  The (3, 0.1) full count
 # is the exact value 66^2 = 4356; the corresponding reduced count 1452 times
@@ -82,29 +88,30 @@ def test_single_rb_grid():
 
 def test_full_space_lexicographic_order():
     space = generate_discretized(GridSpec(3, 0.5))
-    keys = [u + v for u, v in space.index]
+    keys = [u + v for u, v in grid_numerators(space, 2)]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
 
 
 def test_grid_actions_are_exact():
     space = generate_discretized(GridSpec(3, 0.2))
-    for (u, v), pos in space.index.items():
+    for pos, (u, v) in enumerate(grid_numerators(space, 5)):
         assert sum(u) == 5 and sum(v) == 5
         assert space.actions[pos].pair.p_h == tuple(n / 5 for n in u)
+        assert space.actions[pos].pair.p_l == tuple(n / 5 for n in v)
 
 
 def test_reduced_space_members_are_canonical():
     space = generate_discretized(GridSpec(3, 0.2), reduced=True)
-    for u, v in space.index:
+    for u, v in grid_numerators(space, 5):
         assert min_joint_rotation(u, v) == (u, v)
 
 
 def test_reduction_is_order_independent():
     spec = GridSpec(3, 0.5)
     full = generate_discretized(spec)
-    reduced_keys = set(generate_discretized(spec, reduced=True).index)
-    shuffled = list(full.index)
+    reduced_keys = set(grid_numerators(generate_discretized(spec, reduced=True), spec.q))
+    shuffled = grid_numerators(full, spec.q)
     random.Random(5).shuffle(shuffled)
     seen = {min_joint_rotation(u, v) for u, v in shuffled}
     assert seen == reduced_keys
@@ -112,17 +119,17 @@ def test_reduction_is_order_independent():
 
 def test_no_residual_rotation_duplicates():
     space = generate_discretized(GridSpec(3, 0.5), reduced=True)
-    orbits = [min_joint_rotation(u, v) for u, v in space.index]
+    orbits = [min_joint_rotation(u, v) for u, v in grid_numerators(space, 2)]
     assert len(set(orbits)) == len(orbits)
 
 
 def test_every_orbit_is_represented():
     spec = GridSpec(3, 0.5)
     full = generate_discretized(spec)
-    reduced = generate_discretized(spec, reduced=True)
-    # each representative is its orbit's minimum, which the index holds
-    for u, v in full.index:
-        assert min_joint_rotation(u, v) in reduced.index
+    representatives = set(grid_numerators(generate_discretized(spec, reduced=True), spec.q))
+    # each representative is its orbit's minimum
+    for u, v in grid_numerators(full, spec.q):
+        assert min_joint_rotation(u, v) in representatives
 
 
 def test_grids_match_brute_force_enumeration():
@@ -134,8 +141,7 @@ def test_grids_match_brute_force_enumeration():
         canonical = [(u, v) for u, v in every if min_joint_rotation(u, v) == (u, v)]
         for reduced, expected in ((False, every), (True, canonical)):
             space = generate_discretized(spec, reduced=reduced)
-            assert list(space.index) == expected
-            assert list(space.index.values()) == list(range(len(expected)))
+            assert grid_numerators(space, spec.q) == expected
             for (u, v), action in zip(expected, space.actions):
                 assert action.pair.p_h == tuple(n / spec.q for n in u)
                 assert action.pair.p_l == tuple(n / spec.q for n in v)
@@ -178,12 +184,15 @@ def fake_opt(cfg: NetworkConfig, gamma: float) -> SimpleNamespace:
     return SimpleNamespace(pair=AccessProbabilityPair(p_h, p_l))
 
 
+def _cells(space) -> list[tuple[int, int]]:
+    return [(e.n_h, e.n_l) for e in space.entries]
+
+
 def test_build_compact_layout():
     space = build_compact(3, 2, 2, 0.0, opt=fake_opt)
     assert (space.m, space.gamma) == (3, 0.0)
     assert len(space) == 9
-    assert space.index[(0, 0)] == 0
-    assert space.index[(2, 2)] == 8
+    assert (_cells(space)[0], _cells(space)[8]) == ((0, 0), (2, 2))
     e00 = space.entries[0]
     assert e00.pair == AccessProbabilityPair.uniform(3)
     assert e00.mu_h == 0.0 and e00.mu_l == 0.0
@@ -192,7 +201,7 @@ def test_build_compact_layout():
         mu = throughput_closed_form(NetworkConfig(e.n_h, e.n_l, 3), e.pair)
         assert e.mu_h == mu.mu_h and e.mu_l == mu.mu_l
     # zero-high cells store a uniform high vector by convention
-    assert space.entries[space.index[(0, 2)]].pair.p_h == (1 / 3, 1 / 3, 1 / 3)
+    assert space.entries[0 * 3 + 2].pair.p_h == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_space_reads_m_and_floor(tmp_path):
@@ -246,7 +255,7 @@ def test_build_compact_matches_pinned_throughputs():
     with open(Path(__file__).parent / "data" / "compact_m4_mu.csv", newline="") as fh:
         pinned = {(int(r["n_h"]), int(r["n_l"])): (float(r["mu_h"]), float(r["mu_l"]))
                   for r in csv.DictReader(fh)}
-    assert sorted(pinned) == sorted(space.index)
+    assert sorted(pinned) == _cells(space)  # row-major order is sorted order
     for e in space.entries:
         assert e.mu_h == pytest.approx(pinned[e.n_h, e.n_l][0], rel=0, abs=1e-9)
         assert e.mu_l == pytest.approx(pinned[e.n_h, e.n_l][1], rel=0, abs=1e-9)
@@ -259,13 +268,23 @@ def test_compact_save_load_roundtrip(tmp_path):
     save_compact(space, path)
     loaded = load_compact(path)
     assert (loaded.m, loaded.gamma) == (space.m, space.gamma)
-    assert loaded.index == space.index
+    assert _cells(loaded) == _cells(space)
     for a, b in zip(space.entries, loaded.entries):
         assert (a.n_h, a.n_l) == (b.n_h, b.n_l)
         assert a.pair.p_h == pytest.approx(b.pair.p_h, abs=1e-11)
         assert a.mu_h == pytest.approx(b.mu_h, abs=1e-9)
     header = path.read_text().splitlines()[0]
     assert header == "m,n_h,n_l,gamma,p_h_1,p_h_2,p_h_3,p_l_1,p_l_2,p_l_3,mu_h,mu_l"
+
+
+@pytest.mark.parametrize("n_h_max, n_l_max", [(0, 0), (0, 3), (2, 0), (2, 3), (3, 1)])
+def test_compact_cells_sit_at_their_row_major_positions(tmp_path, n_h_max, n_l_max):
+    built = build_compact(3, n_h_max, n_l_max, 0.4, opt=fake_opt)
+    path = tmp_path / "table.csv"
+    save_compact(built, path)
+    for space in (built, load_compact(path)):
+        assert len(space) == (n_h_max + 1) * (n_l_max + 1)
+        assert _cells(space) == [divmod(i, n_l_max + 1) for i in range(len(space))]
 
 
 def _digits12(x: float) -> str:
@@ -295,9 +314,9 @@ def test_compact_save_load_roundtrip_property(m, n_h_max, n_l_max, gamma, seed, 
         path = Path(tmp) / "table.csv"
         save_compact(space, path)
         loaded = load_compact(path)  # revalidates every stored throughput
-    assert (loaded.m, max(loaded.index)) == (m, (n_h_max, n_l_max))
+    assert (loaded.m, _cells(loaded)[-1]) == (m, (n_h_max, n_l_max))
     assert _digits12(loaded.gamma) == _digits12(gamma)
-    assert loaded.index == space.index
+    assert _cells(loaded) == _cells(space)
     for a, b in zip(space.entries, loaded.entries):
         assert (a.n_h, a.n_l) == (b.n_h, b.n_l)
         values_a = a.pair.p_h + a.pair.p_l + (a.mu_h, a.mu_l)
@@ -347,13 +366,25 @@ def test_load_compact_names_file_and_line_of_bad_row(tmp_path, edit, message):
     assert str(err.value) == f"{path}: bad compact-table row at line 3: {message}"
 
 
-def test_load_compact_names_file_of_repeated_cell(tmp_path):
+@pytest.mark.parametrize(
+    "edit, line, cell, expected",
+    [
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]], 2, (0, 1), (0, 0)),
+        (lambda lines: [*lines[:3], lines[4], lines[3]], 4, (1, 1), (1, 0)),
+        (lambda lines: lines[:2] + lines[1:4], 3, (0, 0), (0, 1)),
+        (lambda lines: lines + lines[-1:], 6, (1, 1), (2, 0)),
+    ],
+    ids=["swapped-first-rows", "swapped-last-rows", "duplicated-row", "duplicated-last-row"],
+)
+def test_load_compact_names_line_of_out_of_place_row(tmp_path, edit, line, cell, expected):
+    # the cells of a 2 x 2 table sit on lines 2..5 in row-major order
     path = tmp_path / "table.csv"
     save_compact(build_compact(3, 1, 1, 0.0, opt=fake_opt), path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(lines[:2] + lines[1:4]) + "\n")
-    with pytest.raises(ValueError, match=f"^{path}: duplicate cell \\(0, 0\\)$"):
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError) as err:
         load_compact(path)
+    assert str(err.value) == (f"{path}: bad compact-table row at line {line}: "
+                              f"cell {cell} where row-major order puts {expected}")
 
 
 @pytest.mark.parametrize(

@@ -446,7 +446,7 @@ def test_run_experiment_mab_compact_has_mae_and_load(tmp_path, compact_2x2):
     pair = AccessProbabilityPair(entry["p_h"], entry["p_l"])
     attained = throughput_closed_form(spec.cfg, pair).mu_h
     table = load_compact(compact_2x2)
-    true_pair = table.actions[table.index[(2, 1)]].pair
+    true_pair = table.actions[2 * 3 + 1].pair  # cell (2, 1) of the 3 x 3 loads
     target = throughput_closed_form(spec.cfg, true_pair).mu_h
     assert attained == pytest.approx(target, rel=1e-9)
 
@@ -640,6 +640,22 @@ def test_cli_rejects_switch_before_first_pull(runner, tmp_path):
     )
     _usage_error(
         runner.invoke(main, ["experiment", str(ini)]), "schedule switch must be >= 1, got -3"
+    )
+    assert not (tmp_path / "res").exists()
+
+
+def test_cli_rejects_negative_schedule_load_before_any_output(runner, tmp_path):
+    # the bounds build a 2 x 2 table at once, so a check after the solve
+    # would leave the output directory behind
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[experiment]\nname = x\nmethod = mab-compact\nout = {}\n"
+        "[network]\nm = 3\nn_h = 1\nn_l = 1\n[compact]\nn_h_max = 1\nn_l_max = 1\n"
+        "[schedule]\nswitch = 1000\nn_h = -1\nn_l = 2\n".format(tmp_path / "res")
+    )
+    _usage_error(
+        runner.invoke(main, ["experiment", str(ini)]),
+        "schedule load: device counts must be >= 0, got (-1, 2)",
     )
     assert not (tmp_path / "res").exists()
 
@@ -888,6 +904,18 @@ def test_cli_mab_compact_bounds_default_to_ten(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert json.loads((tmp_path / "b_result.json").read_text())["space_size"] == 33
+
+
+@pytest.mark.parametrize("command", ["mab", "scenario"])
+def test_cli_help_shows_each_bandit_flags_per_space_default(runner, command):
+    # flags stay None, so the help is the only place these defaults show
+    text = " ".join(runner.invoke(main, [command, "--help"], terminal_width=1000).output.split())
+    for flag, grid, compact in (("--alpha", 0.2, 0.1), ("--elite-fraction", 0.1, 0.1),
+                                ("--batch-size", 500, 200), ("--rho", 0.0, 0.1),
+                                ("--t", 1000, 100)):
+        assert re.search(f"{flag} [A-Z]+ [^[]*\\[default: {grid} discretized, {compact} "
+                         "compact\\]", text), flag
+    assert re.search(r"--d FLOAT Grid step \(discretized space\)\. \[default: \(0\.2\)\]", text)
 
 
 def _record_without_seconds(path):

@@ -251,13 +251,8 @@ def _three_action_space():
     """Tiny bandit problem: three actions whose exact rewards are fixed and
     separated by at least 0.1."""
     full = generate_discretized(GridSpec(2, 0.5))
-    picks = (0, 4, 8)
-    keys = list(full.index)
-    chosen = tuple(full.actions[k] for k in picks)
-    space = ActionSpace(
-        actions=chosen,
-        index={keys[k]: i for i, k in enumerate(picks)},
-    )
+    chosen = tuple(full.actions[k] for k in (0, 4, 8))
+    space = ActionSpace(chosen)
     values = {chosen[0].pair: 0.9, chosen[1].pair: 0.5, chosen[2].pair: 0.1}
 
     def fn(cfg, pair, t, seed):
@@ -541,11 +536,7 @@ def test_uniform_share_steady_state_off_the_favourite():
 
 def _space_of(*pairs):
     """An action space holding exactly the given pairs, in order."""
-    actions = tuple(Action(pair) for pair in pairs)
-    return ActionSpace(
-        actions=actions,
-        index={(p.p_h, p.p_l): i for i, p in enumerate(pairs)},
-    )
+    return ActionSpace(tuple(Action(pair) for pair in pairs))
 
 
 def _law_of_total(marginal: np.ndarray, t: int) -> np.ndarray:
