@@ -400,6 +400,9 @@ class ExperimentSpec:
     out_dir: Path
 
     def __post_init__(self) -> None:
+        # the name prefixes the output files, so it must not leave out_dir
+        if self.name in ("", ".", "..") or "\0" in self.name or Path(self.name).name != self.name:
+            raise ValueError(f"experiment name must be a plain file-name stem, got {self.name!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         for key in self.params:
@@ -498,16 +501,14 @@ def _running_mean(values: np.ndarray) -> np.ndarray:
 
 
 def _write_plot_csv(path: Path, result: MabResult, mae: Optional[np.ndarray]) -> None:
-    mu_h = _running_mean(result.trace.mu_h_t)
-    mu_l = _running_mean(result.trace.mu_l_t)
-    header = "pull,mu_h_running,mu_l_running" + (",mae" if mae is not None else "")
+    columns = [range(len(result.trace)), _running_mean(result.trace.mu_h_t).tolist(),
+               _running_mean(result.trace.mu_l_t).tolist()]
+    header, row = "pull,mu_h_running,mu_l_running", "{},{:.9g},{:.9g}"
+    if mae is not None:
+        columns.append(mae.tolist())
+        header, row = header + ",mae", row + ",{:.9g}"
     with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for i in range(len(mu_h)):
-            row = f"{i},{mu_h[i]:.9g},{mu_l[i]:.9g}"
-            if mae is not None:
-                row += f",{mae[i]:.9g}"
-            fh.write(row + "\n")
+        fh.write(header + "\n" + "".join(map((row + "\n").format, *columns)))
 
 
 def load_plot_data(path: Union[str, Path]) -> dict[str, np.ndarray]:

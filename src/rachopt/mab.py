@@ -405,16 +405,28 @@ def mae_trace(
 
 
 def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
-    """CSV trace, one row per pull, with batch boundaries as comments."""
-    # tolist() hands csv Python scalars, whose str is the shortest repr
-    rows = result.trace.tolist()
+    """CSV trace, one row per pull, with batch boundaries as comments.
+
+    The bytes are fixed: the header line and each ``# batch k`` line end in
+    ``\\n``; the data rows end in ``\\r\\n``, the excel dialect of the csv
+    module that first wrote these files, kept for byte compatibility.
+    Integers are in decimal and floats in Python's shortest repr (``nan``,
+    ``inf`` and ``-0.0`` included).
+    """
+    trace = result.trace
+    columns = []
+    for name in trace.dtype.names:
+        # each distinct bit pattern formatted once: pull throughputs are
+        # multiples of 1/t and repeat, and as floats -0.0 == 0.0 would merge
+        distinct, inverse = np.unique(trace[name].view(np.uint64), return_inverse=True)
+        text = [str(v) for v in distinct.view(trace.dtype[name]).tolist()]
+        columns.append(np.array(text, dtype=object)[inverse].tolist())
     size = result.batch_size
     with open(path, "w", newline="") as fh:
         fh.write(_TRACE_HEADER + "\n")
-        writer = csv.writer(fh)
-        for first in range(0, len(rows), size):
-            fh.write(f"# batch {first // size}\n")
-            writer.writerows(rows[first : first + size])
+        for first in range(0, len(trace), size):
+            rows = zip(*(column[first : first + size] for column in columns))
+            fh.write(f"# batch {first // size}\n" + "\r\n".join(map(",".join, rows)) + "\r\n")
 
 
 def load_mab_trace(path: Union[str, Path]) -> np.recarray:

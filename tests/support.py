@@ -9,11 +9,14 @@ tables; ``test_exact`` checks those against the pattern probabilities.
 kept as the reference its one-pass pattern table is tested against, and
 :func:`feasible_patterns` its former walk over all 4^m pattern strings.
 :func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
-the reference the block-wise library simulator must match bit for bit.
+the reference the block-wise library simulator must match bit for bit, and
+:func:`reference_save_mab_trace` the former row-at-a-time trace writer, the
+reference the column-wise one must match byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 
@@ -211,6 +214,22 @@ def reference_event_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
     total = c_h + c_l
     chars = np.frombuffer(b"ohlx", dtype=np.uint8)
     return chars[np.where(total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2)))]
+
+
+def reference_save_mab_trace(result, path) -> None:
+    """A pull trace written one ``csv.writer`` row per pull, with a
+    ``# batch k`` comment line before each batch.
+
+    ``tolist()`` hands csv Python scalars, whose str is the shortest repr.
+    """
+    rows = result.trace.tolist()
+    size = result.batch_size
+    with open(path, "w", newline="") as fh:
+        fh.write("pull,action_index,mu_h_T,mu_l_T,reward\n")
+        writer = csv.writer(fh)
+        for first in range(0, len(rows), size):
+            fh.write(f"# batch {first // size}\n")
+            writer.writerows(rows[first : first + size])
 
 
 def random_simplex(rng: np.random.Generator, m: int, sparse: bool = False):

@@ -22,6 +22,7 @@ from rachopt.bench import (
     ExperimentSpec,
     ReportLine,
     TableReport,
+    _write_plot_csv,
     load_experiment,
     load_plot_data,
     published_pair,
@@ -30,7 +31,14 @@ from rachopt.bench import (
 )
 from rachopt.cli import main
 from rachopt.exact import throughput_closed_form
-from rachopt.mab import MabConfig, load_mab_trace, run, save_mab_trace
+from rachopt.mab import (
+    MabConfig,
+    load_mab_trace,
+    mae_trace,
+    run,
+    run_nonstationary,
+    save_mab_trace,
+)
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 
@@ -451,6 +459,31 @@ def test_run_experiment_mab_compact_has_mae_and_load(tmp_path, compact_2x2):
     assert attained == pytest.approx(target, rel=1e-9)
 
 
+# The exact bytes _write_plot_csv writes for two small runs: a grid run
+# without mae, and a compact run with a mid-batch load switch and mae.
+DATA = Path(__file__).parent / "data"
+
+
+def test_plot_csv_matches_golden_grid_run(tmp_path):
+    space = generate_discretized(GridSpec(3, 0.5), reduced=True)
+    mcfg = MabConfig(gamma=0.4, rho=0.1, t=30, runs=400, batch_size=40,
+                     elite_fraction=0.1, alpha=0.2, seed=1)
+    path = tmp_path / "plot.csv"
+    _write_plot_csv(path, run(space, NetworkConfig(2, 1, 3), mcfg), None)
+    assert path.read_bytes() == (DATA / "plot_grid.csv").read_bytes()
+
+
+def test_plot_csv_matches_golden_compact_switch_with_mae(tmp_path, compact_2x2):
+    space = load_compact(compact_2x2)
+    cfg_a, cfg_b = NetworkConfig(2, 1, 3), NetworkConfig(1, 2, 3)
+    mcfg = MabConfig(gamma=0.0, rho=0.1, t=20, runs=300, batch_size=20,
+                     elite_fraction=0.1, alpha=0.1, seed=2)
+    res = run_nonstationary(space, [(0, cfg_a), (150, cfg_b)], mcfg)
+    path = tmp_path / "plot.csv"
+    _write_plot_csv(path, res, mae_trace(space, res, cfg_b))
+    assert path.read_bytes() == (DATA / "plot_compact.csv").read_bytes()
+
+
 def test_run_experiment_schedule_evaluates_final_load(tmp_path, compact_2x2):
     spec = ExperimentSpec(
         name="sw", cfg=NetworkConfig(1, 1, 3), gamma=0.0, method="mab-compact",
@@ -658,6 +691,31 @@ def test_cli_rejects_negative_schedule_load_before_any_output(runner, tmp_path):
         "schedule load: device counts must be >= 0, got (-1, 2)",
     )
     assert not (tmp_path / "res").exists()
+
+
+@pytest.mark.parametrize("name", ["../esc", "a/b", "", ".", ".."])
+def test_cli_rejects_name_that_is_not_a_file_name_before_any_output(runner, tmp_path, name):
+    # the name prefixes each output file: "../esc" would write beside the
+    # output directory, "a/b" below it, and "" or "." a bare or hidden file
+    out = str(tmp_path / "o")
+    message = f"experiment name must be a plain file-name stem, got {name!r}"
+    _usage_error(
+        runner.invoke(main, ["mab", "--m", "2", "--n-h", "1", "--n-l", "1", "--runs", "500",
+                             "--out", out, "--name", name]),
+        message,
+    )
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nname = {name}\nmethod = uniform\nout = {out}\n"
+                   "[network]\nm = 2\nn_h = 1\nn_l = 1\n")
+    _usage_error(runner.invoke(main, ["experiment", str(ini)]), message)
+    assert [p.name for p in tmp_path.iterdir()] == ["exp.ini"]
+
+
+def test_spec_validation_rejects_name_with_nul(tmp_path):
+    name = "a\0b"
+    with pytest.raises(ValueError, match=re.escape(f"plain file-name stem, got {name!r}")):
+        ExperimentSpec(name=name, cfg=NetworkConfig(1, 1, 2), gamma=0.0,
+                       method="uniform", params={}, out_dir=tmp_path)
 
 
 def test_cli_rejects_switch_at_or_after_last_pull(runner, tmp_path):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rachopt import mab
@@ -37,6 +37,8 @@ from rachopt.mab import (
 )
 from rachopt.model import AccessProbabilityPair, NetworkConfig, ThroughputPair
 from rachopt.simulate import sim_throughput
+
+from support import reference_save_mab_trace
 
 
 def exact_fn(cfg, pair, t, seed):
@@ -711,8 +713,8 @@ def test_filled_pull_tables_leave_equality_and_repr():
 
 
 # The exact bytes save_mab_trace writes for two small runs, including the
-# ``\r\n`` row ends of csv.writer and the shortest-repr Python floats (a
-# numpy scalar would print as ``np.float64(...)``).
+# ``\r\n`` row ends of csv's excel dialect and the shortest-repr Python
+# floats (a numpy scalar would print as ``np.float64(...)``).
 DATA = Path(__file__).parent / "data"
 
 
@@ -757,3 +759,34 @@ def test_trace_csv_round_trip_property(tmp_path_factory, rows, batch_size):
     assert loaded.dtype.names == trace.dtype.names
     assert np.array_equal(loaded, trace)
     assert path.read_text().count("# batch") == -(-len(rows) // batch_size)
+
+
+# Floats whose text a column-wise writer could get wrong: NaNs with other
+# signs and payloads, both zeros and infinities, subnormals and the extremes.
+_edge_floats = st.sampled_from([
+    math.nan, -math.nan, np.uint64(0x7FF0000000000001).view(np.float64).item(),
+    np.uint64(0xFFF8000000000123).view(np.float64).item(), 0.0, -0.0, math.inf, -math.inf,
+    5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1e22, 0.1,
+])
+_trace_float = st.one_of(st.floats(), _edge_floats)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6),
+                  _trace_float, _trace_float, _trace_float),
+        min_size=1, max_size=30,
+    ),
+    batch_size=st.integers(1, 7),
+)
+@example(rows=[(p, 0, -0.0, 0.0, math.nan) for p in range(10)], batch_size=4)
+def test_trace_csv_matches_reference_writer_byte_for_byte(tmp_path_factory, rows, batch_size):
+    trace = _empty_trace(len(rows))
+    trace[:] = rows
+    res = MabResult(trace=trace, q=np.zeros(1), v=np.ones(1), p_as=np.ones(1),
+                    best_index=0, batch_size=batch_size)
+    out = tmp_path_factory.mktemp("trace")
+    save_mab_trace(res, out / "trace.csv")
+    reference_save_mab_trace(res, out / "reference.csv")
+    assert (out / "trace.csv").read_bytes() == (out / "reference.csv").read_bytes()
