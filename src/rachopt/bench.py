@@ -54,7 +54,6 @@ __all__ = [
     "ExperimentSpec",
     "load_experiment",
     "run_experiment",
-    "load_plot_data",
     "REFERENCE_SPACE_SIZES",
     "REFERENCE_ACB",
     "REFERENCE_UNCONSTRAINED",
@@ -509,16 +508,6 @@ def _write_plot_csv(path: Path, result: MabResult, mae: Optional[np.ndarray]) ->
         header, row = header + ",mae", row + ",{:.9g}"
     with open(path, "w") as fh:
         fh.write(header + "\n" + "".join(map((row + "\n").format, *columns)))
-
-
-def load_plot_data(path: Union[str, Path]) -> dict[str, np.ndarray]:
-    """Read back a plot CSV as named columns."""
-    with open(path) as fh:
-        names = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.shape[1] != len(names):
-        raise ValueError(f"column count mismatch in {path}")
-    return {name: data[:, i] for i, name in enumerate(names)}
 
 
 def _mab_config(spec: ExperimentSpec, seed: int) -> MabConfig:

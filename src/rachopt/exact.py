@@ -53,7 +53,7 @@ __all__ = [
 ENUMERATION_CAP = 10_000_000
 
 # Multinomial coefficients are computed as exact integers up to this n;
-# larger populations fall back to log-gamma.
+# larger populations weigh their occupancies in log space.
 _EXACT_COEF_MAX_N = 20
 
 
@@ -155,38 +155,63 @@ _PAIR_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=32)
-def _occupancies(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _occupancies(n: int, m: int) -> tuple[np.ndarray, np.ndarray | None]:
     """Every occupancy vector of ``n`` devices over ``m`` RBs, shape (c, m),
-    and its multinomial coefficient: the exact integer for n <= 20, its log
-    beyond.  Read-only, as the cache shares them."""
+    and for n <= 20 its multinomial coefficient, the exact integer as a
+    float (None beyond).  Read-only, as the cache shares them."""
     counts = compositions(n, m)
-    if n <= _EXACT_COEF_MAX_N:
-        # 20! < 2**63, so the integer quotient is exact
-        fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
-        coef = (fact[n] // fact[counts].prod(axis=1)).astype(float)
-    else:
-        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
-        coef = math.lgamma(n + 1) - log_fact[counts].sum(axis=1)
-    counts.flags.writeable = coef.flags.writeable = False
+    counts.flags.writeable = False
+    if n > _EXACT_COEF_MAX_N:
+        return counts, None
+    # 20! < 2**63, so the integer quotient is exact
+    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+    coef = (fact[n] // fact[counts].prod(axis=1)).astype(float)
+    coef.flags.writeable = False
     return counts, coef
+
+
+def _log_terms(n: int, p: np.ndarray) -> np.ndarray:
+    """``log(p[i]**c / c!) + c * log(n)`` for each RB ``i`` and count ``c``
+    in 0..n, shape (m, n + 1), less its value at the count ``r`` nearest
+    ``n * p[i]``: running sums of the steps ``log(n p[i] / j)`` outward from
+    ``r``, which are small near the mode, so the sums that carry the weight
+    round as little as their terms.  A positive count on a zero ``p[i]``
+    gives ``-inf``."""
+    out = np.full((p.size, n + 1), -np.inf)
+    out[:, 0] = 0.0
+    j = np.arange(1, n + 1)
+    for i in np.flatnonzero(p > 0.0):
+        steps = np.log(n * p[i] / j)
+        r = min(n, round(n * p[i]))
+        out[i, r] = 0.0
+        out[i, r + 1 :] = np.cumsum(steps[r:])
+        out[i, :r] = -np.cumsum(steps[:r][::-1])[::-1]
+    return out
 
 
 def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The occupancy vectors of ``n`` devices that access vector ``p`` gives
     a positive probability, and those probabilities.  A positive count on a
-    zero probability gives 0 exactly, without a ``log(0)`` or ``0 * inf``."""
+    zero probability gives 0 exactly, without a ``log(0)`` or ``0 * inf``.
+
+    Past n = 20 the weights are ``exp`` of sums of :func:`_log_terms`, each
+    off from the log probability by one offset common to all rows, and are
+    scaled to their known total ``(sum p)**n``; the offset never has to be
+    formed, so no ``lgamma(n + 1)`` of 1e4 cancels against the rest."""
     counts, coef = _occupancies(n, p.size)
-    if n <= _EXACT_COEF_MAX_N:
+    if coef is not None:
         w = coef * np.prod(p**counts, axis=1)
     else:
-        zero, log_p = p == 0.0, np.log(np.where(p > 0.0, p, 1.0))
-        w = coef.copy()
-        # in row chunks, as the product converts its int64 rows to float64
+        terms = _log_terms(n, p)
+        w = np.empty(len(counts))
+        # in row chunks, as each gather takes a float per row
         for lo in range(0, len(counts), _PAIR_CHUNK):
-            rows = slice(lo, lo + _PAIR_CHUNK)
-            w[rows] += counts[rows] @ log_p
-            w[rows][(counts[rows, zero] > 0).any(axis=1)] = -np.inf  # blocked: 0, no overflow
+            rows, hi = counts[lo : lo + _PAIR_CHUNK], lo + _PAIR_CHUNK
+            terms[0].take(rows[:, 0], out=w[lo:hi])
+            for i in range(1, p.size):
+                w[lo:hi] += terms[i].take(rows[:, i])
         np.exp(w, out=w)
+        w *= math.exp(n * math.log1p(math.fsum([*p.tolist(), -1.0]))) / w.sum()
     keep = w > 0.0
     if keep.all():
         return counts, w  # the cached rows, not a copy

@@ -14,13 +14,11 @@ word ``w``), high-priority devices first.  As a level ``L`` is at or below
 it exactly when ``w >> 11 >= ceil(L * 2**53)``, the kernel compares integers.
 
 The slots run in blocks of ``_BLOCK_WORDS`` words (8192 slots at n = 9..12),
-so a block's passes stay in cache and do not grow with the population.
-Block ``[lo, hi)`` starts its own Philox stream ``lo * k`` counter steps in,
-where the one long stream would be (Salmon et al., "Parallel random numbers:
-as easy as 1, 2, 3", SC 2011), so the output does not depend on the block
-size.  Several blocks run on a ``ThreadPoolExecutor`` made for the call, one
-worker per usable CPU (numpy's Philox fill and array passes release the
-GIL); one block, as in the bandit's per-pull hook, or one CPU runs inline.
+so a block's passes stay in cache and do not grow with the population.  The
+blocks run in order on one Philox generator (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011), each drawing whole counter steps, so
+block ``[lo, hi)`` reads counter steps ``[lo * k, hi * k)`` and the output
+does not depend on the block size.
 
 Each block counts each class's devices per RB in the narrowest unsigned type
 that holds n; :func:`~rachopt.model.pattern_bytes`, the one outcome rule,
@@ -32,7 +30,6 @@ turns the counts into the bytes of the per-slot pattern strings over
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Union
@@ -77,13 +74,6 @@ class SimTrace:
         return tuple(row.tobytes().decode("ascii") for row in self.codes)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _check(cfg: NetworkConfig, pair: AccessProbabilityPair, t: int) -> None:
     if t < 1:
         raise ValueError(f"need at least one slot, got t={t}")
@@ -101,22 +91,18 @@ def _run_blocks(
     """Draw slots ``[0, t)`` in blocks of ``_BLOCK_WORDS`` Philox words and
     hand each block's pattern bytes, shape (hi - lo, m), to
     ``consume(lo, codes)``; returns its results in block order.
-
-    Each block starts its own Philox stream at its first slot's counter, so
-    blocks are independent: with more than one block and more than one
-    usable CPU they run on a thread pool that lives for this call only.
     """
     n, m = cfg.n, cfg.m
     # one word per device per slot, padded to whole Philox counter steps
     k = math.ceil(n / 4)
-    key = seed % (1 << 128)
+    bits = np.random.Philox(key=seed % (1 << 128))
     slots = max(1, _BLOCK_WORDS // (4 * max(k, 1)))
     marks = np.ceil(np.array([pair.p_h, pair.p_l]).cumsum(axis=1)[:, :-1] * 2.0**53)
     marks = np.repeat(marks.astype(np.uint64), (cfg.n_h, cfg.n_l), axis=0).T[:, :, None]
 
     def block(lo: int):
         size = min(slots, t - lo)
-        draws = np.random.Philox(key=key, counter=lo * k).random_raw(size * 4 * k)
+        draws = bits.random_raw(size * 4 * k)
         # device-major, so that every pass below is contiguous; rebinding frees
         # the raw words at once, so a block's heap is reused, not refaulted
         draws = np.right_shift(draws.reshape(size, 4 * k)[:, :n].T, 11, order="C")
@@ -129,16 +115,7 @@ def _run_blocks(
         hit[:, cfg.n_h :].sum(axis=1, out=above[1, 1:m])
         return consume(lo, pattern_bytes(*(above[:, :-1] - above[:, 1:])).T)
 
-    starts = range(0, t, slots)
-    workers = min(len(starts), _usable_cpus())
-    if workers == 1:
-        return [block(lo) for lo in starts]
-    # imported only here: at module level it adds ~0.2 MB of memory to
-    # processes that never start a thread
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(block, starts))
+    return [block(lo) for lo in range(0, t, slots)]
 
 
 def _successes(codes: np.ndarray) -> tuple[int, int]:

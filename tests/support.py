@@ -12,6 +12,7 @@ kept as the reference its one-pass pattern table is tested against, and
 the reference the block-wise library simulator must match bit for bit, and
 :func:`reference_save_mab_trace` the former row-at-a-time trace writer, the
 reference the column-wise one must match byte for byte.
+:func:`load_plot_data` reads a plot CSV back as named columns.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def loop_pattern_probability(cfg, pair, pattern: str) -> float:
     Sums the joint multinomial probability over every occupancy consistent
     with the pattern: success RBs pin their counts, empty RBs pin zero, and
     the leftover devices of both classes spread over the collision RBs with
-    at least two transmitters per collision.
+    at least two transmitters per collision.  The multinomial coefficients
+    are exact integers at any n, not the log-gamma route.
     """
     coll = [i for i, c in enumerate(pattern) if c == "x"]
     base_h = [int(c == "h") for c in pattern]
@@ -107,7 +109,7 @@ def loop_pattern_probability(cfg, pair, pattern: str) -> float:
         c_h = list(base_h)
         for i, extra in zip(coll, spread_h):
             c_h[i] = extra
-        pmf_h = multinomial_pmf(cfg.n_h, c_h, pair.p_h)
+        pmf_h = factorial_pmf(cfg.n_h, c_h, pair.p_h)
         if pmf_h == 0.0:
             continue
         for spread_l in stars_and_bars(r_l, k):
@@ -116,7 +118,7 @@ def loop_pattern_probability(cfg, pair, pattern: str) -> float:
             c_l = list(base_l)
             for i, extra in zip(coll, spread_l):
                 c_l[i] = extra
-            total += pmf_h * multinomial_pmf(cfg.n_l, c_l, pair.p_l)
+            total += pmf_h * factorial_pmf(cfg.n_l, c_l, pair.p_l)
     return total
 
 
@@ -230,6 +232,16 @@ def reference_save_mab_trace(result, path) -> None:
         for first in range(0, len(rows), size):
             fh.write(f"# batch {first // size}\n")
             writer.writerows(rows[first : first + size])
+
+
+def load_plot_data(path) -> dict[str, np.ndarray]:
+    """Read back a plot CSV as named columns."""
+    with open(path) as fh:
+        names = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if data.shape[1] != len(names):
+        raise ValueError(f"column count mismatch in {path}")
+    return {name: data[:, i] for i, name in enumerate(names)}
 
 
 def random_simplex(rng: np.random.Generator, m: int, sparse: bool = False):

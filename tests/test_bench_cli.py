@@ -24,7 +24,6 @@ from rachopt.bench import (
     TableReport,
     _write_plot_csv,
     load_experiment,
-    load_plot_data,
     published_pair,
     reproduce,
     run_experiment,
@@ -40,6 +39,8 @@ from rachopt.mab import (
     save_mab_trace,
 )
 from rachopt.model import AccessProbabilityPair, NetworkConfig
+
+from support import load_plot_data
 
 
 @pytest.fixture(scope="module")

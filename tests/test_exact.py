@@ -379,6 +379,14 @@ def test_pattern_sum_with_more_than_twenty_devices():
             assert abs(summed.mu_h - direct.mu_h) <= 1e-12
             assert abs(summed.mu_l - direct.mu_l) <= 1e-12
             assert math.fsum(pattern_probabilities(cfg, pair).values()) == pytest.approx(1.0, abs=1e-12)
+    # 2000 devices, nearly all on one RB: the weight sits on a few devices on
+    # the other two, where log-gamma terms of 1e4 would cost 1e-12
+    skewed = pair_of([0.0005, 0.0005, 0.999], [0.0005, 0.0005, 0.999])
+    for cfg in (NetworkConfig(2000, 0, 3), NetworkConfig(0, 2000, 3)):
+        direct = throughput_closed_form(cfg, skewed)
+        summed = throughput_by_pattern_sum(cfg, skewed)
+        assert abs(summed.mu_h - direct.mu_h) <= 1e-12
+        assert abs(summed.mu_l - direct.mu_l) <= 1e-12
 
 
 def test_pattern_sum_zero_probabilities_are_exact_and_quiet():

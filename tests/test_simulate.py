@@ -1,6 +1,5 @@
-import concurrent.futures
 import math
-import sys
+import threading
 import tracemalloc
 import types
 
@@ -42,14 +41,12 @@ def block_slots(cfg: NetworkConfig) -> int:
 BLOCK = block_slots(NetworkConfig(4, 5, 4))
 
 
-def test_package_name_simulate_is_the_module(monkeypatch):
+def test_package_name_simulate_is_the_module():
     import rachopt
     import rachopt.simulate as m
 
     assert isinstance(m, types.ModuleType)
     assert rachopt.simulate is m and m.simulate is simulate
-    monkeypatch.setattr("rachopt.simulate._usable_cpus", lambda: 1)
-    assert m._usable_cpus() == 1
 
 
 def test_degenerate_single_device():
@@ -310,10 +307,9 @@ def test_draw_on_a_level_picks_the_rb_above(seed):
     assert ord("h") in codes[:, 2] and ord("l") in codes[:, 0]
 
 
-def test_block_memory_does_not_grow_with_the_population(monkeypatch):
-    # one CPU, 1000 devices: the 2000 slots as one block would hold 2
-    # million words and peak near 50 MB; blocks of 98304 words stay small
-    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 1)
+def test_block_memory_does_not_grow_with_the_population():
+    # 1000 devices: the 2000 slots as one block would hold 2 million words
+    # and peak near 50 MB; blocks of 98304 words stay small
     cfg = NetworkConfig(500, 500, 4)
     pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
     tracemalloc.start()
@@ -347,25 +343,6 @@ def test_block_driver_matches_reference_property(m, n_h, n_l, seed, draw, sparse
     assert np.array_equal(simulate(cfg, pair, t, seed).codes, reference_event_codes(cfg, pair, t, seed))
 
 
-@pytest.mark.parametrize("cpus", [1, 3, 8])
-def test_block_split_does_not_depend_on_thread_count(monkeypatch, cpus):
-    # up to six workers on fewer cores, switching threads as often as the
-    # interpreter allows: a lost or misplaced block write shows in the codes
-    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: cpus)
-    cfg = NetworkConfig(3, 2, 3)
-    pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
-    t = 5 * block_slots(cfg) + 5
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        mu = sim_throughput(cfg, pair, t, 9)
-        codes = simulate(cfg, pair, t, 9).codes
-    finally:
-        sys.setswitchinterval(interval)
-    assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 9)
-    assert np.array_equal(codes, reference_event_codes(cfg, pair, t, 9))
-
-
 # (gamma, m, high successes, low successes) of the published pairs at
 # t = 100000, seed 0, recorded from the one-shot simulator before the
 # block driver replaced it
@@ -390,23 +367,16 @@ def test_published_pairs_keep_recorded_successes(gamma, m, h, l):
     assert reference_sim_throughput(cfg, pair, t, 0) == (h / t, l / t)
 
 
-def test_single_block_call_builds_no_executor(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a single-block call built an executor")
+def test_simulator_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"the simulator started thread {self.name}")
 
-    # the simulator imports the executor from concurrent.futures at call time
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-    monkeypatch.setattr(simulate_module, "_usable_cpus", lambda: 4)
-    cfg = NetworkConfig(4, 5, 4)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     pair = AccessProbabilityPair.uniform(4)
-    for t in (1, 100, 1000, BLOCK):
-        sim_throughput(cfg, pair, t, 3)
-        simulate(cfg, pair, t, 3)
-    with pytest.raises(AssertionError, match="built an executor"):
-        sim_throughput(cfg, pair, BLOCK + 1, 3)
-    # a block holds fewer slots as the population grows
-    cfg = NetworkConfig(250, 250, 4)
-    assert block_slots(cfg) == 196
-    simulate(cfg, pair, 196, 3)
-    with pytest.raises(AssertionError, match="built an executor"):
-        simulate(cfg, pair, 197, 3)
+    # more than one block at the paper's loads, and as the population grows
+    for cfg, t in ((NetworkConfig(4, 5, 4), 3 * BLOCK + 5), (NetworkConfig(250, 250, 4), 197)):
+        assert t > block_slots(cfg)
+        mu = sim_throughput(cfg, pair, t, 3)
+        codes = simulate(cfg, pair, t, 3).codes
+        assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 3)
+        assert np.array_equal(codes, reference_event_codes(cfg, pair, t, 3))
