@@ -4,10 +4,11 @@ Two independent routes to the same quantity:
 
 * :func:`stacked_terms` -- the closed form: per-RB success probabilities
   of both classes, stacked in one (2, ..., m) array, with their gradients on
-  request, for any batch of allocations and a :func:`load_table`.  It is
-  the only place the formula is written and the one way into it: the
-  solver in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the
-  grid tables of :mod:`rachopt.actionspace` all call it.
+  request (:func:`gradient_kernel`, which writes them into fixed arrays),
+  for any batch of allocations and a :func:`load_table`.  These two are the
+  only places the formula is written and the one way into it: the solver
+  in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the grid
+  tables of :mod:`rachopt.actionspace` all call them.
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
   :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
@@ -42,6 +43,7 @@ __all__ = [
     "compositions",
     "load_table",
     "stacked_terms",
+    "gradient_kernel",
     "throughput_closed_form",
     "pattern_probabilities",
     "throughput_by_pattern_sum",
@@ -82,8 +84,9 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
-    """The load's constants in :func:`stacked_terms` for an array of ``ndim``
-    axes: ``(e, c, two_value, two_grad)``, each with one more leading axis,
+    """The load's constants in :func:`stacked_terms` and
+    :func:`gradient_kernel` for an array of ``ndim`` axes: ``(e, c,
+    two_value, two_grad)``, each with one more leading axis,
     read-only as the cache shares them.  ``n_h`` and ``n_l`` are ints or
     tuples of ints, one load per index of the axis after the class axis.
 
@@ -104,7 +107,7 @@ def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
     return (e, c) + tuple(t if t.any() else None for t in (two[:2], two))
 
 
-def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
+def stacked_terms(x: np.ndarray, table) -> np.ndarray:
     """The per-RB terms of (mu_h, mu_l) over a stacked ``x`` of shape
     (2, ..., m), ``x[0]`` = p_h and ``x[1]`` = p_l, under a
     :func:`load_table`; shape (2, ..., m).
@@ -115,27 +118,64 @@ def stacked_terms(x: np.ndarray, table, grad: bool = False) -> np.ndarray:
     class, with ``a = p_h`` and ``b = p_l``.  Summing the terms over the
     last axis gives the slot expectations.  A table of per-row loads scores
     each row under its own load, bit for bit as a table of that load alone.
+    :func:`gradient_kernel` gives the same terms with their gradients.
 
-    With ``grad`` returns shape (3, 2, ..., m): the terms, the cross
-    derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
-    (d mu_h / d p_h, d mu_l / d p_l); term ``i`` depends on RB ``i`` alone.
-    So ``t[2:0:-1, 0]`` is the gradient of mu_h and ``t[1:, 1]`` that of
-    mu_l, both stacked like ``x``.  Exponents are floored at 0 so that
-    n = 0 and n = 1 need no branches: wherever a floor takes effect, the
-    power it touches has a zero coefficient, and no power is infinite at
-    p = 1."""
-    e, c, two_value, two_grad = table
-    k, two = (3, two_grad) if grad else (2, two_value)
+    Exponents are floored at 0 so that n = 0 and n = 1 need no branches:
+    wherever a floor takes effect, the power it touches has a zero
+    coefficient, and no power is infinite at p = 1."""
+    e, c, two, _ = table
     one = 1.0 - x
-    p = one ** e[:k]
+    p = one ** e[:2]
     if two is not None:
         np.multiply(p, one, out=p, where=two)
-    if not grad:
-        return c[0] * x * p[1] * p[0, ::-1]
-    out = np.empty((3,) + x.shape)
-    np.multiply(c[:2] * x * p[1], p[:2, ::-1], out=out[:2])
-    np.multiply(c[2] * (p[1] - c[3] * x * p[2]), p[0, ::-1], out=out[2])
-    return out
+    return c[0] * x * p[1] * p[0, ::-1]
+
+
+def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
+    """:func:`stacked_terms` of ``x`` under ``table`` with its gradients,
+    bound to fixed arrays: a function of no arguments that rewrites ``out``
+    from what ``x`` holds when it is called.
+
+    ``out`` has shape (3,) + ``x.shape``: the terms, then the gradient of
+    mu_h (d / d p_h, d / d p_l) and that of mu_l, so ``out[1]`` and
+    ``out[2]`` are contiguous blocks stacked like ``x``; term ``i`` depends
+    on RB ``i`` alone.  Its first two axes must merge without a copy, and it
+    must not overlap ``x``.  The views and scratch arrays are made here,
+    once, so that a call is a few numpy calls over whole blocks, none of
+    which writes over its own input: a caller that scores many iterates of
+    one shape keeps the kernel and rewrites ``x``.  The terms are bit for
+    bit those of :func:`stacked_terms`."""
+    e, c, _, two = table
+    # the class-rows of out as (2, 3, ...): [:, :2] holds the terms, then the
+    # cross derivatives (d mu_h / d p_l, d mu_l / d p_h); [:, 2] the own ones
+    rows = out.reshape((2, 3) + x.shape[1:])
+    if not np.may_share_memory(rows, out):
+        raise ValueError("out must merge its first two axes without a copy")
+    terms_cross, own = rows[:, :2], rows[:, 2]
+    c_x, c_own = c[[0, 1, 3]], c[2]  # the coefficients that multiply x
+    one, p, cx = np.empty(x.shape), np.empty((3,) + x.shape), np.empty((3,) + x.shape)
+    p1, p2 = p[1], p[2]
+    other = p[:2, ::-1]  # other[k] is p[k] of the other class
+    other0 = other[0]
+    cx_pair, cx_inner = cx[:2], cx[2]
+    pair, single, single_b = np.empty((2,) + x.shape), np.empty(x.shape), np.empty(x.shape)
+
+    def kernel() -> None:
+        np.subtract(1.0, x, out=one)
+        np.power(one, e, out=p)
+        if two is not None:
+            np.multiply(p, one, out=p, where=two)
+        np.multiply(c_x, x, out=cx)
+        # c[k] x p[1] other[k] for k = 0, 1: the terms and cross derivatives
+        np.multiply(cx_pair, p1, out=pair)
+        np.multiply(pair, other, out=terms_cross)
+        # c[2] (p[1] - c[3] x p[2]) other[0]: the own derivatives
+        np.multiply(cx_inner, p2, out=single)
+        np.subtract(p1, single, out=single_b)
+        np.multiply(c_own, single_b, out=single)
+        np.multiply(single, other0, out=own)
+
+    return kernel
 
 
 def throughput_closed_form(

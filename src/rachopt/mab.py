@@ -39,7 +39,6 @@ and load phase at a time, and the readers below take them whole.
 from __future__ import annotations
 
 import bisect
-import csv
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -432,25 +431,41 @@ def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
 def load_mab_trace(path: Union[str, Path]) -> np.recarray:
     """Read back a pull trace as a record array, skipping comment lines.
 
-    Raises ``ValueError`` naming the line for a row that does not hold
-    exactly five fields, or a field that does not parse."""
+    Each column is parsed in one pass, with ``int`` and ``float`` as a row
+    at a time would.  Raises ``ValueError`` naming the line for a row that
+    does not hold exactly five fields, or a field that does not parse."""
     with open(path, newline="") as fh:
         header = fh.readline().strip()
         if header != _TRACE_HEADER:
             raise ValueError(f"unrecognized trace header {header!r}")
-        rows = []
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].startswith("#"):
-                continue
-            try:
-                if len(row) != 5:
-                    raise ValueError(f"{len(row)} fields, expected 5")
-                rows.append((int(row[0]), int(row[1]), *map(float, row[2:])))
-            except ValueError as exc:
-                raise ValueError(
-                    f"{path}: bad trace row at line {reader.line_num + 1}: {row!r} ({exc})"
-                ) from None
+        # data rows end in "\r\n", the header and comment lines in "\n"
+        lines = fh.read().replace("\r\n", "\n").split("\n")
+    rows = [line for line in lines if line and line[0] != "#"]
+    fields = ",".join(rows).split(",") if rows else []
     trace = _empty_trace(len(rows))
-    trace[:] = rows
+    try:
+        if {row.count(",") for row in rows} - {4}:
+            raise ValueError("a row without five fields")
+        for k, name in enumerate(trace.dtype.names):
+            parse = int if trace.dtype[name].kind == "i" else float
+            trace[name] = np.fromiter(map(parse, fields[k::5]), trace.dtype[name], len(rows))
+    except ValueError:
+        _raise_bad_row(path, lines)
+        raise
     return trace
+
+
+def _raise_bad_row(path, lines) -> None:
+    """Raise the ``ValueError`` that names the first data row among a trace's
+    ``lines``, which follow its header, without five fields or with a field
+    that does not parse."""
+    for number, line in enumerate(lines, 2):
+        if not line or line[0] == "#":
+            continue
+        row = line.split(",")
+        try:
+            if len(row) != 5:
+                raise ValueError(f"{len(row)} fields, expected 5")
+            int(row[0]), int(row[1]), *map(float, row[2:])
+        except ValueError as exc:
+            raise ValueError(f"{path}: bad trace row at line {number}: {row!r} ({exc})") from None

@@ -12,13 +12,21 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 
 :func:`solve_batch` runs many loads (n_h, n_l) with the same m at once.  The
 iterate is one contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and
-``x[1]`` = p_l, scored by :func:`rachopt.exact.stacked_terms`, so one numpy
-call covers both classes; ``nu`` and ``h``, the simplex multipliers and
-residuals, are (2, loads, starts).  Every load keeps its own stopping
-rules -- the inner ascent stops a load on its own gain and steps, and the
-outer convergence test and multiplier updates are per load -- and a load
-that has finished leaves the working arrays, so each result is bit for bit
-what solving that load alone gives.  :func:`solve` is the batch of one;
+``x[1]`` = p_l, so one numpy call covers both classes; ``nu`` and ``h``, the
+simplex multipliers and residuals, are (2, loads, starts).  A step of the
+inner ascent works in arrays made once per batch shape, and made again only
+when a load leaves: one (5, 2, loads, starts, m) buffer holds the stacked
+terms and the gradients of mu_h and mu_l that
+:func:`rachopt.exact.gradient_kernel` writes, then the candidate and its
+Lagrangian gradient.  So one reduction sums the terms and the candidate (mu
+and the simplex sums), each gradient is a contiguous block, and no numpy
+call writes over its own input.  Each element gets the float operations, in
+the order, of the reference loop in ``tests/support.py``, so every result is
+bit for bit that loop's.  Every load keeps its own stopping rules -- the
+inner ascent stops a load on its own gain and steps, and the outer
+convergence test and multiplier updates are per load -- and a load that has
+finished leaves the working arrays, so each result is bit for bit what
+solving that load alone gives.  :func:`solve` is the batch of one;
 :func:`rachopt.actionspace.build_compact` sends a whole compact table
 through one batch.
 
@@ -46,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import load_table, stacked_terms, throughput_closed_form
+from .exact import gradient_kernel, load_table, stacked_terms, throughput_closed_form
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 
 __all__ = [
@@ -130,19 +138,41 @@ def canonical_permutation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
     )
 
 
-def _phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
-    """Augmented Lagrangian value and gradient over a (2, loads, starts, m)
-    array; ``lam2``, ``two_rho`` and ``half_rho`` are fixed for the round."""
-    t = stacked_terms(x, table, grad=True)
-    mu_h, mu_l = t[0].sum(axis=-1)
-    h = x.sum(axis=-1) - 1.0
-    active = np.maximum(0.0, lam - rho * (mu_l - gamma))
-    nu_h, pen = nu * h, half_rho * (h * h)
-    phi = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]
-    # d mu_h / dx + active * d mu_l / dx, stacked like x
-    grad = t[2:0:-1, 0] + active[..., None] * t[1:, 1]
-    grad -= (nu + rho * h)[..., None]
-    return phi, grad
+def _lagrangian(table, gamma, mult, shape):
+    """The augmented Lagrangian over (2, loads, starts, m) iterates of
+    ``shape``, bound to preallocated arrays; ``mult`` is the round's ``(lam,
+    nu, rho, lam2, two_rho, half_rho)``.
+
+    Returns ``scored``, shape (2,) + ``shape``, and a function that scores
+    the candidate in ``scored[0]``: it writes the Lagrangian's gradient at
+    the candidate, stacked like it, to ``scored[1]`` and returns the
+    Lagrangian's value there.  ``scored`` is rows 3 and 4 of one buffer
+    whose first three rows take the stacked terms and gradients from
+    :func:`rachopt.exact.gradient_kernel`."""
+    lam, nu, rho, lam2, two_rho, half_rho = mult
+    # per class, so that the products with the (2, loads, starts) residuals
+    # need no broadcast
+    rho2, half_rho2 = np.stack([rho, rho]), np.stack([half_rho, half_rho])
+    buf = np.empty((5,) + shape)
+    terms = gradient_kernel(buf[3], table, buf[:3])
+    # the terms and the iterate summed in one reduction: mu, then the
+    # simplex sums, which become the residuals h in place
+    summed, sums = buf[::3], np.empty((2, 2) + shape[1:3])
+    (mu_h, mu_l), h = sums
+    grad_h, grad_l, grad = buf[1], buf[2], buf[4]
+
+    def phi():
+        terms()
+        np.add.reduce(summed, axis=-1, out=sums)
+        np.subtract(h, 1.0, out=h)
+        active = np.maximum(0.0, lam - rho * (mu_l - gamma))
+        nu_h, pen = nu * h, half_rho2 * (h * h)
+        value = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]
+        # d mu_h / dx + active * d mu_l / dx - (nu + rho * h)
+        np.subtract(grad_h + active[..., None] * grad_l, (nu + rho2 * h)[..., None], out=grad)
+        return value
+
+    return buf[3:], phi
 
 
 def _inner_ascent(table, gamma, x, mult, step):
@@ -150,40 +180,48 @@ def _inner_ascent(table, gamma, x, mult, step):
 
     A load stops when none of its starts gains 1e-12 and all its steps are
     below 1e-13.  Stopped loads leave the working arrays, which are
-    compacted only on the iterations where some load stops.  Returns the new
-    ``x`` and ``step`` of every load and the steps each load took."""
+    compacted, and the buffers rebuilt, only on the iterations where some
+    load stops.  Returns the new ``x`` and ``step`` of every load and the
+    steps each load took."""
     x_out, step_out = np.empty_like(x), np.empty_like(step)
     taken = np.full(x.shape[1], _MAX_INNER)
     rows = np.arange(x.shape[1])
-    phi, grad = _phi(table, gamma, x, *mult)
-    cand = np.empty_like(x)
+    # ``scored`` is the candidate and its gradient (see _lagrangian), ``now``
+    # the iterate and its gradient, which a better candidate replaces; each
+    # start's step and verdict are repeated over its m RBs, as whole blocks
+    # multiply and copy faster than broadcasts
+    scored, phi_at = _lagrangian(table, gamma, mult, x.shape)
+    cand = scored[0]
+    cand[...] = x
+    phi = phi_at()
+    now = scored.copy()
+    step = np.repeat(step, x.shape[-1]).reshape(x.shape[1:])
+    better_rbs = np.empty(step.shape, bool)
     for it in range(_MAX_INNER):
-        np.multiply(step[..., None], grad, out=cand)
-        cand += x
-        np.maximum(cand, 0.0, out=cand)
-        np.minimum(cand, 1.0, out=cand)
-        phi_c, grad_c = _phi(table, gamma, cand, *mult)
+        np.minimum(np.maximum(step * now[1] + now[0], 0.0), 1.0, out=cand)
+        phi_c = phi_at()
         better = phi_c > phi
         gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
-        np.copyto(x, cand, where=better[..., None])
-        np.copyto(grad, grad_c, where=better[..., None])
+        np.copyto(better_rbs, better[..., None])
+        np.copyto(now, scored, where=better_rbs)
         np.copyto(phi, phi_c, where=better)
         # steps stay at most 1e3, so the cap never binds on a shrinking step
-        step = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
+        step = np.minimum(step * np.where(better_rbs, 1.3, 0.4), 1e3)
         if gained.all():
             continue
-        stop = ~gained & (step < 1e-13).all(axis=1)
+        stop = ~gained & (step[..., 0] < 1e-13).all(axis=1)
         if stop.any():
             done = rows[stop]
-            x_out[:, done], step_out[done], taken[done] = x[:, stop], step[stop], it + 1
+            x_out[:, done], step_out[done], taken[done] = now[0][:, stop], step[stop, :, 0], it + 1
             go = ~stop
             if not go.any():
                 return x_out, step_out, taken
-            rows, x, grad, phi, step = rows[go], x[:, go], grad[:, go], phi[go], step[go]
-            cand = np.empty_like(x)
+            rows, now, phi, step = rows[go], now[:, :, go], phi[go], step[go]
             table = tuple(None if t is None else t[..., go, :, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
-    x_out[:, rows], step_out[rows] = x, step
+            scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
+            cand, better_rbs = scored[0], np.empty(step.shape, bool)
+    x_out[:, rows], step_out[rows] = now[0], step[..., 0]
     return x_out, step_out, taken
 
 

@@ -12,6 +12,9 @@ kept as the reference its one-pass pattern table is tested against, and
 the reference the block-wise library simulator must match bit for bit, and
 :func:`reference_save_mab_trace` the former row-at-a-time trace writer, the
 reference the column-wise one must match byte for byte.
+:func:`reference_inner_ascent` is the solver's former projected-gradient
+loop, with its :func:`reference_phi` and :func:`reference_stacked_grad`,
+the reference the in-place loop must match bit for bit.
 :func:`load_plot_data` reads a plot CSV back as named columns.
 """
 
@@ -25,6 +28,7 @@ import numpy as np
 
 from rachopt.exact import slot_success_pmf
 from rachopt.model import AccessProbabilityPair
+from rachopt.optimize import _MAX_INNER
 
 
 def stars_and_bars(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -53,37 +57,6 @@ def factorial_pmf(n: int, counts, probs) -> float:
     for c, p in zip(counts, probs):
         val *= p**c
     return val
-
-
-def multinomial_pmf(n: int, counts, probs) -> float:
-    """P(multinomial(n, probs) == counts).
-
-    Exact integer coefficients for n <= 20, log-space beyond.  A zero
-    probability with a positive count gives 0 exactly.
-    """
-    if sum(counts) != n:
-        raise ValueError(f"counts sum to {sum(counts)}, expected {n}")
-    if len(counts) != len(probs):
-        raise ValueError("counts and probs must have equal length")
-    if n == 0:
-        return 1.0
-    for c, p in zip(counts, probs):
-        if c > 0 and p == 0.0:
-            return 0.0
-    if n <= 20:
-        coef = 1
-        remaining = n
-        for c in counts:
-            coef *= math.comb(remaining, c)
-            remaining -= c
-        prob = float(coef)
-        for c, p in zip(counts, probs):
-            if c:
-                prob *= p**c
-        return prob
-    log_prob = math.lgamma(n + 1) - sum(math.lgamma(c + 1) for c in counts)
-    log_prob += sum(c * math.log(p) for c, p in zip(counts, probs) if c)
-    return math.exp(log_prob)
 
 
 def loop_pattern_probability(cfg, pair, pattern: str) -> float:
@@ -232,6 +205,73 @@ def reference_save_mab_trace(result, path) -> None:
         for first in range(0, len(rows), size):
             fh.write(f"# batch {first // size}\n")
             writer.writerows(rows[first : first + size])
+
+
+def reference_stacked_grad(x: np.ndarray, table) -> np.ndarray:
+    """The terms and derivatives of ``stacked_terms(x, table, grad=True)``
+    in the former layout, shape (3, 2, ..., m): the terms, the cross
+    derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
+    (d mu_h / d p_h, d mu_l / d p_l), each from fresh temporaries."""
+    e, c, _, two = table
+    one = 1.0 - x
+    p = one ** e[:3]
+    if two is not None:
+        np.multiply(p, one, out=p, where=two)
+    out = np.empty((3,) + x.shape)
+    np.multiply(c[:2] * x * p[1], p[:2, ::-1], out=out[:2])
+    np.multiply(c[2] * (p[1] - c[3] * x * p[2]), p[0, ::-1], out=out[2])
+    return out
+
+
+def reference_phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
+    """The former augmented Lagrangian value and gradient over a
+    (2, loads, starts, m) array."""
+    t = reference_stacked_grad(x, table)
+    mu_h, mu_l = t[0].sum(axis=-1)
+    h = x.sum(axis=-1) - 1.0
+    active = np.maximum(0.0, lam - rho * (mu_l - gamma))
+    nu_h, pen = nu * h, half_rho * (h * h)
+    phi = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]
+    grad = t[2:0:-1, 0] + active[..., None] * t[1:, 1]
+    grad -= (nu + rho * h)[..., None]
+    return phi, grad
+
+
+def reference_inner_ascent(table, gamma, x, mult, step):
+    """The former projected gradient ascent of one outer round, with the
+    signature and results of ``rachopt.optimize._inner_ascent``."""
+    x_out, step_out = np.empty_like(x), np.empty_like(step)
+    taken = np.full(x.shape[1], _MAX_INNER)
+    rows = np.arange(x.shape[1])
+    phi, grad = reference_phi(table, gamma, x, *mult)
+    cand = np.empty_like(x)
+    for it in range(_MAX_INNER):
+        np.multiply(step[..., None], grad, out=cand)
+        cand += x
+        np.maximum(cand, 0.0, out=cand)
+        np.minimum(cand, 1.0, out=cand)
+        phi_c, grad_c = reference_phi(table, gamma, cand, *mult)
+        better = phi_c > phi
+        gained = (phi_c - phi >= 1e-12).any(axis=1)
+        np.copyto(x, cand, where=better[..., None])
+        np.copyto(grad, grad_c, where=better[..., None])
+        np.copyto(phi, phi_c, where=better)
+        step = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
+        if gained.all():
+            continue
+        stop = ~gained & (step < 1e-13).all(axis=1)
+        if stop.any():
+            done = rows[stop]
+            x_out[:, done], step_out[done], taken[done] = x[:, stop], step[stop], it + 1
+            go = ~stop
+            if not go.any():
+                return x_out, step_out, taken
+            rows, x, grad, phi, step = rows[go], x[:, go], grad[:, go], phi[go], step[go]
+            cand = np.empty_like(x)
+            table = tuple(None if t is None else t[..., go, :, :] for t in table)
+            mult = tuple(v[..., go, :] for v in mult)
+    x_out[:, rows], step_out[rows] = x, step
+    return x_out, step_out, taken
 
 
 def load_plot_data(path) -> dict[str, np.ndarray]:

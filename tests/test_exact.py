@@ -13,6 +13,7 @@ from rachopt.bench import published_pair
 from rachopt.exact import (
     EnumerationCapExceeded,
     compositions,
+    gradient_kernel,
     load_table,
     pattern_probabilities,
     scaling_reference,
@@ -25,11 +26,9 @@ from rachopt.model import AccessProbabilityPair, NetworkConfig
 
 from support import (
     brute_force_throughput,
-    factorial_pmf,
     feasible_pattern_count,
     feasible_patterns,
     loop_pattern_probability,
-    multinomial_pmf,
     pattern_feasible,
     random_simplex,
     scaling_allocation,
@@ -141,9 +140,15 @@ def test_closed_form_rejects_length_mismatch():
 
 def terms(n_h, n_l, a, b, grad=False):
     """:func:`stacked_terms` of ``a`` and ``b`` under one load, or one per
-    row of the axis after the class axis (tuples of ints)."""
+    row of the axis after the class axis (tuples of ints); with ``grad``,
+    the terms and gradients that :func:`gradient_kernel` writes."""
     x = np.array([a, b])
-    return stacked_terms(x, load_table(n_h, n_l, x.ndim), grad)
+    table = load_table(n_h, n_l, x.ndim)
+    if not grad:
+        return stacked_terms(x, table)
+    out = np.empty((3,) + x.shape)
+    gradient_kernel(x, table, out)()
+    return out
 
 
 def test_throughput_terms_per_row_loads_match_scalar_calls():
@@ -184,6 +189,13 @@ def test_value_terms_equal_grad_terms_where_an_exponent_is_two(n_h, n_l):
     assert (two_value is None) == (2 not in (n_h, n_l, n_h - 1, n_l - 1))
 
 
+def test_gradient_kernel_rejects_an_out_it_would_copy():
+    x = np.array([[[0.2, 0.8]], [[0.5, 0.5]]])
+    out = np.empty((2, 3, 1, 2)).transpose(1, 0, 2, 3)  # axes 0 and 1 do not merge
+    with pytest.raises(ValueError, match="first two axes"):
+        gradient_kernel(x, load_table(2, 1, x.ndim), out)
+
+
 # ---------------------------------------------------------- pattern machinery
 
 
@@ -197,13 +209,13 @@ CORNER_OTHER = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 @pytest.mark.parametrize("n_own", [0, 1, 2])
 def test_throughput_terms_corners(n_own, n_other, high):
     own, other = CORNER_OWN, CORNER_OTHER
-    # the own class's terms, and its gradient indexed as the solver does
+    # the own class's terms, and its gradient stacked like x
     if high:
         t = terms(n_own, n_other, own, other, grad=True)
-        t_own, (d_own, d_other) = t[0, 0], t[2:0:-1, 0]
+        t_own, (d_own, d_other) = t[0, 0], t[1]
     else:
         t = terms(n_other, n_own, other, own, grad=True)
-        t_own, (d_other, d_own) = t[0, 1], t[1:, 1]
+        t_own, (d_other, d_own) = t[0, 1], t[2]
     for arr in (t_own, d_own, d_other):
         assert arr.shape == own.shape and np.isfinite(arr).all()
     clear = (1.0 - other) ** n_other
@@ -262,25 +274,6 @@ def test_enumerate_patterns_matches_string_oracle():
 def test_feasible_pattern_count_matches_string_walk():
     for n_h, n_l, m in [(1, 1, 2), (0, 0, 3), (2, 0, 4), (4, 5, 3), (1, 1, 6), (2, 1, 6)]:
         assert feasible_pattern_count(n_h, n_l, m) == len(feasible_patterns(n_h, n_l, m))
-
-
-def test_multinomial_pmf_exact_and_log_routes():
-    rng = np.random.default_rng(37)
-    # small n: exact integer coefficients
-    assert multinomial_pmf(2, (1, 1), (0.5, 0.5)) == pytest.approx(0.5, abs=1e-15)
-    assert multinomial_pmf(3, (3, 0), (0.25, 0.75)) == pytest.approx(0.25**3, abs=1e-18)
-    assert multinomial_pmf(2, (0, 2), (1.0, 0.0)) == 0.0
-    # large n falls back to log-space; compare against factorial oracle
-    for _ in range(20):
-        m = int(rng.integers(2, 5))
-        n = int(rng.integers(21, 40))
-        counts = rng.multinomial(n, np.ones(m) / m)
-        probs = random_simplex(rng, m)
-        got = multinomial_pmf(n, tuple(int(c) for c in counts), probs)
-        exp = factorial_pmf(n, counts, probs)
-        assert got == pytest.approx(exp, rel=1e-10, abs=1e-300)
-    with pytest.raises(ValueError):
-        multinomial_pmf(3, (1, 1), (0.5, 0.5))
 
 
 def test_pattern_probability_examples():

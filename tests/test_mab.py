@@ -452,8 +452,10 @@ _HEADER = "pull,action_index,mu_h_T,mu_l_T,reward\n"
         ("0,1\n", "line 2: ['0', '1'] (2 fields, expected 5)"),
         ("# batch 0\n0,1,0.5,0.5,0.1\n\n1,x,0.5,0.5,0.1\n", "line 5: ['1', 'x',"),
         ("0,1,0.5,0.5,0.1,7\n", "line 2: ['0', '1', '0.5', '0.5', '0.1', '7'] (6 fields"),
+        # a blank line ending in "\r\n" is skipped, as a csv reader skips it
+        ("0,1,0.5,0.5,0.1\r\n\r\n 7,1\r\n", "line 4: [' 7', '1'] (2 fields, expected 5)"),
     ],
-    ids=["short", "non-numeric", "extra-field"],
+    ids=["short", "non-numeric", "extra-field", "crlf"],
 )
 def test_trace_rejects_bad_row_naming_line(tmp_path, body, fragment):
     path = tmp_path / "bad.csv"
@@ -744,7 +746,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=50, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(st.integers(0, 10**6), _finite, _finite, _finite), min_size=1, max_size=30
+        st.tuples(st.integers(0, 10**6), _finite, _finite, _finite), min_size=0, max_size=30
     ),
     batch_size=st.integers(1, 7),
 )

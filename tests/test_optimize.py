@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
 
+from rachopt import optimize
 from rachopt.actionspace import GridSpec, exact_throughputs, generate_discretized
-from rachopt.exact import load_table, scaling_reference, stacked_terms, throughput_closed_form
+from rachopt.exact import (
+    gradient_kernel,
+    load_table,
+    scaling_reference,
+    stacked_terms,
+    throughput_closed_form,
+)
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import (
     FEASIBILITY_TOL,
     _MAX_INNER,
     _VIOL_TOL,
     OptResult,
-    _phi,
     SolverOptions,
+    _lagrangian,
     canonical_permutation,
     solve,
     solve_batch,
     structural_unconstrained,
 )
 
-from support import random_simplex
+from support import random_simplex, reference_inner_ascent
 
 FAST = SolverOptions(random_starts=8, max_outer=25)
 
@@ -80,10 +87,11 @@ def test_gradients_match_central_differences():
         if min(a.min(), b.min()) < 2 * step:
             continue
         x = np.array([a, b])
-        t = stacked_terms(x, load_table(cfg.n_h, cfg.n_l, x.ndim), grad=True)
-        # each gradient stacked like x, as the solver's _phi reads them
-        grad_h = t[2:0:-1, 0].ravel()
-        grad_l = t[1:, 1].ravel()
+        t = np.empty((3,) + x.shape)
+        gradient_kernel(x, load_table(cfg.n_h, cfg.n_l, x.ndim), t)()
+        # each gradient stacked like x, as the solver reads them
+        grad_h = t[1].ravel()
+        grad_l = t[2].ravel()
 
         x0 = np.concatenate([a, b])
 
@@ -126,7 +134,14 @@ def test_lagrangian_gradient_matches_central_differences():
     rho = rng.uniform(1.0, 20.0, (len(loads), starts))
     for gamma, lam in ((2.5, rng.uniform(0.1, 2.0, rho.shape)), (0.0, np.zeros(rho.shape))):
         mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
-        grad = _phi(table, gamma, x, *mult)[1]
+        scored, phi = _lagrangian(table, gamma, mult, x.shape)
+
+        def phi_at(point):
+            scored[0] = point
+            return phi()
+
+        phi_at(x)
+        grad = scored[1].copy()
         mu_l = stacked_terms(x, table)[1].sum(axis=-1)
         active = lam - rho * (mu_l - gamma) > 0
         assert active.all() if gamma else not active.any()
@@ -135,7 +150,7 @@ def test_lagrangian_gradient_matches_central_differences():
                 hi, lo = x.copy(), x.copy()
                 hi[c, ..., i] += step
                 lo[c, ..., i] -= step
-                diff = _phi(table, gamma, hi, *mult)[0] - _phi(table, gamma, lo, *mult)[0]
+                diff = phi_at(hi) - phi_at(lo)
                 np.testing.assert_allclose(grad[c, ..., i], diff / (2 * step), rtol=1e-5, atol=1e-6)
 
 
@@ -239,6 +254,44 @@ def test_solve_batch_stops_each_inner_ascent_on_its_own():
     # or its last bits drift from a lone solve
     slow, cell = NetworkConfig(5, 1, 5), NetworkConfig(6, 10, 5)
     assert _same_result(solve_batch([slow, cell], 0.4, FAST)[1], solve(cell, 0.4, FAST))
+
+
+def _bits(res: OptResult) -> tuple:
+    """Every float of a result as its hex string, so -0.0 and 0.0 differ."""
+    def exact(v):
+        return v.hex() if isinstance(v, float) else v
+
+    return (
+        [exact(v) for v in res.pair.p_h + res.pair.p_l + (res.mu.mu_h, res.mu.mu_l)],
+        res.feasible,
+        {k: exact(v) for k, v in res.diagnostics.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "m, loads",
+    [
+        # n = 0, 1, 2 and 3, 4 in both classes: every squared-power mask of the
+        # table, over loads that stop their ascents on different steps
+        (3, [(n_h, n_l) for n_h in range(5) for n_l in range(5)]),
+        # (5, 1) keeps its uniform start stuck; (6, 10) stops beside it
+        (5, [(5, 1), (6, 10), (2, 2)]),
+        # an RB axis of 8 or more, which numpy sums pairwise
+        (9, [(3, 4), (10, 2)]),
+    ],
+    ids=["m3-every-mask", "m5-stuck-start", "m9-pairwise-sums"],
+)
+def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, m, loads):
+    # the in-place ascent against the former one on every result field; run
+    # once more in CI with AVX-512 off, where numpy picks other ufunc loops
+    cfgs = [NetworkConfig(n_h, n_l, m) for n_h, n_l in loads]
+    options = SolverOptions(random_starts=4, max_outer=3)
+    got = solve_batch(cfgs, 0.4, options)
+    monkeypatch.setattr(optimize, "_inner_ascent", reference_inner_ascent)
+    want = solve_batch(cfgs, 0.4, options)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    # loads left the batch mid-round, so the compacted buffers were used
+    assert len({r.diagnostics["inner_steps"] for r in got}) > 1
 
 
 def test_solve_reports_cap_hit_and_violation():
