@@ -17,8 +17,7 @@ from .actionspace import (
     save_compact,
 )
 from .baselines import acb_admission, acb_throughput
-# The function simulate is not re-exported: here the name means its module.
-from .simulate import SimTrace, empirical_throughput, load_trace, save_trace, sim_throughput
+from .simulate import sim_throughput
 from .optimize import OptResult, SolverOptions, solve, structural_unconstrained
 from .mab import (
     MabConfig,

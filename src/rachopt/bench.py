@@ -68,6 +68,7 @@ __all__ = [
     "MAB_SEEDS",
     "GRID_STEP",
     "COMPACT_BOUND",
+    "METHOD_PARAMS",
 ]
 
 # published reference values, keyed by (m, d) or m; throughputs as printed

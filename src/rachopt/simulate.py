@@ -4,7 +4,7 @@ Slots are i.i.d.: every device re-picks an RB each slot, with no backoff or
 retransmission state.  Randomness comes from counter-based Philox streams:
 slot ``s`` consumes exactly the words at counter offsets
 ``[s * k, (s + 1) * k)`` of ``Philox(key=seed mod 2**128)``, where ``k`` is
-the number of 4-word counter steps holding one word per device.  Traces
+the number of 4-word counter steps holding one word per device.  Results
 are therefore bit-reproducible for a given (cfg, pair, t, seed) and
 independent of how the slots are split.
 
@@ -23,75 +23,30 @@ does not depend on the block size.
 Each block counts each class's devices per RB in the narrowest unsigned type
 that holds n; :func:`~rachopt.model.pattern_bytes`, the one outcome rule,
 turns the counts into the bytes of the per-slot pattern strings over
-:data:`~rachopt.model.PATTERN_CHARS`, which a :class:`SimTrace` keeps as a
-``(t, m)`` uint8 array and :func:`sim_throughput` counts ``h`` and ``l`` in.
+:data:`~rachopt.model.PATTERN_CHARS`, in which :func:`sim_throughput` counts
+``h`` and ``l`` block by block without keeping them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Union
+from typing import Iterator
 
 import numpy as np
 
-from .model import (PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, ThroughputPair,
-                    pattern_bytes)
+from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, pattern_bytes
 
-__all__ = [
-    "SimTrace",
-    "simulate",
-    "sim_throughput",
-    "empirical_throughput",
-    "save_trace",
-    "load_trace",
-]
+__all__ = ["sim_throughput"]
 
 # Philox words per block: its passes (a few MB) stay in cache at any population
 _BLOCK_WORDS = 8192 * 12
 
 
-@dataclass(frozen=True, eq=False)
-class SimTrace:
-    """Per-slot event codes, shape (t, m), and the seed that drew them:
-    what a trace file stores."""
-
-    seed: int
-    codes: np.ndarray
-
-    @property
-    def t(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.codes.shape[1]
-
-    @property
-    def patterns(self) -> tuple[str, ...]:
-        """The slots as pattern strings."""
-        return tuple(row.tobytes().decode("ascii") for row in self.codes)
-
-
-def _check(cfg: NetworkConfig, pair: AccessProbabilityPair, t: int) -> None:
-    if t < 1:
-        raise ValueError(f"need at least one slot, got t={t}")
-    if pair.m != cfg.m:
-        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
-
-
 def _run_blocks(
-    cfg: NetworkConfig,
-    pair: AccessProbabilityPair,
-    t: int,
-    seed: int,
-    consume: Callable[[int, np.ndarray], object],
-) -> list:
+    cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
+) -> Iterator[np.ndarray]:
     """Draw slots ``[0, t)`` in blocks of ``_BLOCK_WORDS`` Philox words and
-    hand each block's pattern bytes, shape (hi - lo, m), to
-    ``consume(lo, codes)``; returns its results in block order.
-    """
+    yield each block's pattern bytes, shape (slots, m), in slot order."""
     n, m = cfg.n, cfg.m
     # one word per device per slot, padded to whole Philox counter steps
     k = math.ceil(n / 4)
@@ -99,8 +54,7 @@ def _run_blocks(
     slots = max(1, _BLOCK_WORDS // (4 * max(k, 1)))
     marks = np.ceil(np.array([pair.p_h, pair.p_l]).cumsum(axis=1)[:, :-1] * 2.0**53)
     marks = np.repeat(marks.astype(np.uint64), (cfg.n_h, cfg.n_l), axis=0).T[:, :, None]
-
-    def block(lo: int):
+    for lo in range(0, t, slots):
         size = min(slots, t - lo)
         draws = bits.random_raw(size * 4 * k)
         # device-major, so that every pass below is contiguous; rebinding frees
@@ -113,75 +67,25 @@ def _run_blocks(
         hit = draws >= marks
         hit[:, : cfg.n_h].sum(axis=1, out=above[0, 1:m])
         hit[:, cfg.n_h :].sum(axis=1, out=above[1, 1:m])
-        return consume(lo, pattern_bytes(*(above[:, :-1] - above[:, 1:])).T)
-
-    return [block(lo) for lo in range(0, t, slots)]
-
-
-def _successes(codes: np.ndarray) -> tuple[int, int]:
-    """The high and the low successes among pattern bytes."""
-    return int(np.count_nonzero(codes == ord("h"))), int(np.count_nonzero(codes == ord("l")))
+        codes = pattern_bytes(*(above[:, :-1] - above[:, 1:])).T
+        # while suspended, a block holds only its pattern bytes
+        del draws, above, hit
+        yield codes
 
 
 def sim_throughput(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> ThroughputPair:
-    """Empirical per-slot success rates over ``t`` slots: the ``h`` and
-    ``l`` bytes of the trace :func:`simulate` would keep, counted block by
-    block without keeping it; both return multiples of 1/t.
+    """Empirical per-slot success rates over ``t`` slots, multiples of 1/t:
+    the ``h`` and ``l`` bytes of the slots' patterns, counted block by block
+    without keeping them.
     """
-    _check(cfg, pair, t)
-    counts = _run_blocks(cfg, pair, t, seed, lambda lo, codes: _successes(codes))
-    return ThroughputPair(sum(h for h, _ in counts) / t, sum(l for _, l in counts) / t)
-
-
-def simulate(
-    cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
-) -> SimTrace:
-    """Run ``t`` slots and keep the full per-slot event trace."""
-    _check(cfg, pair, t)
-    codes = np.empty((t, cfg.m), dtype=np.uint8)
-
-    def events(lo: int, block: np.ndarray) -> None:
-        codes[lo : lo + len(block)] = block
-
-    _run_blocks(cfg, pair, t, seed, events)
-    return SimTrace(seed=seed, codes=codes)
-
-
-def empirical_throughput(trace: SimTrace) -> ThroughputPair:
-    """Success rates of an existing trace, multiples of 1/t."""
-    if trace.t == 0:
-        raise ValueError("empty trace")
-    h, l = _successes(trace.codes)
-    return ThroughputPair(h / trace.t, l / trace.t)
-
-
-def save_trace(trace: SimTrace, path: Union[str, Path]) -> None:
-    """Write ``m,t,seed`` then one pattern string per slot."""
-    with open(path, "wb") as fh:
-        fh.write(f"{trace.m},{trace.t},{trace.seed}\n".encode("ascii"))
-        newline = np.full((trace.t, 1), ord("\n"), dtype=np.uint8)
-        fh.write(np.hstack([trace.codes, newline]).tobytes())
-
-
-def load_trace(path: Union[str, Path]) -> SimTrace:
-    """Read a trace file back."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-        try:
-            m, t, seed = (int(x) for x in header.split(","))
-        except ValueError as exc:
-            raise ValueError(f"bad trace header {header!r}") from exc
-        lines = [line for line in (raw.strip() for raw in fh) if line]
-    for line in lines:
-        if len(line) != m:
-            raise ValueError(f"pattern {line!r} does not have m={m} RBs")
-    if len(lines) != t:
-        raise ValueError(f"expected {t} slots, found {len(lines)}")
-    raw = "".join(lines).encode("ascii", "replace")
-    codes = np.frombuffer(raw, dtype=np.uint8).reshape(t, m)
-    bad = ~np.isin(codes, list(PATTERN_CHARS.encode())).all(axis=1)
-    if bad.any():
-        raise ValueError(f"invalid pattern string {lines[int(np.argmax(bad))]!r}")
-    return SimTrace(seed=seed, codes=codes)
+    if t < 1:
+        raise ValueError(f"need at least one slot, got t={t}")
+    if pair.m != cfg.m:
+        raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
+    h = l = 0
+    for codes in _run_blocks(cfg, pair, t, seed):
+        h += int(np.count_nonzero(codes == ord("h")))
+        l += int(np.count_nonzero(codes == ord("l")))
+    return ThroughputPair(h / t, l / t)

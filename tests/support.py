@@ -9,9 +9,11 @@ tables; ``test_exact`` checks those against the pattern probabilities.
 kept as the reference its one-pass pattern table is tested against, and
 :func:`feasible_patterns` its former walk over all 4^m pattern strings.
 :func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
-the reference the block-wise library simulator must match bit for bit, and
-:func:`reference_save_mab_trace` the former row-at-a-time trace writer, the
-reference the column-wise one must match byte for byte.
+the reference the block-wise library simulator must match bit for bit;
+:func:`sim_codes` reads that simulator's pattern bytes off its private
+block generator, as no public function returns them.
+:func:`reference_save_mab_trace` is the former row-at-a-time trace writer,
+the reference the column-wise one must match byte for byte.
 :func:`reference_inner_ascent` is the solver's former projected-gradient
 loop, with its :func:`reference_phi` and :func:`reference_stacked_grad`,
 the reference the in-place loop must match bit for bit.
@@ -29,6 +31,7 @@ import numpy as np
 from rachopt.exact import slot_success_pmf
 from rachopt.model import AccessProbabilityPair
 from rachopt.optimize import _MAX_INNER
+from rachopt.simulate import _run_blocks
 
 
 def stars_and_bars(total: int, parts: int) -> list[tuple[int, ...]]:
@@ -189,6 +192,12 @@ def reference_event_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
     total = c_h + c_l
     chars = np.frombuffer(b"ohlx", dtype=np.uint8)
     return chars[np.where(total == 0, 0, np.where(total >= 2, 3, np.where(c_h == 1, 1, 2)))]
+
+
+def sim_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
+    """The simulator's (t, m) uint8 pattern bytes: the blocks of
+    ``simulate._run_blocks`` joined in slot order."""
+    return np.concatenate(list(_run_blocks(cfg, pair, t, seed)))
 
 
 def reference_save_mab_trace(result, path) -> None:

@@ -19,16 +19,9 @@ from rachopt.model import (
     NetworkConfig,
     ThroughputPair,
 )
-from rachopt.simulate import (
-    SimTrace,
-    empirical_throughput,
-    load_trace,
-    save_trace,
-    sim_throughput,
-    simulate,
-)
+from rachopt.simulate import sim_throughput
 
-from support import random_simplex, reference_event_codes, reference_sim_throughput
+from support import random_simplex, reference_event_codes, reference_sim_throughput, sim_codes
 
 
 def block_slots(cfg: NetworkConfig) -> int:
@@ -41,84 +34,75 @@ def block_slots(cfg: NetworkConfig) -> int:
 BLOCK = block_slots(NetworkConfig(4, 5, 4))
 
 
+def patterns(cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int) -> tuple[str, ...]:
+    """The simulator's slots as pattern strings."""
+    return tuple(row.tobytes().decode("ascii") for row in sim_codes(cfg, pair, t, seed))
+
+
 def test_package_name_simulate_is_the_module():
     import rachopt
     import rachopt.simulate as m
 
     assert isinstance(m, types.ModuleType)
-    assert rachopt.simulate is m and m.simulate is simulate
+    assert rachopt.simulate is m and m.__all__ == ["sim_throughput"]
 
 
 def test_degenerate_single_device():
     cfg = NetworkConfig(1, 0, 3)
     pair = AccessProbabilityPair([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-    trace = simulate(cfg, pair, 20, seed=1)
-    assert trace.patterns == ("hoo",) * 20
-    assert empirical_throughput(trace) == ThroughputPair(1.0, 0.0)
+    assert patterns(cfg, pair, 20, seed=1) == ("hoo",) * 20
+    assert sim_throughput(cfg, pair, 20, seed=1) == ThroughputPair(1.0, 0.0)
 
 
 def test_degenerate_forced_collision():
     cfg = NetworkConfig(2, 0, 1)
     pair = AccessProbabilityPair([1.0], [1.0])
-    trace = simulate(cfg, pair, 10, seed=2)
-    assert trace.patterns == ("x",) * 10
+    assert patterns(cfg, pair, 10, seed=2) == ("x",) * 10
 
 
 def test_empty_network():
     cfg = NetworkConfig(0, 0, 2)
-    trace = simulate(cfg, AccessProbabilityPair.uniform(2), 5, seed=3)
-    assert trace.patterns == ("oo",) * 5
+    assert patterns(cfg, AccessProbabilityPair.uniform(2), 5, seed=3) == ("oo",) * 5
 
 
 def test_determinism_and_seed_sensitivity():
     cfg = NetworkConfig(4, 5, 4)
     pair = AccessProbabilityPair.uniform(4)
-    a = simulate(cfg, pair, 200, seed=42)
-    b = simulate(cfg, pair, 200, seed=42)
-    assert a.patterns == b.patterns
-    c = simulate(cfg, pair, 200, seed=43)
-    assert a.patterns != c.patterns
+    a = patterns(cfg, pair, 200, seed=42)
+    b = patterns(cfg, pair, 200, seed=42)
+    assert a == b
+    c = patterns(cfg, pair, 200, seed=43)
+    assert a != c
 
 
 def test_slot_substreams_give_prefix_property():
     # slot s draws from its own counter range, so shorter runs are prefixes
     cfg = NetworkConfig(3, 2, 3)
     pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
-    short = simulate(cfg, pair, 60, seed=9)
-    long = simulate(cfg, pair, 200, seed=9)
-    assert long.patterns[:60] == short.patterns
+    short = patterns(cfg, pair, 60, seed=9)
+    long = patterns(cfg, pair, 200, seed=9)
+    assert long[:60] == short
 
 
 def test_fast_path_matches_trace_path():
     cfg = NetworkConfig(4, 5, 5)
     pair = AccessProbabilityPair([0.2] * 5, [0.1, 0.1, 0.1, 0.1, 0.6])
     for seed in (0, 7, 123456789):
-        trace = simulate(cfg, pair, 500, seed=seed)
-        assert sim_throughput(cfg, pair, 500, seed) == empirical_throughput(trace)
+        codes = sim_codes(cfg, pair, 500, seed=seed)
+        h, l = (int(np.count_nonzero(codes == ord(c))) for c in "hl")
+        assert sim_throughput(cfg, pair, 500, seed) == ThroughputPair(h / 500, l / 500)
 
 
 def test_zero_probability_rbs_never_chosen():
     cfg = NetworkConfig(3, 1, 3)
     pair = AccessProbabilityPair([0.5, 0.0, 0.5], [0.0, 1.0, 0.0])
-    trace = simulate(cfg, pair, 300, seed=11)
-    for p in trace.patterns:
+    for p in patterns(cfg, pair, 300, seed=11):
         # RB 1 hosts only the low device; RBs 0 and 2 never see it
         assert p[1] in ("l", "o")
         assert p[0] in ("h", "o", "x")
         assert p[2] in ("h", "o", "x")
     # the single low device always transmits alone on RB 1
-    assert empirical_throughput(trace).mu_l == 1.0
-
-
-def test_empirical_throughput_hand_trace():
-    codes = np.frombuffer(b"hloxhh", dtype=np.uint8).reshape(3, 2)
-    trace = SimTrace(seed=0, codes=codes)
-    assert trace.patterns == ("hl", "ox", "hh")
-    mu = empirical_throughput(trace)
-    assert mu.mu_h == pytest.approx(1.0)  # 1 + 0 + 2 successes over 3 slots
-    assert mu.mu_l == pytest.approx(1.0 / 3.0)
-    with pytest.raises(ValueError, match="empty trace"):
-        empirical_throughput(SimTrace(seed=0, codes=np.empty((0, 2), dtype=np.uint8)))
+    assert sim_throughput(cfg, pair, 300, seed=11).mu_l == 1.0
 
 
 def test_throughputs_are_multiples_of_inverse_t():
@@ -131,7 +115,7 @@ def test_throughputs_are_multiples_of_inverse_t():
 def test_rejects_bad_inputs():
     cfg = NetworkConfig(1, 1, 2)
     with pytest.raises(ValueError):
-        simulate(cfg, AccessProbabilityPair.uniform(2), 0, seed=1)
+        sim_throughput(cfg, AccessProbabilityPair.uniform(2), 0, seed=1)
     with pytest.raises(ValueError):
         sim_throughput(cfg, AccessProbabilityPair.uniform(3), 10, seed=1)
 
@@ -151,7 +135,7 @@ def test_per_rb_event_frequencies_match_exact():
     cfg = NetworkConfig(4, 5, 4)
     pair = AccessProbabilityPair([0.25] * 4, [0.0, 0.0, 0.0, 1.0])
     t = 100_000
-    trace = simulate(cfg, pair, t, seed=77)
+    codes = sim_codes(cfg, pair, t, seed=77)
     n_h, n_l = cfg.n_h, cfg.n_l
     for i in range(cfg.m):
         p_exact = (
@@ -160,7 +144,7 @@ def test_per_rb_event_frequencies_match_exact():
             * (1 - pair.p_h[i]) ** (n_h - 1)
             * (1 - pair.p_l[i]) ** n_l
         )
-        freq = np.count_nonzero(trace.codes[:, i] == ord("h")) / t
+        freq = np.count_nonzero(codes[:, i] == ord("h")) / t
         se = math.sqrt(max(p_exact * (1 - p_exact), 1e-12) / t)
         assert abs(freq - p_exact) <= 3 * se + 1e-9
 
@@ -183,63 +167,6 @@ def test_slot_mean_within_standard_errors():
     assert hits >= 4
 
 
-def test_trace_file_roundtrip(tmp_path):
-    cfg = NetworkConfig(2, 3, 3)
-    pair = AccessProbabilityPair([0.3, 0.3, 0.4], [0.2, 0.5, 0.3])
-    trace = simulate(cfg, pair, 50, seed=31337)
-    path = tmp_path / "trace.txt"
-    save_trace(trace, path)
-    loaded = load_trace(path)
-    assert loaded.seed == 31337
-    assert loaded.t == 50 and loaded.m == 3
-    assert loaded.patterns == trace.patterns
-    assert np.array_equal(loaded.codes, trace.codes) and loaded.codes.dtype == np.uint8
-    first_line = path.read_text().splitlines()[0]
-    assert first_line == "3,50,31337"
-
-
-def test_trace_load_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("3,2,1\nhlo\nhl\n")
-    with pytest.raises(ValueError):
-        load_trace(path)
-    path.write_text("nonsense\n")
-    with pytest.raises(ValueError):
-        load_trace(path)
-    path.write_text("2,1,0\nhq\n")
-    with pytest.raises(ValueError):
-        load_trace(path)
-
-
-def test_trace_load_rejects_bad_character_on_any_row(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("2,3,0\nhl\nox\nh\u00e9\n")
-    with pytest.raises(ValueError, match="invalid pattern string 'h\u00e9'"):
-        load_trace(path)
-    path.write_text("2,3,0\nhl\nox\n")
-    with pytest.raises(ValueError, match="expected 3 slots, found 2"):
-        load_trace(path)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    rows=st.integers(1, 6).flatmap(
-        lambda m: st.lists(st.text("hlox", min_size=m, max_size=m), min_size=0, max_size=20)
-    ),
-    seed=st.integers(0, 2**128 - 1),
-)
-def test_trace_file_round_trip_property(tmp_path_factory, rows, seed):
-    m = len(rows[0]) if rows else 3
-    codes = np.frombuffer("".join(rows).encode(), dtype=np.uint8).reshape(len(rows), m)
-    trace = SimTrace(seed=seed, codes=codes)
-    path = tmp_path_factory.mktemp("trace") / "trace.txt"
-    save_trace(trace, path)
-    loaded = load_trace(path)
-    assert (loaded.seed, loaded.t, loaded.m) == (seed, len(rows), m)
-    assert np.array_equal(loaded.codes, codes)
-    assert loaded.patterns == tuple(rows)
-
-
 # loads with both classes, none at all, no high and no low devices
 BLOCK_LOADS = [
     (NetworkConfig(4, 5, 4), AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.45, 0.0, 0.35, 0.2])),
@@ -255,7 +182,7 @@ def test_block_driver_matches_one_shot_reference(t, seed):
     for cfg, pair in BLOCK_LOADS:
         mu = sim_throughput(cfg, pair, t, seed)
         assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, seed)
-        codes = simulate(cfg, pair, t, seed).codes
+        codes = sim_codes(cfg, pair, t, seed)
         assert codes.dtype == np.uint8
         assert np.array_equal(codes, reference_event_codes(cfg, pair, t, seed))
 
@@ -270,7 +197,7 @@ def test_block_boundaries_follow_the_load(n_h, n_l):
     for t in (slots - 1, slots, slots + 1, 3 * slots + 5):
         mu = sim_throughput(cfg, pair, t, 11)
         assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 11)
-        assert np.array_equal(simulate(cfg, pair, t, 11).codes, reference_event_codes(cfg, pair, t, 11))
+        assert np.array_equal(sim_codes(cfg, pair, t, 11), reference_event_codes(cfg, pair, t, 11))
 
 
 def first_uniform(seed: int) -> float:
@@ -286,9 +213,9 @@ def test_draw_on_a_level_picks_the_rb_above(seed):
     cfg = NetworkConfig(1, 0, 2)
     for level, first in ((u, "oh"), (np.nextafter(u, 0.0), "oh"), (np.nextafter(u, 1.0), "ho")):
         pair = AccessProbabilityPair([level, 1.0 - level], [0.5, 0.5])
-        trace = simulate(cfg, pair, 500, seed)
-        assert trace.patterns[0] == first
-        assert np.array_equal(trace.codes, reference_event_codes(cfg, pair, 500, seed))
+        codes = sim_codes(cfg, pair, 500, seed)
+        assert codes[0].tobytes() == first.encode()
+        assert np.array_equal(codes, reference_event_codes(cfg, pair, 500, seed))
     # levels of exactly 0 and 1.0, a running sum that ends a little above
     # 1 and a draw on a level, with both classes and several devices
     cases = [
@@ -299,9 +226,9 @@ def test_draw_on_a_level_picks_the_rb_above(seed):
     for p_h, p_l in cases:
         pair = AccessProbabilityPair(p_h, p_l)
         for cfg in (NetworkConfig(1, 0, 3), NetworkConfig(3, 4, 3)):
-            codes = simulate(cfg, pair, 2000, seed).codes
+            codes = sim_codes(cfg, pair, 2000, seed)
             assert np.array_equal(codes, reference_event_codes(cfg, pair, 2000, seed)), (p_h, p_l)
-    codes = simulate(NetworkConfig(3, 4, 3), AccessProbabilityPair(*cases[0]), 2000, seed).codes
+    codes = sim_codes(NetworkConfig(3, 4, 3), AccessProbabilityPair(*cases[0]), 2000, seed)
     # no high device on RB 0, no low device on RB 2, and both get used
     assert ord("h") not in codes[:, 0] and ord("l") not in codes[:, 2]
     assert ord("h") in codes[:, 2] and ord("l") in codes[:, 0]
@@ -314,12 +241,13 @@ def test_block_memory_does_not_grow_with_the_population():
     pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
     tracemalloc.start()
     try:
-        codes = simulate(cfg, pair, 2000, 8).codes
+        mu = sim_throughput(cfg, pair, 2000, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
-    assert np.array_equal(codes, reference_event_codes(cfg, pair, 2000, 8))
+    assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, 2000, 8)
+    assert np.array_equal(sim_codes(cfg, pair, 2000, 8), reference_event_codes(cfg, pair, 2000, 8))
 
 
 @settings(max_examples=30, deadline=None)
@@ -340,7 +268,7 @@ def test_block_driver_matches_reference_property(m, n_h, n_l, seed, draw, sparse
     pair = AccessProbabilityPair(random_simplex(rng, m, sparse), random_simplex(rng, m, sparse))
     mu = sim_throughput(cfg, pair, t, seed)
     assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, seed)
-    assert np.array_equal(simulate(cfg, pair, t, seed).codes, reference_event_codes(cfg, pair, t, seed))
+    assert np.array_equal(sim_codes(cfg, pair, t, seed), reference_event_codes(cfg, pair, t, seed))
 
 
 # (gamma, m, high successes, low successes) of the published pairs at
@@ -377,6 +305,6 @@ def test_simulator_starts_no_thread(monkeypatch):
     for cfg, t in ((NetworkConfig(4, 5, 4), 3 * BLOCK + 5), (NetworkConfig(250, 250, 4), 197)):
         assert t > block_slots(cfg)
         mu = sim_throughput(cfg, pair, t, 3)
-        codes = simulate(cfg, pair, t, 3).codes
+        codes = sim_codes(cfg, pair, t, 3)
         assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 3)
         assert np.array_equal(codes, reference_event_codes(cfg, pair, t, 3))
