@@ -216,9 +216,6 @@ class TableReport:
         out.append(f"  => {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(out)
 
-    def __str__(self) -> str:
-        return self.render()
-
 
 def _base_cfg(m: int) -> NetworkConfig:
     return NetworkConfig(n_h=4, n_l=5, m=m)

@@ -33,7 +33,10 @@ reward, pull counts and sampling distribution sit next to the trace, and
 ``best_index`` is the argmax of ``q``.  The trace is one numpy record
 array, a record per pull with fields ``pull``, ``action_index``,
 ``mu_h_t``, ``mu_l_t`` and ``reward``: the run fills its columns a batch
-and load phase at a time, and the readers below take them whole.
+and load phase at a time, and :func:`mae_trace` and :func:`save_mab_trace`
+take them whole.  The package writes the trace CSV and never reads it;
+``np.genfromtxt(path, delimiter=",", names=True, comments="#", dtype=None,
+ndmin=1)`` reads it back, its columns under the header's names.
 """
 
 from __future__ import annotations
@@ -64,7 +67,6 @@ __all__ = [
     "estimate_load",
     "mae_trace",
     "save_mab_trace",
-    "load_mab_trace",
 ]
 
 log = logging.getLogger(__name__)
@@ -426,46 +428,3 @@ def save_mab_trace(result: MabResult, path: Union[str, Path]) -> None:
         for first in range(0, len(trace), size):
             rows = zip(*(column[first : first + size] for column in columns))
             fh.write(f"# batch {first // size}\n" + "\r\n".join(map(",".join, rows)) + "\r\n")
-
-
-def load_mab_trace(path: Union[str, Path]) -> np.recarray:
-    """Read back a pull trace as a record array, skipping comment lines.
-
-    Each column is parsed in one pass, with ``int`` and ``float`` as a row
-    at a time would.  Raises ``ValueError`` naming the line for a row that
-    does not hold exactly five fields, or a field that does not parse."""
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-        if header != _TRACE_HEADER:
-            raise ValueError(f"unrecognized trace header {header!r}")
-        # data rows end in "\r\n", the header and comment lines in "\n"
-        lines = fh.read().replace("\r\n", "\n").split("\n")
-    rows = [line for line in lines if line and line[0] != "#"]
-    fields = ",".join(rows).split(",") if rows else []
-    trace = _empty_trace(len(rows))
-    try:
-        if {row.count(",") for row in rows} - {4}:
-            raise ValueError("a row without five fields")
-        for k, name in enumerate(trace.dtype.names):
-            parse = int if trace.dtype[name].kind == "i" else float
-            trace[name] = np.fromiter(map(parse, fields[k::5]), trace.dtype[name], len(rows))
-    except ValueError:
-        _raise_bad_row(path, lines)
-        raise
-    return trace
-
-
-def _raise_bad_row(path, lines) -> None:
-    """Raise the ``ValueError`` that names the first data row among a trace's
-    ``lines``, which follow its header, without five fields or with a field
-    that does not parse."""
-    for number, line in enumerate(lines, 2):
-        if not line or line[0] == "#":
-            continue
-        row = line.split(",")
-        try:
-            if len(row) != 5:
-                raise ValueError(f"{len(row)} fields, expected 5")
-            int(row[0]), int(row[1]), *map(float, row[2:])
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad trace row at line {number}: {row!r} ({exc})") from None

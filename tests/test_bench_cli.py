@@ -32,7 +32,6 @@ from rachopt.cli import main
 from rachopt.exact import throughput_closed_form
 from rachopt.mab import (
     MabConfig,
-    load_mab_trace,
     mae_trace,
     run,
     run_nonstationary,
@@ -426,11 +425,15 @@ def test_run_experiment_mab_artifacts_roundtrip(tmp_path):
         "grid_seed1_trace.csv", "grid_seed1_plot.csv",
         "grid_result.json",
     ]
-    trace = load_mab_trace(tmp_path / "grid_seed0_trace.csv")
-    assert len(trace) == 300
+    space = generate_discretized(GridSpec(3, 0.5), reduced=True)
+    mcfg = {seed: MabConfig(gamma=0.0, seed=seed, alpha=0.2, elite_fraction=0.1,
+                            batch_size=50, rho=0.0, t=50, runs=300) for seed in (0, 1)}
+    for seed in (0, 1):
+        assert _same_trace(tmp_path / f"grid_seed{seed}_trace.csv", space,
+                           [(0, spec.cfg)], mcfg[seed])
     plot = load_plot_data(tmp_path / "grid_seed0_plot.csv")
     assert set(plot) == {"pull", "mu_h_running", "mu_l_running"}
-    mu_h = np.array([rec.mu_h_t for rec in trace])
+    mu_h = run(space, spec.cfg, mcfg[0]).trace.mu_h_t
     running = np.cumsum(mu_h) / np.arange(1, len(mu_h) + 1)
     assert plot["mu_h_running"] == pytest.approx(running, abs=1e-8)
     record = json.loads((tmp_path / "grid_result.json").read_text())
@@ -1038,10 +1041,11 @@ def test_cli_mab_discretized_smoke(runner, tmp_path):
     assert (tmp_path / "g_seed1_plot.csv").exists()
 
 
-def _same_trace(path, space, cfg, mcfg):
-    """Whether the trace CSV at ``path`` is the bytes a library run writes."""
+def _same_trace(path, space, schedule, mcfg):
+    """Whether the trace CSV at ``path`` is the bytes that a library run
+    under the load ``schedule`` writes."""
     expected = path.with_name("expected.csv")
-    save_mab_trace(run(space, cfg, mcfg), expected)
+    save_mab_trace(run_nonstationary(space, schedule, mcfg), expected)
     return path.read_bytes() == expected.read_bytes()
 
 
@@ -1055,7 +1059,7 @@ def test_cli_mab_compact_runs_compact_preset(runner, tmp_path, compact_2x2):
     preset = MabConfig(gamma=0.0, seed=0, alpha=0.1, elite_fraction=0.1, batch_size=200,
                        rho=0.1, t=100, runs=2000)
     assert _same_trace(tmp_path / "c_seed0_trace.csv", load_compact(compact_2x2),
-                       NetworkConfig(2, 1, 3), preset)
+                       [(0, NetworkConfig(2, 1, 3))], preset)
 
 
 @pytest.mark.parametrize("flags, alpha", [([], 0.2), (["--alpha", "0.3"], 0.3)])
@@ -1066,12 +1070,11 @@ def test_cli_mab_grid_runs_grid_preset(runner, tmp_path, flags, alpha):
          *flags, "--out", str(tmp_path), "--name", "g"],
     )
     assert result.exit_code == 0, result.output
-    assert len(load_mab_trace(tmp_path / "g_seed0_trace.csv")) == 15000
     preset = MabConfig(gamma=0.2, seed=0, alpha=alpha, elite_fraction=0.1, batch_size=500,
                        rho=0.0, t=1000, runs=15000)
     assert _same_trace(tmp_path / "g_seed0_trace.csv",
                        generate_discretized(GridSpec(2, 0.5), reduced=True),
-                       NetworkConfig(2, 1, 2), preset)
+                       [(0, NetworkConfig(2, 1, 2))], preset)
 
 
 def test_cli_scenario_smoke(runner, tmp_path, compact_2x2):
@@ -1083,10 +1086,11 @@ def test_cli_scenario_smoke(runner, tmp_path, compact_2x2):
          "--gamma", "0", "--runs", "300", "--t", "20", "--batch-size", "50",
          "--out", str(tmp_path), "--name", "sc"],
     )
-    assert result.exit_code == 0
-    assert (tmp_path / "sc_seed0_trace.csv").exists()
-    trace = load_mab_trace(tmp_path / "sc_seed0_trace.csv")
-    assert len(trace) == 300
+    assert result.exit_code == 0, result.output
+    preset = MabConfig(gamma=0.0, seed=0, alpha=0.1, elite_fraction=0.1, batch_size=50,
+                       rho=0.1, t=20, runs=300)
+    assert _same_trace(tmp_path / "sc_seed0_trace.csv", load_compact(compact_2x2),
+                       [(0, NetworkConfig(1, 1, 3)), (100, NetworkConfig(2, 2, 3))], preset)
 
 
 def test_cli_reproduce_fast_tables(runner):

@@ -27,7 +27,6 @@ from rachopt.mab import (
     _fold,
     ce_update,
     estimate_load,
-    load_mab_trace,
     mae_trace,
     reward,
     run,
@@ -423,6 +422,26 @@ def test_mae_trace_rejects_discretized(small_space):
         mae_trace(small_space, res, cfg)
 
 
+def _assert_reads_back(path, trace):
+    """numpy, as README shows, reads the trace CSV at ``path`` back as
+    ``trace``: the columns under the header's names, integers equal and
+    floats bit for bit, except that a NaN of any sign or payload is written,
+    and read back, as the plain ``nan``."""
+    loaded = np.genfromtxt(path, delimiter=",", names=True, comments="#", dtype=None, ndmin=1)
+    assert loaded.dtype.names == ("pull", "action_index", "mu_h_T", "mu_l_T", "reward")
+    assert len(loaded) == len(trace)
+    if not len(trace):  # no row to infer a column type from: numpy says bool
+        return
+    for got_name, name in zip(loaded.dtype.names, trace.dtype.names):
+        got, want = loaded[got_name], trace[name]
+        assert got.dtype == want.dtype
+        if want.dtype.kind == "f":
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan)
+            got, want = got[~nan].view(np.uint64), want[~nan].view(np.uint64)
+        assert np.array_equal(got, want)
+
+
 def test_trace_csv_round_trip(tmp_path, small_space):
     cfg = NetworkConfig(2, 1, 3)
     mcfg = MabConfig(gamma=0.4, rho=0.1, t=50, runs=120, batch_size=40,
@@ -433,36 +452,7 @@ def test_trace_csv_round_trip(tmp_path, small_space):
     text = path.read_text().splitlines()
     assert text[0] == "pull,action_index,mu_h_T,mu_l_T,reward"
     assert text.count("# batch 0") == 1 and "# batch 2" in text
-    assert np.array_equal(load_mab_trace(path), res.trace)
-
-
-def test_trace_rejects_unknown_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("pull,index\n0,1\n")
-    with pytest.raises(ValueError):
-        load_mab_trace(path)
-
-
-_HEADER = "pull,action_index,mu_h_T,mu_l_T,reward\n"
-
-
-@pytest.mark.parametrize(
-    "body, fragment",
-    [
-        ("0,1\n", "line 2: ['0', '1'] (2 fields, expected 5)"),
-        ("# batch 0\n0,1,0.5,0.5,0.1\n\n1,x,0.5,0.5,0.1\n", "line 5: ['1', 'x',"),
-        ("0,1,0.5,0.5,0.1,7\n", "line 2: ['0', '1', '0.5', '0.5', '0.1', '7'] (6 fields"),
-        # a blank line ending in "\r\n" is skipped, as a csv reader skips it
-        ("0,1,0.5,0.5,0.1\r\n\r\n 7,1\r\n", "line 4: [' 7', '1'] (2 fields, expected 5)"),
-    ],
-    ids=["short", "non-numeric", "extra-field", "crlf"],
-)
-def test_trace_rejects_bad_row_naming_line(tmp_path, body, fragment):
-    path = tmp_path / "bad.csv"
-    path.write_text(_HEADER + body)
-    with pytest.raises(ValueError, match="bad trace row") as err:
-        load_mab_trace(path)
-    assert fragment in str(err.value)
+    _assert_reads_back(path, res.trace)
 
 
 def test_trace_rewards_consistent_with_reward_fn(small_space):
@@ -740,13 +730,21 @@ def test_trace_csv_matches_golden_hook_with_mid_batch_switch(tmp_path, small_spa
     assert path.read_bytes() == (DATA / "mab_trace_hook_switch.csv").read_bytes()
 
 
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# Floats whose text a column-wise writer could get wrong: NaNs with other
+# signs and payloads, both zeros and infinities, subnormals and the extremes.
+_edge_floats = st.sampled_from([
+    math.nan, -math.nan, np.uint64(0x7FF0000000000001).view(np.float64).item(),
+    np.uint64(0xFFF8000000000123).view(np.float64).item(), 0.0, -0.0, math.inf, -math.inf,
+    5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1e22, 0.1,
+])
+_trace_float = st.one_of(st.floats(), _edge_floats)
 
 
 @settings(max_examples=50, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(st.integers(0, 10**6), _finite, _finite, _finite), min_size=0, max_size=30
+        st.tuples(st.integers(0, 10**6), _trace_float, _trace_float, _trace_float),
+        min_size=0, max_size=30,
     ),
     batch_size=st.integers(1, 7),
 )
@@ -757,20 +755,8 @@ def test_trace_csv_round_trip_property(tmp_path_factory, rows, batch_size):
                     best_index=0, batch_size=batch_size)
     path = tmp_path_factory.mktemp("trace") / "trace.csv"
     save_mab_trace(res, path)
-    loaded = load_mab_trace(path)
-    assert loaded.dtype.names == trace.dtype.names
-    assert np.array_equal(loaded, trace)
+    _assert_reads_back(path, trace)
     assert path.read_text().count("# batch") == -(-len(rows) // batch_size)
-
-
-# Floats whose text a column-wise writer could get wrong: NaNs with other
-# signs and payloads, both zeros and infinities, subnormals and the extremes.
-_edge_floats = st.sampled_from([
-    math.nan, -math.nan, np.uint64(0x7FF0000000000001).view(np.float64).item(),
-    np.uint64(0xFFF8000000000123).view(np.float64).item(), 0.0, -0.0, math.inf, -math.inf,
-    5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e-300, 1e22, 0.1,
-])
-_trace_float = st.one_of(st.floats(), _edge_floats)
 
 
 @settings(max_examples=100, deadline=None)
