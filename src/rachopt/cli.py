@@ -39,21 +39,19 @@ def preset(name: str) -> dict:
 SCENARIO_RUNS = {"discretized": 45000, "compact": 12000}
 
 
-class Floor(click.ParamType):
-    """A low-class floor: a finite float >= 0, as :func:`check_gamma` has it."""
+def checked(check):
+    """A click callback that runs ``check`` on a given value and turns its
+    ``ValueError`` into a usage error with the check's message."""
 
-    name = "float"
+    def callback(ctx, param, value):
+        if value is not None:
+            try:
+                check(value)
+            except ValueError as exc:
+                raise click.BadParameter(str(exc)) from None
+        return value
 
-    def convert(self, value, param, ctx):
-        x = click.FLOAT.convert(value, param, ctx)
-        try:
-            check_gamma(x)
-        except ValueError as exc:
-            self.fail(str(exc), param, ctx)
-        return x
-
-
-GAMMA = Floor()
+    return callback
 
 
 def _options(*opts):
@@ -79,16 +77,6 @@ pair_options = _options(
     click.option("--p-l", type=str, default=None,
                  help="Low-class probabilities (comma separated)."),
 )
-
-
-def grid_step(ctx, param, value: float | None) -> float | None:
-    """Click callback: a grid step must be the inverse of an integer."""
-    if value is not None:
-        try:
-            GridSpec(1, value)
-        except ValueError as exc:
-            raise click.BadParameter(str(exc)) from None
-    return value
 
 
 def parse_probabilities(text: str, m: int, name: str) -> tuple[float, ...]:
@@ -178,8 +166,8 @@ def simulate_cmd(m, n_h, n_l, p_h, p_l, t, seed, out):
 
 @main.command("optimize")
 @cfg_options
-@click.option("--gamma", type=GAMMA, default=0.0, show_default=True,
-              help="Low-class throughput floor.")
+@click.option("--gamma", type=float, default=0.0, show_default=True,
+              callback=checked(check_gamma), help="Low-class throughput floor.")
 @click.option("--out", type=click.Path(), default=None, help="Write the result as JSON.")
 def optimize_cmd(m, n_h, n_l, gamma, out):
     """Maximize high-class throughput subject to the low-class floor."""
@@ -206,8 +194,8 @@ def optimize_cmd(m, n_h, n_l, gamma, out):
 
 @main.command("as-stats")
 @click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
-@click.option("--d", type=float, default=GRID_STEP, show_default=True, callback=grid_step,
-              help="Grid step.")
+@click.option("--d", type=float, default=GRID_STEP, show_default=True,
+              callback=checked(lambda d: GridSpec(1, d)), help="Grid step.")
 def as_stats_cmd(m, d):
     """Discretized action-space sizes before and after rotation dedup."""
     spec = GridSpec(m, d)
@@ -223,7 +211,8 @@ def as_stats_cmd(m, d):
 @click.option("--m", type=RBS, required=True, help="Number of resource blocks.")
 @click.option("--n-h-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
 @click.option("--n-l-max", type=COUNT, default=COMPACT_BOUND, show_default=True)
-@click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
+@click.option("--gamma", type=float, default=0.0, show_default=True,
+              callback=checked(check_gamma))
 @click.option("--out", type=click.Path(), required=True, help="Destination CSV.")
 def compact_build_cmd(m, n_h_max, n_l_max, gamma, out):
     """Precompute the compact (load -> allocation) table and save it."""
@@ -277,7 +266,7 @@ def bandit_options(runs: dict[str, int]):
     return _options(
         click.option("--space", "space_kind", type=click.Choice(SPACES),
                      default="discretized", show_default=True),
-        click.option("--d", type=float, default=None, callback=grid_step,
+        click.option("--d", type=float, default=None, callback=checked(lambda d: GridSpec(1, d)),
                      show_default=str(GRID_STEP), help="Grid step (discretized space)."),
         click.option("--table", type=click.Path(exists=True), default=None,
                      help="Precomputed compact table CSV."),
@@ -301,7 +290,8 @@ def bandit_options(runs: dict[str, int]):
 
 @main.command("mab")
 @cfg_options
-@click.option("--gamma", type=GAMMA, default=0.0, show_default=True)
+@click.option("--gamma", type=float, default=0.0, show_default=True,
+              callback=checked(check_gamma))
 @bandit_options(preset("runs"))
 @click.option("--out", type=click.Path(), default="mab-out", show_default=True,
               help="Output directory.")
@@ -319,7 +309,8 @@ def mab_cmd(**opts):
 @click.option("--switch-n-l", type=COUNT, default=5, show_default=True)
 @click.option("--switch", "switch_pull", type=click.IntRange(min=1), default=None,
               help=f"Pull index of the load switch {per_space(preset('runs'))}.")
-@click.option("--gamma", type=GAMMA, default=0.4, show_default=True)
+@click.option("--gamma", type=float, default=0.4, show_default=True,
+              callback=checked(check_gamma))
 @bandit_options(SCENARIO_RUNS)
 @click.option("--out", type=click.Path(), default="scenario-out", show_default=True)
 @click.option("--name", type=str, default="scenario", show_default=True)

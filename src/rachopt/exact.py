@@ -2,13 +2,13 @@
 
 Two independent routes to the same quantity:
 
-* :func:`stacked_terms` -- the closed form: per-RB success probabilities
-  of both classes, stacked in one (2, ..., m) array, with their gradients on
-  request (:func:`gradient_kernel`, which writes them into fixed arrays),
-  for any batch of allocations and a :func:`load_table`.  These two are the
-  only places the formula is written and the one way into it: the solver
-  in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the grid
-  tables of :mod:`rachopt.actionspace` all call them.
+* :func:`gradient_kernel` -- the closed form: per-RB success probabilities
+  of both classes, stacked in one (2, ..., m) array, with their gradients,
+  written into fixed arrays, for any batch of allocations and a
+  :func:`load_table`.  It is the one place the formula is written and the
+  one way into it: :func:`stacked_terms` returns its terms row, and the
+  solver in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the
+  grid tables of :mod:`rachopt.actionspace` all go through it.
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
   :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
@@ -17,8 +17,9 @@ Two independent routes to the same quantity:
   probability.  The patterns are those the pairs produce, so none is
   listed that no occupancy reaches.  It sums the joint law of all RBs and
   never forms a per-RB success probability, so it shares the model with
-  the closed form but no formula.  Its work is one step per occupancy
-  pair, which ``ENUMERATION_CAP`` bounds; kept as a cross-check.
+  the closed form but no formula.  Each class's occupancies are weighed in
+  log space, one route for every population.  Its work is one step per
+  occupancy pair, which ``ENUMERATION_CAP`` bounds; kept as a cross-check.
 
 :func:`slot_success_pmf` goes one step further than the means: the exact
 per-slot joint law of the high and low success counts, which the bandit
@@ -54,10 +55,6 @@ __all__ = [
 # Hard ceiling on occupancy-pair enumeration work for the pattern-sum route.
 ENUMERATION_CAP = 10_000_000
 
-# Multinomial coefficients are computed as exact integers up to this n;
-# larger populations weigh their occupancies in log space.
-_EXACT_COEF_MAX_N = 20
-
 
 class EnumerationCapExceeded(RuntimeError):
     """Pattern-sum enumeration would exceed ``ENUMERATION_CAP``."""
@@ -84,19 +81,18 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=256)
 def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
-    """The load's constants in :func:`stacked_terms` and
-    :func:`gradient_kernel` for an array of ``ndim`` axes: ``(e, c,
-    two_value, two_grad)``, each with one more leading axis,
+    """The load's constants in :func:`gradient_kernel` for an array of
+    ``ndim`` axes: ``(e, c, two)``, each with one more leading axis,
     read-only as the cache shares them.  ``n_h`` and ``n_l`` are ints or
     tuples of ints, one load per index of the axis after the class axis.
 
     ``e[k]`` = ``max(n - k, 0)`` for k = 0, 1, 2: one ``pow`` call gives all
     six powers.  numpy squares a scalar exponent of 2 but calls ``pow`` on an
     array one, which can differ in the last bit, so a 2 is stored as 1 and
-    masks (None if empty) mark the powers multiplied once more: over the rows
-    k < 2 that the terms read, and over all three.  ``c`` is ``n``,
-    ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the coefficients of the terms
-    and the cross derivatives, then of the own derivatives."""
+    the mask ``two`` (None if empty) marks the powers multiplied once more.
+    ``c`` is ``n``, ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the
+    coefficients of the terms and the cross derivatives, then of the own
+    derivatives."""
     n = np.array([n_h, n_l])
     n = n.reshape(n.shape + (1,) * (ndim - n.ndim))
     e = np.maximum(n - np.arange(3).reshape((3,) + (1,) * n.ndim), 0)
@@ -104,13 +100,24 @@ def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
     # integer products, so a zero load gives +0.0; float, so no ufunc casts
     e, c = np.where(two, 1, e).astype(float), np.stack([n, -n * n[::-1], n, n - 1]).astype(float)
     e.flags.writeable = two.flags.writeable = c.flags.writeable = False
-    return (e, c) + tuple(t if t.any() else None for t in (two[:2], two))
+    return e, c, two if two.any() else None
 
 
 def stacked_terms(x: np.ndarray, table) -> np.ndarray:
     """The per-RB terms of (mu_h, mu_l) over a stacked ``x`` of shape
-    (2, ..., m), ``x[0]`` = p_h and ``x[1]`` = p_l, under a
-    :func:`load_table`; shape (2, ..., m).
+    (2, ..., m) under a :func:`load_table`: row 0 of what
+    :func:`gradient_kernel` writes, shape (2, ..., m)."""
+    out = np.empty((3,) + x.shape)
+    gradient_kernel(x, table, out)()
+    return out[0]
+
+
+def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
+    """The per-RB terms of (mu_h, mu_l) over a stacked ``x`` of shape
+    (2, ..., m), ``x[0]`` = p_h and ``x[1]`` = p_l, with their gradients,
+    under a :func:`load_table`, bound to fixed arrays: a function of no
+    arguments that rewrites ``out`` from what ``x`` holds when it is called.
+    This is the one place the closed form is written.
 
     RB ``i`` carries a high success iff exactly one of the n_h devices picks
     it and no low-priority device does:
@@ -118,23 +125,9 @@ def stacked_terms(x: np.ndarray, table) -> np.ndarray:
     class, with ``a = p_h`` and ``b = p_l``.  Summing the terms over the
     last axis gives the slot expectations.  A table of per-row loads scores
     each row under its own load, bit for bit as a table of that load alone.
-    :func:`gradient_kernel` gives the same terms with their gradients.
-
     Exponents are floored at 0 so that n = 0 and n = 1 need no branches:
     wherever a floor takes effect, the power it touches has a zero
-    coefficient, and no power is infinite at p = 1."""
-    e, c, two, _ = table
-    one = 1.0 - x
-    p = one ** e[:2]
-    if two is not None:
-        np.multiply(p, one, out=p, where=two)
-    return c[0] * x * p[1] * p[0, ::-1]
-
-
-def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
-    """:func:`stacked_terms` of ``x`` under ``table`` with its gradients,
-    bound to fixed arrays: a function of no arguments that rewrites ``out``
-    from what ``x`` holds when it is called.
+    coefficient, and no power is infinite at p = 1.
 
     ``out`` has shape (3,) + ``x.shape``: the terms, then the gradient of
     mu_h (d / d p_h, d / d p_l) and that of mu_l, so ``out[1]`` and
@@ -143,9 +136,8 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
     must not overlap ``x``.  The views and scratch arrays are made here,
     once, so that a call is a few numpy calls over whole blocks, none of
     which writes over its own input: a caller that scores many iterates of
-    one shape keeps the kernel and rewrites ``x``.  The terms are bit for
-    bit those of :func:`stacked_terms`."""
-    e, c, _, two = table
+    one shape keeps the kernel and rewrites ``x``."""
+    e, c, two = table
     # the class-rows of out as (2, 3, ...): [:, :2] holds the terms, then the
     # cross derivatives (d mu_h / d p_l, d mu_l / d p_h); [:, 2] the own ones
     rows = out.reshape((2, 3) + x.shape[1:])
@@ -195,19 +187,12 @@ _PAIR_CHUNK = 1 << 16
 
 
 @functools.lru_cache(maxsize=32)
-def _occupancies(n: int, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+def _occupancies(n: int, m: int) -> np.ndarray:
     """Every occupancy vector of ``n`` devices over ``m`` RBs, shape (c, m),
-    and for n <= 20 its multinomial coefficient, the exact integer as a
-    float (None beyond).  Read-only, as the cache shares them."""
+    read-only, as the cache shares them."""
     counts = compositions(n, m)
     counts.flags.writeable = False
-    if n > _EXACT_COEF_MAX_N:
-        return counts, None
-    # 20! < 2**63, so the integer quotient is exact
-    fact = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
-    coef = (fact[n] // fact[counts].prod(axis=1)).astype(float)
-    coef.flags.writeable = False
-    return counts, coef
+    return counts
 
 
 def _log_terms(n: int, p: np.ndarray) -> np.ndarray:
@@ -234,24 +219,21 @@ def _occupancy_weights(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a positive probability, and those probabilities.  A positive count on a
     zero probability gives 0 exactly, without a ``log(0)`` or ``0 * inf``.
 
-    Past n = 20 the weights are ``exp`` of sums of :func:`_log_terms`, each
-    off from the log probability by one offset common to all rows, and are
-    scaled to their known total ``(sum p)**n``; the offset never has to be
-    formed, so no ``lgamma(n + 1)`` of 1e4 cancels against the rest."""
-    counts, coef = _occupancies(n, p.size)
-    if coef is not None:
-        w = coef * np.prod(p**counts, axis=1)
-    else:
-        terms = _log_terms(n, p)
-        w = np.empty(len(counts))
-        # in row chunks, as each gather takes a float per row
-        for lo in range(0, len(counts), _PAIR_CHUNK):
-            rows, hi = counts[lo : lo + _PAIR_CHUNK], lo + _PAIR_CHUNK
-            terms[0].take(rows[:, 0], out=w[lo:hi])
-            for i in range(1, p.size):
-                w[lo:hi] += terms[i].take(rows[:, i])
-        np.exp(w, out=w)
-        w *= math.exp(n * math.log1p(math.fsum([*p.tolist(), -1.0]))) / w.sum()
+    The weights are ``exp`` of sums of :func:`_log_terms`, each off from the
+    log probability by one offset common to all rows, and are scaled to
+    their known total ``(sum p)**n``; the offset never has to be formed, so
+    no ``lgamma(n + 1)`` of 1e4 cancels against the rest."""
+    counts = _occupancies(n, p.size)
+    terms = _log_terms(n, p)
+    w = np.empty(len(counts))
+    # in row chunks, as each gather takes a float per row
+    for lo in range(0, len(counts), _PAIR_CHUNK):
+        rows, hi = counts[lo : lo + _PAIR_CHUNK], lo + _PAIR_CHUNK
+        terms[0].take(rows[:, 0], out=w[lo:hi])
+        for i in range(1, p.size):
+            w[lo:hi] += terms[i].take(rows[:, i])
+    np.exp(w, out=w)
+    w *= math.exp(n * math.log1p(math.fsum([*p.tolist(), -1.0]))) / w.sum()
     keep = w > 0.0
     if keep.all():
         return counts, w  # the cached rows, not a copy

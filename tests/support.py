@@ -217,11 +217,11 @@ def reference_save_mab_trace(result, path) -> None:
 
 
 def reference_stacked_grad(x: np.ndarray, table) -> np.ndarray:
-    """The terms and derivatives of ``stacked_terms(x, table, grad=True)``
-    in the former layout, shape (3, 2, ..., m): the terms, the cross
+    """The terms and derivatives that ``gradient_kernel(x, table, out)``
+    writes, in the former layout, shape (3, 2, ..., m): the terms, the cross
     derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
     (d mu_h / d p_h, d mu_l / d p_l), each from fresh temporaries."""
-    e, c, _, two = table
+    e, c, two = table
     one = 1.0 - x
     p = one ** e[:3]
     if two is not None:
