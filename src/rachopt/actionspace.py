@@ -27,7 +27,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exact import compositions, load_table, stacked_terms, throughput_closed_form
+from .exact import compositions, throughput_closed_form, throughput_rows
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 from .optimize import FEASIBILITY_TOL, solve_batch
 
@@ -312,11 +312,10 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
 
 
 def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:
-    """Exact (mu_h, mu_l) for every action under ``cfg``, vectorized.
-
-    Returns an array of shape (size, 2) in action order.
-    """
+    """Exact (mu_h, mu_l) for every action under ``cfg``: shape (size, 2)
+    in action order, each row bit for bit
+    :func:`rachopt.exact.throughput_closed_form` of its action, as both are
+    :func:`rachopt.exact.throughput_rows`."""
     if space.m != cfg.m:
         raise ValueError(f"space has m={space.m}, config has m={cfg.m}")
-    x = space.allocations
-    return stacked_terms(x, load_table(cfg.n_h, cfg.n_l, x.ndim)).sum(axis=-1).T
+    return throughput_rows(space.allocations, cfg.n_h, cfg.n_l).T

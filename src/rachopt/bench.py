@@ -578,6 +578,7 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
         final_cfg = spec.cfg
         if schedule is not None:
             final_cfg = NetworkConfig(schedule[1], schedule[2], spec.cfg.m)
+        mus = exact_throughputs(space, final_cfg)
         per_seed = []
         for seed in spec.params.get("seeds", MAB_SEEDS):
             mcfg = _mab_config(spec, seed)
@@ -588,15 +589,15 @@ def run_experiment(spec: ExperimentSpec) -> list[Path]:
                 loads = [(0, spec.cfg), (schedule[0], final_cfg)]
                 result = run_nonstationary(space, loads, mcfg)
             elapsed = time.perf_counter() - start
-            best = space.actions[result.best_index]
-            mu = throughput_closed_form(final_cfg, best.pair)
+            mu_h, mu_l = mus[result.best_index].tolist()
+            p_h, p_l = space.allocations[:, result.best_index].tolist()
             seed_record = {
                 "seed": seed,
                 "best_index": result.best_index,
-                "exact_mu_h": mu.mu_h,
-                "exact_mu_l": mu.mu_l,
-                "p_h": list(best.pair.p_h),
-                "p_l": list(best.pair.p_l),
+                "exact_mu_h": mu_h,
+                "exact_mu_l": mu_l,
+                "p_h": p_h,
+                "p_l": p_l,
                 "seconds": round(elapsed, 3),
             }
             mae = None

@@ -6,9 +6,10 @@ Two independent routes to the same quantity:
   of both classes, stacked in one (2, ..., m) array, with their gradients,
   written into fixed arrays, for any batch of allocations and a
   :func:`load_table`.  It is the one place the formula is written and the
-  one way into it: :func:`stacked_terms` returns its terms row, and the
-  solver in :mod:`rachopt.optimize`, :func:`throughput_closed_form` and the
-  grid tables of :mod:`rachopt.actionspace` all go through it.
+  one way into it: :func:`stacked_terms` returns its terms row.  Their
+  fsum over RBs, :func:`throughput_rows`, is the one scoring rule, so
+  relabeled RBs score the same, and :func:`throughput_closed_form`, the
+  grid tables and the solver's pick, its cases, agree bit for bit.
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
   :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
@@ -45,6 +46,7 @@ __all__ = [
     "load_table",
     "stacked_terms",
     "gradient_kernel",
+    "throughput_rows",
     "throughput_closed_form",
     "pattern_probabilities",
     "throughput_by_pattern_sum",
@@ -170,16 +172,25 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
     return kernel
 
 
+def throughput_rows(x: np.ndarray, n_h, n_l) -> np.ndarray:
+    """(mu_h, mu_l), shape (2, ...), of every row of a stacked ``x`` of
+    shape (2, ..., m) under one load or one per row (as :func:`load_table`
+    takes them): the exactly rounded ``math.fsum`` of its
+    :func:`stacked_terms`, the same bits under any joint RB permutation."""
+    terms = stacked_terms(x, load_table(n_h, n_l, x.ndim))
+    sums = map(math.fsum, terms.reshape(-1, x.shape[-1]).tolist())
+    return np.fromiter(sums, float, terms.size // x.shape[-1]).reshape(terms.shape[:-1])
+
+
 def throughput_closed_form(
     cfg: NetworkConfig, pair: AccessProbabilityPair
 ) -> ThroughputPair:
-    """Expected successes per slot for each class: the fsum of
-    :func:`stacked_terms` over RBs, which keeps the result invariant under
-    any joint permutation of the RBs."""
+    """Expected successes per slot for each class: :func:`throughput_rows`
+    of the one pair."""
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
-    mu_h, mu_l = stacked_terms(np.array([pair.p_h, pair.p_l]), load_table(cfg.n_h, cfg.n_l, 2))
-    return ThroughputPair(math.fsum(mu_h.tolist()), math.fsum(mu_l.tolist()))
+    mu = throughput_rows(np.array([pair.p_h, pair.p_l]), cfg.n_h, cfg.n_l)
+    return ThroughputPair(*mu.tolist())
 
 
 # Occupancy pairs, or vectors of the log weights, per pass; bounds the memory.

@@ -359,8 +359,9 @@ def _load_arms(space: ActionSpace) -> np.ndarray:
     """
     if not space.is_compact:
         raise TypeError("load estimation needs a compact space")
-    first: dict = {}
-    return np.array([first.setdefault(a.pair, i) for i, a in enumerate(space.actions)])
+    first: dict = {}  # keyed by (p_h, p_l) tuples, under which -0.0 == 0.0
+    rows = np.concatenate(space.allocations, axis=1).tolist()
+    return np.array([first.setdefault(tuple(row), i) for i, row in enumerate(rows)])
 
 
 def estimate_load(space: ActionSpace, result: MabResult) -> tuple[int, int]:

@@ -30,8 +30,11 @@ solving that load alone gives.  :func:`solve` is the batch of one;
 :func:`rachopt.actionspace.build_compact` sends a whole compact table
 through one batch.
 
-Analytic gradients throughout; the reported objective is always a fresh
-closed-form evaluation of the polished, exactly renormalized pair.
+Analytic gradients throughout.  The pick scores every polished start in
+one :func:`rachopt.exact.throughput_rows` call, so a result's mu is bit for
+bit :func:`rachopt.exact.throughput_closed_form` of its pair, and takes the
+feasible start with the highest mu_h, then the smaller pair sorted jointly
+by RB, then the first (see :func:`solve_batch`).
 
 :class:`SolverOptions` sets only the number of random starts, which come
 from one fixed stream (``random_starts``), and the cap on outer rounds
@@ -54,14 +57,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .exact import gradient_kernel, load_table, stacked_terms, throughput_closed_form
+from .exact import gradient_kernel, load_table, stacked_terms, throughput_rows
 from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
 
 __all__ = [
     "SolverOptions",
     "OptResult",
     "structural_unconstrained",
-    "canonical_permutation",
     "solve",
     "solve_batch",
 ]
@@ -124,18 +126,6 @@ def structural_unconstrained(cfg: NetworkConfig) -> AccessProbabilityPair:
         p_h = (share,) * (m - 1) + (1.0 - (m - 1) * share,)
     p_l = (0.0,) * (m - 1) + (1.0,)
     return AccessProbabilityPair(p_h, p_l)
-
-
-def canonical_permutation(pair: AccessProbabilityPair) -> AccessProbabilityPair:
-    """Jointly permute RBs so per-RB tuples (p_h[i], p_l[i]) sort ascending.
-
-    Full-permutation normal form for comparing solver outputs; throughput is
-    invariant under any joint permutation.
-    """
-    order = sorted(range(pair.m), key=lambda i: (pair.p_h[i], pair.p_l[i]))
-    return AccessProbabilityPair(
-        tuple(pair.p_h[i] for i in order), tuple(pair.p_l[i] for i in order)
-    )
 
 
 def _lagrangian(table, gamma, mult, shape):
@@ -225,14 +215,6 @@ def _inner_ascent(table, gamma, x, mult, step):
     return x_out, step_out, taken
 
 
-def _polish(row: np.ndarray, m: int) -> AccessProbabilityPair:
-    a = np.clip(row[:m], 0.0, 1.0)
-    b = np.clip(row[m:], 0.0, 1.0)
-    a = a / a.sum() if a.sum() > 0 else np.full(m, 1.0 / m)
-    b = b / b.sum() if b.sum() > 0 else np.full(m, 1.0 / m)
-    return AccessProbabilityPair(tuple(a), tuple(b))
-
-
 def solve_batch(
     cfgs: Sequence[NetworkConfig],
     gamma: float = 0.0,
@@ -246,16 +228,20 @@ def solve_batch(
     which point it leaves the working arrays.  The result for each load is
     bit for bit the result of solving it alone.
 
-    Each load runs its structural allocation and the uniform pair alongside
-    the random simplex starts, which every load shares (they come from one
-    fixed stream, ``default_rng(0)``).  It picks the best feasible polished
-    result (ties broken by the canonical permutation's lexicographic order),
-    and falls back to the best-attained mu_l when nothing is feasible.
+    Each load runs its structural allocation (start 0) and the uniform pair
+    (start 1) alongside the random simplex starts (2 on), which every load
+    shares (they come from one fixed stream, ``default_rng(0)``).  Every
+    final iterate is polished -- clipped to [0, 1], each vector divided by
+    its sum, or uniform where that is 0 -- and all are scored in one
+    :func:`rachopt.exact.throughput_rows` call.  Each load picks, among its
+    feasible starts, the highest mu_h, then the lexicographically smaller
+    (p_h, p_l) once both are sorted jointly by RB, then the first start;
+    with none feasible, the first start with the highest mu_l.
     ``diagnostics`` reports the starts, the feasible starts, the outer
     rounds, whether they hit ``max_outer`` (``cap_hit``), the projected
-    gradient steps its inner ascents took over all rounds (``inner_steps``)
-    and the largest constraint residual of the chosen start's final iterate
-    (``max_violation``).
+    gradient steps its inner ascents took over all rounds (``inner_steps``),
+    the largest constraint residual of the chosen start's final iterate
+    (``max_violation``) and the start that won (``winning_start``).
     """
     check_gamma(gamma)
     if not cfgs:
@@ -320,46 +306,41 @@ def solve_batch(
         prev_viol = np.maximum(viol, 1e-300)
         step = np.maximum(step, 1e-6)  # re-arm after multiplier change
 
-    # back to one (starts, 2m) row block per load for the polish
-    x_final = x_final.transpose(1, 2, 0, 3).reshape(len(cfgs), -1, 2 * m)
-    return [
-        _pick(cfg, gamma, x_final[i], viol_final[i], int(rounds[i]), int(inner_steps[i]), opts)
-        for i, cfg in enumerate(cfgs)
-    ]
+    return _pick(cfgs, gamma, x_final, viol_final, rounds, inner_steps, opts)
 
 
-def _pick(cfg, gamma, x, viol, rounds, inner_steps, opts) -> OptResult:
-    """Polish every start of one load and choose its result."""
-    candidates = []
-    for row in range(len(x)):
-        pair = _polish(x[row], cfg.m)
-        mu = throughput_closed_form(cfg, pair)
-        feasible = mu.mu_l >= gamma - FEASIBILITY_TOL
-        canon = canonical_permutation(pair)
-        candidates.append(
-            (feasible, mu.mu_h, mu.mu_l, canon.p_h + canon.p_l, pair, mu, row)
-        )
-    diagnostics = {
-        "starts": len(x),
-        "feasible_starts": sum(c[0] for c in candidates),
-        "outer_rounds": rounds,
-        "cap_hit": rounds == opts.max_outer,
-        "inner_steps": inner_steps,
-    }
-    feasible_rows = [c for c in candidates if c[0]]
-    if feasible_rows:
-        # highest objective, ties toward the lexicographically smaller pair
-        best = max(feasible_rows, key=lambda c: (c[1], tuple(-v for v in c[3])))
-    else:
-        best = max(candidates, key=lambda c: c[2])  # best-attained mu_l
-        diagnostics["best_attained_mu_l"] = best[2]
-    diagnostics["max_violation"] = float(viol[best[6]])
-    return OptResult(
-        pair=best[4],
-        mu=best[5],
-        feasible=bool(feasible_rows),
-        diagnostics=diagnostics,
-    )
+def _pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
+    """Polish and score every start of every load, and pick each load's
+    result by :func:`solve_batch`'s rule, from the final (2, loads, starts,
+    m) iterate ``x`` and its (loads, starts) residuals ``viol``."""
+    x = np.clip(x, 0.0, 1.0)
+    sums = x.sum(axis=-1, keepdims=True)
+    x = np.divide(x, sums, out=np.full_like(x, 1.0 / x.shape[-1]), where=sums > 0)
+    mu = throughput_rows(x, tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs))
+    feasible = mu[1] >= gamma - FEASIBILITY_TOL
+    # lexsort's last key leads, and ties keep the start order: each start's
+    # RBs by (p_h, p_l), then the starts by (infeasible, -mu_h, sorted p_h,
+    # sorted p_l); with no feasible start, the first with the highest mu_l
+    canon = np.take_along_axis(x, np.lexsort(x[::-1])[None], axis=-1)
+    keys = np.moveaxis(canon, -1, 1).reshape((-1,) + feasible.shape)[::-1]
+    ranked = np.lexsort(np.concatenate([keys, [-mu[0], ~feasible]]))[:, 0]
+    any_ok = feasible.any(axis=1)
+    best = np.where(any_ok, ranked, mu[1].argmax(axis=1)).tolist()
+    results = []
+    for i, (w, ok) in enumerate(zip(best, any_ok.tolist())):
+        diagnostics = {
+            "starts": x.shape[2],
+            "feasible_starts": int(feasible[i].sum()),
+            "outer_rounds": int(rounds[i]),
+            "cap_hit": int(rounds[i]) == opts.max_outer,
+            "inner_steps": int(inner_steps[i]),
+        }
+        if not ok:
+            diagnostics["best_attained_mu_l"] = float(mu[1, i, w])
+        diagnostics.update(max_violation=float(viol[i, w]), winning_start=w)
+        pair = AccessProbabilityPair(x[0, i, w], x[1, i, w])
+        results.append(OptResult(pair, ThroughputPair(*mu[:, i, w].tolist()), ok, diagnostics))
+    return results
 
 
 def solve(

@@ -16,7 +16,9 @@ block generator, as no public function returns them.
 the reference the column-wise one must match byte for byte.
 :func:`reference_inner_ascent` is the solver's former projected-gradient
 loop, with its :func:`reference_phi` and :func:`reference_stacked_grad`,
-the reference the in-place loop must match bit for bit.
+the reference the in-place loop must match bit for bit, and
+:func:`reference_pick` its former per-start pick, the reference the
+array pick must match bit for bit.
 :func:`load_plot_data` reads a plot CSV back as named columns.
 """
 
@@ -28,9 +30,9 @@ import math
 
 import numpy as np
 
-from rachopt.exact import slot_success_pmf
+from rachopt.exact import slot_success_pmf, throughput_closed_form
 from rachopt.model import AccessProbabilityPair
-from rachopt.optimize import _MAX_INNER
+from rachopt.optimize import _MAX_INNER, FEASIBILITY_TOL, OptResult
 from rachopt.simulate import _run_blocks
 
 
@@ -281,6 +283,55 @@ def reference_inner_ascent(table, gamma, x, mult, step):
             mult = tuple(v[..., go, :] for v in mult)
     x_out[:, rows], step_out[rows] = x, step
     return x_out, step_out, taken
+
+
+def _reference_polish(row: np.ndarray, m: int) -> AccessProbabilityPair:
+    a = np.clip(row[:m], 0.0, 1.0)
+    b = np.clip(row[m:], 0.0, 1.0)
+    a = a / a.sum() if a.sum() > 0 else np.full(m, 1.0 / m)
+    b = b / b.sum() if b.sum() > 0 else np.full(m, 1.0 / m)
+    return AccessProbabilityPair(tuple(a), tuple(b))
+
+
+def _reference_pick_load(cfg, gamma, x, viol, rounds, inner_steps, opts) -> OptResult:
+    """Polish every start of one load, score each with
+    ``throughput_closed_form`` and choose its result."""
+    candidates = []
+    for row in range(len(x)):
+        pair = _reference_polish(x[row], cfg.m)
+        mu = throughput_closed_form(cfg, pair)
+        feasible = mu.mu_l >= gamma - FEASIBILITY_TOL
+        # the RBs sorted jointly by (p_h[i], p_l[i])
+        order = sorted(range(pair.m), key=lambda i: (pair.p_h[i], pair.p_l[i]))
+        canon = tuple(pair.p_h[i] for i in order) + tuple(pair.p_l[i] for i in order)
+        candidates.append((feasible, mu.mu_h, mu.mu_l, canon, pair, mu, row))
+    diagnostics = {
+        "starts": len(x),
+        "feasible_starts": sum(c[0] for c in candidates),
+        "outer_rounds": rounds,
+        "cap_hit": rounds == opts.max_outer,
+        "inner_steps": inner_steps,
+    }
+    feasible_rows = [c for c in candidates if c[0]]
+    if feasible_rows:
+        # highest objective, ties toward the lexicographically smaller pair
+        best = max(feasible_rows, key=lambda c: (c[1], tuple(-v for v in c[3])))
+    else:
+        best = max(candidates, key=lambda c: c[2])  # best-attained mu_l
+        diagnostics["best_attained_mu_l"] = best[2]
+    diagnostics["max_violation"] = float(viol[best[6]])
+    diagnostics["winning_start"] = best[6]
+    return OptResult(best[4], best[5], bool(feasible_rows), diagnostics)
+
+
+def reference_pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
+    """The solver's former pick, one start at a time, with the signature
+    and results of ``rachopt.optimize._pick``."""
+    rows = x.transpose(1, 2, 0, 3).reshape(len(cfgs), -1, 2 * x.shape[-1])
+    return [
+        _reference_pick_load(cfg, gamma, rows[i], viol[i], int(rounds[i]), int(steps), opts)
+        for i, (cfg, steps) in enumerate(zip(cfgs, inner_steps))
+    ]
 
 
 def load_plot_data(path) -> dict[str, np.ndarray]:

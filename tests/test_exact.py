@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -21,6 +22,7 @@ from rachopt.exact import (
     stacked_terms,
     throughput_by_pattern_sum,
     throughput_closed_form,
+    throughput_rows,
 )
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 
@@ -169,6 +171,28 @@ def test_throughput_terms_per_row_loads_match_scalar_calls():
     flat = terms(n_h, n_l, a[:, 0], b[:, 0])
     for i, (h, l) in enumerate(loads):
         assert np.array_equal(flat[:, i], terms(h, l, a[i, 0], b[i, 0])), (h, l)
+
+
+def test_one_score_per_allocation():
+    # the grid table and the scalar route are one fsum over the same terms,
+    # so they agree bit for bit, zero loads included, and so does every
+    # joint relabeling of the RBs
+    loads = ((4, 5), (0, 3), (2, 0), (0, 0), (7, 9))
+    for m in (2, 3, 4, 5):
+        space = generate_discretized(GridSpec(m, 0.2), reduced=True)
+        tables = []
+        for n_h, n_l in loads:
+            cfg = NetworkConfig(n_h, n_l, m)
+            table = exact_throughputs(space, cfg)
+            mus = [throughput_closed_form(cfg, a.pair) for a in space.actions]
+            want = np.array([(mu.mu_h, mu.mu_l) for mu in mus])
+            assert table.view(np.uint64).tolist() == want.view(np.uint64).tolist(), (m, n_h, n_l)
+            tables.append(table.T.view(np.uint64))
+        for perm in itertools.permutations(range(m)):
+            relabeled = space.allocations[..., perm]
+            for (n_h, n_l), table in zip(loads, tables):
+                got = throughput_rows(relabeled, n_h, n_l).view(np.uint64)
+                assert np.array_equal(got, table), (m, n_h, n_l, perm)
 
 
 def test_gradient_kernel_rejects_an_out_it_would_copy():

@@ -10,7 +10,7 @@ from rachopt.exact import (
     stacked_terms,
     throughput_closed_form,
 )
-from rachopt.model import AccessProbabilityPair, NetworkConfig
+from rachopt.model import NetworkConfig
 from rachopt.optimize import (
     FEASIBILITY_TOL,
     _MAX_INNER,
@@ -18,13 +18,12 @@ from rachopt.optimize import (
     OptResult,
     SolverOptions,
     _lagrangian,
-    canonical_permutation,
     solve,
     solve_batch,
     structural_unconstrained,
 )
 
-from support import random_simplex, reference_inner_ascent
+from support import reference_inner_ascent, reference_pick
 
 FAST = SolverOptions(random_starts=8, max_outer=25)
 
@@ -50,27 +49,6 @@ def test_structural_matches_scaling_reference():
             cfg = NetworkConfig(n_h, 2, m)
             mu = throughput_closed_form(cfg, structural_unconstrained(cfg))
             assert mu.mu_h == pytest.approx(scaling_reference(cfg), abs=1e-12)
-
-
-def test_canonical_permutation_sorts_jointly():
-    pair = AccessProbabilityPair([0.744, 0.006, 0.25], [0.805, 0.195, 0.0])
-    canon = canonical_permutation(pair)
-    assert canon.p_h == (0.006, 0.25, 0.744)
-    assert canon.p_l == (0.195, 0.0, 0.805)
-    # ties on p_h resolved by p_l
-    pair = AccessProbabilityPair([0.5, 0.5], [0.9, 0.1])
-    canon = canonical_permutation(pair)
-    assert canon.p_l == (0.1, 0.9)
-
-
-def test_canonical_permutation_preserves_throughput():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        m = int(rng.integers(2, 6))
-        cfg = NetworkConfig(int(rng.integers(1, 6)), int(rng.integers(1, 6)), m)
-        pair = AccessProbabilityPair(random_simplex(rng, m), random_simplex(rng, m))
-        canon = canonical_permutation(pair)
-        assert throughput_closed_form(cfg, canon) == throughput_closed_form(cfg, pair)
 
 
 def test_gradients_match_central_differences():
@@ -292,6 +270,55 @@ def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, m, loads)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
     # loads left the batch mid-round, so the compacted buffers were used
     assert len({r.diagnostics["inner_steps"] for r in got}) > 1
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.4])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_solve_batch_pick_matches_reference_pick_bit_for_bit(monkeypatch, m, gamma):
+    # the array pick against the former per-start one on every result field,
+    # winning_start included; ties are exact: at gamma 0.4 every feasible
+    # start of an n_h = 0 cell has mu_h = 0, and the n_l = 0 row is
+    # infeasible, so the first start with the best mu_l wins; at m = 1
+    # every start polishes to the same pair, and (0, 2) is infeasible too
+    cfgs = [NetworkConfig(n_h, n_l, m) for n_h in range(3) for n_l in range(3)]
+    cfgs.append(NetworkConfig(4, 5, m))
+    options = SolverOptions(random_starts=4, max_outer=3)
+    got = solve_batch(cfgs, gamma, options)
+    monkeypatch.setattr(optimize, "_pick", reference_pick)
+    want = solve_batch(cfgs, gamma, options)
+    assert [_bits(r) for r in got] == [_bits(r) for r in want]
+    for cfg, r in zip(cfgs, got):
+        assert 0 <= r.diagnostics["winning_start"] < options.random_starts + 2
+        if gamma > 0 and cfg.n_l == 0:
+            assert not r.feasible
+        elif gamma > 0 and cfg.n_h == 0 and m > 1:
+            assert r.diagnostics["feasible_starts"] > 1 and r.mu.mu_h == 0.0
+
+
+def test_pick_matches_reference_pick_on_crafted_ties():
+    # final iterates the ascent rarely leaves: n_h = 0 loads, where every
+    # start ties on mu_h = 0 and the smaller RB-sorted pair wins wherever it
+    # sits, a start that relabels another (a full tie, so the first wins),
+    # a p_h that sums to 0 and entries outside [0, 1]
+    rng = np.random.default_rng(5)
+    m, starts = 4, 8
+    cfgs = [NetworkConfig(n_h, n_l, m) for n_h, n_l in [(0, 2), (0, 3), (3, 0), (2, 2), (0, 0)]]
+    x = rng.dirichlet(np.ones(m), size=(2, len(cfgs), starts))
+    # load (0, 2): the smallest sorted p_h, and sums that no order rounds
+    x[:, 0, 2] = [[0.0, 0.0, 0.0, 1.0], [0.5, 0.25, 0.125, 0.125]]
+    x[:, :, 5] = x[:, :, 2][..., [2, 0, 3, 1]]
+    x[0, :, 6] = 0.0
+    x[:, :, 7] = 3.0 * x[:, :, 7] - 0.5
+    viol = rng.random((len(cfgs), starts))
+    rounds, inner_steps = np.array([1, 2, 3, 3, 2]), np.array([10, 20, 30, 40, 50])
+    options = SolverOptions(random_starts=starts - 2, max_outer=3)
+    for gamma in (0.0, 0.4):
+        args = (cfgs, gamma, x, viol, rounds, inner_steps, options)
+        got = optimize._pick(*args)
+        assert [_bits(r) for r in got] == [_bits(r) for r in reference_pick(*args)]
+    # start 5 relabels start 2 and ties it on every key; load (0, 3) is won
+    # by a start after both
+    assert [r.diagnostics["winning_start"] for r in got[:2]] == [2, 7]
 
 
 def test_solve_reports_cap_hit_and_violation():
