@@ -24,7 +24,8 @@ Two independent routes to the same quantity:
 
 :func:`slot_success_pmf` goes one step further than the means: the exact
 per-slot joint law of the high and low success counts, which the bandit
-samples pull totals from.
+samples pull totals from.  It and the closed form build their integer
+powers by multiplies alone, so their bits are the same on every CPU.
 
 Both treat ``0 ** 0`` as 1 (an RB with zero access probability is simply
 never chosen).
@@ -82,27 +83,26 @@ def compositions(total: int, parts: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, ...]:
+def load_table(n_h, n_l, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """The load's constants in :func:`gradient_kernel` for an array of
-    ``ndim`` axes: ``(e, c, two)``, each with one more leading axis,
+    ``ndim`` axes: ``(bits, c)``, each with one more leading axis,
     read-only as the cache shares them.  ``n_h`` and ``n_l`` are ints or
     tuples of ints, one load per index of the axis after the class axis.
 
-    ``e[k]`` = ``max(n - k, 0)`` for k = 0, 1, 2: one ``pow`` call gives all
-    six powers.  numpy squares a scalar exponent of 2 but calls ``pow`` on an
-    array one, which can differ in the last bit, so a 2 is stored as 1 and
-    the mask ``two`` (None if empty) marks the powers multiplied once more.
-    ``c`` is ``n``, ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the
-    coefficients of the terms and the cross derivatives, then of the own
-    derivatives."""
+    ``bits`` holds the binary digits of ``max(n - 2, 0)``, lowest first, as
+    many as the largest of them has, then the masks ``n >= 2`` and
+    ``n >= 1``: the multiplies that build the powers of ``1 - x``.  ``c`` is
+    ``n``, ``(-n) * n[::-1]``, ``n`` and ``n - 1``: the coefficients of the
+    terms and the cross derivatives, then of the own derivatives."""
     n = np.array([n_h, n_l])
     n = n.reshape(n.shape + (1,) * (ndim - n.ndim))
-    e = np.maximum(n - np.arange(3).reshape((3,) + (1,) * n.ndim), 0)
-    two = e == 2
+    e = np.maximum(n - 2, 0)
+    digits = [(e >> k) & 1 == 1 for k in range(int(e.max()).bit_length())]
+    bits = np.stack([*digits, n >= 2, n >= 1])
     # integer products, so a zero load gives +0.0; float, so no ufunc casts
-    e, c = np.where(two, 1, e).astype(float), np.stack([n, -n * n[::-1], n, n - 1]).astype(float)
-    e.flags.writeable = two.flags.writeable = c.flags.writeable = False
-    return e, c, two if two.any() else None
+    c = np.stack([n, -n * n[::-1], n, n - 1]).astype(float)
+    bits.flags.writeable = c.flags.writeable = False
+    return bits, c
 
 
 def stacked_terms(x: np.ndarray, table) -> np.ndarray:
@@ -127,6 +127,9 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
     class, with ``a = p_h`` and ``b = p_l``.  Summing the terms over the
     last axis gives the slot expectations.  A table of per-row loads scores
     each row under its own load, bit for bit as a table of that load alone.
+    The powers ``p[k]`` = ``(1 - x)**max(n - k, 0)`` are correctly rounded
+    multiplies in a fixed order, the same bits on every CPU: ``p[2]`` by
+    square-and-multiply, then ``p[1]`` and ``p[0]`` one factor more each.
     Exponents are floored at 0 so that n = 0 and n = 1 need no branches:
     wherever a floor takes effect, the power it touches has a zero
     coefficient, and no power is infinite at p = 1.
@@ -136,10 +139,11 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
     ``out[2]`` are contiguous blocks stacked like ``x``; term ``i`` depends
     on RB ``i`` alone.  Its first two axes must merge without a copy, and it
     must not overlap ``x``.  The views and scratch arrays are made here,
-    once, so that a call is a few numpy calls over whole blocks, none of
-    which writes over its own input: a caller that scores many iterates of
-    one shape keeps the kernel and rewrites ``x``."""
-    e, c, two = table
+    once, so a call is a few numpy calls over whole blocks: a caller
+    scoring many iterates of one shape keeps the kernel and rewrites ``x``."""
+    bits, c = table
+    # an all-True mask goes in as True, which numpy runs as a plain multiply
+    *digits, above_1, above_0 = (True if b.all() else b for b in bits)
     # the class-rows of out as (2, 3, ...): [:, :2] holds the terms, then the
     # cross derivatives (d mu_h / d p_l, d mu_l / d p_h); [:, 2] the own ones
     rows = out.reshape((2, 3) + x.shape[1:])
@@ -147,8 +151,9 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
         raise ValueError("out must merge its first two axes without a copy")
     terms_cross, own = rows[:, :2], rows[:, 2]
     c_x, c_own = c[[0, 1, 3]], c[2]  # the coefficients that multiply x
-    one, p, cx = np.empty(x.shape), np.empty((3,) + x.shape), np.empty((3,) + x.shape)
-    p1, p2 = p[1], p[2]
+    # a power stays 1 wherever its masked multiplies never write
+    one, p, cx = np.empty(x.shape), np.ones((3,) + x.shape), np.empty((3,) + x.shape)
+    p0, p1, p2 = p
     other = p[:2, ::-1]  # other[k] is p[k] of the other class
     other0 = other[0]
     cx_pair, cx_inner = cx[:2], cx[2]
@@ -156,9 +161,12 @@ def gradient_kernel(x: np.ndarray, table, out: np.ndarray):
 
     def kernel() -> None:
         np.subtract(1.0, x, out=one)
-        np.power(one, e, out=p)
-        if two is not None:
-            np.multiply(p, one, out=p, where=two)
+        p2.fill(1.0)  # times one**(2**k) where digit k is set; squares in single
+        for k, digit in enumerate(digits):
+            base = np.multiply(base, base, out=single) if k else one
+            np.multiply(p2, base, out=p2, where=digit)
+        np.multiply(p2, one, out=p1, where=above_1)
+        np.multiply(p1, one, out=p0, where=above_0)
         np.multiply(c_x, x, out=cx)
         # c[k] x p[1] other[k] for k = 0, 1: the terms and cross derivatives
         np.multiply(cx_pair, p1, out=pair)
@@ -333,7 +341,8 @@ def _rb_split(p: np.ndarray, i: int, n: int) -> tuple[np.ndarray, ...]:
     Each of the ``r`` devices still unplaced picks RB ``i`` with probability
     p[i] / (mass of RBs i..m-1), all of them at the last RB.  Returns
     ``T[c][a, r, r']``, the probability that ``c`` of them do, leaving
-    ``r'`` = r - c, for c = 0, c = 1 and c >= 2.
+    ``r'`` = r - c, for c = 0, c = 1 and c >= 2, from the powers of the
+    share ``s`` and of ``1 - s`` as running products, one multiply per k.
     """
     n_act, m = p.shape
     if i == m - 1:
@@ -343,8 +352,9 @@ def _rb_split(p: np.ndarray, i: int, n: int) -> tuple[np.ndarray, ...]:
         share = np.divide(p[:, i], mass, out=np.zeros(n_act), where=mass > 0)
         share = np.minimum(share, 1.0)
     picked, left, coef, *masks = _split_constants(n)
-    s = share[:, None, None]
-    full = coef * s**picked * (1.0 - s) ** left
+    factors = np.stack([share, 1.0 - share])[..., None].repeat(n, axis=-1)
+    s_k, rest_k = np.insert(factors, 0, 1.0, axis=-1).cumprod(axis=-1)  # [a, k]
+    full = coef * s_k[:, picked] * rest_k[:, left]
     return tuple(np.where(sel, full, 0.0) for sel in masks)
 
 

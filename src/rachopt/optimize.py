@@ -207,7 +207,7 @@ def _inner_ascent(table, gamma, x, mult, step):
             if not go.any():
                 return x_out, step_out, taken
             rows, now, phi, step = rows[go], now[:, :, go], phi[go], step[go]
-            table = tuple(None if t is None else t[..., go, :, :] for t in table)
+            table = tuple(t[..., go, :, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
             scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
             cand, better_rbs = scored[0], np.empty(step.shape, bool)
@@ -262,7 +262,7 @@ def solve_batch(
     )
     # spread over every element of x: numpy runs equal shapes faster
     table = tuple(
-        None if t is None else np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))
+        np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))
         for t in load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), x.ndim)
     )
     shape = x.shape[1:3]
@@ -297,7 +297,7 @@ def solve_batch(
             live, x, step, lam, nu, rho = live[go], x[:, go], step[go], lam[go], nu[:, go], rho[go]
             mu_h, mu_l, h, viol = mu_h[go], mu_l[go], h[:, go], viol[go]
             prev_viol = prev_viol[go]
-            table = tuple(None if t is None else t[..., go, :, :] for t in table)
+            table = tuple(t[..., go, :, :] for t in table)
         lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
         nu = nu + rho * h
         stalled = viol > 0.5 * prev_viol

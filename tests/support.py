@@ -222,12 +222,19 @@ def reference_stacked_grad(x: np.ndarray, table) -> np.ndarray:
     """The terms and derivatives that ``gradient_kernel(x, table, out)``
     writes, in the former layout, shape (3, 2, ..., m): the terms, the cross
     derivatives (d mu_h / d p_l, d mu_l / d p_h) and the own ones
-    (d mu_h / d p_h, d mu_l / d p_l), each from fresh temporaries."""
-    e, c, two = table
+    (d mu_h / d p_h, d mu_l / d p_l), each from fresh temporaries.  The
+    powers of ``1 - x`` are the kernel's chain of multiplies: square and
+    multiply over the digits of ``max(n - 2, 0)``, then one factor more
+    where ``n >= 2`` and where ``n >= 1``."""
+    bits, c = table
     one = 1.0 - x
-    p = one ** e[:3]
-    if two is not None:
-        np.multiply(p, one, out=p, where=two)
+    p2, base = np.ones(x.shape), one
+    for k, digit in enumerate(bits[:-2]):
+        if k:
+            base = base * base
+        p2 = np.where(digit, p2 * base, p2)
+    p1 = np.where(bits[-2], p2 * one, p2)
+    p = np.stack([np.where(bits[-1], p1 * one, p1), p1, p2])
     out = np.empty((3,) + x.shape)
     np.multiply(c[:2] * x * p[1], p[:2, ::-1], out=out[:2])
     np.multiply(c[2] * (p[1] - c[3] * x * p[2]), p[0, ::-1], out=out[2])
@@ -279,7 +286,7 @@ def reference_inner_ascent(table, gamma, x, mult, step):
                 return x_out, step_out, taken
             rows, x, grad, phi, step = rows[go], x[:, go], grad[:, go], phi[go], step[go]
             cand = np.empty_like(x)
-            table = tuple(None if t is None else t[..., go, :, :] for t in table)
+            table = tuple(t[..., go, :, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
     x_out[:, rows], step_out[rows] = x, step
     return x_out, step_out, taken

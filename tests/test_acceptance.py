@@ -6,6 +6,7 @@ visible both in the test report and in the end-of-run summary.
 """
 
 import functools
+import hashlib
 import math
 import time
 from dataclasses import replace
@@ -34,7 +35,7 @@ from rachopt.exact import (
     throughput_by_pattern_sum,
     throughput_closed_form,
 )
-from rachopt.mab import estimate_load, mae_trace, run, run_nonstationary
+from rachopt.mab import _pull_table, estimate_load, mae_trace, run, run_nonstationary
 from rachopt.model import AccessProbabilityPair, NetworkConfig
 from rachopt.optimize import solve
 from rachopt.simulate import sim_throughput
@@ -475,3 +476,18 @@ def test_optimizer_time_trend(constrained_solutions):
         f"this solver's desk-scale times for comparison: {desk}",
     )
     assert trend_ok
+
+
+def test_stored_bits_are_the_same_on_every_cpu(compact_m5):
+    # the powers of 1 - p are built by multiplies in a fixed order, so the
+    # solver's compact table and the bandit's pull table have one value on
+    # every CPU; an op whose last bits depend on the SIMD path (numpy's
+    # pow, exp or log) changes these digests on some machine
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+    pull = _pull_table(grid(4, 0.2), NetworkConfig(4, 5, 4))
+    assert digest(compact_m5.allocations) == (
+        "cc2f653e6b6fae54cf145ffebddd8498f49b9e771ded9c933d274bc6f0f5860e"
+    )
+    assert digest(pull) == "f58a434bf3c903c54182c74ae3aebee79eb833e80e9acae66e0aab8ac0177443"

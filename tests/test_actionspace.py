@@ -154,16 +154,6 @@ def test_size_cap():
         generate_discretized(GridSpec(2, 0.001))  # 1001^2 actions, two RBs
 
 
-def test_exact_throughputs_match_scalar_route():
-    space = generate_discretized(GridSpec(3, 0.5), reduced=True)
-    for cfg in (NetworkConfig(4, 5, 3), NetworkConfig(0, 2, 3), NetworkConfig(3, 0, 3)):
-        table = exact_throughputs(space, cfg)
-        for row, action in zip(table, space.actions):
-            mu = throughput_closed_form(cfg, action.pair)
-            assert row[0] == pytest.approx(mu.mu_h, abs=1e-12)
-            assert row[1] == pytest.approx(mu.mu_l, abs=1e-12)
-
-
 def test_exact_throughputs_rejects_other_m():
     space = generate_discretized(GridSpec(4, 0.5), reduced=True)
     with pytest.raises(ValueError, match="^space has m=4, config has m=3$"):

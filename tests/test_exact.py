@@ -177,7 +177,7 @@ def test_one_score_per_allocation():
     # the grid table and the scalar route are one fsum over the same terms,
     # so they agree bit for bit, zero loads included, and so does every
     # joint relabeling of the RBs
-    loads = ((4, 5), (0, 3), (2, 0), (0, 0), (7, 9))
+    loads = ((4, 5), (0, 3), (2, 0), (0, 0), (7, 9), (0, 2), (3, 0))
     for m in (2, 3, 4, 5):
         space = generate_discretized(GridSpec(m, 0.2), reduced=True)
         tables = []
