@@ -27,8 +27,8 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .exact import compositions, throughput_closed_form, throughput_rows
-from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, check_gamma
+from .exact import compositions, throughput_rows
+from .model import AccessProbabilityPair, NetworkConfig, check_gamma
 from .optimize import FEASIBILITY_TOL, solve_batch
 
 __all__ = [
@@ -179,12 +179,16 @@ def generate_discretized(spec: GridSpec, reduced: bool = False) -> ActionSpace:
 # ------------------------------------------------------------- compact table
 
 
-def _compact_space(gamma: float, entries: list[CompactEntry]) -> ActionSpace:
-    """The compact space of ``entries``, row-major cells solved for ``gamma``."""
+def _compact_space(gamma: float, cells: list, pairs: list[AccessProbabilityPair]) -> ActionSpace:
+    """The compact space of ``pairs`` at the row-major ``cells`` (n_h, n_l),
+    solved for ``gamma``; the one place a table is made.  It scores every
+    cell in one :func:`rachopt.exact.throughput_rows` call, one load per
+    row: bit for bit :func:`rachopt.exact.throughput_closed_form`."""
     check_gamma(gamma)
-    return ActionSpace(
-        actions=tuple(Action(e.pair) for e in entries), entries=tuple(entries), gamma=gamma
-    )
+    x = np.array([[p.p_h for p in pairs], [p.p_l for p in pairs]])
+    mu = throughput_rows(x, *zip(*cells)).T.tolist()
+    entries = tuple(CompactEntry(*c, p, *mu_c) for c, p, mu_c in zip(cells, pairs, mu))
+    return ActionSpace(tuple(map(Action, pairs)), entries, float(gamma))
 
 
 def build_compact(
@@ -209,15 +213,14 @@ def build_compact(
     vector works and p_h is stored uniform by convention.  Cells where the
     constraint cannot be met (n_l = 0 with gamma > 0) keep the best-attained
     allocation and are reported by :meth:`ActionSpace.infeasible_cells`.
+    The table is made, and its cells scored, by :func:`_compact_space`, as
+    a loaded table is.
     """
     for name, bound in (("n_h_max", n_h_max), ("n_l_max", n_l_max)):
         if bound < 0:
             raise ValueError(f"{name} must be >= 0, got {bound}")
-    cfgs = [
-        NetworkConfig(n_h, n_l, m)
-        for n_h in range(n_h_max + 1)
-        for n_l in range(n_l_max + 1)
-    ]
+    cells = [(n_h, n_l) for n_h in range(n_h_max + 1) for n_l in range(n_l_max + 1)]
+    cfgs = [NetworkConfig(n_h, n_l, m) for n_h, n_l in cells]
     pending = [c for c in cfgs if c.n_h > 0 or (c.n_l > 0 and gamma != 0.0)]
     if opt is None:
         results = solve_batch(pending, gamma)
@@ -225,17 +228,14 @@ def build_compact(
         results = [opt(cfg, gamma) for cfg in pending]
     solved = {cfg: res.pair for cfg, res in zip(pending, results)}
 
-    entries: list[CompactEntry] = []
     uniform = AccessProbabilityPair.uniform(m)
-    for cfg in cfgs:
-        pair = solved.get(cfg, uniform)
-        if cfg.n_h == 0:
-            # objective is identically zero and p_h does not touch mu_l, so
-            # normalize the stored vector
-            pair = AccessProbabilityPair(uniform.p_h, pair.p_l)
-        mu = throughput_closed_form(cfg, pair)
-        entries.append(CompactEntry(cfg.n_h, cfg.n_l, pair, mu.mu_h, mu.mu_l))
-    return _compact_space(gamma, entries)
+    # objective is identically zero where n_h = 0 and p_h does not touch
+    # mu_l, so normalize the stored vector
+    pairs = [
+        solved[cfg] if cfg.n_h else AccessProbabilityPair(uniform.p_h, solved.get(cfg, uniform).p_l)
+        for cfg in cfgs
+    ]
+    return _compact_space(gamma, cells, pairs)
 
 
 def _compact_header(m: int) -> list[str]:
@@ -248,36 +248,39 @@ def _compact_header(m: int) -> list[str]:
 
 
 def save_compact(space: ActionSpace, path: Union[str, Path]) -> None:
-    """Write a compact table as CSV with 12-significant-digit values."""
+    """Write a compact table as CSV, every float as its shortest ``repr``,
+    so :func:`load_compact` reads back the same table bit for bit."""
     if not space.is_compact:
         raise TypeError("save_compact expects a compact space")
     m = space.m
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # writes a float as its repr
         writer.writerow(_compact_header(m))
         for e in space.entries:
-            row = [m, e.n_h, e.n_l, f"{space.gamma:.12g}"]
-            row += [f"{x:.12g}" for x in e.pair.p_h]
-            row += [f"{x:.12g}" for x in e.pair.p_l]
-            row += [f"{e.mu_h:.12g}", f"{e.mu_l:.12g}"]
-            writer.writerow(row)
+            writer.writerow([m, e.n_h, e.n_l, space.gamma, *e.pair.p_h, *e.pair.p_l,
+                             e.mu_h, e.mu_l])
 
 
 def load_compact(path: Union[str, Path]) -> ActionSpace:
-    """Read a compact table, revalidating every stored throughput against a
-    fresh exact evaluation and every cell's row-major position.  Raises
-    ``ValueError`` naming the file, and the line of a bad row."""
-    with open(path, newline="") as fh:
+    """Read a compact table, check its cells' row-major positions and make
+    it by :func:`_compact_space`, whose scores each stored throughput must
+    match within ``_TABLE_MU_TOL``; so a table :func:`save_compact` wrote
+    reads back bit for bit.  A byte that is not UTF-8 reads as U+FFFD.
+    Raises ``ValueError`` naming the file, and the line of a bad row."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = [(reader.line_num, r) for r in reader if r]
+        try:
+            header = next(reader, [])
+            rows = [(reader.line_num, r) for r in reader if r]
+        except csv.Error as exc:  # a field past csv's size limit
+            raise ValueError(f"{path}: unreadable CSV at line {reader.line_num}: {exc}") from None
     m = (len(header) - 6) // 2
     if m < 1 or header != _compact_header(m):
         raise ValueError(f"unrecognized compact-table header in {path}")
     if not rows:
         raise ValueError(f"empty compact table in {path}")
 
-    entries: list[CompactEntry] = []
+    cells, pairs, stored = [], [], []
     gamma = None
     for line, r in rows:
         try:
@@ -285,30 +288,31 @@ def load_compact(path: Union[str, Path]) -> ActionSpace:
                 raise ValueError(f"{len(r)} fields, expected {len(header)}")
             if int(r[0]) != m:
                 raise ValueError(f"row m={r[0]} disagrees with header m={m}")
-            n_h, n_l, row_gamma = int(r[1]), int(r[2]), float(r[3])
+            cfg, row_gamma = NetworkConfig(int(r[1]), int(r[2]), m), float(r[3])
             check_gamma(row_gamma)
             if gamma is not None and row_gamma != gamma:
                 raise ValueError("rows disagree on gamma")
             gamma = row_gamma
-            pair = AccessProbabilityPair(
-                tuple(map(float, r[4 : 4 + m])), tuple(map(float, r[4 + m : 4 + 2 * m]))
-            )
-            mu_h, mu_l = float(r[4 + 2 * m]), float(r[5 + 2 * m])
-            mu = throughput_closed_form(NetworkConfig(n_h, n_l, m), pair)
-            if not (abs(mu.mu_h - mu_h) <= _TABLE_MU_TOL and abs(mu.mu_l - mu_l) <= _TABLE_MU_TOL):
-                raise ValueError(f"stored throughput for cell ({n_h}, {n_l}) fails revalidation")
+            values = [float(v) for v in r[4:]]
+            pairs.append(AccessProbabilityPair(values[:m], values[m : 2 * m]))
+            stored.append(values[2 * m :])
         except ValueError as exc:
             raise ValueError(f"{path}: bad compact-table row at line {line}: {exc}") from None
-        entries.append(CompactEntry(n_h, n_l, pair, mu_h, mu_l))
+        cells.append((cfg.n_h, cfg.n_l))
     # row-major order over [0, n_h_max] x [0, n_l_max]: cell divmod(i, n_l_max + 1) at i
-    width = max(e.n_l for e in entries) + 1
-    for i, ((line, _), e) in enumerate(zip(rows, entries)):
-        if (e.n_h, e.n_l) != divmod(i, width):
+    width = max(n_l for _, n_l in cells) + 1
+    for i, ((line, _), cell) in enumerate(zip(rows, cells)):
+        if cell != divmod(i, width):
             raise ValueError(f"{path}: bad compact-table row at line {line}: cell "
-                             f"({e.n_h}, {e.n_l}) where row-major order puts {divmod(i, width)}")
-    if len(entries) % width:
+                             f"{cell} where row-major order puts {divmod(i, width)}")
+    if len(cells) % width:
         raise ValueError(f"{path}: compact table does not cover a full load rectangle")
-    return _compact_space(gamma, entries)
+    space = _compact_space(gamma, cells, pairs)
+    for (line, _), e, (mu_h, mu_l) in zip(rows, space.entries, stored):
+        if not (abs(e.mu_h - mu_h) <= _TABLE_MU_TOL and abs(e.mu_l - mu_l) <= _TABLE_MU_TOL):
+            raise ValueError(f"{path}: bad compact-table row at line {line}: stored "
+                             f"throughput for cell {(e.n_h, e.n_l)} fails revalidation")
+    return space
 
 
 def exact_throughputs(space: ActionSpace, cfg: NetworkConfig) -> np.ndarray:

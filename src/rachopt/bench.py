@@ -525,8 +525,7 @@ def _experiment_space(spec: ExperimentSpec) -> ActionSpace:
             raise ValueError(
                 f"compact table {path} is for m={space.m}, the network has m={spec.cfg.m}"
             )
-        # tables store gamma to 12 significant digits
-        if f"{space.gamma:.12g}" != f"{spec.gamma:.12g}":
+        if space.gamma != spec.gamma:
             raise ValueError(
                 f"compact table {path} is for gamma={space.gamma}, "
                 f"the network has gamma={spec.gamma}"

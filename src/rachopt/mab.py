@@ -311,9 +311,9 @@ def run_nonstationary(
 
     for batch in range(mcfg.n_batches):
         cum = np.cumsum(p_as)
-        cum[-1] = 1.0
+        cum[-1] = 1.0  # and random() < 1, so every index found is below size
         uniforms = action_rng.random(mcfg.batch_size)
-        batch_idx = np.minimum(np.searchsorted(cum, uniforms, side="right"), size - 1)
+        batch_idx = np.searchsorted(cum, uniforms, side="right")
         first, end = batch * mcfg.batch_size, (batch + 1) * mcfg.batch_size
         trace.action_index[first:end] = batch_idx
         for phase, lo, hi in _phase_runs(switches, first, end):

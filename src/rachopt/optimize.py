@@ -252,14 +252,9 @@ def solve_batch(
     opts = options or SolverOptions()
     starts = np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
     shared = [np.full((2, m), 1.0 / m), *starts]
+    structural = [np.array([s.p_h, s.p_l]) for s in map(structural_unconstrained, cfgs)]
     # one contiguous (2, loads, starts, m) array, x[0] = p_h and x[1] = p_l
-    x = np.stack(
-        [
-            np.clip(np.stack([np.array([s.p_h, s.p_l]), *shared], axis=1), 0.0, 1.0)
-            for s in map(structural_unconstrained, cfgs)
-        ],
-        axis=1,
-    )
+    x = np.stack([np.stack([s, *shared], axis=1) for s in structural], axis=1)
     # spread over every element of x: numpy runs equal shapes faster
     table = tuple(
         np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))

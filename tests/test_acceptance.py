@@ -478,7 +478,7 @@ def test_optimizer_time_trend(constrained_solutions):
     assert trend_ok
 
 
-def test_stored_bits_are_the_same_on_every_cpu(compact_m5):
+def test_stored_bits_are_the_same_on_every_cpu(compact_m5, compact_m6):
     # the powers of 1 - p are built by multiplies in a fixed order, so the
     # solver's compact table and the bandit's pull table have one value on
     # every CPU; an op whose last bits depend on the SIMD path (numpy's
@@ -489,5 +489,8 @@ def test_stored_bits_are_the_same_on_every_cpu(compact_m5):
     pull = _pull_table(grid(4, 0.2), NetworkConfig(4, 5, 4))
     assert digest(compact_m5.allocations) == (
         "cc2f653e6b6fae54cf145ffebddd8498f49b9e771ded9c933d274bc6f0f5860e"
+    )
+    assert digest(compact_m6.allocations) == (
+        "af812a94fbe62d2b2854c30f9cc9356e192d6b048888abd7e8a6edcf6f56335e"
     )
     assert digest(pull) == "f58a434bf3c903c54182c74ae3aebee79eb833e80e9acae66e0aab8ac0177443"

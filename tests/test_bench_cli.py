@@ -957,6 +957,27 @@ def test_cli_compact_build_and_mab(runner, tmp_path):
     assert (tmp_path / "out" / "demo_result.json").exists()
 
 
+def test_cli_mab_on_saved_table_writes_the_in_place_run(runner, tmp_path):
+    # compact-build saves a table that reads back bit for bit, so a run on it
+    # writes the trace, plot and record of the same run on a table built in place
+    bounds = ["--n-h-max", "3", "--n-l-max", "4"]
+    table = tmp_path / "table.csv"
+    build = runner.invoke(
+        main, ["compact-build", "--m", "4", *bounds, "--gamma", "0.4", "--out", str(table)]
+    )
+    assert build.exit_code == 0, build.output
+    args = ["mab", "--space", "compact", "--m", "4", "--n-h", "2", "--n-l", "3", "--gamma", "0.4",
+            "--runs", "1000", "--t", "50", "--batch-size", "100", "--seed", "0", "--name", "r"]
+    for out, space in (("saved", ["--table", str(table)]), ("built", bounds)):
+        result = runner.invoke(main, [*args, *space, "--out", str(tmp_path / out)])
+        assert result.exit_code == 0, result.output
+    for name in ("r_seed0_trace.csv", "r_seed0_plot.csv"):
+        assert (tmp_path / "saved" / name).read_bytes() == (tmp_path / "built" / name).read_bytes()
+    records = [(tmp_path / out / "r_result.json").read_text() for out in ("saved", "built")]
+    saved, built = (re.sub(r'"seconds": [^,\n]*', "", text) for text in records)
+    assert saved == built
+
+
 def test_cli_mab_compact_bounds_default_to_ten(runner, tmp_path):
     # --n-h-max 2 alone builds loads (0..2) x (0..10)
     result = runner.invoke(
