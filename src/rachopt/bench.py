@@ -45,7 +45,7 @@ from .mab import (
     save_mab_trace,
 )
 from .model import AccessProbabilityPair, NetworkConfig, check_gamma
-from .optimize import FEASIBILITY_TOL, solve
+from .optimize import FEASIBILITY_TOL, solve, solve_batch
 
 __all__ = [
     "ReportLine",
@@ -277,9 +277,8 @@ def _reproduce_optimizer(gamma: float) -> TableReport:
         table_id,
         f"optimal access probability allocation, gamma={gamma}",
     )
-    for m, (mu_h_pub, mu_l_pub) in published.items():
-        cfg = _base_cfg(m)
-        res = solve(cfg, gamma=gamma)
+    solved = solve_batch([_base_cfg(m) for m in published], gamma=gamma)
+    for (m, (mu_h_pub, mu_l_pub)), res in zip(published.items(), solved):
         if constrained:
             ok = (
                 res.feasible

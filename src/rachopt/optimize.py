@@ -10,25 +10,28 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 * each start follows projected gradient ascent with a per-start adaptive
   step, all starts advancing in lock-step as rows of one array.
 
-:func:`solve_batch` runs many loads (n_h, n_l) with the same m at once.  The
-iterate is one contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and
-``x[1]`` = p_l, so one numpy call covers both classes; ``nu`` and ``h``, the
-simplex multipliers and residuals, are (2, loads, starts).  A step of the
-inner ascent works in arrays made once per batch shape, and made again only
-when a load leaves: one (5, 2, loads, starts, m) buffer holds the stacked
-terms and the gradients of mu_h and mu_l that
-:func:`rachopt.exact.gradient_kernel` writes, then the candidate and its
-Lagrangian gradient.  So one reduction sums the terms and the candidate (mu
-and the simplex sums), each gradient is a contiguous block, and no numpy
-call writes over its own input.  Each element gets the float operations, in
-the order, of the reference loop in ``tests/support.py``, so every result is
-bit for bit that loop's.  Every load keeps its own stopping rules -- the
-inner ascent stops a load on its own gain and steps, and the outer
-convergence test and multiplier updates are per load -- and a load that has
-finished leaves the working arrays, so each result is bit for bit what
-solving that load alone gives.  :func:`solve` is the batch of one;
-:func:`rachopt.actionspace.build_compact` sends a whole compact table
-through one batch.
+:func:`solve_batch` runs many loads (n_h, n_l) at once.  The iterate is one
+contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and ``x[1]`` = p_l,
+so one numpy call covers both classes; ``nu`` and ``h``, the simplex
+multipliers and residuals, are (2, loads, starts).  Loads of different m
+share the array padded to the widest, with RBs held at 0 by a box of [0, 0];
+a pad changes no sum of fewer than 8 RBs, which numpy adds in order, so
+loads of m < 8 share one array and a load of m >= 8, which numpy sums
+pairwise, only one of its own m.  A step of the inner ascent works in arrays
+made once per batch shape, and made again only when a load leaves: one
+(5, 2, loads, starts, m) buffer holds the stacked terms and the gradients
+of mu_h and mu_l that :func:`rachopt.exact.gradient_kernel` writes, then
+the candidate and its Lagrangian gradient.  So one reduction sums the terms
+and the candidate (mu and the simplex sums), each gradient is a contiguous
+block, and no numpy call writes over its own input.  Each element gets the
+float operations, in the order, of the reference loop in
+``tests/support.py``, so every result is bit for bit that loop's.  Every
+load keeps its own stopping rules -- the inner ascent stops a load on its
+own gain and steps, and the outer convergence test and multiplier updates
+are per load -- and a load that has finished leaves the working arrays, so
+each result is bit for bit what solving that load alone gives.
+:func:`solve` is the batch of one; :func:`rachopt.actionspace.build_compact`
+sends a whole compact table through one batch.
 
 Analytic gradients throughout.  The pick scores every polished start in
 one :func:`rachopt.exact.throughput_rows` call, so a result's mu is bit for
@@ -165,8 +168,11 @@ def _lagrangian(table, gamma, mult, shape):
     return buf[3:], phi
 
 
-def _inner_ascent(table, gamma, x, mult, step):
-    """Projected gradient ascent for one outer round, every load at once.
+def _inner_ascent(table, gamma, x, mult, step, upper):
+    """Projected gradient ascent for one outer round, every load at once,
+    each candidate clipped to the box [0, ``upper``]: 1.0, or an array
+    stacked like ``x`` that is 0 on the RBs that pad a load to the batch's
+    width.
 
     A load stops when none of its starts gains 1e-12 and all its steps are
     below 1e-13.  Stopped loads leave the working arrays, which are
@@ -188,7 +194,7 @@ def _inner_ascent(table, gamma, x, mult, step):
     step = np.repeat(step, x.shape[-1]).reshape(x.shape[1:])
     better_rbs = np.empty(step.shape, bool)
     for it in range(_MAX_INNER):
-        np.minimum(np.maximum(step * now[1] + now[0], 0.0), 1.0, out=cand)
+        np.minimum(np.maximum(step * now[1] + now[0], 0.0), upper, out=cand)
         phi_c = phi_at()
         better = phi_c > phi
         gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
@@ -209,6 +215,7 @@ def _inner_ascent(table, gamma, x, mult, step):
             rows, now, phi, step = rows[go], now[:, :, go], phi[go], step[go]
             table = tuple(t[..., go, :, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
+            upper = _keep(upper, go)
             scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
             cand, better_rbs = scored[0], np.empty(step.shape, bool)
     x_out[:, rows], step_out[rows] = now[0], step[..., 0]
@@ -222,7 +229,16 @@ def solve_batch(
 ) -> list[OptResult]:
     """Maximize mu_h subject to mu_l >= gamma for every load in ``cfgs``.
 
-    All loads share m and run in lock-step as one (2, loads, starts, m) array.
+    The loads run in lock-step as one (2, loads, starts, m) array, m being
+    the widest load's.  A narrower load is padded with RBs whose box is
+    [0, 0], so they stay 0 and add nothing: the projection clips to an
+    upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when every
+    load has the same m).  A pad leaves a sum's bits alone only where numpy
+    adds the RBs in order, which it does for 7 or fewer; it adds 8 or more
+    pairwise, in blocks of 8, where a pad can move an RB into another
+    partial sum.  So the loads with m < 8 share one array, and a load with
+    m >= 8 shares one only with loads of its own m.
+
     Each load keeps its own stopping rules: its inner ascent ends on its own
     gain and steps, and its outer rounds end on its own convergence test, at
     which point it leaves the working arrays.  The result for each load is
@@ -230,13 +246,14 @@ def solve_batch(
 
     Each load runs its structural allocation (start 0) and the uniform pair
     (start 1) alongside the random simplex starts (2 on), which every load
-    shares (they come from one fixed stream, ``default_rng(0)``).  Every
-    final iterate is polished -- clipped to [0, 1], each vector divided by
-    its sum, or uniform where that is 0 -- and all are scored in one
-    :func:`rachopt.exact.throughput_rows` call.  Each load picks, among its
-    feasible starts, the highest mu_h, then the lexicographically smaller
-    (p_h, p_l) once both are sorted jointly by RB, then the first start;
-    with none feasible, the first start with the highest mu_l.
+    of one m shares (they come from one fixed stream, ``default_rng(0)``,
+    one per m).  Every final iterate is polished -- clipped to [0, 1], each
+    vector divided by its sum, or uniform over the load's m where that is
+    0 -- and all are scored in one :func:`rachopt.exact.throughput_rows`
+    call.  Each load picks, among its feasible starts, the highest mu_h,
+    then the lexicographically smaller (p_h, p_l) once both are sorted
+    jointly by RB, then the first start; with none feasible, the first
+    start with the highest mu_l.
     ``diagnostics`` reports the starts, the feasible starts, the outer
     rounds, whether they hit ``max_outer`` (``cap_hit``), the projected
     gradient steps its inner ascents took over all rounds (``inner_steps``),
@@ -244,17 +261,39 @@ def solve_batch(
     (``max_violation``) and the start that won (``winning_start``).
     """
     check_gamma(gamma)
-    if not cfgs:
-        return []
-    m = cfgs[0].m
-    if any(cfg.m != m for cfg in cfgs):
-        raise ValueError("every load in one batch must have the same m")
     opts = options or SolverOptions()
-    starts = np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
-    shared = [np.full((2, m), 1.0 / m), *starts]
-    structural = [np.array([s.p_h, s.p_l]) for s in map(structural_unconstrained, cfgs)]
+    groups: dict[int, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        groups.setdefault(cfg.m if cfg.m >= 8 else 0, []).append(i)
+    results: dict[int, OptResult] = {}
+    for members in groups.values():
+        results.update(zip(members, _solve_padded([cfgs[i] for i in members], gamma, opts)))
+    return [results[i] for i in range(len(cfgs))]
+
+
+def _keep(upper, go):
+    """The box bound of the loads ``go``: a scalar bound is every load's."""
+    return upper if np.ndim(upper) == 0 else upper[:, go]
+
+
+def _solve_padded(cfgs, gamma, opts) -> list[OptResult]:
+    """:func:`solve_batch` on loads whose sums a pad leaves alone."""
+    ms = [cfg.m for cfg in cfgs]
+    starts = {
+        m: np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
+        for m in set(ms)
+    }
     # one contiguous (2, loads, starts, m) array, x[0] = p_h and x[1] = p_l
-    x = np.stack([np.stack([s, *shared], axis=1) for s in structural], axis=1)
+    x = np.zeros((2, len(cfgs), opts.random_starts + 2, max(ms)))
+    for i, cfg in enumerate(cfgs):
+        structural, m = structural_unconstrained(cfg), cfg.m
+        x[:, i, 0, :m] = structural.p_h, structural.p_l
+        x[:, i, 1, :m] = 1.0 / m
+        x[:, i, 2:, :m] = starts[m].transpose(1, 0, 2)
+    upper = 1.0
+    if len(starts) > 1:
+        real = np.arange(x.shape[-1]) < np.array(ms)[:, None, None]
+        upper = np.ascontiguousarray(np.broadcast_to(real, x.shape), dtype=float)
     # spread over every element of x: numpy runs equal shapes faster
     table = tuple(
         np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))
@@ -276,7 +315,7 @@ def solve_batch(
 
     for outer in range(opts.max_outer):
         mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
-        x, step, taken = _inner_ascent(table, gamma, x, mult, step)
+        x, step, taken = _inner_ascent(table, gamma, x, mult, step, upper)
         inner_steps[live] += taken
         mu_h, mu_l = stacked_terms(x, table).sum(axis=-1)
         h = x.sum(axis=-1) - 1.0
@@ -293,6 +332,7 @@ def solve_batch(
             mu_h, mu_l, h, viol = mu_h[go], mu_l[go], h[:, go], viol[go]
             prev_viol = prev_viol[go]
             table = tuple(t[..., go, :, :] for t in table)
+            upper = _keep(upper, go)
         lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
         nu = nu + rho * h
         stalled = viol > 0.5 * prev_viol
@@ -307,22 +347,26 @@ def solve_batch(
 def _pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
     """Polish and score every start of every load, and pick each load's
     result by :func:`solve_batch`'s rule, from the final (2, loads, starts,
-    m) iterate ``x`` and its (loads, starts) residuals ``viol``."""
+    m) iterate ``x`` and its (loads, starts) residuals ``viol``; a load's
+    RBs past its own m are pads, which the ascent keeps at 0."""
     x = np.clip(x, 0.0, 1.0)
     sums = x.sum(axis=-1, keepdims=True)
-    x = np.divide(x, sums, out=np.full_like(x, 1.0 / x.shape[-1]), where=sums > 0)
+    ms = np.array([c.m for c in cfgs])[:, None, None]
+    uniform = np.where(np.arange(x.shape[-1]) < ms, 1.0 / ms, 0.0)
+    x = np.divide(x, sums, out=np.broadcast_to(uniform, x.shape).copy(), where=sums > 0)
     mu = throughput_rows(x, tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs))
     feasible = mu[1] >= gamma - FEASIBILITY_TOL
     # lexsort's last key leads, and ties keep the start order: each start's
     # RBs by (p_h, p_l), then the starts by (infeasible, -mu_h, sorted p_h,
-    # sorted p_l); with no feasible start, the first with the highest mu_l
+    # sorted p_l); with no feasible start, the first with the highest mu_l.
+    # Pads sort first and alike in every start of a load, so they tie
     canon = np.take_along_axis(x, np.lexsort(x[::-1])[None], axis=-1)
     keys = np.moveaxis(canon, -1, 1).reshape((-1,) + feasible.shape)[::-1]
     ranked = np.lexsort(np.concatenate([keys, [-mu[0], ~feasible]]))[:, 0]
     any_ok = feasible.any(axis=1)
     best = np.where(any_ok, ranked, mu[1].argmax(axis=1)).tolist()
     results = []
-    for i, (w, ok) in enumerate(zip(best, any_ok.tolist())):
+    for i, (w, ok, cfg) in enumerate(zip(best, any_ok.tolist(), cfgs)):
         diagnostics = {
             "starts": x.shape[2],
             "feasible_starts": int(feasible[i].sum()),
@@ -333,7 +377,7 @@ def _pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
         if not ok:
             diagnostics["best_attained_mu_l"] = float(mu[1, i, w])
         diagnostics.update(max_violation=float(viol[i, w]), winning_start=w)
-        pair = AccessProbabilityPair(x[0, i, w], x[1, i, w])
+        pair = AccessProbabilityPair(x[0, i, w, : cfg.m], x[1, i, w, : cfg.m])
         results.append(OptResult(pair, ThroughputPair(*mu[:, i, w].tolist()), ok, diagnostics))
     return results
 

@@ -20,6 +20,13 @@ numbers: as easy as 1, 2, 3", SC 2011), each drawing whole counter steps, so
 block ``[lo, hi)`` reads counter steps ``[lo * k, hi * k)`` and the output
 does not depend on the block size.
 
+A call makes its block's arrays once, and the passes from the Philox draw
+to the per-RB counts write into them, so only the draw's words and the
+pattern bytes are new per block: a few MB of fresh arrays per block went
+back to the OS and faulted in again, or not, depending on what earlier code
+had left on the heap.  Each cumulative level is compared, then counted, one
+at a time, in one (n, slots) bool buffer.
+
 Each block counts each class's devices per RB in the narrowest unsigned type
 that holds n; :func:`~rachopt.model.pattern_bytes`, the one outcome rule,
 turns the counts into the bytes of the per-slot pattern strings over
@@ -51,26 +58,36 @@ def _run_blocks(
     # one word per device per slot, padded to whole Philox counter steps
     k = math.ceil(n / 4)
     bits = np.random.Philox(key=seed % (1 << 128))
-    slots = max(1, _BLOCK_WORDS // (4 * max(k, 1)))
+    slots = min(t, max(1, _BLOCK_WORDS // (4 * max(k, 1))))
     marks = np.ceil(np.array([pair.p_h, pair.p_l]).cumsum(axis=1)[:, :-1] * 2.0**53)
     marks = np.repeat(marks.astype(np.uint64), (cfg.n_h, cfg.n_l), axis=0).T[:, :, None]
-    for lo in range(0, t, slots):
-        size = min(slots, t - lo)
-        draws = bits.random_raw(size * 4 * k)
-        # device-major, so that every pass below is contiguous; rebinding frees
-        # the raw words at once, so a block's heap is reused, not refaulted
-        draws = np.right_shift(draws.reshape(size, 4 * k)[:, :n].T, 11, order="C")
+    count = np.min_scalar_type(n)
+
+    def arrays(size: int) -> tuple[np.ndarray, ...]:
+        """The arrays that a block of ``size`` slots writes its passes to."""
         # row r: a class's devices at or above level r, so all of them in row
         # 0 and none in row m; RB r holds the drop from row r to row r + 1
-        above = np.empty((2, m + 1, size), dtype=np.min_scalar_type(n))
+        above = np.empty((2, m + 1, size), count)
         above[:, 0], above[:, m] = [[cfg.n_h], [cfg.n_l]], 0
-        hit = draws >= marks
-        hit[:, : cfg.n_h].sum(axis=1, out=above[0, 1:m])
-        hit[:, cfg.n_h :].sum(axis=1, out=above[1, 1:m])
-        codes = pattern_bytes(*(above[:, :-1] - above[:, 1:])).T
-        # while suspended, a block holds only its pattern bytes
-        del draws, above, hit
-        yield codes
+        words, hit = np.empty((n, size), np.uint64), np.empty((n, size), bool)
+        return words, hit, hit.view(np.uint8), above, np.empty((2, m, size), count)
+
+    words, hit, tally, above, rb = arrays(slots)
+    for lo in range(0, t, slots):
+        size = min(slots, t - lo)
+        if size < slots:  # the last block
+            words, hit, tally, above, rb = arrays(size)
+        # device-major, so that every pass below is contiguous; the raw words
+        # are freed at once, so the next block's draw reuses their heap
+        raw = bits.random_raw(size * 4 * k).reshape(size, 4 * k)[:, :n].T
+        np.right_shift(raw, 11, out=words)
+        del raw
+        for r in range(1, m):
+            np.greater_equal(words, marks[r - 1], out=hit)
+            np.add.reduce(tally[: cfg.n_h], axis=0, out=above[0, r], dtype=count)
+            np.add.reduce(tally[cfg.n_h :], axis=0, out=above[1, r], dtype=count)
+        np.subtract(above[:, :-1], above[:, 1:], out=rb)
+        yield pattern_bytes(*rb).T
 
 
 def sim_throughput(

@@ -255,9 +255,11 @@ def reference_phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
     return phi, grad
 
 
-def reference_inner_ascent(table, gamma, x, mult, step):
+def reference_inner_ascent(table, gamma, x, mult, step, upper):
     """The former projected gradient ascent of one outer round, with the
-    signature and results of ``rachopt.optimize._inner_ascent``."""
+    signature and results of ``rachopt.optimize._inner_ascent``: each
+    candidate clipped to [0, ``upper``], a scalar or an array stacked like
+    ``x``."""
     x_out, step_out = np.empty_like(x), np.empty_like(step)
     taken = np.full(x.shape[1], _MAX_INNER)
     rows = np.arange(x.shape[1])
@@ -267,7 +269,7 @@ def reference_inner_ascent(table, gamma, x, mult, step):
         np.multiply(step[..., None], grad, out=cand)
         cand += x
         np.maximum(cand, 0.0, out=cand)
-        np.minimum(cand, 1.0, out=cand)
+        np.minimum(cand, upper, out=cand)
         phi_c, grad_c = reference_phi(table, gamma, cand, *mult)
         better = phi_c > phi
         gained = (phi_c - phi >= 1e-12).any(axis=1)
@@ -288,6 +290,7 @@ def reference_inner_ascent(table, gamma, x, mult, step):
             cand = np.empty_like(x)
             table = tuple(t[..., go, :, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
+            upper = upper if np.ndim(upper) == 0 else upper[:, go]
     x_out[:, rows], step_out[rows] = x, step
     return x_out, step_out, taken
 

@@ -38,6 +38,7 @@ from rachopt.mab import (
     save_mab_trace,
 )
 from rachopt.model import AccessProbabilityPair, NetworkConfig
+from rachopt.optimize import solve_batch
 
 from support import load_plot_data
 
@@ -84,6 +85,20 @@ def test_reproduce_optimizer_and_bandit_tables_pass(table_id):
 def test_reproduce_optimizer_tables_ignore_the_seed():
     # the solver's starts are fixed; the seed reaches only the bandit tables
     assert reproduce("V", seed=3).render() == reproduce("V").render()
+
+
+@pytest.mark.parametrize("table_id, gamma", [("IV", 0.0), ("V", 0.4)])
+def test_reproduce_optimizer_table_is_one_solver_batch(monkeypatch, table_id, gamma):
+    # the four M of a table run in lock-step, not as four lone solves
+    calls = []
+
+    def counted(cfgs, gamma=0.0, options=None):
+        calls.append(([cfg.m for cfg in cfgs], gamma))
+        return solve_batch(cfgs, gamma, options)
+
+    monkeypatch.setattr("rachopt.bench.solve_batch", counted)
+    assert reproduce(table_id).passed
+    assert calls == [([3, 4, 5, 6], gamma)]
 
 
 def test_reproduce_excluded_table_is_note_only():

@@ -247,22 +247,24 @@ def _bits(res: OptResult) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "m, loads",
+    "loads",
     [
         # n = 0, 1, 2 and 3, 4 in both classes: every squared-power mask of the
         # table, over loads that stop their ascents on different steps
-        (3, [(n_h, n_l) for n_h in range(5) for n_l in range(5)]),
+        [(n_h, n_l, 3) for n_h in range(5) for n_l in range(5)],
         # (5, 1) keeps its uniform start stuck; (6, 10) stops beside it
-        (5, [(5, 1), (6, 10), (2, 2)]),
+        [(5, 1, 5), (6, 10, 5), (2, 2, 5)],
         # an RB axis of 8 or more, which numpy sums pairwise
-        (9, [(3, 4), (10, 2)]),
+        [(3, 4, 9), (10, 2, 9)],
+        # loads of m = 1..6 padded to 6 RBs, whose box bound is an array
+        [(5, 1, 5), (3, 4, 3), (2, 2, 4), (6, 10, 6), (1, 1, 1), (0, 3, 2)],
     ],
-    ids=["m3-every-mask", "m5-stuck-start", "m9-pairwise-sums"],
+    ids=["m3-every-mask", "m5-stuck-start", "m9-pairwise-sums", "m1-6-padded"],
 )
-def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, m, loads):
+def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, loads):
     # the in-place ascent against the former one on every result field; run
     # once more in CI with AVX-512 off, where numpy picks other ufunc loops
-    cfgs = [NetworkConfig(n_h, n_l, m) for n_h, n_l in loads]
+    cfgs = [NetworkConfig(*load) for load in loads]
     options = SolverOptions(random_starts=4, max_outer=3)
     got = solve_batch(cfgs, 0.4, options)
     monkeypatch.setattr(optimize, "_inner_ascent", reference_inner_ascent)
@@ -354,10 +356,38 @@ def test_solver_options_validation(field, bad, message):
     SolverOptions(random_starts=0, max_outer=1)
 
 
-def test_solve_batch_rejects_mixed_m():
+def _random_loads(seed: int, count: int, ms) -> list[NetworkConfig]:
+    rng = np.random.default_rng(seed)
+    return [
+        NetworkConfig(int(rng.integers(0, 8)), int(rng.integers(0, 8)), int(rng.choice(ms)))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "cfgs, gamma, options",
+    [
+        # the published Table IV and V loads, each table one batch
+        ([NetworkConfig(4, 5, m) for m in (3, 4, 5, 6)], 0.0, None),
+        ([NetworkConfig(4, 5, m) for m in (3, 4, 5, 6)], 0.4, None),
+        (_random_loads(17, 12, range(1, 8)), 0.4, FAST),
+        (_random_loads(18, 12, range(1, 8)), 0.0, FAST),
+        # numpy sums 8 or more RBs pairwise: each side of m = 8 its own batch
+        ([NetworkConfig(3, 4, 5), NetworkConfig(3, 4, 9)], 0.4, FAST),
+        ([NetworkConfig(2, 3, 7), NetworkConfig(2, 3, 8), NetworkConfig(4, 1, 7)], 0.4, FAST),
+        # and loads of 8 or more RBs only with their own m: 17 padded to
+        # 9 would move RB 8 into the first of numpy's partial sums
+        ([NetworkConfig(2, 2, 9), NetworkConfig(2, 2, 17)], 0.4, SolverOptions(4, 3)),
+    ],
+    ids=["table-IV", "table-V", "random-m1-7-floor", "random-m1-7-free", "m5-m9", "m7-m8",
+         "m9-m17"],
+)
+def test_solve_batch_of_mixed_m_matches_lone_solves(cfgs, gamma, options):
+    # every float's bits, feasible and diagnostics, against solving each alone
+    got = solve_batch(cfgs, gamma, options)
+    assert [_bits(r) for r in got] == [_bits(solve(cfg, gamma, options)) for cfg in cfgs]
+    assert [r.pair.m for r in got] == [cfg.m for cfg in cfgs]
     assert solve_batch([], 0.4) == []
-    with pytest.raises(ValueError, match="same m"):
-        solve_batch([NetworkConfig(1, 1, 2), NetworkConfig(1, 1, 3)], 0.4)
 
 
 def test_solver_beats_fine_grid():
