@@ -283,7 +283,7 @@ def _reproduce_optimizer(gamma: float) -> TableReport:
             ok = (
                 res.feasible
                 and res.mu.mu_h >= mu_h_pub - 0.01
-                and 0.4 - FEASIBILITY_TOL <= res.mu.mu_l <= 0.41
+                and gamma - FEASIBILITY_TOL <= res.mu.mu_l <= mu_l_pub + 0.01
             )
         else:
             ok = abs(res.mu.mu_h - mu_h_pub) <= 0.01 and abs(res.mu.mu_l) <= 1e-6

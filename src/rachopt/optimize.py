@@ -14,18 +14,18 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and ``x[1]`` = p_l,
 so one numpy call covers both classes; ``nu`` and ``h``, the simplex
 multipliers and residuals, are (2, loads, starts).  Loads of different m
-share the array padded to the widest, with RBs held at 0 by a box of [0, 0];
-a pad changes no sum of fewer than 8 RBs, which numpy adds in order, so
-loads of m < 8 share one array and a load of m >= 8, which numpy sums
-pairwise, only one of its own m.  A step of the inner ascent works in arrays
-made once per batch shape, and made again only when a load leaves: one
-(5, 2, loads, starts, m) buffer holds the stacked terms and the gradients
-of mu_h and mu_l that :func:`rachopt.exact.gradient_kernel` writes, then
-the candidate and its Lagrangian gradient.  So one reduction sums the terms
-and the candidate (mu and the simplex sums), each gradient is a contiguous
-block, and no numpy call writes over its own input.  Each element gets the
-float operations, in the order, of the reference loop in
-``tests/support.py``, so every result is bit for bit that loop's.  Every
+share the array padded to the widest, with RBs held at 0 by a box of [0, 0].
+Every sum over RBs is :func:`_rb_sum`, which adds them left to right from
++0.0, so trailing pads leave its bits alone at any m.  A step of the inner
+ascent works in arrays made once per batch shape, and made again only when
+a load leaves: one (5, 2, loads, starts, m) buffer holds the stacked terms
+and the gradients of mu_h and mu_l that
+:func:`rachopt.exact.gradient_kernel` writes, then the candidate and its
+Lagrangian gradient.  So one sum covers the terms and the candidate (mu
+and the simplex sums), each gradient is a contiguous block, and no numpy
+call writes over its own input.  Each element gets the float operations,
+in the order, of the reference loop in ``tests/support.py``, so every
+result is bit for bit that loop's.  Every
 load keeps its own stopping rules -- the inner ascent stops a load on its
 own gain and steps, and the outer convergence test and multiplier updates
 are per load -- and a load that has finished leaves the working arrays, so
@@ -131,6 +131,16 @@ def structural_unconstrained(cfg: NetworkConfig) -> AccessProbabilityPair:
     return AccessProbabilityPair(p_h, p_l)
 
 
+def _rb_sum(a, out=None):
+    """``a`` summed over its last (RB) axis: from +0.0, the RBs added left
+    to right, one numpy add per RB.  So trailing zeros leave the bits of
+    every sum alone, however many RBs there are."""
+    out = np.add(0.0, a[..., 0], out=out)
+    for rb in range(1, a.shape[-1]):
+        np.add(out, a[..., rb], out=out)
+    return out
+
+
 def _lagrangian(table, gamma, mult, shape):
     """The augmented Lagrangian over (2, loads, starts, m) iterates of
     ``shape``, bound to preallocated arrays; ``mult`` is the round's ``(lam,
@@ -148,15 +158,15 @@ def _lagrangian(table, gamma, mult, shape):
     rho2, half_rho2 = np.stack([rho, rho]), np.stack([half_rho, half_rho])
     buf = np.empty((5,) + shape)
     terms = gradient_kernel(buf[3], table, buf[:3])
-    # the terms and the iterate summed in one reduction: mu, then the
-    # simplex sums, which become the residuals h in place
+    # the terms and the iterate summed in one call: mu, then the simplex
+    # sums, which become the residuals h in place
     summed, sums = buf[::3], np.empty((2, 2) + shape[1:3])
     (mu_h, mu_l), h = sums
     grad_h, grad_l, grad = buf[1], buf[2], buf[4]
 
     def phi():
         terms()
-        np.add.reduce(summed, axis=-1, out=sums)
+        _rb_sum(summed, out=sums)
         np.subtract(h, 1.0, out=h)
         active = np.maximum(0.0, lam - rho * (mu_l - gamma))
         nu_h, pen = nu * h, half_rho2 * (h * h)
@@ -222,6 +232,11 @@ def _inner_ascent(table, gamma, x, mult, step, upper):
     return x_out, step_out, taken
 
 
+def _keep(upper, go):
+    """The box bound of the loads ``go``: a scalar bound is every load's."""
+    return upper if np.ndim(upper) == 0 else upper[:, go]
+
+
 def solve_batch(
     cfgs: Sequence[NetworkConfig],
     gamma: float = 0.0,
@@ -233,11 +248,8 @@ def solve_batch(
     the widest load's.  A narrower load is padded with RBs whose box is
     [0, 0], so they stay 0 and add nothing: the projection clips to an
     upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when every
-    load has the same m).  A pad leaves a sum's bits alone only where numpy
-    adds the RBs in order, which it does for 7 or fewer; it adds 8 or more
-    pairwise, in blocks of 8, where a pad can move an RB into another
-    partial sum.  So the loads with m < 8 share one array, and a load with
-    m >= 8 shares one only with loads of its own m.
+    load has the same m).  RBs are summed by :func:`_rb_sum`, left to right,
+    so the pads change no sum's bits.
 
     Each load keeps its own stopping rules: its inner ascent ends on its own
     gain and steps, and its outer rounds end on its own convergence test, at
@@ -262,22 +274,8 @@ def solve_batch(
     """
     check_gamma(gamma)
     opts = options or SolverOptions()
-    groups: dict[int, list[int]] = {}
-    for i, cfg in enumerate(cfgs):
-        groups.setdefault(cfg.m if cfg.m >= 8 else 0, []).append(i)
-    results: dict[int, OptResult] = {}
-    for members in groups.values():
-        results.update(zip(members, _solve_padded([cfgs[i] for i in members], gamma, opts)))
-    return [results[i] for i in range(len(cfgs))]
-
-
-def _keep(upper, go):
-    """The box bound of the loads ``go``: a scalar bound is every load's."""
-    return upper if np.ndim(upper) == 0 else upper[:, go]
-
-
-def _solve_padded(cfgs, gamma, opts) -> list[OptResult]:
-    """:func:`solve_batch` on loads whose sums a pad leaves alone."""
+    if not cfgs:
+        return []
     ms = [cfg.m for cfg in cfgs]
     starts = {
         m: np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
@@ -317,8 +315,8 @@ def _solve_padded(cfgs, gamma, opts) -> list[OptResult]:
         mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
         x, step, taken = _inner_ascent(table, gamma, x, mult, step, upper)
         inner_steps[live] += taken
-        mu_h, mu_l = stacked_terms(x, table).sum(axis=-1)
-        h = x.sum(axis=-1) - 1.0
+        mu_h, mu_l = _rb_sum(stacked_terms(x, table))
+        h = _rb_sum(x) - 1.0
         viol = np.maximum(np.abs(h).max(axis=0), np.maximum(0.0, gamma - mu_l))
         rounds[live], x_final[:, live], viol_final[live] = outer + 1, x, viol
         done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
@@ -350,7 +348,7 @@ def _pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
     m) iterate ``x`` and its (loads, starts) residuals ``viol``; a load's
     RBs past its own m are pads, which the ascent keeps at 0."""
     x = np.clip(x, 0.0, 1.0)
-    sums = x.sum(axis=-1, keepdims=True)
+    sums = _rb_sum(x)[..., None]
     ms = np.array([c.m for c in cfgs])[:, None, None]
     uniform = np.where(np.arange(x.shape[-1]) < ms, 1.0 / ms, 0.0)
     x = np.divide(x, sums, out=np.broadcast_to(uniform, x.shape).copy(), where=sums > 0)

@@ -25,6 +25,7 @@ array pick must match bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 
@@ -241,12 +242,18 @@ def reference_stacked_grad(x: np.ndarray, table) -> np.ndarray:
     return out
 
 
+def _left_to_right(a: np.ndarray) -> np.ndarray:
+    """``a`` summed over its last axis in index order, starting from +0.0."""
+    return functools.reduce(np.add, np.moveaxis(a, -1, 0), 0.0)
+
+
 def reference_phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
     """The former augmented Lagrangian value and gradient over a
-    (2, loads, starts, m) array."""
+    (2, loads, starts, m) array, each sum over RBs added left to right from
+    +0.0."""
     t = reference_stacked_grad(x, table)
-    mu_h, mu_l = t[0].sum(axis=-1)
-    h = x.sum(axis=-1) - 1.0
+    mu_h, mu_l = _left_to_right(t[0])
+    h = _left_to_right(x) - 1.0
     active = np.maximum(0.0, lam - rho * (mu_l - gamma))
     nu_h, pen = nu * h, half_rho * (h * h)
     phi = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]

@@ -208,6 +208,32 @@ def _same_result(a: OptResult, b: OptResult) -> bool:
     return (a.pair, a.mu, a.feasible, a.diagnostics) == (b.pair, b.mu, b.feasible, b.diagnostics)
 
 
+@pytest.mark.parametrize("m", range(1, 8))
+def test_rb_sum_matches_numpy_below_8_rbs(m):
+    # numpy adds 7 or fewer RBs in order, so its bits are the reference;
+    # mixed signs and magnitudes 1e-8..1e8 make every rounding show, and a
+    # row of -0.0 sums to +0.0 in both
+    rng = np.random.default_rng(m)
+    rows = rng.choice([-1.0, 1.0], (2000, m)) * 10.0 ** rng.uniform(-8, 8, (2000, m))
+    rows = np.concatenate([rows, np.full((1, m), -0.0)])
+    want = np.add.reduce(rows, axis=-1)
+    assert np.array_equal(optimize._rb_sum(rows).view(np.uint64), want.view(np.uint64))
+    out = np.full(len(rows), np.nan)
+    assert optimize._rb_sum(rows, out=out) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("m, width", [(8, 9), (9, 17), (17, 24)])
+def test_rb_sum_ignores_trailing_zero_pads(m, width):
+    # widths where numpy's own pairwise sum moves bits when padded
+    rng = np.random.default_rng(m)
+    rows = rng.choice([-1.0, 1.0], (2000, m)) * 10.0 ** rng.uniform(-8, 8, (2000, m))
+    padded = np.concatenate([rows, np.zeros((len(rows), width - m))], axis=1)
+    want = optimize._rb_sum(rows).view(np.uint64)
+    assert np.array_equal(optimize._rb_sum(padded).view(np.uint64), want)
+    assert not np.array_equal(np.add.reduce(padded, axis=-1).view(np.uint64), want)
+
+
 @pytest.mark.parametrize("options", [FAST, SolverOptions(random_starts=4, max_outer=3)])
 def test_solve_batch_matches_per_load_solves(options):
     # includes an unreachable floor (n_l = 0), a zero high class and loads
@@ -254,12 +280,14 @@ def _bits(res: OptResult) -> tuple:
         [(n_h, n_l, 3) for n_h in range(5) for n_l in range(5)],
         # (5, 1) keeps its uniform start stuck; (6, 10) stops beside it
         [(5, 1, 5), (6, 10, 5), (2, 2, 5)],
-        # an RB axis of 8 or more, which numpy sums pairwise
+        # an RB axis of 8 or more, which numpy's own sum would add pairwise
         [(3, 4, 9), (10, 2, 9)],
         # loads of m = 1..6 padded to 6 RBs, whose box bound is an array
         [(5, 1, 5), (3, 4, 3), (2, 2, 4), (6, 10, 6), (1, 1, 1), (0, 3, 2)],
+        # and padded across m = 8, to 12 RBs
+        [(2, 2, 5), (3, 4, 9), (1, 3, 12)],
     ],
-    ids=["m3-every-mask", "m5-stuck-start", "m9-pairwise-sums", "m1-6-padded"],
+    ids=["m3-every-mask", "m5-stuck-start", "m9", "m1-6-padded", "m5-12-padded"],
 )
 def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, loads):
     # the in-place ascent against the former one on every result field; run
@@ -372,19 +400,33 @@ def _random_loads(seed: int, count: int, ms) -> list[NetworkConfig]:
         ([NetworkConfig(4, 5, m) for m in (3, 4, 5, 6)], 0.4, None),
         (_random_loads(17, 12, range(1, 8)), 0.4, FAST),
         (_random_loads(18, 12, range(1, 8)), 0.0, FAST),
-        # numpy sums 8 or more RBs pairwise: each side of m = 8 its own batch
+        # widths of 8 or more, where numpy's own sum would add pairwise and a
+        # pad would move an RB into another partial sum: padded 5 -> 9,
+        # 7 -> 8 and 9 -> 17, all in one array
         ([NetworkConfig(3, 4, 5), NetworkConfig(3, 4, 9)], 0.4, FAST),
         ([NetworkConfig(2, 3, 7), NetworkConfig(2, 3, 8), NetworkConfig(4, 1, 7)], 0.4, FAST),
-        # and loads of 8 or more RBs only with their own m: 17 padded to
-        # 9 would move RB 8 into the first of numpy's partial sums
         ([NetworkConfig(2, 2, 9), NetworkConfig(2, 2, 17)], 0.4, SolverOptions(4, 3)),
+        ([NetworkConfig(2, 2, 5), NetworkConfig(2, 2, 9), NetworkConfig(2, 2, 17)], 0.4,
+         SolverOptions(4, 3)),
     ],
     ids=["table-IV", "table-V", "random-m1-7-floor", "random-m1-7-free", "m5-m9", "m7-m8",
-         "m9-m17"],
+         "m9-m17", "m5-m9-m17"],
 )
-def test_solve_batch_of_mixed_m_matches_lone_solves(cfgs, gamma, options):
+def test_solve_batch_of_mixed_m_matches_lone_solves(monkeypatch, cfgs, gamma, options):
     # every float's bits, feasible and diagnostics, against solving each alone
+    ascents, inner_ascent = [], optimize._inner_ascent
+
+    def counted(*args):
+        ascents.append(args[2].shape)
+        return inner_ascent(*args)
+
+    monkeypatch.setattr(optimize, "_inner_ascent", counted)
     got = solve_batch(cfgs, gamma, options)
+    # one array: one ascent per outer round, the first over every load at
+    # the widest m
+    assert len(ascents) == max(r.diagnostics["outer_rounds"] for r in got)
+    assert ascents[0][1] == len(cfgs) and ascents[0][-1] == max(cfg.m for cfg in cfgs)
+    monkeypatch.undo()
     assert [_bits(r) for r in got] == [_bits(solve(cfg, gamma, options)) for cfg in cfgs]
     assert [r.pair.m for r in got] == [cfg.m for cfg in cfgs]
     assert solve_batch([], 0.4) == []
