@@ -23,7 +23,7 @@ call per batch and load phase.  The tables depend only on the space and the
 load, so they are built once per (space, load) and kept on the space for
 every later run, seed and load phase: (m + 1)**2 floats per action and
 load, 784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid.
-``throughput_fn=sim_throughput`` instead runs the Philox slot simulator of
+``throughput_fn=sim_throughput`` instead runs the PCG64 slot simulator of
 :mod:`rachopt.simulate` for every pull; the two backends agree in
 distribution but draw different random streams.
 

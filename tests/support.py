@@ -156,17 +156,16 @@ def brute_force_throughput(n_h: int, n_l: int, p_h, p_l) -> tuple[float, float]:
 def reference_occupancy_counts(cfg, pair, t: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot per-RB transmitter counts, shape (t, m) for each class.
 
-    The whole ``Philox(key=seed mod 2**128)`` stream of ``t`` slots is drawn
-    at once: ``ceil(n / 4)`` counter steps per slot, one uniform per device,
-    high-priority devices first, each mapped to an RB by inverse CDF.
+    The whole ``PCG64(seed mod 2**128)`` stream of ``t`` slots is drawn at
+    once: ``n`` uniforms per slot, one per device, high-priority devices
+    first, each mapped to an RB by inverse CDF.
     """
     n, m = cfg.n, cfg.m
     if n == 0:
         z = np.zeros((t, m), dtype=np.int64)
         return z, z.copy()
-    k = math.ceil(n / 4)
-    gen = np.random.Generator(np.random.Philox(key=seed % (1 << 128)))
-    u = gen.random(t * 4 * k).reshape(t, 4 * k)[:, :n]
+    gen = np.random.Generator(np.random.PCG64(seed % (1 << 128)))
+    u = gen.random(t * n).reshape(t, n)
     rows = m * np.arange(t, dtype=np.int64)[:, None]
 
     def count(block: np.ndarray, probs) -> np.ndarray:

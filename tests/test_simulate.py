@@ -25,9 +25,9 @@ from support import random_simplex, reference_event_codes, reference_sim_through
 
 
 def block_slots(cfg: NetworkConfig) -> int:
-    """Slots per simulator block at this load: a fixed budget of Philox
-    words, whole counter steps of one word per device."""
-    return max(1, simulate_module._BLOCK_WORDS // (4 * max(1, math.ceil(cfg.n / 4))))
+    """Slots per simulator block at this load: a fixed budget of PCG64
+    words, one word per device per slot."""
+    return max(1, simulate_module._BLOCK_WORDS // max(1, cfg.n))
 
 
 # the block of the paper's loads, n = 9
@@ -76,7 +76,8 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_slot_substreams_give_prefix_property():
-    # slot s draws from its own counter range, so shorter runs are prefixes
+    # slot s reads words [s * n, (s + 1) * n) of the stream, so shorter runs
+    # are prefixes
     cfg = NetworkConfig(3, 2, 3)
     pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
     short = patterns(cfg, pair, 60, seed=9)
@@ -118,6 +119,17 @@ def test_rejects_bad_inputs():
         sim_throughput(cfg, AccessProbabilityPair.uniform(2), 0, seed=1)
     with pytest.raises(ValueError):
         sim_throughput(cfg, AccessProbabilityPair.uniform(3), 10, seed=1)
+    for t, seed, name in ((10.0, 1, "t"), (10.5, 1, "t"), (10, 1.5, "seed"), (10, "3", "seed"),
+                          (10, None, "seed")):
+        with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+            sim_throughput(cfg, AccessProbabilityPair.uniform(2), t, seed)
+
+
+def test_numpy_integer_seed_is_its_value():
+    cfg, pair = NetworkConfig(2, 3, 3), AccessProbabilityPair.uniform(3)
+    for seed in (np.int64(-3), np.uint64(2**64 - 1)):
+        assert np.array_equal(sim_codes(cfg, pair, 50, seed), sim_codes(cfg, pair, 50, int(seed)))
+        assert sim_throughput(cfg, pair, 50, seed) == sim_throughput(cfg, pair, 50, int(seed))
 
 
 def test_long_run_matches_exact_reserved_allocation():
@@ -200,9 +212,31 @@ def test_block_boundaries_follow_the_load(n_h, n_l):
         assert np.array_equal(sim_codes(cfg, pair, t, 11), reference_event_codes(cfg, pair, t, 11))
 
 
+@pytest.mark.parametrize(
+    "cfg,p",
+    [
+        (NetworkConfig(1, 0, 4), (0.1, 0.2, 0.3, 0.4)),
+        (NetworkConfig(4, 5, 4), (0.1, 0.2, 0.3, 0.4)),
+        (NetworkConfig(150, 150, 4), (0.994, 0.002, 0.002, 0.002)),
+    ],
+    ids=["n1", "n9", "n300"],
+)
+def test_codes_do_not_depend_on_the_block_size(monkeypatch, cfg, p):
+    # slot s reads words [s * n, (s + 1) * n) of one stream, however many
+    # slots a block holds; at n = 300 each class crowds onto its own RB, so
+    # that the two middle RBs' codes vary from slot to slot
+    pair = AccessProbabilityPair(p, p[::-1])
+    t = min(2 * block_slots(cfg) + 3, 1000)
+    default, default_words, n = sim_codes(cfg, pair, t, 13), simulate_module._BLOCK_WORDS, cfg.n
+    for words in (1, n - 1, n, n + 1, 7 * n + 3, default_words):
+        monkeypatch.setattr(simulate_module, "_BLOCK_WORDS", words)
+        assert t > block_slots(cfg) or words == default_words
+        assert np.array_equal(sim_codes(cfg, pair, t, 13), default), words
+
+
 def first_uniform(seed: int) -> float:
     """The first uniform of the stream of ``seed``: device 0 of slot 0."""
-    return float(np.random.Generator(np.random.Philox(key=seed)).random())
+    return float(np.random.Generator(np.random.PCG64(seed)).random())
 
 
 @pytest.mark.parametrize("seed", [5, 2**100 + 3])
@@ -236,7 +270,7 @@ def test_draw_on_a_level_picks_the_rb_above(seed):
 
 def test_block_memory_does_not_grow_with_the_population():
     # 1000 devices: the 2000 slots as one block would hold 2 million words
-    # and peak near 50 MB; blocks of 98304 words stay small
+    # and peak near 50 MB; blocks of 73728 words stay small
     cfg = NetworkConfig(500, 500, 4)
     pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
     tracemalloc.start()
@@ -272,21 +306,22 @@ def test_block_driver_matches_reference_property(m, n_h, n_l, seed, draw, sparse
 
 
 # (gamma, m, high successes, low successes) of the published pairs at
-# t = 100000, seed 0, recorded from the one-shot simulator before the
-# block driver replaced it
+# t = 100000, seed 0, recorded from the one-shot PCG64 reference
 CRITERION_9_SEED_0 = [
-    (0.0, 3, 84464, 0),
-    (0.0, 4, 126541, 0),
-    (0.0, 5, 168713, 0),
-    (0.0, 6, 204665, 0),
-    (0.4, 3, 43147, 39727),
-    (0.4, 4, 85365, 39819),
-    (0.4, 5, 127110, 39796),
-    (0.4, 6, 169811, 39816),
+    (0.0, 3, 84233, 0),
+    (0.0, 4, 126683, 0),
+    (0.0, 5, 169056, 0),
+    (0.0, 6, 204764, 0),
+    (0.4, 3, 42881, 39977),
+    (0.4, 4, 85164, 40053),
+    (0.4, 5, 127951, 40028),
+    (0.4, 6, 170492, 39954),
 ]
 
 
-@pytest.mark.parametrize("gamma,m,h,l", CRITERION_9_SEED_0)
+@pytest.mark.parametrize(
+    "gamma,m,h,l", CRITERION_9_SEED_0, ids=[f"{g}-{m}" for g, m, _, _ in CRITERION_9_SEED_0]
+)
 def test_published_pairs_keep_recorded_successes(gamma, m, h, l):
     cfg = NetworkConfig(4, 5, m)
     pair = published_pair(gamma, m)
