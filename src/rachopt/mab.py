@@ -23,9 +23,10 @@ call per batch and load phase.  The tables depend only on the space and the
 load, so they are built once per (space, load) and kept on the space for
 every later run, seed and load phase: (m + 1)**2 floats per action and
 load, 784 x 25 floats (0.16 MB) per load of the m = 4, d = 0.2 grid.
-``throughput_fn=sim_throughput`` instead runs the PCG64 slot simulator of
-:mod:`rachopt.simulate` for every pull; the two backends agree in
-distribution but draw different random streams.
+``throughput_fn=sim_throughput`` instead runs the slot simulator of
+:mod:`rachopt.simulate` for every pull, one 32-bit half of a PCG64 word per
+device and slot; the two backends agree in distribution (up to the
+simulator's 2**-32 resolution) but draw different random streams.
 
 A run returns a :class:`MabResult` with fields ``trace``, ``q``, ``v``,
 ``p_as``, ``best_index`` and ``batch_size``: the final per-action mean

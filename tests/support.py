@@ -157,24 +157,25 @@ def reference_occupancy_counts(cfg, pair, t: int, seed: int) -> tuple[np.ndarray
     """Per-slot per-RB transmitter counts, shape (t, m) for each class.
 
     The whole ``PCG64(seed mod 2**128)`` stream of ``t`` slots is drawn at
-    once: ``n`` uniforms per slot, one per device, high-priority devices
-    first, each mapped to an RB by inverse CDF.
+    once and split into 32-bit halves, low half of each word first: ``n``
+    halves per slot, one per device, high-priority devices first.  A
+    device's RB is the number of its class's cumulative levels ``L`` with
+    ``L < (w + 1) * 2**-32``, compared in float64.
     """
     n, m = cfg.n, cfg.m
     if n == 0:
         z = np.zeros((t, m), dtype=np.int64)
         return z, z.copy()
-    gen = np.random.Generator(np.random.PCG64(seed % (1 << 128)))
-    u = gen.random(t * n).reshape(t, n)
+    words = np.random.PCG64(seed % (1 << 128)).random_raw(-(-t * n // 2))
+    halves = np.stack([words & 0xFFFFFFFF, words >> 32], axis=1).ravel()[: t * n]
+    u = ((halves + 1) * 2.0**-32).reshape(t, n)
     rows = m * np.arange(t, dtype=np.int64)[:, None]
 
     def count(block: np.ndarray, probs) -> np.ndarray:
         if block.shape[1] == 0:
             return np.zeros((t, m), dtype=np.int64)
-        cum = np.cumsum(np.asarray(probs, dtype=float))
-        cum[-1] = 1.0
-        idx = np.searchsorted(cum, block, side="right")
-        np.clip(idx, 0, m - 1, out=idx)
+        levels = np.cumsum(np.asarray(probs, dtype=float))[:-1]
+        idx = np.searchsorted(levels, block, side="left")  # levels below u
         return np.bincount((idx + rows).ravel(), minlength=t * m).reshape(t, m)
 
     return count(u[:, : cfg.n_h], pair.p_h), count(u[:, cfg.n_h :], pair.p_l)

@@ -25,13 +25,18 @@ from support import random_simplex, reference_event_codes, reference_sim_through
 
 
 def block_slots(cfg: NetworkConfig) -> int:
-    """Slots per simulator block at this load: a fixed budget of PCG64
-    words, one word per device per slot."""
-    return max(1, simulate_module._BLOCK_WORDS // max(1, cfg.n))
+    """Slots per simulator block at this load: a fixed budget of 32-bit
+    uniforms, one per device per slot, rounded down to an even count."""
+    return max(2, (simulate_module._BLOCK_WORDS // max(1, cfg.n)) & ~1)
 
 
 # the block of the paper's loads, n = 9
 BLOCK = block_slots(NetworkConfig(4, 5, 4))
+
+# each class crowds onto its own RB, so that with hundreds of devices the two
+# middle RBs' codes still vary from slot to slot; a pair spread over all four
+# RBs makes every RB collide in nearly every slot, which hides the stream
+CROWDED = AccessProbabilityPair((0.994, 0.002, 0.002, 0.002), (0.002, 0.002, 0.002, 0.994))
 
 
 def patterns(cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int) -> tuple[str, ...]:
@@ -76,7 +81,7 @@ def test_determinism_and_seed_sensitivity():
 
 
 def test_slot_substreams_give_prefix_property():
-    # slot s reads words [s * n, (s + 1) * n) of the stream, so shorter runs
+    # slot s reads halves [s * n, (s + 1) * n) of the stream, so shorter runs
     # are prefixes
     cfg = NetworkConfig(3, 2, 3)
     pair = AccessProbabilityPair([0.5, 0.25, 0.25], [0.1, 0.2, 0.7])
@@ -204,7 +209,9 @@ def test_block_boundaries_follow_the_load(n_h, n_l):
     # each load's own slots per block, around one block and a few
     rng = np.random.default_rng(n_h * 1000 + n_l)
     cfg = NetworkConfig(n_h, n_l, 4)
-    pair = AccessProbabilityPair(random_simplex(rng, 4), random_simplex(rng, 4, sparse=True))
+    pair = CROWDED if cfg.n > 100 else AccessProbabilityPair(
+        random_simplex(rng, 4), random_simplex(rng, 4, sparse=True)
+    )
     slots = block_slots(cfg)
     for t in (slots - 1, slots, slots + 1, 3 * slots + 5):
         mu = sim_throughput(cfg, pair, t, 11)
@@ -222,7 +229,7 @@ def test_block_boundaries_follow_the_load(n_h, n_l):
     ids=["n1", "n9", "n300"],
 )
 def test_codes_do_not_depend_on_the_block_size(monkeypatch, cfg, p):
-    # slot s reads words [s * n, (s + 1) * n) of one stream, however many
+    # slot s reads halves [s * n, (s + 1) * n) of one stream, however many
     # slots a block holds; at n = 300 each class crowds onto its own RB, so
     # that the two middle RBs' codes vary from slot to slot
     pair = AccessProbabilityPair(p, p[::-1])
@@ -234,28 +241,33 @@ def test_codes_do_not_depend_on_the_block_size(monkeypatch, cfg, p):
         assert np.array_equal(sim_codes(cfg, pair, t, 13), default), words
 
 
-def first_uniform(seed: int) -> float:
-    """The first uniform of the stream of ``seed``: device 0 of slot 0."""
-    return float(np.random.Generator(np.random.PCG64(seed)).random())
+def first_half(seed: int) -> int:
+    """The first 32-bit half of the stream of ``seed``, the low half of its
+    first word: device 0 of slot 0."""
+    return int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
 
 
 @pytest.mark.parametrize("seed", [5, 2**100 + 3])
 def test_draw_on_a_level_picks_the_rb_above(seed):
-    # a draw equal to a cumulative level belongs to the RB above it, as
-    # searchsorted(cum, u, "right") has it; one ulp either side moves it
-    u = first_uniform(seed)
+    # a half w stands for the uniform (w + 1) * 2**-32, and a level below it
+    # sends the device to the RB above: every level in [w, w + 1) * 2**-32
+    # does, and a level at (w + 1) * 2**-32 does not (the floor mark's edges)
+    w = first_half(seed)
+    lo, hi = w * 2.0**-32, (w + 1) * 2.0**-32
     cfg = NetworkConfig(1, 0, 2)
-    for level, first in ((u, "oh"), (np.nextafter(u, 0.0), "oh"), (np.nextafter(u, 1.0), "ho")):
+    cases = ((lo, "oh"), (np.nextafter(lo, 0.0), "oh"), (np.nextafter(hi, 0.0), "oh"), (hi, "ho"))
+    for level, first in cases:
         pair = AccessProbabilityPair([level, 1.0 - level], [0.5, 0.5])
         codes = sim_codes(cfg, pair, 500, seed)
-        assert codes[0].tobytes() == first.encode()
+        assert codes[0].tobytes() == first.encode(), level
         assert np.array_equal(codes, reference_event_codes(cfg, pair, 500, seed))
     # levels of exactly 0 and 1.0, a running sum that ends a little above
-    # 1 and a draw on a level, with both classes and several devices
+    # 1 and a draw on a level's mark, with both classes and several devices
     cases = [
         ([0.0, 0.5, 0.5], [0.5, 0.5, 0.0]),
         ([0.25, 0.75 + 4e-10, 0.0], [0.0, 1.0, 0.0]),
-        ([u, 1.0 - u, 0.0], [0.0, u, 1.0 - u]),
+        ([lo, 1.0 - lo, 0.0], [0.0, lo, 1.0 - lo]),
+        ([hi, 1.0 - hi, 0.0], [0.0, hi, 1.0 - hi]),
     ]
     for p_h, p_l in cases:
         pair = AccessProbabilityPair(p_h, p_l)
@@ -268,11 +280,29 @@ def test_draw_on_a_level_picks_the_rb_above(seed):
     assert ord("h") in codes[:, 2] and ord("l") in codes[:, 0]
 
 
+def test_levels_at_or_above_one_are_never_reached():
+    # odd n and odd t over several blocks, so the run ends on the low half of
+    # a word; the high class's levels reach 1.0 two RBs early and the low
+    # class's running sum ends 4e-10 above 1 one RB early, so no device may
+    # ever land past them (a mark cast past 2**32 - 1 would wrap to 0 and send
+    # every device there)
+    cfg = NetworkConfig(4, 3, 4)
+    t = 3 * block_slots(cfg) + 5
+    assert cfg.n * t % 2 == 1
+    pair = AccessProbabilityPair([0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5 + 4e-10, 0.0])
+    codes = sim_codes(cfg, pair, t, 21)
+    assert np.array_equal(codes, reference_event_codes(cfg, pair, t, 21))
+    assert np.all(codes[:, 3] == ord("o"))
+    assert ord("h") not in codes[:, 2] and ord("l") in codes[:, 2]
+    mu = sim_throughput(cfg, pair, t, 21)
+    assert (mu.mu_h, mu.mu_l) == reference_sim_throughput(cfg, pair, t, 21)
+
+
 def test_block_memory_does_not_grow_with_the_population():
-    # 1000 devices: the 2000 slots as one block would hold 2 million words
-    # and peak near 50 MB; blocks of 73728 words stay small
+    # 1000 devices: the 2000 slots as one block would hold 2 million uniforms
+    # and peak near 18 MB; blocks of 73728 uniforms stay near 1.4 MB
     cfg = NetworkConfig(500, 500, 4)
-    pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1])
+    pair = CROWDED
     tracemalloc.start()
     try:
         mu = sim_throughput(cfg, pair, 2000, 8)
@@ -308,14 +338,14 @@ def test_block_driver_matches_reference_property(m, n_h, n_l, seed, draw, sparse
 # (gamma, m, high successes, low successes) of the published pairs at
 # t = 100000, seed 0, recorded from the one-shot PCG64 reference
 CRITERION_9_SEED_0 = [
-    (0.0, 3, 84233, 0),
-    (0.0, 4, 126683, 0),
-    (0.0, 5, 169056, 0),
-    (0.0, 6, 204764, 0),
-    (0.4, 3, 42881, 39977),
-    (0.4, 4, 85164, 40053),
-    (0.4, 5, 127951, 40028),
-    (0.4, 6, 170492, 39954),
+    (0.0, 3, 84574, 0),
+    (0.0, 4, 126797, 0),
+    (0.0, 5, 168716, 0),
+    (0.0, 6, 204808, 0),
+    (0.4, 3, 42979, 40122),
+    (0.4, 4, 84782, 40119),
+    (0.4, 5, 127646, 40193),
+    (0.4, 6, 170105, 40158),
 ]
 
 
