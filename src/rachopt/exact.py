@@ -13,7 +13,7 @@ Two independent routes to the same quantity:
 * :func:`throughput_by_pattern_sum` -- bin every pair of the two classes'
   occupancy vectors by the access pattern it produces (a string over
   :data:`~rachopt.model.PATTERN_CHARS`, one character per RB, by the rule
-  of :func:`~rachopt.model.pattern_bytes` that the simulator also applies
+  of :func:`~rachopt.model.pattern_class` that the simulator also applies
   to its slots) and weight each pattern's success counts by its
   probability.  The patterns are those the pairs produce, so none is
   listed that no occupancy reaches.  It sums the joint law of all RBs and

@@ -11,8 +11,8 @@ the package is built on the vocabulary defined here:
 * :class:`ThroughputPair` -- expected successes per slot and class.
 
 An access pattern, the per-RB outcome of one slot, is a plain ``str`` with
-one character of :data:`PATTERN_CHARS` per RB; :func:`pattern_bytes` is the
-rule that gives an RB its character.
+one character of :data:`PATTERN_CHARS` per RB; :func:`pattern_class` is the
+rule that gives an RB its outcome, and :func:`pattern_bytes` its character.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 __all__ = [
     "SUM_TOL",
     "PATTERN_CHARS",
+    "pattern_class",
     "pattern_bytes",
     "check_gamma",
     "NetworkConfig",
@@ -42,19 +43,25 @@ SUM_TOL = 1e-9
 # lexicographic order of pattern strings.
 PATTERN_CHARS = "hlox"
 
-# The character of an RB, as its ASCII byte, at 3 * min(high devices, 2) +
-# min(low devices, 2) on it; read-only, as bytes buffers are.
+# The character of an RB, as its ASCII byte, at its :func:`pattern_class`;
+# read-only, as bytes buffers are.
 _RB_CHAR = np.frombuffer(b"olxhxxxxx", dtype=np.uint8)
 
 
-def pattern_bytes(c_h, c_l) -> np.ndarray:
-    """The pattern characters, as uint8 ASCII bytes, of RBs on which ``c_h``
-    high and ``c_l`` low devices transmit (integer arrays that broadcast):
-    one device alone is its class's success, none leaves the RB empty and
-    two or more collide."""
+def pattern_class(c_h, c_l) -> np.ndarray:
+    """The outcome classes, ``3 * min(c_h, 2) + min(c_l, 2)`` as uint8, of
+    RBs on which ``c_h`` high and ``c_l`` low devices transmit (integer
+    arrays that broadcast): one device alone is its class's success, none
+    leaves the RB empty and two or more collide."""
     # min(c, 2) in numpy's SIMD loops, which np.minimum against a scalar skips
     h, l = ((c >= 1).view(np.uint8) + (c >= 2).view(np.uint8) for c in (c_h, c_l))
-    return _RB_CHAR.take(3 * h + l)
+    return 3 * h + l
+
+
+def pattern_bytes(c_h, c_l) -> np.ndarray:
+    """The pattern characters, as uint8 ASCII bytes, of the
+    :func:`pattern_class` of RBs with ``c_h`` high and ``c_l`` low devices."""
+    return _RB_CHAR.take(pattern_class(c_h, c_l))
 
 
 def check_gamma(gamma: float) -> None:

@@ -11,21 +11,20 @@ solution is a solution), so the solver runs a batch of starts in parallel:
   step, all starts advancing in lock-step as rows of one array.
 
 :func:`solve_batch` runs many loads (n_h, n_l) at once.  The iterate is one
-contiguous (2, loads, starts, m) array, ``x[0]`` = p_h and ``x[1]`` = p_l,
-so one numpy call covers both classes; ``nu`` and ``h``, the simplex
-multipliers and residuals, are (2, loads, starts).  Loads of different m
-share the array padded to the widest, with RBs held at 0 by a box of [0, 0].
-Every sum over RBs is :func:`_rb_sum`, which adds them left to right from
-+0.0, so trailing pads leave its bits alone at any m.  A step of the inner
-ascent works in arrays made once per batch shape, and made again only when
-a load leaves: one (5, 2, loads, starts, m) buffer holds the stacked terms
-and the gradients of mu_h and mu_l that
-:func:`rachopt.exact.gradient_kernel` writes, then the candidate and its
-Lagrangian gradient.  So one sum covers the terms and the candidate (mu
-and the simplex sums), each gradient is a contiguous block, and no numpy
-call writes over its own input.  Each element gets the float operations,
-in the order, of the reference loop in ``tests/support.py``, so every
-result is bit for bit that loop's.  Every
+contiguous RB-major (2, m, loads, starts) array, ``x[0]`` = p_h and ``x[1]``
+= p_l, so one numpy call covers both classes; ``nu`` and ``h``, the simplex
+multipliers and residuals, are (2, loads, starts), and they and the steps
+broadcast over the RB axis.  Loads of different m share the array padded to
+the widest, with RBs held at 0 by a box of [0, 0], which leave the bits of
+:func:`_rb_sum`, every sum over RBs, alone.  A step of the inner ascent
+works in arrays made once per batch shape, and made again only when a load
+leaves: one (5, 2, m, loads, starts) buffer holds the stacked terms and the
+gradients of mu_h and mu_l that :func:`rachopt.exact.gradient_kernel`
+writes, then the candidate and its Lagrangian gradient.  So one sum covers
+the terms and the candidate (mu and the simplex sums), each gradient is a
+contiguous block, and no numpy call writes over its own input.  Each element
+gets the float operations, in the order, of the reference loop in
+``tests/support.py``, so every result is bit for bit that loop's.  Every
 load keeps its own stopping rules -- the inner ascent stops a load on its
 own gain and steps, and the outer convergence test and multiplier updates
 are per load -- and a load that has finished leaves the working arrays, so
@@ -132,17 +131,15 @@ def structural_unconstrained(cfg: NetworkConfig) -> AccessProbabilityPair:
 
 
 def _rb_sum(a, out=None):
-    """``a`` summed over its last (RB) axis: from +0.0, the RBs added left
-    to right, one numpy add per RB.  So trailing zeros leave the bits of
-    every sum alone, however many RBs there are."""
-    out = np.add(0.0, a[..., 0], out=out)
-    for rb in range(1, a.shape[-1]):
-        np.add(out, a[..., rb], out=out)
-    return out
+    """``a`` summed over its RB axis, third from last, which numpy reduces
+    one (loads, starts) plane at a time in a contiguous array (not pairwise,
+    as over the innermost axis): the RBs added left to right from +0.0, so
+    trailing zeros leave every sum's bits alone at any number of RBs."""
+    return np.add.reduce(a, axis=-3, out=out, initial=0.0)
 
 
 def _lagrangian(table, gamma, mult, shape):
-    """The augmented Lagrangian over (2, loads, starts, m) iterates of
+    """The augmented Lagrangian over (2, m, loads, starts) iterates of
     ``shape``, bound to preallocated arrays; ``mult`` is the round's ``(lam,
     nu, rho, lam2, two_rho, half_rho)``.
 
@@ -160,7 +157,7 @@ def _lagrangian(table, gamma, mult, shape):
     terms = gradient_kernel(buf[3], table, buf[:3])
     # the terms and the iterate summed in one call: mu, then the simplex
     # sums, which become the residuals h in place
-    summed, sums = buf[::3], np.empty((2, 2) + shape[1:3])
+    summed, sums = buf[::3], np.empty((2, 2) + shape[2:])
     (mu_h, mu_l), h = sums
     grad_h, grad_l, grad = buf[1], buf[2], buf[4]
 
@@ -172,7 +169,7 @@ def _lagrangian(table, gamma, mult, shape):
         nu_h, pen = nu * h, half_rho2 * (h * h)
         value = mu_h - (active * active - lam2) / two_rho - nu_h[0] - pen[0] - nu_h[1] - pen[1]
         # d mu_h / dx + active * d mu_l / dx - (nu + rho * h)
-        np.subtract(grad_h + active[..., None] * grad_l, (nu + rho2 * h)[..., None], out=grad)
+        np.subtract(grad_h + active * grad_l, (nu + rho2 * h)[:, None], out=grad)
         return value
 
     return buf[3:], phi
@@ -190,51 +187,46 @@ def _inner_ascent(table, gamma, x, mult, step, upper):
     load stops.  Returns the new ``x`` and ``step`` of every load and the
     steps each load took."""
     x_out, step_out = np.empty_like(x), np.empty_like(step)
-    taken = np.full(x.shape[1], _MAX_INNER)
-    rows = np.arange(x.shape[1])
+    taken = np.full(x.shape[2], _MAX_INNER)
+    rows = np.arange(x.shape[2])
     # ``scored`` is the candidate and its gradient (see _lagrangian), ``now``
-    # the iterate and its gradient, which a better candidate replaces; each
-    # start's step and verdict are repeated over its m RBs, as whole blocks
-    # multiply and copy faster than broadcasts
+    # the iterate and its gradient, which a better candidate replaces
     scored, phi_at = _lagrangian(table, gamma, mult, x.shape)
     cand = scored[0]
     cand[...] = x
     phi = phi_at()
     now = scored.copy()
-    step = np.repeat(step, x.shape[-1]).reshape(x.shape[1:])
-    better_rbs = np.empty(step.shape, bool)
     for it in range(_MAX_INNER):
         np.minimum(np.maximum(step * now[1] + now[0], 0.0), upper, out=cand)
         phi_c = phi_at()
         better = phi_c > phi
         gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
-        np.copyto(better_rbs, better[..., None])
-        np.copyto(now, scored, where=better_rbs)
+        np.copyto(now, scored, where=better)
         np.copyto(phi, phi_c, where=better)
         # steps stay at most 1e3, so the cap never binds on a shrinking step
-        step = np.minimum(step * np.where(better_rbs, 1.3, 0.4), 1e3)
+        step = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
         if gained.all():
             continue
-        stop = ~gained & (step[..., 0] < 1e-13).all(axis=1)
+        stop = ~gained & (step < 1e-13).all(axis=1)
         if stop.any():
             done = rows[stop]
-            x_out[:, done], step_out[done], taken[done] = now[0][:, stop], step[stop, :, 0], it + 1
+            x_out[:, :, done], step_out[done], taken[done] = now[0][:, :, stop], step[stop], it + 1
             go = ~stop
             if not go.any():
                 return x_out, step_out, taken
-            rows, now, phi, step = rows[go], now[:, :, go], phi[go], step[go]
-            table = tuple(t[..., go, :, :] for t in table)
+            rows, now, phi, step = rows[go], now[:, :, :, go], phi[go], step[go]
+            table = tuple(t[..., go, :] for t in table)
             mult = tuple(v[..., go, :] for v in mult)
             upper = _keep(upper, go)
             scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
-            cand, better_rbs = scored[0], np.empty(step.shape, bool)
-    x_out[:, rows], step_out[rows] = now[0], step[..., 0]
+            cand = scored[0]
+    x_out[:, :, rows], step_out[rows] = now[0], step
     return x_out, step_out, taken
 
 
 def _keep(upper, go):
     """The box bound of the loads ``go``: a scalar bound is every load's."""
-    return upper if np.ndim(upper) == 0 else upper[:, go]
+    return upper if np.ndim(upper) == 0 else upper[..., go, :]
 
 
 def solve_batch(
@@ -244,12 +236,12 @@ def solve_batch(
 ) -> list[OptResult]:
     """Maximize mu_h subject to mu_l >= gamma for every load in ``cfgs``.
 
-    The loads run in lock-step as one (2, loads, starts, m) array, m being
-    the widest load's.  A narrower load is padded with RBs whose box is
-    [0, 0], so they stay 0 and add nothing: the projection clips to an
-    upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when every
-    load has the same m).  RBs are summed by :func:`_rb_sum`, left to right,
-    so the pads change no sum's bits.
+    The loads run in lock-step as one (2, m, loads, starts) array, m being
+    the widest load's.  A narrower load is padded with trailing RBs whose
+    box is [0, 0], so they stay 0 and add nothing: the projection clips to
+    an upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when
+    every load has the same m).  RBs are summed by :func:`_rb_sum`, left to
+    right, so the pads change no sum's bits.
 
     Each load keeps its own stopping rules: its inner ascent ends on its own
     gain and steps, and its outer rounds end on its own convergence test, at
@@ -281,23 +273,23 @@ def solve_batch(
         m: np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
         for m in set(ms)
     }
-    # one contiguous (2, loads, starts, m) array, x[0] = p_h and x[1] = p_l
-    x = np.zeros((2, len(cfgs), opts.random_starts + 2, max(ms)))
+    # one contiguous RB-major (2, m, loads, starts) array: x[0] = p_h, x[1] = p_l
+    x = np.zeros((2, max(ms), len(cfgs), opts.random_starts + 2))
     for i, cfg in enumerate(cfgs):
         structural, m = structural_unconstrained(cfg), cfg.m
-        x[:, i, 0, :m] = structural.p_h, structural.p_l
-        x[:, i, 1, :m] = 1.0 / m
-        x[:, i, 2:, :m] = starts[m].transpose(1, 0, 2)
+        x[:, :m, i, 0] = structural.p_h, structural.p_l
+        x[:, :m, i, 1] = 1.0 / m
+        x[:, :m, i, 2:] = starts[m].transpose(1, 2, 0)
     upper = 1.0
     if len(starts) > 1:
-        real = np.arange(x.shape[-1]) < np.array(ms)[:, None, None]
+        real = np.arange(x.shape[1])[:, None, None] < np.array(ms)[:, None]
         upper = np.ascontiguousarray(np.broadcast_to(real, x.shape), dtype=float)
-    # spread over every element of x: numpy runs equal shapes faster
+    # each load's constants spread over its RB-major slots: numpy runs equal shapes faster
     table = tuple(
-        np.ascontiguousarray(np.broadcast_to(t, t.shape[:1] + x.shape))
-        for t in load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), x.ndim)
+        np.ascontiguousarray(np.broadcast_to(t[:, :, None], t.shape[:1] + x.shape))
+        for t in load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), 3)
     )
-    shape = x.shape[1:3]
+    shape = x.shape[2:]
 
     # working arrays of the loads still iterating, in ``live`` order
     live = np.arange(len(cfgs))
@@ -318,7 +310,7 @@ def solve_batch(
         mu_h, mu_l = _rb_sum(stacked_terms(x, table))
         h = _rb_sum(x) - 1.0
         viol = np.maximum(np.abs(h).max(axis=0), np.maximum(0.0, gamma - mu_l))
-        rounds[live], x_final[:, live], viol_final[live] = outer + 1, x, viol
+        rounds[live], x_final[:, :, live], viol_final[live] = outer + 1, x, viol
         done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
             np.abs(mu_h - prev_obj) < _OBJ_TOL, axis=1
         )
@@ -326,10 +318,10 @@ def solve_batch(
             break
         if done.any():
             go = ~done
-            live, x, step, lam, nu, rho = live[go], x[:, go], step[go], lam[go], nu[:, go], rho[go]
-            mu_h, mu_l, h, viol = mu_h[go], mu_l[go], h[:, go], viol[go]
-            prev_viol = prev_viol[go]
-            table = tuple(t[..., go, :, :] for t in table)
+            live, x, step = live[go], x[:, :, go], step[go]
+            lam, nu, rho = lam[go], nu[:, go], rho[go]
+            mu_h, mu_l, h, viol, prev_viol = mu_h[go], mu_l[go], h[:, go], viol[go], prev_viol[go]
+            table = tuple(t[..., go, :] for t in table)
             upper = _keep(upper, go)
         lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
         nu = nu + rho * h
@@ -344,14 +336,15 @@ def solve_batch(
 
 def _pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
     """Polish and score every start of every load, and pick each load's
-    result by :func:`solve_batch`'s rule, from the final (2, loads, starts,
-    m) iterate ``x`` and its (loads, starts) residuals ``viol``; a load's
-    RBs past its own m are pads, which the ascent keeps at 0."""
+    result by :func:`solve_batch`'s rule, from the final (2, m, loads,
+    starts) iterate ``x`` and its (loads, starts) residuals ``viol``; a
+    load's RBs past its own m are pads, which the ascent keeps at 0."""
     x = np.clip(x, 0.0, 1.0)
-    sums = _rb_sum(x)[..., None]
-    ms = np.array([c.m for c in cfgs])[:, None, None]
-    uniform = np.where(np.arange(x.shape[-1]) < ms, 1.0 / ms, 0.0)
+    sums = _rb_sum(x)[:, None]
+    ms = np.array([c.m for c in cfgs])[:, None]
+    uniform = np.where(np.arange(x.shape[1])[:, None, None] < ms, 1.0 / ms, 0.0)
     x = np.divide(x, sums, out=np.broadcast_to(uniform, x.shape).copy(), where=sums > 0)
+    x = np.moveaxis(x, 1, -1)  # RB-last from here, as the scores and pairs read it
     mu = throughput_rows(x, tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs))
     feasible = mu[1] >= gamma - FEASIBILITY_TOL
     # lexsort's last key leads, and ties keep the start order: each start's

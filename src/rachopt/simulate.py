@@ -30,16 +30,13 @@ two devices.
 
 A call makes its block's arrays once, and the passes from the draw to the
 per-RB counts write into them, so only the draw's words and the pattern
-bytes are new per block: a few MB of fresh arrays per block went back to
-the OS and faulted in again, or not, depending on what earlier code had
-left on the heap.  Each class's cumulative levels are compared, then
-counted, one at a time, in one (n, slots) bool buffer.
-
-Each block counts each class's devices per RB in the narrowest unsigned type
-that holds n; :func:`~rachopt.model.pattern_bytes`, the one outcome rule,
-turns the counts into the bytes of the per-slot pattern strings over
-:data:`~rachopt.model.PATTERN_CHARS`, in which :func:`sim_throughput` counts
-``h`` and ``l`` block by block without keeping them.
+classes are new per block.  A class's cumulative levels do not decrease, so
+the levels its halves can reach are a prefix, compared in one broadcast
+call into one (m - 1, n, slots) bool buffer and counted in one reduce, in
+the narrowest unsigned type that holds n.  The one outcome rule,
+:func:`~rachopt.model.pattern_class`, gives each RB its class from the
+counts, and :func:`sim_throughput` counts the classes written ``h`` and
+``l``, block by block, without keeping them.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .model import AccessProbabilityPair, NetworkConfig, ThroughputPair, pattern_bytes
+from .model import _RB_CHAR, AccessProbabilityPair, NetworkConfig, ThroughputPair, pattern_class
 
 __all__ = ["sim_throughput"]
 
@@ -57,24 +54,25 @@ __all__ = ["sim_throughput"]
 # in cache at any n
 _BLOCK_WORDS = 8192 * 9
 
+_H_CLASS, _L_CLASS = (_RB_CHAR.tobytes().index(char) for char in b"hl")  # an RB's successes
+
 
 def _run_blocks(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> Iterator[np.ndarray]:
     """Draw slots ``[0, t)`` in blocks of at most ``_BLOCK_WORDS`` uniforms
-    and yield each block's pattern bytes, shape (slots, m), in slot order."""
+    and yield each block's pattern classes, shape (m, slots), in slot order,
+    each in an array of its own."""
     n, m = cfg.n, cfg.m
     bits = np.random.PCG64(int(seed) % (1 << 128))
     # an even number of slots, so that every block but the last ends on a word
     slots = min(t, max(2, (_BLOCK_WORDS // max(n, 1)) & ~1))
     marks = np.floor(np.array([pair.p_h, pair.p_l]).cumsum(axis=1)[:, :-1] * 2.0**32)
-    classes = (slice(0, cfg.n_h), slice(cfg.n_h, n))
-    # (class, level r, its rows, its mark) of every level a half can reach
-    levels = [
-        (c, r, classes[c], np.uint32(marks[c, r - 1]))
-        for r in range(1, m)
-        for c in (0, 1)
-        if marks[c, r - 1] < 2**32
+    # (rows, marks) of each class's levels that a half can reach: the marks do
+    # not decrease, so these are a prefix, compared in one broadcast call
+    classes = [
+        (rows, marks[c, marks[c] < 2**32].astype(np.uint32)[:, None, None])
+        for c, rows in enumerate((slice(0, cfg.n_h), slice(cfg.n_h, n)))
     ]
     count = np.min_scalar_type(n)
 
@@ -85,7 +83,7 @@ def _run_blocks(
         # from row r to row r + 1
         above = np.zeros((2, m + 1, size), count)
         above[:, 0] = [[cfg.n_h], [cfg.n_l]]
-        halves, hit = np.empty((n, size), np.uint32), np.empty((n, size), bool)
+        halves, hit = np.empty((n, size), np.uint32), np.empty((m - 1, n, size), bool)
         return halves, hit, hit.view(np.uint8), above, np.empty((2, m, size), count)
 
     halves, hit, tally, above, rb = arrays(slots)
@@ -99,19 +97,20 @@ def _run_blocks(
         raw = bits.random_raw((size * n + 1) // 2).astype("<u8", copy=False)
         np.copyto(halves, raw.view("<u4")[: size * n].reshape(size, n).T)
         del raw
-        for c, r, rows, mark in levels:
-            np.greater_equal(halves[rows], mark, out=hit[rows])
-            np.add.reduce(tally[rows], axis=0, out=above[c, r], dtype=count)
+        for c, (rows, levels) in enumerate(classes):
+            reach = len(levels)
+            np.greater_equal(halves[rows], levels, out=hit[:reach, rows])
+            np.add.reduce(tally[:reach, rows], axis=1, out=above[c, 1 : reach + 1], dtype=count)
         np.subtract(above[:, :-1], above[:, 1:], out=rb)
-        yield pattern_bytes(*rb).T
+        yield pattern_class(*rb)
 
 
 def sim_throughput(
     cfg: NetworkConfig, pair: AccessProbabilityPair, t: int, seed: int
 ) -> ThroughputPair:
     """Empirical per-slot success rates over ``t`` slots, multiples of 1/t:
-    the ``h`` and ``l`` bytes of the slots' patterns, counted block by block
-    without keeping them.
+    the RBs of the slots' patterns in the ``h`` and ``l`` classes, counted
+    block by block without keeping them.
     """
     for name, value in (("t", t), ("seed", seed)):
         if not isinstance(value, numbers.Integral):
@@ -121,7 +120,7 @@ def sim_throughput(
     if pair.m != cfg.m:
         raise ValueError(f"pair has m={pair.m}, config has m={cfg.m}")
     h = l = 0
-    for codes in _run_blocks(cfg, pair, t, seed):
-        h += int(np.count_nonzero(codes == ord("h")))
-        l += int(np.count_nonzero(codes == ord("l")))
+    for classes in _run_blocks(cfg, pair, t, seed):
+        h += int(np.count_nonzero(classes == _H_CLASS))
+        l += int(np.count_nonzero(classes == _L_CLASS))
     return ThroughputPair(h / t, l / t)

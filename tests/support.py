@@ -10,8 +10,9 @@ kept as the reference its one-pass pattern table is tested against, and
 :func:`feasible_patterns` its former walk over all 4^m pattern strings.
 :func:`reference_occupancy_counts` is the slot simulator drawn in one shot,
 the reference the block-wise library simulator must match bit for bit;
-:func:`sim_codes` reads that simulator's pattern bytes off its private
-block generator, as no public function returns them.
+:func:`sim_codes` reads that simulator's pattern classes off its private
+block generator, as no public function returns them, and turns them into
+pattern bytes.
 :func:`reference_save_mab_trace` is the former row-at-a-time trace writer,
 the reference the column-wise one must match byte for byte.
 :func:`reference_inner_ascent` is the solver's former projected-gradient
@@ -32,7 +33,7 @@ import math
 import numpy as np
 
 from rachopt.exact import slot_success_pmf, throughput_closed_form
-from rachopt.model import AccessProbabilityPair
+from rachopt.model import _RB_CHAR, AccessProbabilityPair
 from rachopt.optimize import _MAX_INNER, FEASIBILITY_TOL, OptResult
 from rachopt.simulate import _run_blocks
 
@@ -198,9 +199,10 @@ def reference_event_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
 
 
 def sim_codes(cfg, pair, t: int, seed: int) -> np.ndarray:
-    """The simulator's (t, m) uint8 pattern bytes: the blocks of
-    ``simulate._run_blocks`` joined in slot order."""
-    return np.concatenate(list(_run_blocks(cfg, pair, t, seed)))
+    """The simulator's (t, m) uint8 pattern bytes: the pattern classes of
+    the blocks of ``simulate._run_blocks``, kept and joined in slot order,
+    as their characters."""
+    return _RB_CHAR.take(np.concatenate(list(_run_blocks(cfg, pair, t, seed)), axis=1).T)
 
 
 def reference_save_mab_trace(result, path) -> None:
@@ -264,9 +266,22 @@ def reference_phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
 
 def reference_inner_ascent(table, gamma, x, mult, step, upper):
     """The former projected gradient ascent of one outer round, with the
-    signature and results of ``rachopt.optimize._inner_ascent``: each
-    candidate clipped to [0, ``upper``], a scalar or an array stacked like
-    ``x``."""
+    signature and results of ``rachopt.optimize._inner_ascent``: ``x``,
+    ``upper`` (or a scalar) and the spread ``table`` RB-major, (..., m,
+    loads, starts), each candidate clipped to [0, ``upper``].  It runs in
+    the former RB-last layout, (..., loads, starts, m), on copies moved
+    there, and moves its ``x`` back."""
+    def last(a):
+        return np.ascontiguousarray(np.moveaxis(a, -3, -1))
+
+    upper = upper if np.ndim(upper) == 0 else last(upper)
+    x_out, step_out, taken = _rb_last_inner_ascent(
+        tuple(last(t) for t in table), gamma, last(x), mult, step, upper
+    )
+    return np.ascontiguousarray(np.moveaxis(x_out, -1, -3)), step_out, taken
+
+
+def _rb_last_inner_ascent(table, gamma, x, mult, step, upper):
     x_out, step_out = np.empty_like(x), np.empty_like(step)
     taken = np.full(x.shape[1], _MAX_INNER)
     rows = np.arange(x.shape[1])
@@ -343,8 +358,9 @@ def _reference_pick_load(cfg, gamma, x, viol, rounds, inner_steps, opts) -> OptR
 
 def reference_pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
     """The solver's former pick, one start at a time, with the signature
-    and results of ``rachopt.optimize._pick``."""
-    rows = x.transpose(1, 2, 0, 3).reshape(len(cfgs), -1, 2 * x.shape[-1])
+    and results of ``rachopt.optimize._pick``: ``x`` is the RB-major
+    (2, m, loads, starts) iterate."""
+    rows = x.transpose(2, 3, 0, 1).reshape(len(cfgs), -1, 2 * x.shape[1])
     return [
         _reference_pick_load(cfg, gamma, rows[i], viol[i], int(rounds[i]), int(steps), opts)
         for i, (cfg, steps) in enumerate(zip(cfgs, inner_steps))

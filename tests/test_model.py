@@ -3,7 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from rachopt.model import PATTERN_CHARS, AccessProbabilityPair, NetworkConfig, check_gamma, pattern_bytes
+from rachopt.model import (
+    _RB_CHAR,
+    PATTERN_CHARS,
+    AccessProbabilityPair,
+    NetworkConfig,
+    check_gamma,
+    pattern_bytes,
+    pattern_class,
+)
 
 
 def test_network_config_validation():
@@ -63,3 +71,17 @@ def test_pattern_bytes_follow_the_rb_rule():
     assert set(got.tobytes().decode()) == set(PATTERN_CHARS)
     # lexicographic order of pattern strings is their byte order
     assert list(PATTERN_CHARS) == sorted(PATTERN_CHARS)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_pattern_class_clamps_each_count_at_two(dtype):
+    # counts 0..300, or up to the type's largest, as the simulator's per-RB
+    # counts come in the narrowest unsigned type that holds the population
+    counts = np.arange(min(300, np.iinfo(dtype).max) + 1, dtype=dtype)
+    c_h, c_l = counts[:, None], counts[None, :]
+    got = pattern_class(c_h, c_l)
+    assert got.dtype == np.uint8 and got.shape == (len(counts), len(counts))
+    want = 3 * np.minimum(c_h.astype(np.int64), 2) + np.minimum(c_l.astype(np.int64), 2)
+    assert np.array_equal(got, want)
+    # a class's character is its pattern byte
+    assert np.array_equal(_RB_CHAR[got], pattern_bytes(c_h, c_l))

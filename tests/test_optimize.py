@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -106,8 +108,10 @@ def test_lagrangian_gradient_matches_central_differences():
     loads = [(4, 5), (3, 2), (0, 3), (5, 0), (1, 1)]
     n_h, n_l = tuple(h for h, _ in loads), tuple(l for _, l in loads)
     m, starts, step = 4, 6, 1e-6
-    x = 0.05 + 0.9 * rng.random((2, len(loads), starts, m))
-    table = load_table(n_h, n_l, x.ndim)
+    # drawn RB-last, then stored RB-major (2, m, loads, starts) as the solver
+    # stores it, each load's constants on its (1, load, 1) slot
+    x = np.moveaxis(0.05 + 0.9 * rng.random((2, len(loads), starts, m)), -1, 1).copy()
+    table = tuple(t[:, :, None] for t in load_table(n_h, n_l, 3))
     nu = rng.uniform(-1.0, 1.0, (2, len(loads), starts))
     rho = rng.uniform(1.0, 20.0, (len(loads), starts))
     for gamma, lam in ((2.5, rng.uniform(0.1, 2.0, rho.shape)), (0.0, np.zeros(rho.shape))):
@@ -120,16 +124,16 @@ def test_lagrangian_gradient_matches_central_differences():
 
         phi_at(x)
         grad = scored[1].copy()
-        mu_l = stacked_terms(x, table)[1].sum(axis=-1)
+        mu_l = stacked_terms(x, table)[1].sum(axis=0)
         active = lam - rho * (mu_l - gamma) > 0
         assert active.all() if gamma else not active.any()
         for c in range(2):
             for i in range(m):
                 hi, lo = x.copy(), x.copy()
-                hi[c, ..., i] += step
-                lo[c, ..., i] -= step
+                hi[c, i] += step
+                lo[c, i] -= step
                 diff = phi_at(hi) - phi_at(lo)
-                np.testing.assert_allclose(grad[c, ..., i], diff / (2 * step), rtol=1e-5, atol=1e-6)
+                np.testing.assert_allclose(grad[c, i], diff / (2 * step), rtol=1e-5, atol=1e-6)
 
 
 def test_solve_unconstrained_small():
@@ -208,29 +212,43 @@ def _same_result(a: OptResult, b: OptResult) -> bool:
     return (a.pair, a.mu, a.feasible, a.diagnostics) == (b.pair, b.mu, b.feasible, b.diagnostics)
 
 
+def _rb_major(rows: np.ndarray, loads: int) -> np.ndarray:
+    """(rows, m) as the solver stores them: a contiguous RB-major (m, loads,
+    starts) array, whose RB axis is outermost in memory."""
+    return np.ascontiguousarray(rows.T.reshape(rows.shape[1], loads, -1))
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_rb_sum_matches_numpy_below_8_rbs(m):
-    # numpy adds 7 or fewer RBs in order, so its bits are the reference;
-    # mixed signs and magnitudes 1e-8..1e8 make every rounding show, and a
-    # row of -0.0 sums to +0.0 in both
+    # numpy adds 7 or fewer RBs of a row in order, so its bits are the
+    # reference; mixed signs and magnitudes 1e-8..1e8 make every rounding
+    # show, and a row of -0.0 sums to +0.0 in both
     rng = np.random.default_rng(m)
     rows = rng.choice([-1.0, 1.0], (2000, m)) * 10.0 ** rng.uniform(-8, 8, (2000, m))
     rows = np.concatenate([rows, np.full((1, m), -0.0)])
-    want = np.add.reduce(rows, axis=-1)
-    assert np.array_equal(optimize._rb_sum(rows).view(np.uint64), want.view(np.uint64))
-    out = np.full(len(rows), np.nan)
-    assert optimize._rb_sum(rows, out=out) is out
-    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    want = np.add.reduce(rows, axis=-1).reshape(23, 87)
+    for stack in (_rb_major(rows, 23), np.stack([_rb_major(rows, 23)] * 2)):
+        got = optimize._rb_sum(stack)
+        assert np.array_equal(got.view(np.uint64), np.broadcast_to(want, got.shape).view(np.uint64))
+        out = np.full(got.shape, np.nan)
+        assert optimize._rb_sum(stack, out=out) is out
+        assert np.array_equal(out.view(np.uint64), got.view(np.uint64))
 
 
 @pytest.mark.parametrize("m, width", [(8, 9), (9, 17), (17, 24)])
 def test_rb_sum_ignores_trailing_zero_pads(m, width):
-    # widths where numpy's own pairwise sum moves bits when padded
+    # widths where numpy's own pairwise sum over the last axis moves bits
+    # when padded; the RB-major sum adds the RBs left to right from +0.0 at
+    # any width, one load or many
     rng = np.random.default_rng(m)
     rows = rng.choice([-1.0, 1.0], (2000, m)) * 10.0 ** rng.uniform(-8, 8, (2000, m))
     padded = np.concatenate([rows, np.zeros((len(rows), width - m))], axis=1)
-    want = optimize._rb_sum(rows).view(np.uint64)
-    assert np.array_equal(optimize._rb_sum(padded).view(np.uint64), want)
+    in_order = functools.reduce(np.add, rows.T, 0.0).view(np.uint64)
+    for loads in (1, 40):
+        want = optimize._rb_sum(_rb_major(rows, loads)).ravel().view(np.uint64)
+        assert np.array_equal(want, in_order)
+        got = optimize._rb_sum(_rb_major(padded, loads)).ravel()
+        assert np.array_equal(got.view(np.uint64), want)
     assert not np.array_equal(np.add.reduce(padded, axis=-1).view(np.uint64), want)
 
 
@@ -339,6 +357,7 @@ def test_pick_matches_reference_pick_on_crafted_ties():
     x[:, :, 5] = x[:, :, 2][..., [2, 0, 3, 1]]
     x[0, :, 6] = 0.0
     x[:, :, 7] = 3.0 * x[:, :, 7] - 0.5
+    x = np.moveaxis(x, -1, 1).copy()  # RB-major, as the solver stores it
     viol = rng.random((len(cfgs), starts))
     rounds, inner_steps = np.array([1, 2, 3, 3, 2]), np.array([10, 20, 30, 40, 50])
     options = SolverOptions(random_starts=starts - 2, max_outer=3)
@@ -425,7 +444,7 @@ def test_solve_batch_of_mixed_m_matches_lone_solves(monkeypatch, cfgs, gamma, op
     # one array: one ascent per outer round, the first over every load at
     # the widest m
     assert len(ascents) == max(r.diagnostics["outer_rounds"] for r in got)
-    assert ascents[0][1] == len(cfgs) and ascents[0][-1] == max(cfg.m for cfg in cfgs)
+    assert ascents[0][2] == len(cfgs) and ascents[0][1] == max(cfg.m for cfg in cfgs)
     monkeypatch.undo()
     assert [_bits(r) for r in got] == [_bits(solve(cfg, gamma, options)) for cfg in cfgs]
     assert [r.pair.m for r in got] == [cfg.m for cfg in cfgs]

@@ -15,9 +15,11 @@ from rachopt.exact import (
     throughput_closed_form,
 )
 from rachopt.model import (
+    _RB_CHAR,
     AccessProbabilityPair,
     NetworkConfig,
     ThroughputPair,
+    pattern_class,
 )
 from rachopt.simulate import sim_throughput
 
@@ -91,12 +93,49 @@ def test_slot_substreams_give_prefix_property():
 
 
 def test_fast_path_matches_trace_path():
-    cfg = NetworkConfig(4, 5, 5)
-    pair = AccessProbabilityPair([0.2] * 5, [0.1, 0.1, 0.1, 0.1, 0.6])
-    for seed in (0, 7, 123456789):
-        codes = sim_codes(cfg, pair, 500, seed=seed)
-        h, l = (int(np.count_nonzero(codes == ord(c))) for c in "hl")
-        assert sim_throughput(cfg, pair, 500, seed) == ThroughputPair(h / 500, l / 500)
+    # the tally of the h and l classes against the characters of the classes
+    spread = AccessProbabilityPair([0.2] * 5, [0.1, 0.1, 0.1, 0.1, 0.6])
+    # the high class's levels reach 1.0 two RBs early, the low class's
+    # running sum ends 4e-10 above 1
+    at_one = AccessProbabilityPair([0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.5 + 4e-10, 0.0])
+    cases = [
+        (NetworkConfig(4, 5, 5), spread, 500),
+        (NetworkConfig(4, 5, 5), spread, 3 * BLOCK + 5),  # four blocks, the last short
+        (NetworkConfig(150, 151, 4), CROWDED, 500),
+        (NetworkConfig(300, 30, 4), CROWDED, 500),  # a class of 300: uint16 counts
+        (NetworkConfig(4, 3, 4), at_one, 500),
+    ]
+    for cfg, pair, t in cases:
+        for seed in (0, 7, 123456789):
+            codes = sim_codes(cfg, pair, t, seed=seed)
+            h, l = (int(np.count_nonzero(codes == ord(c))) for c in "hl")
+            assert h > 0 and l > 0
+            assert sim_throughput(cfg, pair, t, seed) == ThroughputPair(h / t, l / t), (cfg, t)
+
+
+def test_success_classes_are_the_h_and_l_characters():
+    # the simulator counts the classes that pattern_class gives one device
+    # alone on an RB, and which the pattern bytes write as h and l
+    classes = np.arange(len(_RB_CHAR))
+    assert classes[_RB_CHAR == ord("h")].tolist() == [simulate_module._H_CLASS]
+    assert classes[_RB_CHAR == ord("l")].tolist() == [simulate_module._L_CLASS]
+    one, none = np.ones(1, np.uint8), np.zeros(1, np.uint8)
+    assert pattern_class(one, none) == simulate_module._H_CLASS
+    assert pattern_class(none, one) == simulate_module._L_CLASS
+
+
+def test_blocks_are_not_overwritten_by_the_next():
+    # sim_codes keeps every block before it joins them, so no block may be a
+    # buffer that a later block writes to
+    cfg = NetworkConfig(4, 5, 4)
+    pair = AccessProbabilityPair([0.1, 0.2, 0.3, 0.4], [0.45, 0.0, 0.35, 0.2])
+    t = 3 * BLOCK + 5
+    copies = [block.copy() for block in simulate_module._run_blocks(cfg, pair, t, 4)]
+    kept = list(simulate_module._run_blocks(cfg, pair, t, 4))
+    assert [block.shape for block in kept] == [(4, BLOCK)] * 3 + [(4, 5)]
+    for i, block in enumerate(kept):
+        assert np.array_equal(block, copies[i])
+        assert not any(np.shares_memory(block, later) for later in kept[i + 1 :])
 
 
 def test_zero_probability_rbs_never_chosen():
