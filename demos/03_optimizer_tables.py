@@ -20,7 +20,7 @@ def main() -> None:
     print("-" * len(header))
     sizes = (3, 4, 5, 6)
     cfgs = [NetworkConfig(n_h=4, n_l=5, m=m) for m in sizes]
-    # one solver batch per floor: the four M run in lock-step
+    # one solver batch per floor: the four M share one array, each on its own clock
     free_all = solve_batch(cfgs, gamma=0.0)
     floored_all = solve_batch(cfgs, gamma=0.4)
     for m, cfg, free, floored in zip(sizes, cfgs, free_all, floored_all):

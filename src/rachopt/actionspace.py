@@ -202,9 +202,10 @@ def build_compact(
     [0, n_h_max] x [0, n_l_max] and store the solutions as a lookup table.
 
     By default every cell that needs a solve goes through one default
-    :func:`rachopt.optimize.solve_batch` call: all cells advance in
-    lock-step, each with its own stopping rules, and each stores bit for bit
-    what a per-cell :func:`rachopt.optimize.solve` would.  The ``opt`` hook
+    :func:`rachopt.optimize.solve_batch` call: all cells share one array,
+    each running its outer rounds on its own clock and stopping by its own
+    rules, and each stores bit for bit what a per-cell
+    :func:`rachopt.optimize.solve` would.  The ``opt`` hook
     replaces the batch with a per-cell call: it maps (cfg, gamma) to an
     optimizer result carrying a ``pair`` attribute, for custom solvers and
     for timing each solve on its own.

@@ -8,27 +8,30 @@ solution is a solution), so the solver runs a batch of starts in parallel:
 * the simplex equalities and the mu_l floor enter an augmented Lagrangian,
 * box bounds are enforced by projection,
 * each start follows projected gradient ascent with a per-start adaptive
-  step, all starts advancing in lock-step as rows of one array.
+  step, every start a row of one array.
 
-:func:`solve_batch` runs many loads (n_h, n_l) at once.  The iterate is one
-contiguous RB-major (2, m, loads, starts) array, ``x[0]`` = p_h and ``x[1]``
-= p_l, so one numpy call covers both classes; ``nu`` and ``h``, the simplex
-multipliers and residuals, are (2, loads, starts), and they and the steps
-broadcast over the RB axis.  Loads of different m share the array padded to
-the widest, with RBs held at 0 by a box of [0, 0], which leave the bits of
-:func:`_rb_sum`, every sum over RBs, alone.  A step of the inner ascent
-works in arrays made once per batch shape, and made again only when a load
-leaves: one (5, 2, m, loads, starts) buffer holds the stacked terms and the
-gradients of mu_h and mu_l that :func:`rachopt.exact.gradient_kernel`
-writes, then the candidate and its Lagrangian gradient.  So one sum covers
-the terms and the candidate (mu and the simplex sums), each gradient is a
-contiguous block, and no numpy call writes over its own input.  Each element
-gets the float operations, in the order, of the reference loop in
-``tests/support.py``, so every result is bit for bit that loop's.  Every
-load keeps its own stopping rules -- the inner ascent stops a load on its
-own gain and steps, and the outer convergence test and multiplier updates
-are per load -- and a load that has finished leaves the working arrays, so
-each result is bit for bit what solving that load alone gives.
+:func:`solve_batch` runs many loads (n_h, n_l) at once, each on its own
+clock: one trip of its loop scores one candidate of every live load, and a
+load whose inner ascent ends takes its outer convergence test and
+multiplier update in place and begins its next round on the next trip, so
+no load waits for a slower one.  The iterate is one contiguous RB-major
+(2, m, loads, starts) array, ``x[0]`` = p_h and ``x[1]`` = p_l, so one numpy
+call covers both classes; ``nu`` and ``h``, the simplex multipliers and
+residuals, are (2, loads, starts), and they and the steps broadcast over the
+RB axis.  Loads of different m share the array padded to the widest, with
+RBs held at 0 by a box of [0, 0], which leave the bits of :func:`_rb_sum`,
+every sum over RBs, alone.  A trip works in arrays made once per batch
+shape, and made again only when a load leaves: one (5, 2, m, loads, starts)
+buffer holds the stacked terms and the gradients of mu_h and mu_l that
+:func:`rachopt.exact.gradient_kernel` writes, then the candidate and its
+Lagrangian gradient.  So one sum covers the terms and the candidate (mu and
+the simplex sums), each gradient is a contiguous block, and no numpy call
+writes over its own input.  Each element gets the float operations, in the
+order, of the reference solver in ``tests/support.py``, which runs the loads'
+rounds side by side, so every result is bit for bit that solver's.  Every
+load keeps its own stopping rules and multipliers, and a load that has
+finished leaves the working arrays, so each result is bit for bit what
+solving that load alone gives.
 :func:`solve` is the batch of one; :func:`rachopt.actionspace.build_compact`
 sends a whole compact table through one batch.
 
@@ -54,6 +57,10 @@ from one fixed stream (``random_starts``), and the cap on outer rounds
 
 from __future__ import annotations
 
+import itertools
+import logging
+import numbers
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -69,6 +76,8 @@ __all__ = [
     "solve",
     "solve_batch",
 ]
+
+log = logging.getLogger(__name__)
 
 # Feasibility slack on the mu_l floor for reported solutions.
 FEASIBILITY_TOL = 1e-6
@@ -91,10 +100,12 @@ class SolverOptions:
     max_outer: int = 40  # multiplier updates
 
     def __post_init__(self) -> None:
-        # written as `not x >= low`, so NaN fails too
         for name, low in (("random_starts", 0), ("max_outer", 1)):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -140,8 +151,9 @@ def _rb_sum(a, out=None):
 
 def _lagrangian(table, gamma, mult, shape):
     """The augmented Lagrangian over (2, m, loads, starts) iterates of
-    ``shape``, bound to preallocated arrays; ``mult`` is the round's ``(lam,
-    nu, rho, lam2, two_rho, half_rho)``.
+    ``shape``, bound to preallocated arrays; ``mult`` is the loads'
+    :func:`_multipliers`, which the returned function reads each time it is
+    called.
 
     Returns ``scored``, shape (2,) + ``shape``, and a function that scores
     the candidate in ``scored[0]``: it writes the Lagrangian's gradient at
@@ -149,10 +161,7 @@ def _lagrangian(table, gamma, mult, shape):
     Lagrangian's value there.  ``scored`` is rows 3 and 4 of one buffer
     whose first three rows take the stacked terms and gradients from
     :func:`rachopt.exact.gradient_kernel`."""
-    lam, nu, rho, lam2, two_rho, half_rho = mult
-    # per class, so that the products with the (2, loads, starts) residuals
-    # need no broadcast
-    rho2, half_rho2 = np.stack([rho, rho]), np.stack([half_rho, half_rho])
+    lam, nu, rho, lam2, two_rho, half_rho, rho2, half_rho2 = mult
     buf = np.empty((5,) + shape)
     terms = gradient_kernel(buf[3], table, buf[:3])
     # the terms and the iterate summed in one call: mu, then the simplex
@@ -175,58 +184,33 @@ def _lagrangian(table, gamma, mult, shape):
     return buf[3:], phi
 
 
-def _inner_ascent(table, gamma, x, mult, step, upper):
-    """Projected gradient ascent for one outer round, every load at once,
-    each candidate clipped to the box [0, ``upper``]: 1.0, or an array
-    stacked like ``x`` that is 0 on the RBs that pad a load to the batch's
-    width.
-
-    A load stops when none of its starts gains 1e-12 and all its steps are
-    below 1e-13.  Stopped loads leave the working arrays, which are
-    compacted, and the buffers rebuilt, only on the iterations where some
-    load stops.  Returns the new ``x`` and ``step`` of every load and the
-    steps each load took."""
-    x_out, step_out = np.empty_like(x), np.empty_like(step)
-    taken = np.full(x.shape[2], _MAX_INNER)
-    rows = np.arange(x.shape[2])
-    # ``scored`` is the candidate and its gradient (see _lagrangian), ``now``
-    # the iterate and its gradient, which a better candidate replaces
-    scored, phi_at = _lagrangian(table, gamma, mult, x.shape)
-    cand = scored[0]
-    cand[...] = x
-    phi = phi_at()
-    now = scored.copy()
-    for it in range(_MAX_INNER):
-        np.minimum(np.maximum(step * now[1] + now[0], 0.0), upper, out=cand)
-        phi_c = phi_at()
-        better = phi_c > phi
-        gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
-        np.copyto(now, scored, where=better)
-        np.copyto(phi, phi_c, where=better)
-        # steps stay at most 1e3, so the cap never binds on a shrinking step
-        step = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
-        if gained.all():
-            continue
-        stop = ~gained & (step < 1e-13).all(axis=1)
-        if stop.any():
-            done = rows[stop]
-            x_out[:, :, done], step_out[done], taken[done] = now[0][:, :, stop], step[stop], it + 1
-            go = ~stop
-            if not go.any():
-                return x_out, step_out, taken
-            rows, now, phi, step = rows[go], now[:, :, :, go], phi[go], step[go]
-            table = tuple(t[..., go, :] for t in table)
-            mult = tuple(v[..., go, :] for v in mult)
-            upper = _keep(upper, go)
-            scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
-            cand = scored[0]
-    x_out[:, :, rows], step_out[rows] = now[0], step
-    return x_out, step_out, taken
+def _multipliers(lam, nu, rho):
+    """The (lam, nu, rho, lam2, two_rho, half_rho, rho2, half_rho2) that
+    :func:`_lagrangian` reads: the mu_l floor's ``lam``, the simplex
+    multipliers ``nu``, the penalty weight ``rho`` and terms of them, with
+    ``rho`` and ``half_rho`` stacked per class, so that the products with
+    the (2, loads, starts) residuals need no broadcast."""
+    half_rho = 0.5 * rho
+    return (lam, nu, rho, lam * lam, 2.0 * rho, half_rho,
+            np.stack([rho, rho]), np.stack([half_rho, half_rho]))
 
 
-def _keep(upper, go):
-    """The box bound of the loads ``go``: a scalar bound is every load's."""
-    return upper if np.ndim(upper) == 0 else upper[..., go, :]
+def _update_multipliers(mult, e, gamma, mu_l, h, stalled):
+    """The round-end update of the loads ``e``, in place in ``mult`` (see
+    :func:`_multipliers`), from their ``mu_l`` and simplex residuals ``h``:
+    the penalty weight grows where the residual has ``stalled``."""
+    lam, nu, rho = mult[:3]
+    lam[e] = np.maximum(0.0, lam[e] - rho[e] * (mu_l - gamma))
+    nu[:, e] = nu[:, e] + rho[e] * h
+    rho[e] = np.where(stalled, np.minimum(rho[e] * _RHO_GROWTH, _RHO_MAX), rho[e])
+    for v, new in zip(mult[3:], _multipliers(lam[e], nu[:, e], rho[e])[3:]):
+        v[..., e, :] = new
+
+
+def _keep(a, go):
+    """The loads ``go`` of ``a``, whose load axis is second from last, as
+    a contiguous array; a scalar (the box bound 1.0) is every load's."""
+    return a if np.ndim(a) == 0 else np.compress(go, a, axis=-2)
 
 
 def solve_batch(
@@ -236,17 +220,23 @@ def solve_batch(
 ) -> list[OptResult]:
     """Maximize mu_h subject to mu_l >= gamma for every load in ``cfgs``.
 
-    The loads run in lock-step as one (2, m, loads, starts) array, m being
-    the widest load's.  A narrower load is padded with trailing RBs whose
-    box is [0, 0], so they stay 0 and add nothing: the projection clips to
-    an upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when
-    every load has the same m).  RBs are summed by :func:`_rb_sum`, left to
+    The loads share one (2, m, loads, starts) array, m being the widest
+    load's.  A narrower load is padded with trailing RBs whose box is
+    [0, 0], so they stay 0 and add nothing: the projection clips to an
+    upper bound of 0 on the pads and 1 elsewhere (1.0 throughout when every
+    load has the same m).  RBs are summed by :func:`_rb_sum`, left to
     right, so the pads change no sum's bits.
 
-    Each load keeps its own stopping rules: its inner ascent ends on its own
-    gain and steps, and its outer rounds end on its own convergence test, at
-    which point it leaves the working arrays.  The result for each load is
-    bit for bit the result of solving it alone.
+    Each load runs its outer rounds on its own clock.  Every trip of the
+    loop scores one candidate of every live load: its iterate on the trip
+    that begins its round, a projected-gradient step on the others.  A
+    load's inner ascent ends when none of its starts gains 1e-12 and all
+    its steps are below 1e-13, or after ``_MAX_INNER`` steps; the load then
+    takes its convergence test and multiplier update at once and begins its
+    next round on the next trip.  It leaves the working arrays when it
+    converges or reaches ``max_outer`` rounds.  So the batch takes as many
+    trips as its longest load has steps and rounds, and the result for each
+    load is bit for bit the result of solving it alone.
 
     Each load runs its structural allocation (start 0) and the uniform pair
     (start 1) alongside the random simplex starts (2 on), which every load
@@ -268,13 +258,16 @@ def solve_batch(
     opts = options or SolverOptions()
     if not cfgs:
         return []
+    clock = time.perf_counter()
     ms = [cfg.m for cfg in cfgs]
     starts = {
         m: np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
         for m in set(ms)
     }
-    # one contiguous RB-major (2, m, loads, starts) array: x[0] = p_h, x[1] = p_l
-    x = np.zeros((2, max(ms), len(cfgs), opts.random_starts + 2))
+    # the iterate and its Lagrangian gradient, each a contiguous RB-major
+    # (2, m, loads, starts) array: x[0] = p_h, x[1] = p_l
+    now = np.zeros((2, 2, max(ms), len(cfgs), opts.random_starts + 2))
+    x = now[0]
     for i, cfg in enumerate(cfgs):
         structural, m = structural_unconstrained(cfg), cfg.m
         x[:, :m, i, 0] = structural.p_h, structural.p_l
@@ -290,47 +283,90 @@ def solve_batch(
         for t in load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), 3)
     )
     shape = x.shape[2:]
+    x_final, viol_final = np.empty_like(x), np.empty(shape)
+    rounds = np.zeros(len(cfgs), dtype=int)
+    inner_steps = np.zeros(len(cfgs), dtype=int)
 
     # working arrays of the loads still iterating, in ``live`` order
     live = np.arange(len(cfgs))
-    x_final = x.copy()
-    viol_final = np.full(shape, np.nan)
-    rounds = np.zeros(len(cfgs), dtype=int)
-    inner_steps = np.zeros(len(cfgs), dtype=int)
-    lam, nu = np.zeros(shape), np.zeros((2,) + shape)
-    rho = np.full(shape, _RHO0)
+    mult = _multipliers(np.zeros(shape), np.zeros((2,) + shape), np.full(shape, _RHO0))
     step = np.full(shape, _STEP0)
     prev_obj = np.full(shape, -np.inf)
     prev_viol = np.full(shape, np.inf)
+    # A round's first trip (``restart``, ``fresh`` when any load has one)
+    # scores the iterate itself under the round's multipliers and keeps the
+    # step; the score replaces the -inf held in ``phi``.  ``began`` is the first
+    # trip of each load's round, and ``cap`` the trip of the earliest
+    # round's ``_MAX_INNER``-th step.
+    phi = np.full(shape, -np.inf)
+    began = np.zeros(len(cfgs), dtype=int)
+    restart, fresh, cap = np.ones(len(cfgs), dtype=bool), True, _MAX_INNER
+    scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
+    cand = scored[0]
+    for trip in itertools.count():
+        np.minimum(np.maximum(step * now[1] + now[0], 0.0), upper, out=cand)
+        if fresh:
+            np.copyto(cand, now[0], where=restart[:, None])
+        phi_c = phi_at()
+        better = phi_c > phi
+        gained = (phi_c - phi >= 1e-12).any(axis=1)  # implies ``better``
+        np.copyto(now, scored, where=better)
+        np.copyto(phi, phi_c, where=better)
+        # steps stay at most 1e3, so the cap never binds on a shrinking step
+        stepped = np.minimum(step * np.where(better, 1.3, 0.4), 1e3)
+        if fresh:
+            np.copyto(stepped, step, where=restart[:, None])
+            restart[:], fresh = False, False
+        step = stepped
+        if gained.all() and trip < cap:
+            continue
+        ended = ~gained & (step < 1e-13).all(axis=1)
+        if trip == cap:
+            ended |= began == trip - _MAX_INNER
+        if not ended.any():
+            continue
 
-    for outer in range(opts.max_outer):
-        mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
-        x, step, taken = _inner_ascent(table, gamma, x, mult, step, upper)
-        inner_steps[live] += taken
-        mu_h, mu_l = _rb_sum(stacked_terms(x, table))
-        h = _rb_sum(x) - 1.0
+        # the loads whose round ends on this trip take the convergence test
+        e = np.flatnonzero(ended)
+        x_e = np.take(now[0], e, axis=2)
+        mu_h, mu_l = _rb_sum(stacked_terms(x_e, tuple(np.take(t, e, axis=-2) for t in table)))
+        h = _rb_sum(x_e) - 1.0
         viol = np.maximum(np.abs(h).max(axis=0), np.maximum(0.0, gamma - mu_l))
-        rounds[live], x_final[:, :, live], viol_final[live] = outer + 1, x, viol
         done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
-            np.abs(mu_h - prev_obj) < _OBJ_TOL, axis=1
+            np.abs(mu_h - prev_obj[e]) < _OBJ_TOL, axis=1
         )
-        if done.all():
-            break
-        if done.any():
-            go = ~done
-            live, x, step = live[go], x[:, :, go], step[go]
-            lam, nu, rho = lam[go], nu[:, go], rho[go]
-            mu_h, mu_l, h, viol, prev_viol = mu_h[go], mu_l[go], h[:, go], viol[go], prev_viol[go]
-            table = tuple(t[..., go, :] for t in table)
-            upper = _keep(upper, go)
-        lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
-        nu = nu + rho * h
-        stalled = viol > 0.5 * prev_viol
-        rho = np.where(stalled, np.minimum(rho * _RHO_GROWTH, _RHO_MAX), rho)
-        prev_obj = mu_h
-        prev_viol = np.maximum(viol, 1e-300)
-        step = np.maximum(step, 1e-6)  # re-arm after multiplier change
+        loads = live[e]
+        rounds[loads] += 1
+        inner_steps[loads] += trip - began[e]
+        x_final[:, :, loads], viol_final[loads] = x_e, viol
+        stay = ~done & (rounds[loads] < opts.max_outer)
+        e = e[stay]
+        if e.size:  # these begin their next round on the next trip
+            stalled = viol[stay] > 0.5 * prev_viol[e]
+            _update_multipliers(mult, e, gamma, mu_l[stay], h[:, stay], stalled)
+            prev_obj[e], prev_viol[e] = mu_h[stay], np.maximum(viol[stay], 1e-300)
+            step[e] = np.maximum(step[e], 1e-6)  # re-arm after multiplier change
+            phi[e], restart[e], began[e], fresh = -np.inf, True, trip + 1, True
+        if not stay.all():  # the others leave the working arrays
+            go = ~ended
+            go[ended] = stay
+            if not go.any():
+                break
+            live, began, restart = live[go], began[go], restart[go]
+            now, phi, step, prev_obj, prev_viol, upper = (
+                _keep(a, go) for a in (now, phi, step, prev_obj, prev_viol, upper)
+            )
+            table = tuple(_keep(t, go) for t in table)
+            mult = tuple(_keep(v, go) for v in mult)
+            scored, phi_at = _lagrangian(table, gamma, mult, now.shape[1:])
+            cand = scored[0]
+        cap = int(began.min()) + _MAX_INNER
 
+    log.debug(
+        "solve_batch: %d loads, m = %d, %d trips, outer rounds up to %d, %d cap hits, %.3f s",
+        len(cfgs), x.shape[1], trip + 1, rounds.max(),
+        np.count_nonzero(rounds == opts.max_outer), time.perf_counter() - clock,
+    )
     return _pick(cfgs, gamma, x_final, viol_final, rounds, inner_steps, opts)
 
 

@@ -15,11 +15,13 @@ block generator, as no public function returns them, and turns them into
 pattern bytes.
 :func:`reference_save_mab_trace` is the former row-at-a-time trace writer,
 the reference the column-wise one must match byte for byte.
-:func:`reference_inner_ascent` is the solver's former projected-gradient
-loop, with its :func:`reference_phi` and :func:`reference_stacked_grad`,
-the reference the in-place loop must match bit for bit, and
-:func:`reference_pick` its former per-start pick, the reference the
-array pick must match bit for bit.
+:func:`reference_solve_batch` is the solver's former driver, which runs the
+loads' outer rounds side by side, with its projected-gradient loop
+:func:`reference_inner_ascent`, :func:`reference_phi` and
+:func:`reference_stacked_grad`: the reference the solver's one loop, each
+load on its own clock, must match bit for bit.  :func:`reference_pick` is
+its former per-start pick, the reference the array pick must match bit for
+bit.
 :func:`load_plot_data` reads a plot CSV back as named columns.
 """
 
@@ -32,9 +34,21 @@ import math
 
 import numpy as np
 
-from rachopt.exact import slot_success_pmf, throughput_closed_form
+from rachopt.exact import load_table, slot_success_pmf, throughput_closed_form
 from rachopt.model import _RB_CHAR, AccessProbabilityPair
-from rachopt.optimize import _MAX_INNER, FEASIBILITY_TOL, OptResult
+from rachopt.optimize import (
+    _MAX_INNER,
+    _OBJ_TOL,
+    _RHO0,
+    _RHO_GROWTH,
+    _RHO_MAX,
+    _STEP0,
+    _VIOL_TOL,
+    FEASIBILITY_TOL,
+    OptResult,
+    SolverOptions,
+    structural_unconstrained,
+)
 from rachopt.simulate import _run_blocks
 
 
@@ -264,24 +278,71 @@ def reference_phi(table, gamma, x, lam, nu, rho, lam2, two_rho, half_rho):
     return phi, grad
 
 
+def reference_solve_batch(cfgs, gamma=0.0, options=None) -> list[OptResult]:
+    """The solver's former driver, with the signature and results of
+    ``rachopt.optimize.solve_batch``: the live loads run every outer round
+    side by side, one :func:`reference_inner_ascent` over all of them, then
+    each takes its convergence test and multiplier update, and the loads
+    that converged leave the working arrays.  It runs in the former RB-last
+    layout, (2, loads, starts, m), and hands :func:`reference_pick` its
+    final iterate RB-major."""
+    opts = options or SolverOptions()
+    ms = np.array([cfg.m for cfg in cfgs])
+    x = np.zeros((2, len(cfgs), opts.random_starts + 2, ms.max()))
+    for i, cfg in enumerate(cfgs):
+        pair, m = structural_unconstrained(cfg), cfg.m
+        x[:, i, 0, :m] = pair.p_h, pair.p_l
+        x[:, i, 1, :m] = 1.0 / m
+        starts = np.random.default_rng(0).dirichlet(np.ones(m), (opts.random_starts, 2))
+        x[:, i, 2:, :m] = starts.transpose(1, 0, 2)
+    # a box of [0, 0] on the RBs that pad a load to the widest m
+    upper = np.broadcast_to(np.arange(x.shape[-1]) < ms[:, None, None], x.shape).astype(float)
+    table = load_table(tuple(c.n_h for c in cfgs), tuple(c.n_l for c in cfgs), 4)
+    shape = x.shape[1:3]
+
+    live = np.arange(len(cfgs))
+    x_final, viol_final = x.copy(), np.full(shape, np.nan)
+    rounds, inner_steps = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs), dtype=int)
+    lam, nu, rho = np.zeros(shape), np.zeros((2,) + shape), np.full(shape, _RHO0)
+    step = np.full(shape, _STEP0)
+    prev_obj, prev_viol = np.full(shape, -np.inf), np.full(shape, np.inf)
+    for outer in range(opts.max_outer):
+        mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
+        x, step, taken = reference_inner_ascent(table, gamma, x, mult, step, upper)
+        inner_steps[live] += taken
+        mu_h, mu_l = _left_to_right(reference_stacked_grad(x, table)[0])
+        h = _left_to_right(x) - 1.0
+        viol = np.maximum(np.abs(h).max(axis=0), np.maximum(0.0, gamma - mu_l))
+        rounds[live], x_final[:, live], viol_final[live] = outer + 1, x, viol
+        done = np.all(viol <= _VIOL_TOL, axis=1) & np.all(
+            np.abs(mu_h - prev_obj) < _OBJ_TOL, axis=1
+        )
+        if done.all():
+            break
+        if done.any():
+            go = ~done
+            live, x, step = live[go], x[:, go], step[go]
+            lam, nu, rho = lam[go], nu[:, go], rho[go]
+            mu_h, mu_l, h, viol, prev_viol = mu_h[go], mu_l[go], h[:, go], viol[go], prev_viol[go]
+            table = tuple(t[:, :, go] for t in table)
+            upper = upper[:, go]
+        lam = np.maximum(0.0, lam - rho * (mu_l - gamma))
+        nu = nu + rho * h
+        stalled = viol > 0.5 * prev_viol
+        rho = np.where(stalled, np.minimum(rho * _RHO_GROWTH, _RHO_MAX), rho)
+        prev_obj = mu_h
+        prev_viol = np.maximum(viol, 1e-300)
+        step = np.maximum(step, 1e-6)
+    x_final = np.moveaxis(x_final, -1, 1)
+    return reference_pick(cfgs, gamma, x_final, viol_final, rounds, inner_steps, opts)
+
+
 def reference_inner_ascent(table, gamma, x, mult, step, upper):
-    """The former projected gradient ascent of one outer round, with the
-    signature and results of ``rachopt.optimize._inner_ascent``: ``x``,
-    ``upper`` (or a scalar) and the spread ``table`` RB-major, (..., m,
-    loads, starts), each candidate clipped to [0, ``upper``].  It runs in
-    the former RB-last layout, (..., loads, starts, m), on copies moved
-    there, and moves its ``x`` back."""
-    def last(a):
-        return np.ascontiguousarray(np.moveaxis(a, -3, -1))
-
-    upper = upper if np.ndim(upper) == 0 else last(upper)
-    x_out, step_out, taken = _rb_last_inner_ascent(
-        tuple(last(t) for t in table), gamma, last(x), mult, step, upper
-    )
-    return np.ascontiguousarray(np.moveaxis(x_out, -1, -3)), step_out, taken
-
-
-def _rb_last_inner_ascent(table, gamma, x, mult, step, upper):
+    """The former projected gradient ascent of one outer round over the
+    live loads, RB-last: a load stops when none of its starts gains 1e-12
+    and all its steps are below 1e-13, or after ``_MAX_INNER`` steps.
+    Returns the new ``x`` and ``step`` of every load and the steps each
+    took."""
     x_out, step_out = np.empty_like(x), np.empty_like(step)
     taken = np.full(x.shape[1], _MAX_INNER)
     rows = np.arange(x.shape[1])
@@ -318,10 +379,13 @@ def _rb_last_inner_ascent(table, gamma, x, mult, step, upper):
 
 
 def _reference_polish(row: np.ndarray, m: int) -> AccessProbabilityPair:
+    """The pair of one start's (p_h, p_l) ``row``, each half padded past
+    ``m``, clipped and divided by its sum, added left to right."""
+    width = len(row) // 2
     a = np.clip(row[:m], 0.0, 1.0)
-    b = np.clip(row[m:], 0.0, 1.0)
-    a = a / a.sum() if a.sum() > 0 else np.full(m, 1.0 / m)
-    b = b / b.sum() if b.sum() > 0 else np.full(m, 1.0 / m)
+    b = np.clip(row[width : width + m], 0.0, 1.0)
+    a = a / _left_to_right(a) if _left_to_right(a) > 0 else np.full(m, 1.0 / m)
+    b = b / _left_to_right(b) if _left_to_right(b) > 0 else np.full(m, 1.0 / m)
     return AccessProbabilityPair(tuple(a), tuple(b))
 
 
@@ -359,7 +423,7 @@ def _reference_pick_load(cfg, gamma, x, viol, rounds, inner_steps, opts) -> OptR
 def reference_pick(cfgs, gamma, x, viol, rounds, inner_steps, opts) -> list[OptResult]:
     """The solver's former pick, one start at a time, with the signature
     and results of ``rachopt.optimize._pick``: ``x`` is the RB-major
-    (2, m, loads, starts) iterate."""
+    (2, m, loads, starts) iterate, m the widest load's."""
     rows = x.transpose(2, 3, 0, 1).reshape(len(cfgs), -1, 2 * x.shape[1])
     return [
         _reference_pick_load(cfg, gamma, rows[i], viol[i], int(rounds[i]), int(steps), opts)

@@ -37,7 +37,7 @@ from rachopt.exact import (
 )
 from rachopt.mab import _pull_table, estimate_load, mae_trace, run, run_nonstationary
 from rachopt.model import AccessProbabilityPair, NetworkConfig
-from rachopt.optimize import solve
+from rachopt.optimize import SolverOptions, solve, solve_batch
 from rachopt.simulate import sim_throughput
 
 from support import (
@@ -494,3 +494,23 @@ def test_stored_bits_are_the_same_on_every_cpu(compact_m5, compact_m6):
         "af812a94fbe62d2b2854c30f9cc9356e192d6b048888abd7e8a6edcf6f56335e"
     )
     assert digest(pull) == "f58a434bf3c903c54182c74ae3aebee79eb833e80e9acae66e0aab8ac0177443"
+
+    # every field of the solver's results: the Table IV and V batches and a
+    # batch at m = 8..12, where numpy's own sum over RBs would be pairwise
+    def result_bytes(r):
+        floats = np.array(r.pair.p_h + r.pair.p_l + (r.mu.mu_h, r.mu.mu_l), dtype="<f8")
+        diagnostics = sorted(
+            (k, v.hex() if isinstance(v, float) else v) for k, v in r.diagnostics.items()
+        )
+        return floats.tobytes() + repr((r.feasible, diagnostics)).encode()
+
+    tables = [NetworkConfig(4, 5, m) for m in (3, 4, 5, 6)]
+    wide = [NetworkConfig(n_h, n_l, m) for m in range(8, 13) for n_h, n_l in ((3, 4), (6, 2))]
+    results = (
+        solve_batch(tables, 0.0)
+        + solve_batch(tables, 0.4)
+        + solve_batch(wide, 0.4, SolverOptions(random_starts=8, max_outer=25))
+    )
+    assert hashlib.sha256(b"".join(map(result_bytes, results))).hexdigest() == (
+        "b111ae4ae9a41308e6ae9551f42401f9e49fca5a30b8bec128b7bb580f9abc5f"
+    )

@@ -89,7 +89,7 @@ def test_reproduce_optimizer_tables_ignore_the_seed():
 
 @pytest.mark.parametrize("table_id, gamma", [("IV", 0.0), ("V", 0.4)])
 def test_reproduce_optimizer_table_is_one_solver_batch(monkeypatch, table_id, gamma):
-    # the four M of a table run in lock-step, not as four lone solves
+    # the four M of a table run in one solver batch, not as four lone solves
     calls = []
 
     def counted(cfgs, gamma=0.0, options=None):

@@ -1,4 +1,5 @@
 import functools
+import logging
 
 import numpy as np
 import pytest
@@ -20,12 +21,13 @@ from rachopt.optimize import (
     OptResult,
     SolverOptions,
     _lagrangian,
+    _multipliers,
     solve,
     solve_batch,
     structural_unconstrained,
 )
 
-from support import reference_inner_ascent, reference_pick
+from support import reference_pick, reference_solve_batch
 
 FAST = SolverOptions(random_starts=8, max_outer=25)
 
@@ -115,8 +117,7 @@ def test_lagrangian_gradient_matches_central_differences():
     nu = rng.uniform(-1.0, 1.0, (2, len(loads), starts))
     rho = rng.uniform(1.0, 20.0, (len(loads), starts))
     for gamma, lam in ((2.5, rng.uniform(0.1, 2.0, rho.shape)), (0.0, np.zeros(rho.shape))):
-        mult = (lam, nu, rho, lam * lam, 2.0 * rho, 0.5 * rho)
-        scored, phi = _lagrangian(table, gamma, mult, x.shape)
+        scored, phi = _lagrangian(table, gamma, _multipliers(lam, nu, rho), x.shape)
 
         def phi_at(point):
             scored[0] = point
@@ -307,16 +308,16 @@ def _bits(res: OptResult) -> tuple:
     ],
     ids=["m3-every-mask", "m5-stuck-start", "m9", "m1-6-padded", "m5-12-padded"],
 )
-def test_solve_batch_matches_reference_ascent_bit_for_bit(monkeypatch, loads):
-    # the in-place ascent against the former one on every result field; run
+def test_solve_batch_matches_reference_ascent_bit_for_bit(loads):
+    # the one loop, each load on its own clock, against the former solver,
+    # whose loads run each round side by side, on every result field; run
     # once more in CI with AVX-512 off, where numpy picks other ufunc loops
     cfgs = [NetworkConfig(*load) for load in loads]
     options = SolverOptions(random_starts=4, max_outer=3)
     got = solve_batch(cfgs, 0.4, options)
-    monkeypatch.setattr(optimize, "_inner_ascent", reference_inner_ascent)
-    want = solve_batch(cfgs, 0.4, options)
+    want = reference_solve_batch(cfgs, 0.4, options)
     assert [_bits(r) for r in got] == [_bits(r) for r in want]
-    # loads left the batch mid-round, so the compacted buffers were used
+    # the loads' rounds ended on different trips
     assert len({r.diagnostics["inner_steps"] for r in got}) > 1
 
 
@@ -403,6 +404,76 @@ def test_solver_options_validation(field, bad, message):
     SolverOptions(random_starts=0, max_outer=1)
 
 
+@pytest.mark.parametrize(
+    "field, bad",
+    [("random_starts", 2.5), ("random_starts", "3"), ("max_outer", 1.5), ("max_outer", 4.0),
+     ("max_outer", float("inf")), ("max_outer", float("nan"))],
+)
+def test_solver_options_reject_non_integer_counts(field, bad):
+    # counts, so no float passes, not even a whole or an infinite one, and no
+    # string: the solve would fail on them deep inside
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, got {bad!r}$"):
+        SolverOptions(**{field: bad})
+    # numpy's integers are integers
+    options = SolverOptions(random_starts=np.int64(2), max_outer=np.int32(2))
+    assert solve(NetworkConfig(2, 1, 3), 0.4, options).diagnostics["outer_rounds"] <= 2
+
+
+def test_solve_batch_logs_one_debug_record(caplog, capsys):
+    cfgs = [NetworkConfig(4, 5, m) for m in (3, 4)]
+    options = SolverOptions(random_starts=2, max_outer=2)
+    solve_batch(cfgs, 0.4, options)
+    assert not caplog.records and capsys.readouterr() == ("", "")
+    caplog.set_level(logging.DEBUG, logger="rachopt.optimize")
+    got = solve_batch(cfgs, 0.4, options)
+    [record] = caplog.records
+    assert record.levelno == logging.DEBUG and record.name == "rachopt.optimize"
+    caps = sum(r.diagnostics["cap_hit"] for r in got)
+    rounds = max(r.diagnostics["outer_rounds"] for r in got)
+    assert record.getMessage().startswith(
+        f"solve_batch: 2 loads, m = 4, {_longest_clock(got)} trips, "
+        f"outer rounds up to {rounds}, {caps} cap hits, "
+    )
+    assert record.getMessage().endswith(" s") and caps > 0
+
+
+def _count_trips(monkeypatch):
+    """The (2, m, loads, starts) shape of every Lagrangian the solver binds,
+    and a one-item list that counts the candidates they score: one a
+    trip."""
+    shapes, trips, lagrangian = [], [0], optimize._lagrangian
+
+    def bound(table, gamma, mult, shape):
+        shapes.append(shape)
+        scored, phi = lagrangian(table, gamma, mult, shape)
+
+        def counted():
+            trips[0] += 1
+            return phi()
+
+        return scored, counted
+
+    monkeypatch.setattr(optimize, "_lagrangian", bound)
+    return shapes, trips
+
+
+def _longest_clock(results) -> int:
+    """The most trips a load of the batch needs: one a step and one that
+    begins each round."""
+    return max(r.diagnostics["inner_steps"] + r.diagnostics["outer_rounds"] for r in results)
+
+
+@pytest.mark.parametrize("gamma, want", [(0.0, 1312), (0.4, 2791)], ids=["table-IV", "table-V"])
+def test_published_tables_take_a_trip_per_step_and_round(monkeypatch, gamma, want):
+    # no load waits for a slower one: with the loads' rounds side by side,
+    # each as long as its slowest load's, Tables IV and V took 1447 and 4561
+    # trips
+    _, trips = _count_trips(monkeypatch)
+    got = solve_batch([NetworkConfig(4, 5, m) for m in (3, 4, 5, 6)], gamma)
+    assert trips[0] == _longest_clock(got) == want
+    assert len({r.diagnostics["outer_rounds"] for r in got}) > 1
+
+
 def _random_loads(seed: int, count: int, ms) -> list[NetworkConfig]:
     rng = np.random.default_rng(seed)
     return [
@@ -433,18 +504,12 @@ def _random_loads(seed: int, count: int, ms) -> list[NetworkConfig]:
 )
 def test_solve_batch_of_mixed_m_matches_lone_solves(monkeypatch, cfgs, gamma, options):
     # every float's bits, feasible and diagnostics, against solving each alone
-    ascents, inner_ascent = [], optimize._inner_ascent
-
-    def counted(*args):
-        ascents.append(args[2].shape)
-        return inner_ascent(*args)
-
-    monkeypatch.setattr(optimize, "_inner_ascent", counted)
+    shapes, trips = _count_trips(monkeypatch)
     got = solve_batch(cfgs, gamma, options)
-    # one array: one ascent per outer round, the first over every load at
-    # the widest m
-    assert len(ascents) == max(r.diagnostics["outer_rounds"] for r in got)
-    assert ascents[0][2] == len(cfgs) and ascents[0][1] == max(cfg.m for cfg in cfgs)
+    # one array: the first trip covers every load at the widest m, and the
+    # batch takes as many trips as its longest load has steps and rounds
+    assert shapes[0][1:3] == (max(cfg.m for cfg in cfgs), len(cfgs))
+    assert trips[0] == _longest_clock(got)
     monkeypatch.undo()
     assert [_bits(r) for r in got] == [_bits(solve(cfg, gamma, options)) for cfg in cfgs]
     assert [r.pair.m for r in got] == [cfg.m for cfg in cfgs]
